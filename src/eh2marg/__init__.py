@@ -7,12 +7,8 @@ A conventional EKF over the same models serves as the comparison baseline,
 and a seeded Monte-Carlo harness reproduces slow/small (case I) and
 fast/large (case II) flight scenarios with per-axis error metrics and
 per-step timing.
-
-Set ``EH2MARG_NUMBA=0`` in the environment to force the pure-NumPy kernel
-backend (the default JIT-compiles the hot per-step kernels with numba).
 """
 
-from ._backend import BACKEND, NUMBA_ENABLED
 from .errors import (
     ConfigError,
     DegenerateSample,
@@ -21,6 +17,7 @@ from .errors import (
     InnovationCovSingular,
     LengthMismatch,
     NonConvergence,
+    NonFiniteState,
     SynthesisFailure,
     UnstableClosedLoop,
 )
@@ -28,27 +25,13 @@ from .kinematics import (
     EPS_GIMBAL,
     EulerAngles,
     angle_error,
-    body_rates_batch,
-    dcm_batch,
     dcm_body_from_inertial,
     euler_rates,
     kinematic_matrix,
     kinematic_matrix_inverse,
     wrap_angle,
 )
-from .sensors import (
-    ImuSample,
-    ImuStream,
-    NoiseParams,
-    WorldConstants,
-    measurement_noise_cov,
-    process_noise_cov,
-    simulate_accel,
-    simulate_gyro,
-    simulate_imu_stream,
-    simulate_mag,
-    step_bias,
-)
+from .sensors import ImuSample, ImuStream, NoiseParams, WorldConstants, simulate_imu_stream
 from .dynamics import EulerState, Measurement6, integrate_step, measurement, state_derivative
 from .linearization import (
     LinearModel,
@@ -78,7 +61,9 @@ from .filters import (
     initialize_from_first_sample,
 )
 from .harness import (
+    BACKEND,
     GIMBAL_MARGIN,
+    MAX_STEPS,
     RunMetrics,
     ScenarioConfig,
     Trajectory,
@@ -97,7 +82,7 @@ __all__ = [
     "DEFAULT_P0",
     "EPS_GIMBAL",
     "GIMBAL_MARGIN",
-    "NUMBA_ENABLED",
+    "MAX_STEPS",
     "ConfigError",
     "DegenerateSample",
     "EH2FilterState",
@@ -116,6 +101,7 @@ __all__ = [
     "Measurement6",
     "NoiseParams",
     "NonConvergence",
+    "NonFiniteState",
     "RunMetrics",
     "ScenarioConfig",
     "SynthesisFailure",
@@ -124,9 +110,7 @@ __all__ = [
     "WorldConstants",
     "angle_error",
     "assemble_model",
-    "body_rates_batch",
     "compute_metrics",
-    "dcm_batch",
     "dcm_body_from_inertial",
     "eh2_step",
     "ekf_step",
@@ -142,21 +126,15 @@ __all__ = [
     "kinematic_matrix_inverse",
     "load_gain_text",
     "measurement",
-    "measurement_noise_cov",
     "metrics_without_timing",
     "nominal_model",
-    "process_noise_cov",
     "run_experiment",
     "run_timing_benchmark",
     "save_gain_text",
-    "simulate_accel",
-    "simulate_gyro",
     "simulate_imu_stream",
-    "simulate_mag",
     "solve_care",
     "solve_lyapunov",
     "state_derivative",
-    "step_bias",
     "synthesize_gain",
     "timing_stats",
     "verify_lmi",

@@ -8,15 +8,10 @@ error, 2 synthesis failure, 3 filter failure in every trial.
 
 import argparse
 import json
-import os
-import subprocess
 import sys
-import tempfile
 from dataclasses import replace
 from pathlib import Path
-from typing import Any
 
-from ._backend import BACKEND
 from .errors import ConfigError, Eh2MargError, SynthesisFailure
 from .harness import ScenarioConfig, run_experiment, run_timing_benchmark
 from .linearization import nominal_model
@@ -78,11 +73,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--steps", type=int, default=10_000, help="timed steps per filter")
     sp.add_argument("--seed", type=int, metavar="U64", default=42)
     sp.add_argument("--out", type=Path, metavar="DIR", help="also write bench.json here")
-    sp.add_argument(
-        "--compare-backends",
-        action="store_true",
-        help="re-run in a subprocess with the other array backend and compare",
-    )
     sp.set_defaults(func=_cmd_bench)
 
     sp = sub.add_parser("report", help="print a table from a metrics.json")
@@ -175,49 +165,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_bench(res: dict[str, Any]) -> None:
+def _cmd_bench(args: argparse.Namespace) -> int:
+    if args.steps < 200:
+        raise ConfigError(f"--steps must be >= 200, got {args.steps}")
+    res = run_timing_benchmark(steps=args.steps, seed=args.seed)
     print(f"backend {res['backend']}: {res['steps']} interleaved steps")
     for name in ("eh2", "ekf"):
         s = res[name]
         print(f"  {name}: {s['mean_ms']:.6f} ms/step (std {s['std_ms']:.6f})")
     print(f"  ratio eh2/ekf: {res['ratio_eh2_over_ekf']:.4f}")
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.steps < 200:
-        raise ConfigError(f"--steps must be >= 200, got {args.steps}")
-    res = run_timing_benchmark(steps=args.steps, seed=args.seed)
-    _print_bench(res)
-    if args.compare_backends:
-        flipped = "0" if BACKEND == "numba" else "1"
-        env = dict(os.environ, EH2MARG_NUMBA=flipped)
-        with tempfile.TemporaryDirectory() as tmp:
-            cmd = [
-                sys.executable,
-                "-m",
-                "eh2marg",
-                "bench",
-                "--steps",
-                str(args.steps),
-                "--seed",
-                str(args.seed),
-                "--out",
-                tmp,
-            ]
-            proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
-            if proc.returncode != 0:
-                raise Eh2MargError(
-                    f"backend comparison subprocess failed:\n{proc.stderr.strip()}"
-                )
-            with open(Path(tmp) / "bench.json", "r") as fh:
-                other = json.load(fh)
-        _print_bench(other)
-        for name in ("eh2", "ekf"):
-            cur, oth = res[name]["mean_ms"], other[name]["mean_ms"]
-            if oth > 0.0:
-                print(
-                    f"  {name}: {res['backend']} is {oth / cur:.2f}x faster than {other['backend']}"
-                )
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
         with open(args.out / "bench.json", "w") as fh:

@@ -5,19 +5,41 @@ noise-free process model is ``Phi_dot = T(Phi) (omega_m - b)``, ``b_dot = 0``;
 the measurement model maps gravity and the Earth magnetic vector into the
 body frame.  Integration is fixed-step classical RK4 with the gyro sample
 held constant across the step.
+
+The array-level functions (:func:`process_model`, :func:`measurement_model`,
+:func:`rk4_step`) take plain ``(6,)`` state arrays; both filters and
+dead reckoning (:func:`integrate_step`) are built on them.
 """
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from . import _kernels
-from .errors import Eh2MargError, GimbalLockError
-from .kinematics import EPS_GIMBAL, EulerAngles, dcm_body_from_inertial, euler_rates
+from .errors import NonFiniteState
+from .kinematics import (
+    EulerAngles,
+    _check_gimbal,
+    dcm_body_from_inertial,
+    kinematic_matrix,
+    wrap_angle,
+)
 from .sensors import WorldConstants, _vector3
 
-__all__ = ["EulerState", "Measurement6", "integrate_step", "measurement", "state_derivative"]
+__all__ = [
+    "EulerState",
+    "Measurement6",
+    "checked_state",
+    "integrate_step",
+    "measurement",
+    "measurement_model",
+    "process_model",
+    "rk4_step",
+    "state_derivative",
+]
+
+_ZERO3 = np.zeros(3)
 
 
 @dataclass(frozen=True)
@@ -54,6 +76,63 @@ class Measurement6:
         return np.concatenate([self.accel, self.mag])
 
 
+def process_model(x: NDArray[np.float64], omega: NDArray[np.float64]) -> NDArray[np.float64]:
+    """f(x, omega) = [T(Phi)(omega - b); 0] for a state array x = [Phi; b].
+
+    Raises
+    ------
+    GimbalLockError
+        Propagated from the rate transformation.
+    """
+    return np.concatenate([kinematic_matrix(x[:3]) @ (omega - x[3:]), _ZERO3])
+
+
+def measurement_model(
+    angles: NDArray[np.float64], references: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """h(Phi) = [R g; R h] for the (2, 3) rows [g; h] of
+    :meth:`~eh2marg.sensors.WorldConstants.reference_rows`."""
+    return (references @ dcm_body_from_inertial(angles).T).ravel()
+
+
+def rk4_step(
+    f: Callable[[NDArray[np.float64]], NDArray[np.float64]],
+    x: NDArray[np.float64],
+    dt: float,
+) -> NDArray[np.float64]:
+    """One classical RK4 step of x_dot = f(x); the attitude is re-wrapped after.
+
+    Raises
+    ------
+    GimbalLockError
+        If a stage (through ``f``) or the result enters the gimbal guard band.
+    NonFiniteState
+        If the result is not finite.
+    """
+    k1 = f(x)
+    k2 = f(x + 0.5 * dt * k1)
+    k3 = f(x + 0.5 * dt * k2)
+    k4 = f(x + dt * k3)
+    return checked_state(x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+
+
+def checked_state(x: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Wrap the attitude of a new state in place and reject an unusable one.
+
+    Raises
+    ------
+    GimbalLockError
+        If the pitch lies in the gimbal guard band.
+    NonFiniteState
+        If any entry is NaN or infinite.
+    """
+    x[:3] = wrap_angle(x[:3])
+    _check_gimbal(x[1])
+    if not np.isfinite(x).all():
+        raise NonFiniteState(f"state became non-finite: {x!r}")
+    return x
+
+
 def state_derivative(x: EulerState, omega_m: ArrayLike) -> NDArray[np.float64]:
     """Noise-free state derivative, stacked as ``[Phi_dot; b_dot]`` with b_dot = 0.
 
@@ -62,9 +141,7 @@ def state_derivative(x: EulerState, omega_m: ArrayLike) -> NDArray[np.float64]:
     GimbalLockError
         Propagated from the rate transformation.
     """
-    omega = _vector3(omega_m, "omega_m")
-    phi_dot = euler_rates(x.attitude, omega - x.bias)
-    return np.concatenate([phi_dot, np.zeros(3)])
+    return process_model(x.as_vector(), _vector3(omega_m, "omega_m"))
 
 
 def measurement(x: EulerState, w: WorldConstants) -> Measurement6:
@@ -72,8 +149,8 @@ def measurement(x: EulerState, w: WorldConstants) -> Measurement6:
 
     The gyro bias does not enter h.
     """
-    R = dcm_body_from_inertial(x.attitude)
-    return Measurement6(accel=R @ w.g_inertial, mag=R @ w.h_inertial)
+    y = measurement_model(x.attitude.as_array(), w.reference_rows())
+    return Measurement6(accel=y[:3], mag=y[3:])
 
 
 def integrate_step(x: EulerState, omega_m: ArrayLike, dt: float) -> EulerState:
@@ -92,14 +169,10 @@ def integrate_step(x: EulerState, omega_m: ArrayLike, dt: float) -> EulerState:
     ------
     GimbalLockError
         If any internal RK4 stage enters the gimbal guard band.
+    NonFiniteState
+        If the integrated state is not finite.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt!r}")
     omega = _vector3(omega_m, "omega_m")
-    x_out = np.empty(6)
-    status = _kernels.integrate_step_kernel(x.as_vector(), omega, dt, EPS_GIMBAL, x_out)
-    if status == 1:
-        raise GimbalLockError("RK4 stage entered the gimbal guard band")
-    if status != 0:
-        raise Eh2MargError("integration produced a non-finite state")
-    return EulerState.from_vector(x_out)
+    return EulerState.from_vector(rk4_step(lambda xs: process_model(xs, omega), x.as_vector(), dt))

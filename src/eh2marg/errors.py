@@ -9,6 +9,10 @@ class GimbalLockError(Eh2MargError):
     """Pitch angle entered the singular band around +/- pi/2."""
 
 
+class NonFiniteState(Eh2MargError, ArithmeticError):
+    """A filter or integration step produced a NaN or infinite state."""
+
+
 class ConfigError(Eh2MargError):
     """Invalid scenario configuration or malformed config file."""
 

@@ -8,6 +8,10 @@ sample's gyro drives the propagation over dt and the same sample's
 accel/mag form the innovation — for the extended-H2 filter the measurement
 is held constant over the RK4 step, for the EKF it is applied to the
 predicted state.
+
+:func:`eh2` and :func:`ekf` are the steps on plain arrays, which the
+Monte-Carlo harness calls directly; :func:`eh2_step` and :func:`ekf_step`
+wrap them for the validated state containers.
 """
 
 from dataclasses import dataclass, field
@@ -15,17 +19,26 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from . import _kernels
-from .dynamics import EulerState
-from .errors import DegenerateSample, GimbalLockError, InnovationCovSingular
-from .kinematics import EPS_GIMBAL, EulerAngles, dcm_body_from_inertial, wrap_angle
+from .dynamics import EulerState, checked_state, measurement_model, process_model, rk4_step
+from .errors import DegenerateSample, InnovationCovSingular
+from .kinematics import (
+    EPS_GIMBAL,
+    EulerAngles,
+    attitude_matrices,
+    dcm_body_from_inertial,
+    kinematic_matrix,
+    wrap_angle,
+)
+from .linearization import measurement_jacobian, rate_jacobian
 from .sensors import ImuSample, NoiseParams, WorldConstants
 
 __all__ = [
     "DEFAULT_P0",
     "EH2FilterState",
     "EKFState",
+    "eh2",
     "eh2_step",
+    "ekf",
     "ekf_step",
     "initialize_from_first_sample",
 ]
@@ -66,35 +79,111 @@ class EKFState:
         object.__setattr__(self, "P", P)
 
 
-def eh2_step(
-    s: EH2FilterState, sample: ImuSample, w: WorldConstants, dt: float
-) -> EH2FilterState:
-    """Advance the extended-H2 filter one RK4 step.
+def eh2(
+    x: NDArray[np.float64],
+    omega: NDArray[np.float64],
+    y: NDArray[np.float64],
+    L: NDArray[np.float64],
+    references: NDArray[np.float64],
+    dt: float,
+) -> NDArray[np.float64]:
+    """One RK4 step of the extended-H2 filter on arrays; y is held over the step.
+
+    ``xhat_dot = f(xhat, omega) + L (h(xhat) - y)`` with ``references`` the
+    rows [g; h] of :meth:`~eh2marg.sensors.WorldConstants.reference_rows`.
 
     Raises
     ------
     GimbalLockError
         If the estimate enters the gimbal guard band during the step.
+    NonFiniteState
+        If the new estimate is not finite.
+    """
+
+    def xdot(xs):
+        # process_model(xs, omega) + L (measurement_model(xs[:3], references) - y)
+        # written out so that T and R share one sine/cosine evaluation: the
+        # derivative runs four times per step, and per-step cost is what the
+        # filter is compared on.
+        T, R = attitude_matrices(xs[:3])
+        out = L @ ((references @ R.T).ravel() - y)
+        out[:3] += T @ (omega - xs[3:])
+        return out
+
+    return rk4_step(xdot, x, dt)
+
+
+def ekf(
+    x: NDArray[np.float64],
+    P: NDArray[np.float64],
+    omega: NDArray[np.float64],
+    y: NDArray[np.float64],
+    q: NoiseParams,
+    references: NDArray[np.float64],
+    dt: float,
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """One EKF predict+update cycle on arrays; returns the new (x, P).
+
+    Predict: RK4 mean propagation with the gyro sample, covariance through
+    F = I + A dt and Qd, both linearized at the current estimate.  Update:
+    Kalman gain from the innovation covariance with H linearized at the
+    prediction, then the covariance is symmetrized.
+
+    Raises
+    ------
+    GimbalLockError
+        If the estimate enters the gimbal guard band.
+    InnovationCovSingular
+        If H P- H^T + R is numerically singular.
+    NonFiniteState
+        If the new estimate is not finite.
+    """
+    T = kinematic_matrix(x[:3])
+    F = np.eye(6)
+    F[:3, :3] += dt * rate_jacobian(x[:3], omega - x[3:])
+    F[:3, 3:] = -dt * T
+    xp = rk4_step(lambda xs: process_model(xs, omega), x, dt)
+    Qd = np.zeros((6, 6))
+    Qd[:3, :3] = q.n_w * q.n_w * (T @ T.T) * dt
+    Qd[3:, 3:] = q.n_b * q.n_b * dt * np.eye(3)
+    Pp = F @ P @ F.T + Qd
+    H = np.zeros((6, 6))
+    H[:, :3] = measurement_jacobian(xp[:3], references)
+    S = H @ Pp @ H.T
+    S[np.diag_indices(6)] += [q.n_a * q.n_a] * 3 + [q.n_m * q.n_m] * 3
+    PHt = Pp @ H.T
+    try:
+        K = np.linalg.solve(S, PHt.T).T
+    except np.linalg.LinAlgError as exc:
+        raise InnovationCovSingular(f"innovation covariance solve failed: {exc}") from exc
+    x_new = checked_state(xp + K @ (y - measurement_model(xp[:3], references)))
+    P_new = (np.eye(6) - K @ H) @ Pp
+    return x_new, 0.5 * (P_new + P_new.T)
+
+
+def eh2_step(
+    s: EH2FilterState, sample: ImuSample, w: WorldConstants, dt: float
+) -> EH2FilterState:
+    """Advance the extended-H2 filter one RK4 step (see :func:`eh2`).
+
+    Raises
+    ------
+    GimbalLockError
+        If the estimate enters the gimbal guard band during the step.
+    NonFiniteState
+        If the new estimate is not finite.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt!r}")
-    x_out = np.empty(6)
-    status = _kernels.eh2_step_kernel(
+    x = eh2(
         s.xhat.as_vector(),
         sample.omega_m,
         sample.stacked_measurement(),
         s.L0,
-        w.g_inertial,
-        w.h_inertial,
+        w.reference_rows(),
         dt,
-        EPS_GIMBAL,
-        x_out,
     )
-    if status == 1:
-        raise GimbalLockError("estimate entered the gimbal guard band")
-    if status != 0:
-        raise ArithmeticError("filter state became non-finite")
-    return EH2FilterState(xhat=EulerState.from_vector(x_out), L0=s.L0)
+    return EH2FilterState(xhat=EulerState.from_vector(x), L0=s.L0)
 
 
 def ekf_step(
@@ -104,12 +193,7 @@ def ekf_step(
     q: NoiseParams,
     dt: float,
 ) -> EKFState:
-    """Advance the EKF one predict+update cycle.
-
-    Predict: RK4 mean propagation with the sample's gyro, first-order
-    covariance discretization with F and Qd re-linearized at the current
-    estimate.  Update: Kalman gain from the innovation covariance, H
-    re-linearized at the prediction, covariance symmetrized.
+    """Advance the EKF one predict+update cycle (see :func:`ekf`).
 
     Raises
     ------
@@ -117,35 +201,21 @@ def ekf_step(
         If the estimate enters the gimbal guard band.
     InnovationCovSingular
         If H P- H^T + R is numerically singular.
+    NonFiniteState
+        If the new estimate is not finite.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt!r}")
-    x_out = np.empty(6)
-    P_out = np.empty((6, 6))
-    try:
-        status = _kernels.ekf_step_kernel(
-            s.xhat.as_vector(),
-            s.P,
-            sample.omega_m,
-            sample.stacked_measurement(),
-            q.n_w,
-            q.n_b,
-            q.n_a,
-            q.n_m,
-            w.g_inertial,
-            w.h_inertial,
-            dt,
-            EPS_GIMBAL,
-            x_out,
-            P_out,
-        )
-    except np.linalg.LinAlgError as exc:
-        raise InnovationCovSingular(f"innovation covariance solve failed: {exc}") from exc
-    if status == 1:
-        raise GimbalLockError("estimate entered the gimbal guard band")
-    if status != 0:
-        raise InnovationCovSingular("update produced a non-finite state")
-    return EKFState(xhat=EulerState.from_vector(x_out), P=P_out)
+    x, P = ekf(
+        s.xhat.as_vector(),
+        s.P,
+        sample.omega_m,
+        sample.stacked_measurement(),
+        q,
+        w.reference_rows(),
+        dt,
+    )
+    return EKFState(xhat=EulerState.from_vector(x), P=P)
 
 
 def initialize_from_first_sample(sample: ImuSample, w: WorldConstants) -> EulerState:

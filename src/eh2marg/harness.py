@@ -6,6 +6,7 @@ filter and the EKF side by side on identical data with interleaved per-step
 timing, and aggregates per-axis error metrics across trials.
 """
 
+import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -16,23 +17,17 @@ from typing import Any
 import numpy as np
 from numpy.typing import NDArray
 
-from . import _kernels
-from ._backend import BACKEND
-from .errors import (
-    ConfigError,
-    Eh2MargError,
-    GimbalLockError,
-    InnovationCovSingular,
-    LengthMismatch,
-)
-from .filters import DEFAULT_P0, initialize_from_first_sample
-from .kinematics import EPS_GIMBAL, body_rates_batch, wrap_angle
+from .errors import ConfigError, Eh2MargError, LengthMismatch
+from .filters import DEFAULT_P0, eh2, ekf, initialize_from_first_sample
+from .kinematics import kinematic_matrix_inverse, wrap_angle
 from .sensors import ImuStream, NoiseParams, WorldConstants, simulate_imu_stream
 from .synthesis import synthesize_gain
 from .linearization import nominal_model
 
 __all__ = [
+    "BACKEND",
     "GIMBAL_MARGIN",
+    "MAX_STEPS",
     "RunMetrics",
     "ScenarioConfig",
     "Trajectory",
@@ -44,8 +39,17 @@ __all__ = [
     "timing_stats",
 ]
 
+#: Array backend that runs the filters, recorded in metrics.json and bench.json.
+BACKEND = "numpy"
+
 #: Minimum clearance (rad) a truth trajectory must keep from pitch +-pi/2.
 GIMBAL_MARGIN = 0.05
+
+#: Most steps (duration x imu_rate) one trial may take.  A trial's truth,
+#: sensor stream, noise draws and estimates peak near 500 bytes per step, so
+#: this caps one trial near 250 MB; case I takes 5,000 steps, ``bench``
+#: 10,000 by default.
+MAX_STEPS = 500_000
 
 #: Per-axis starting phases for the simultaneous (case II) sinusoids, chosen
 #: so the three axes are out of phase but overlap above 30 deg early on.
@@ -67,6 +71,24 @@ def _as_amplitude_tuple(amplitude_deg: Any) -> tuple[float, float, float] | None
     if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
         raise ConfigError("amplitude_deg entries must be finite and >= 0")
     return (float(arr[0]), float(arr[1]), float(arr[2]))
+
+
+def _to_json(value: Any) -> Any:
+    """JSON-ready copy of a config value: dataclasses become dicts of their
+    fields, tuples and arrays become lists of floats."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, (tuple, np.ndarray)):
+        return [float(v) for v in value]
+    return value
+
+
+def _reject_unknown_keys(doc: Any, kind: type, label: str) -> None:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{label} must be a JSON object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(kind)})
+    if unknown:
+        raise ConfigError(f"unknown {label} keys: {', '.join(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -97,10 +119,17 @@ class ScenarioConfig:
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0.0):
                 raise ConfigError(f"{name} must be finite and > 0, got {v!r}")
+            object.__setattr__(self, name, float(v))
+        if self.duration * self.imu_rate > MAX_STEPS:
+            raise ConfigError(
+                f"duration {self.duration} s at {self.imu_rate} Hz exceeds "
+                f"MAX_STEPS = {MAX_STEPS} steps per trial"
+            )
         if not (np.isfinite(self.angular_speed) and self.angular_speed >= 0.0):
             raise ConfigError(
                 f"angular_speed must be finite and >= 0, got {self.angular_speed!r}"
             )
+        object.__setattr__(self, "angular_speed", float(self.angular_speed))
         object.__setattr__(self, "amplitude_deg", _as_amplitude_tuple(self.amplitude_deg))
         if not isinstance(self.noise, NoiseParams):
             raise ConfigError("noise must be a NoiseParams instance")
@@ -159,100 +188,35 @@ class ScenarioConfig:
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready mirror of the config (round-trips through from_dict)."""
-        return {
-            "case_id": self.case_id,
-            "duration": float(self.duration),
-            "imu_rate": float(self.imu_rate),
-            "angular_speed": float(self.angular_speed),
-            "amplitude_deg": None
-            if self.amplitude_deg is None
-            else [float(a) for a in self.amplitude_deg],
-            "noise": {
-                "n_w": float(self.noise.n_w),
-                "n_b": float(self.noise.n_b),
-                "n_a": float(self.noise.n_a),
-                "n_m": float(self.noise.n_m),
-            },
-            "world": {
-                "g_inertial": [float(v) for v in self.world.g_inertial],
-                "h_inertial": [float(v) for v in self.world.h_inertial],
-            },
-            "seed": int(self.seed),
-            "num_trials": int(self.num_trials),
-        }
+        return _to_json(self)
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "ScenarioConfig":
         """Build a config from a JSON document; unknown keys are rejected.
 
         ``case_id`` of "I" or "II" starts from that case's defaults, so a
-        document may override only the fields it cares about.
+        document may override only the fields it cares about, also inside
+        ``noise`` and ``world``.
         """
-        if not isinstance(d, dict):
-            raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
-        known = {
-            "case_id",
-            "duration",
-            "imu_rate",
-            "angular_speed",
-            "amplitude_deg",
-            "noise",
-            "world",
-            "seed",
-            "num_trials",
-        }
-        unknown = sorted(set(d) - known)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        _reject_unknown_keys(d, cls, "config")
         case_id = d.get("case_id", "custom")
         if case_id == "I":
-            base = cls.case_i().to_dict()
+            base = cls.case_i()
         elif case_id == "II":
-            base = cls.case_ii().to_dict()
+            base = cls.case_ii()
         else:
-            base = ScenarioConfig(case_id="custom", duration=10.0).to_dict()
-            base["case_id"] = case_id
-        for key in known - {"noise", "world"}:
-            if key in d:
-                base[key] = d[key]
-
-        noise_doc = d.get("noise", {})
-        if not isinstance(noise_doc, dict):
-            raise ConfigError("noise must be a JSON object")
-        noise_known = {"n_w", "n_b", "n_a", "n_m"}
-        noise_unknown = sorted(set(noise_doc) - noise_known)
-        if noise_unknown:
-            raise ConfigError(f"unknown noise keys: {', '.join(noise_unknown)}")
-        noise_fields = dict(base["noise"])
-        noise_fields.update(noise_doc)
-
-        world_doc = d.get("world", {})
-        if not isinstance(world_doc, dict):
-            raise ConfigError("world must be a JSON object")
-        world_known = {"g_inertial", "h_inertial"}
-        world_unknown = sorted(set(world_doc) - world_known)
-        if world_unknown:
-            raise ConfigError(f"unknown world keys: {', '.join(world_unknown)}")
-        world_fields = dict(base["world"])
-        world_fields.update(world_doc)
-
+            base = ScenarioConfig(case_id="custom", duration=10.0)
+        fields = {**base.to_dict(), **d}
+        for f in dataclasses.fields(cls):
+            if dataclasses.is_dataclass(f.type):
+                doc = d.get(f.name, {})
+                _reject_unknown_keys(doc, f.type, f.name)
+                try:
+                    fields[f.name] = f.type(**{**_to_json(getattr(base, f.name)), **doc})
+                except (ValueError, TypeError) as exc:
+                    raise ConfigError(f"invalid {f.name} parameters: {exc}") from exc
         try:
-            noise = NoiseParams(**noise_fields)
-            world = WorldConstants(**world_fields)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"invalid noise/world parameters: {exc}") from exc
-        try:
-            return cls(
-                case_id=base["case_id"],
-                duration=base["duration"],
-                imu_rate=base["imu_rate"],
-                angular_speed=base["angular_speed"],
-                amplitude_deg=base["amplitude_deg"],
-                noise=noise,
-                world=world,
-                seed=base["seed"],
-                num_trials=base["num_trials"],
-            )
+            return cls(**fields)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"invalid config: {exc}") from exc
 
@@ -291,7 +255,7 @@ class Trajectory:
 
     def body_rates(self) -> NDArray[np.float64]:
         """True body angular velocity at every sample, omega = T^-1 Phi_dot."""
-        return body_rates_batch(self.angles, self.rates)
+        return np.einsum("nij,nj->ni", kinematic_matrix_inverse(self.angles), self.rates)
 
 
 def generate_trajectory(cfg: ScenarioConfig) -> Trajectory:
@@ -439,7 +403,7 @@ def timing_stats(per_step_times_ms: NDArray[np.float64]) -> tuple[float, float]:
     """Mean and sample standard deviation of per-step times, in ms.
 
     When more than 100 samples are available the first 100 are treated as
-    warm-up (allocator, caches, JIT) and excluded.
+    warm-up (allocator, caches) and excluded.
     """
     times = np.asarray(per_step_times_ms, dtype=np.float64).ravel()
     if times.size == 0:
@@ -471,34 +435,6 @@ def _write_trial_csv(
             fh.write(",".join("%.17g" % v for v in row) + "\n")
 
 
-def _warm_up_kernels(world: WorldConstants, noise: NoiseParams) -> None:
-    """Trigger JIT compilation / first-call costs outside the timed region."""
-    x = np.zeros(6)
-    out = np.empty(6)
-    y = np.concatenate([world.g_inertial, world.h_inertial])
-    L = np.zeros((6, 6))
-    _kernels.eh2_step_kernel(
-        x, np.zeros(3), y, L, world.g_inertial, world.h_inertial, 0.01, EPS_GIMBAL, out
-    )
-    P_out = np.empty((6, 6))
-    _kernels.ekf_step_kernel(
-        x,
-        DEFAULT_P0.copy(),
-        np.zeros(3),
-        y,
-        noise.n_w,
-        noise.n_b,
-        noise.n_a,
-        noise.n_m,
-        world.g_inertial,
-        world.h_inertial,
-        0.01,
-        EPS_GIMBAL,
-        out,
-        P_out,
-    )
-
-
 def _run_single_trial(
     stream: ImuStream,
     L0: NDArray[np.float64],
@@ -511,15 +447,17 @@ def _run_single_trial(
     NDArray[np.int64],
     NDArray[np.int64],
 ]:
-    """Run both filters over one stream; returns estimates and per-step ns times."""
+    """Run both filters over one stream; returns estimates and per-step ns times.
+
+    Raises
+    ------
+    Eh2MargError
+        From the first step of either filter that fails.
+    """
     n = len(stream)
-    x0 = initialize_from_first_sample(stream.sample(0), world).as_vector()
-    x1 = x0.copy()
-    x2 = x0.copy()
+    x1 = initialize_from_first_sample(stream.sample(0), world).as_vector()
+    x2 = x1.copy()
     P = DEFAULT_P0.copy()
-    x1_out = np.empty(6)
-    x2_out = np.empty(6)
-    P_out = np.empty((6, 6))
     est_eh2 = np.empty((n, 3))
     est_ekf = np.empty((n, 3))
     est_eh2[0] = x1[:3]
@@ -528,36 +466,24 @@ def _run_single_trial(
     t_ekf = np.empty(n - 1, dtype=np.int64)
     y_all = np.hstack([stream.a_m, stream.m_m])
     om_all = stream.omega_m
-    g = world.g_inertial
-    h = world.h_inertial
-    nw, nb, na, nm = noise.n_w, noise.n_b, noise.n_a, noise.n_m
+    references = world.reference_rows()
 
-    for k in range(n - 1):
-        om_k = om_all[k]
-        y_k = y_all[k]
-        tic = perf_counter_ns()
-        s1 = _kernels.eh2_step_kernel(x1, om_k, y_k, L0, g, h, dt, EPS_GIMBAL, x1_out)
-        toc = perf_counter_ns()
-        t_eh2[k] = toc - tic
-        tic = perf_counter_ns()
-        s2 = _kernels.ekf_step_kernel(
-            x2, P, om_k, y_k, nw, nb, na, nm, g, h, dt, EPS_GIMBAL, x2_out, P_out
-        )
-        toc = perf_counter_ns()
-        t_ekf[k] = toc - tic
-        if s1 == 1:
-            raise GimbalLockError(f"extended-H2 estimate hit the gimbal guard at step {k}")
-        if s1 != 0:
-            raise Eh2MargError(f"extended-H2 state became non-finite at step {k}")
-        if s2 == 1:
-            raise GimbalLockError(f"EKF estimate hit the gimbal guard at step {k}")
-        if s2 != 0:
-            raise InnovationCovSingular(f"EKF update became non-finite at step {k}")
-        x1, x1_out = x1_out, x1
-        x2, x2_out = x2_out, x2
-        P, P_out = P_out, P
-        est_eh2[k + 1] = x1[:3]
-        est_ekf[k + 1] = x2[:3]
+    try:
+        for k in range(n - 1):
+            om_k = om_all[k]
+            y_k = y_all[k]
+            tic = perf_counter_ns()
+            x1 = eh2(x1, om_k, y_k, L0, references, dt)
+            toc = perf_counter_ns()
+            t_eh2[k] = toc - tic
+            tic = perf_counter_ns()
+            x2, P = ekf(x2, P, om_k, y_k, noise, references, dt)
+            toc = perf_counter_ns()
+            t_ekf[k] = toc - tic
+            est_eh2[k + 1] = x1[:3]
+            est_ekf[k + 1] = x2[:3]
+    except Eh2MargError as exc:
+        raise type(exc)(f"step {k}: {exc}") from exc
     return est_eh2, est_ekf, t_eh2, t_ekf
 
 
@@ -589,7 +515,6 @@ def run_experiment(
     traj = generate_trajectory(cfg)
     body_rates = traj.body_rates()
     dt = 1.0 / cfg.imu_rate
-    _warm_up_kernels(cfg.world, cfg.noise)
 
     out_path: Path | None = None
     if out_dir is not None:
@@ -611,7 +536,7 @@ def run_experiment(
             est_eh2, est_ekf, t_eh2_ns, t_ekf_ns = _run_single_trial(
                 stream, L0, cfg.world, cfg.noise, dt
             )
-        except (Eh2MargError, np.linalg.LinAlgError) as exc:
+        except Eh2MargError as exc:
             record["ok"] = False
             record["error"] = f"{type(exc).__name__}: {exc}"
             trials.append(record)
@@ -728,7 +653,6 @@ def run_timing_benchmark(
     stream = simulate_imu_stream(
         traj.t, traj.angles, traj.body_rates(), cfg.world, cfg.noise, rng
     )
-    _warm_up_kernels(cfg.world, cfg.noise)
     _, _, t_eh2_ns, t_ekf_ns = _run_single_trial(
         stream, cert.L, cfg.world, cfg.noise, 1.0 / cfg.imu_rate
     )

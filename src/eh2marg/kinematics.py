@@ -9,6 +9,7 @@ operations that evaluate it fail loudly inside a guard band of
 ``tan``/``sec`` values.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +21,9 @@ __all__ = [
     "EPS_GIMBAL",
     "EulerAngles",
     "angle_error",
-    "dcm_batch",
+    "attitude_matrices",
     "dcm_body_from_inertial",
     "euler_rates",
-    "body_rates_batch",
     "kinematic_matrix",
     "kinematic_matrix_inverse",
     "wrap_angle",
@@ -101,33 +101,39 @@ class EulerAngles:
 
 
 def _check_gimbal(theta: float) -> None:
-    if abs(wrap_angle(theta)) >= np.pi / 2.0 - EPS_GIMBAL:
+    theta = float(theta)
+    if abs(math.pi - (math.pi - theta) % (2.0 * math.pi)) >= math.pi / 2.0 - EPS_GIMBAL:
         raise GimbalLockError(
             f"pitch {theta!r} rad is within {EPS_GIMBAL} rad of the +/- pi/2 singularity"
         )
 
 
-def kinematic_matrix(e: EulerAngles) -> NDArray[np.float64]:
-    """Rate transformation matrix ``T`` with Euler rates = T @ body rates.
+def _as_angles(e: "EulerAngles | ArrayLike") -> NDArray[np.float64]:
+    return e.as_array() if isinstance(e, EulerAngles) else np.asarray(e, dtype=np.float64)
 
-    Parameters
-    ----------
-    e : EulerAngles
-        Current attitude.
 
-    Returns
-    -------
-    numpy.ndarray, shape (3, 3)
+def _sin_cos(e: "EulerAngles | ArrayLike") -> tuple:
+    """Sines and cosines of (phi, theta, psi), unpackable in that order.
 
-    Raises
-    ------
-    GimbalLockError
-        If ``|e.theta|`` is within ``EPS_GIMBAL`` of pi/2.
+    A single attitude yields Python floats, which keep the per-step scalar
+    arithmetic cheap; an (n, 3) array yields one length-n array per angle.
     """
-    _check_gimbal(e.theta)
-    sp, cp = np.sin(e.phi), np.cos(e.phi)
-    tt = np.tan(e.theta)
-    sec = 1.0 / np.cos(e.theta)
+    a = _as_angles(e)
+    if a.ndim == 1:
+        return np.sin(a).tolist(), np.cos(a).tolist()
+    return np.sin(a.T), np.cos(a.T)
+
+
+def _matrix(rows: list) -> NDArray[np.float64]:
+    """A 3x3 matrix from nested entries, or (n, 3, 3) when entries are length-n arrays."""
+    m = np.array(rows)
+    return m if m.ndim == 2 else np.ascontiguousarray(np.moveaxis(m, -1, 0))
+
+
+def _rate_matrix(s: ArrayLike, c: ArrayLike) -> NDArray[np.float64]:
+    (sp, st, _), (cp, ct, _) = s, c
+    tt = st / ct
+    sec = 1.0 / ct
     return np.array(
         [
             [1.0, tt * sp, tt * cp],
@@ -137,48 +143,89 @@ def kinematic_matrix(e: EulerAngles) -> NDArray[np.float64]:
     )
 
 
-def kinematic_matrix_inverse(e: EulerAngles) -> NDArray[np.float64]:
-    """Inverse of :func:`kinematic_matrix`, mapping Euler rates to body rates.
-
-    Unlike ``T`` itself this map is defined for all attitudes; no gimbal
-    guard is needed.
-    """
-    sp, cp = np.sin(e.phi), np.cos(e.phi)
-    st, ct = np.sin(e.theta), np.cos(e.theta)
-    return np.array(
-        [
-            [1.0, 0.0, -st],
-            [0.0, cp, sp * ct],
-            [0.0, -sp, cp * ct],
-        ]
-    )
-
-
-def dcm_body_from_inertial(e: EulerAngles) -> NDArray[np.float64]:
-    """Direction cosine matrix of the 3-2-1 sequence, R = R1(phi) R2(theta) R3(psi).
-
-    Maps inertial-frame vectors into the body frame: ``v_body = R @ v_inertial``.
-
-    Parameters
-    ----------
-    e : EulerAngles
-        Attitude of the body frame.
-
-    Returns
-    -------
-    numpy.ndarray, shape (3, 3)
-        Orthonormal rotation matrix with determinant +1.
-    """
-    sp, cp = np.sin(e.phi), np.cos(e.phi)
-    st, ct = np.sin(e.theta), np.cos(e.theta)
-    ss, cs = np.sin(e.psi), np.cos(e.psi)
-    return np.array(
+def _dcm(s: ArrayLike, c: ArrayLike) -> NDArray[np.float64]:
+    (sp, st, ss), (cp, ct, cs) = s, c
+    return _matrix(
         [
             [ct * cs, ct * ss, -st],
             [sp * st * cs - cp * ss, sp * st * ss + cp * cs, sp * ct],
             [cp * st * cs + sp * ss, cp * st * ss - sp * cs, cp * ct],
         ]
     )
+
+
+def kinematic_matrix(e: "EulerAngles | ArrayLike") -> NDArray[np.float64]:
+    """Rate transformation matrix ``T`` with Euler rates = T @ body rates.
+
+    Parameters
+    ----------
+    e : EulerAngles or array_like, shape (3,)
+        Current attitude.
+
+    Returns
+    -------
+    numpy.ndarray, shape (3, 3)
+
+    Raises
+    ------
+    GimbalLockError
+        If the pitch is within ``EPS_GIMBAL`` of +/- pi/2.
+    """
+    a = _as_angles(e)
+    _check_gimbal(a[1])
+    return _rate_matrix(*_sin_cos(a))
+
+
+def kinematic_matrix_inverse(e: "EulerAngles | ArrayLike") -> NDArray[np.float64]:
+    """Inverse of :func:`kinematic_matrix`, mapping Euler rates to body rates.
+
+    Unlike ``T`` itself this map is defined for all attitudes; no gimbal
+    guard is needed.  An (n, 3) angle array gives an (n, 3, 3) stack.
+    """
+    (sp, st, _), (cp, ct, _) = _sin_cos(e)
+    one, zero = np.ones_like(st), np.zeros_like(st)
+    return _matrix(
+        [
+            [one, zero, -st],
+            [zero, cp, sp * ct],
+            [zero, -sp, cp * ct],
+        ]
+    )
+
+
+def dcm_body_from_inertial(e: "EulerAngles | ArrayLike") -> NDArray[np.float64]:
+    """Direction cosine matrix of the 3-2-1 sequence, R = R1(phi) R2(theta) R3(psi).
+
+    Maps inertial-frame vectors into the body frame: ``v_body = R @ v_inertial``.
+
+    Parameters
+    ----------
+    e : EulerAngles or array_like, shape (3,) or (n, 3)
+        Attitude of the body frame, or a series of attitudes.
+
+    Returns
+    -------
+    numpy.ndarray, shape (3, 3) or (n, 3, 3)
+        Orthonormal rotation matrix (or stack) with determinant +1.
+    """
+    return _dcm(*_sin_cos(e))
+
+
+def attitude_matrices(
+    e: "EulerAngles | ArrayLike",
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """:func:`kinematic_matrix` and :func:`dcm_body_from_inertial` of one
+    attitude from a single sine/cosine evaluation.
+
+    Raises
+    ------
+    GimbalLockError
+        If the pitch is within ``EPS_GIMBAL`` of +/- pi/2.
+    """
+    a = _as_angles(e)
+    _check_gimbal(a[1])
+    s, c = _sin_cos(a)
+    return _rate_matrix(s, c), _dcm(s, c)
 
 
 def euler_rates(e: EulerAngles, omega_body: ArrayLike) -> NDArray[np.float64]:
@@ -196,45 +243,3 @@ def euler_rates(e: EulerAngles, omega_body: ArrayLike) -> NDArray[np.float64]:
 def angle_error(a: EulerAngles, b: EulerAngles) -> NDArray[np.float64]:
     """Component-wise wrapped difference a - b, each component in (-pi, pi]."""
     return wrap_angle(a.as_array() - b.as_array())
-
-
-def dcm_batch(angles: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Vectorized :func:`dcm_body_from_inertial` for an (n, 3) angle array."""
-    angles = np.asarray(angles, dtype=np.float64)
-    sp, cp = np.sin(angles[:, 0]), np.cos(angles[:, 0])
-    st, ct = np.sin(angles[:, 1]), np.cos(angles[:, 1])
-    ss, cs = np.sin(angles[:, 2]), np.cos(angles[:, 2])
-    out = np.empty((angles.shape[0], 3, 3))
-    out[:, 0, 0] = ct * cs
-    out[:, 0, 1] = ct * ss
-    out[:, 0, 2] = -st
-    out[:, 1, 0] = sp * st * cs - cp * ss
-    out[:, 1, 1] = sp * st * ss + cp * cs
-    out[:, 1, 2] = sp * ct
-    out[:, 2, 0] = cp * st * cs + sp * ss
-    out[:, 2, 1] = cp * st * ss - sp * cs
-    out[:, 2, 2] = cp * ct
-    return out
-
-
-def body_rates_batch(
-    angles: NDArray[np.float64], rates: NDArray[np.float64]
-) -> NDArray[np.float64]:
-    """Vectorized inverse rate map: body angular velocity from Euler-angle rates.
-
-    Parameters
-    ----------
-    angles : numpy.ndarray, shape (n, 3)
-        Euler angle time series.
-    rates : numpy.ndarray, shape (n, 3)
-        Euler angle rate time series.
-    """
-    angles = np.asarray(angles, dtype=np.float64)
-    rates = np.asarray(rates, dtype=np.float64)
-    sp, cp = np.sin(angles[:, 0]), np.cos(angles[:, 0])
-    st, ct = np.sin(angles[:, 1]), np.cos(angles[:, 1])
-    out = np.empty_like(rates)
-    out[:, 0] = rates[:, 0] - st * rates[:, 2]
-    out[:, 1] = cp * rates[:, 1] + sp * ct * rates[:, 2]
-    out[:, 2] = -sp * rates[:, 1] + cp * ct * rates[:, 2]
-    return out

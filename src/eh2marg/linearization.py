@@ -3,8 +3,9 @@
 The gain is designed once from the linearization at the nominal operating
 point (zero attitude, zero bias, zero input).  Closed-form Jacobians are
 provided for arbitrary operating points — the EKF baseline re-linearizes at
-the current estimate — together with a central finite-difference oracle used
-to cross-check them.
+the current estimate through :func:`rate_jacobian` and
+:func:`measurement_jacobian` — together with a central finite-difference
+oracle used to cross-check them.
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .dynamics import EulerState
-from .kinematics import EulerAngles, kinematic_matrix
+from .kinematics import _sin_cos, kinematic_matrix
 from .sensors import NoiseParams, WorldConstants, _vector3
 
 __all__ = [
@@ -23,7 +24,9 @@ __all__ = [
     "finite_difference_jacobian",
     "jacobians_measurement",
     "jacobians_process",
+    "measurement_jacobian",
     "nominal_model",
+    "rate_jacobian",
 ]
 
 _CZ_DEFAULT = np.hstack([np.eye(3), np.zeros((3, 3))])
@@ -70,45 +73,60 @@ class LinearModel:
             )
 
 
-def _dT_omega_dPhi(e: EulerAngles, omega: NDArray[np.float64]) -> NDArray[np.float64]:
-    """d(T(Phi) omega)/dPhi for fixed omega; columns ordered (phi, theta, psi)."""
-    sp, cp = np.sin(e.phi), np.cos(e.phi)
-    tt = np.tan(e.theta)
-    sec = 1.0 / np.cos(e.theta)
-    d_phi = np.array(
+def rate_jacobian(
+    angles: NDArray[np.float64], omega: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """d(T(Phi) omega)/dPhi for fixed omega; columns ordered (phi, theta, psi).
+
+    Like T itself it is unbounded near pitch +/- pi/2; callers evaluate
+    :func:`~eh2marg.kinematics.kinematic_matrix` at the same attitude, which
+    enforces the gimbal guard.
+    """
+    (sp, st, _), (cp, ct, _) = _sin_cos(angles)
+    tt = st / ct
+    sec = 1.0 / ct
+    w1, w2 = float(omega[1]), float(omega[2])
+    u = cp * w1 - sp * w2
+    v = sp * w1 + cp * w2
+    return np.array(
         [
-            [0.0, tt * cp, -tt * sp],
-            [0.0, -sp, -cp],
-            [0.0, sec * cp, -sec * sp],
+            [tt * u, sec * sec * v, 0.0],
+            [-v, 0.0, 0.0],
+            [sec * u, sec * tt * v, 0.0],
         ]
     )
-    d_theta = np.array(
+
+
+def measurement_jacobian(
+    angles: NDArray[np.float64], references: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """d[R g; R h]/dPhi, shape (6, 3), from the closed-form dR/dphi, dR/dtheta, dR/dpsi.
+
+    ``references`` holds the rows [g; h] as returned by
+    :meth:`~eh2marg.sensors.WorldConstants.reference_rows`.
+    """
+    (sp, st, ss), (cp, ct, cs) = _sin_cos(angles)
+    dR = np.array(
         [
-            [0.0, sec * sec * sp, sec * sec * cp],
-            [0.0, 0.0, 0.0],
-            [0.0, sec * tt * sp, sec * tt * cp],
+            [
+                [0.0, 0.0, 0.0],
+                [cp * st * cs + sp * ss, cp * st * ss - sp * cs, cp * ct],
+                [-sp * st * cs + cp * ss, -sp * st * ss - cp * cs, -sp * ct],
+            ],
+            [
+                [-st * cs, -st * ss, -ct],
+                [sp * ct * cs, sp * ct * ss, -sp * st],
+                [cp * ct * cs, cp * ct * ss, -cp * st],
+            ],
+            [
+                [-ct * ss, ct * cs, 0.0],
+                [-sp * st * ss - cp * cs, sp * st * cs - cp * ss, 0.0],
+                [-cp * st * ss + sp * cs, cp * st * cs + sp * ss, 0.0],
+            ],
         ]
     )
-    out = np.zeros((3, 3))
-    out[:, 0] = d_phi @ omega
-    out[:, 1] = d_theta @ omega
-    return out
-
-
-def _rotation_factor_derivatives(
-    e: EulerAngles,
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
-    """dR/dphi, dR/dtheta, dR/dpsi of the 3-2-1 DCM R = R1 R2 R3."""
-    sp, cp = np.sin(e.phi), np.cos(e.phi)
-    st, ct = np.sin(e.theta), np.cos(e.theta)
-    ss, cs = np.sin(e.psi), np.cos(e.psi)
-    R1 = np.array([[1.0, 0.0, 0.0], [0.0, cp, sp], [0.0, -sp, cp]])
-    R2 = np.array([[ct, 0.0, -st], [0.0, 1.0, 0.0], [st, 0.0, ct]])
-    R3 = np.array([[cs, ss, 0.0], [-ss, cs, 0.0], [0.0, 0.0, 1.0]])
-    dR1 = np.array([[0.0, 0.0, 0.0], [0.0, -sp, cp], [0.0, -cp, -sp]])
-    dR2 = np.array([[-st, 0.0, -ct], [0.0, 0.0, 0.0], [ct, 0.0, -st]])
-    dR3 = np.array([[-ss, cs, 0.0], [-cs, -ss, 0.0], [0.0, 0.0, 0.0]])
-    return dR1 @ R2 @ R3, R1 @ dR2 @ R3, R1 @ R2 @ dR3
+    # (dR_k @ r)_i for reference c lands in row 3 c + i, column k.
+    return (dR @ references.T).T.reshape(6, 3)
 
 
 def jacobians_process(
@@ -139,9 +157,10 @@ def jacobians_process(
     if nominal is None:
         nominal = EulerState()
     u = np.zeros(3) if u0 is None else _vector3(u0, "u0")
-    T = kinematic_matrix(nominal.attitude)
+    angles = nominal.attitude.as_array()
+    T = kinematic_matrix(angles)
     A = np.zeros((6, 6))
-    A[:3, :3] = _dT_omega_dPhi(nominal.attitude, u - nominal.bias)
+    A[:3, :3] = rate_jacobian(angles, u - nominal.bias)
     A[:3, 3:] = -T
     Bu = np.vstack([T, np.zeros((3, 3))])
     Bw_process = np.zeros((6, 6))
@@ -162,11 +181,8 @@ def jacobians_measurement(
         nominal = EulerState()
     if w is None:
         w = WorldConstants()
-    dR_phi, dR_theta, dR_psi = _rotation_factor_derivatives(nominal.attitude)
     Cy = np.zeros((6, 6))
-    for j, dR in enumerate((dR_phi, dR_theta, dR_psi)):
-        Cy[:3, j] = dR @ w.g_inertial
-        Cy[3:, j] = dR @ w.h_inertial
+    Cy[:, :3] = measurement_jacobian(nominal.attitude.as_array(), w.reference_rows())
     return Cy, np.eye(6)
 
 

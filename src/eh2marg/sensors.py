@@ -11,21 +11,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .kinematics import EulerAngles, dcm_batch, dcm_body_from_inertial
+from .kinematics import dcm_body_from_inertial
 
-__all__ = [
-    "ImuSample",
-    "ImuStream",
-    "NoiseParams",
-    "WorldConstants",
-    "measurement_noise_cov",
-    "process_noise_cov",
-    "simulate_accel",
-    "simulate_gyro",
-    "simulate_imu_stream",
-    "simulate_mag",
-    "step_bias",
-]
+__all__ = ["ImuSample", "ImuStream", "NoiseParams", "WorldConstants", "simulate_imu_stream"]
+
+#: Largest relative deviation of a sample interval from the first one that
+#: still counts as evenly spaced (float rounding of ``arange(n) / rate``).
+_SPACING_RTOL = 1e-6
 
 
 def _vector3(values: ArrayLike, name: str) -> NDArray[np.float64]:
@@ -79,6 +71,10 @@ class WorldConstants:
         if cross <= 1e-10 * np.linalg.norm(g) * np.linalg.norm(h):
             raise ValueError("h_inertial must not be parallel to g_inertial")
 
+    def reference_rows(self) -> NDArray[np.float64]:
+        """g and h as the rows of a (2, 3) array, the form the measurement model takes."""
+        return np.stack([self.g_inertial, self.h_inertial])
+
 
 @dataclass(frozen=True)
 class ImuSample:
@@ -101,58 +97,6 @@ class ImuSample:
     def stacked_measurement(self) -> NDArray[np.float64]:
         """Accel and mag stacked into the 6-vector consumed by the filters."""
         return np.concatenate([self.a_m, self.m_m])
-
-
-def simulate_gyro(
-    omega_true: ArrayLike,
-    bias: ArrayLike,
-    p: NoiseParams,
-    rng: np.random.Generator,
-) -> NDArray[np.float64]:
-    """Gyro measurement: true body rate plus bias plus white noise."""
-    omega = _vector3(omega_true, "omega_true")
-    b = _vector3(bias, "bias")
-    return omega + b + p.n_w * rng.standard_normal(3)
-
-
-def step_bias(
-    bias: ArrayLike, p: NoiseParams, dt: float, rng: np.random.Generator
-) -> NDArray[np.float64]:
-    """Advance the bias random walk one step (Euler-Maruyama, sqrt(dt) scaling)."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be > 0, got {dt!r}")
-    b = _vector3(bias, "bias")
-    return b + np.sqrt(dt) * p.n_b * rng.standard_normal(3)
-
-
-def simulate_accel(
-    e: EulerAngles,
-    w: WorldConstants,
-    p: NoiseParams,
-    rng: np.random.Generator,
-) -> NDArray[np.float64]:
-    """Accelerometer measurement: gravity rotated into the body frame, plus noise."""
-    return dcm_body_from_inertial(e) @ w.g_inertial + p.n_a * rng.standard_normal(3)
-
-
-def simulate_mag(
-    e: EulerAngles,
-    w: WorldConstants,
-    p: NoiseParams,
-    rng: np.random.Generator,
-) -> NDArray[np.float64]:
-    """Magnetometer measurement: Earth field rotated into the body frame, plus noise."""
-    return dcm_body_from_inertial(e) @ w.h_inertial + p.n_m * rng.standard_normal(3)
-
-
-def process_noise_cov(p: NoiseParams) -> NDArray[np.float64]:
-    """Process noise covariance diag(n_w^2 I3, n_b^2 I3)."""
-    return np.diag([p.n_w**2] * 3 + [p.n_b**2] * 3)
-
-
-def measurement_noise_cov(p: NoiseParams) -> NDArray[np.float64]:
-    """Measurement noise covariance diag(n_a^2 I3, n_m^2 I3)."""
-    return np.diag([p.n_a**2] * 3 + [p.n_m**2] * 3)
 
 
 @dataclass(frozen=True)
@@ -195,13 +139,19 @@ def simulate_imu_stream(
     Parameters
     ----------
     t : numpy.ndarray, shape (n,)
-        Sample times, uniformly spaced.
+        Sample times, strictly increasing and evenly spaced.
     angles : numpy.ndarray, shape (n, 3)
         True Euler angles per sample.
     body_rates : numpy.ndarray, shape (n, 3)
         True body angular velocity per sample.
     w, p : WorldConstants, NoiseParams
     rng : numpy.random.Generator
+
+    Raises
+    ------
+    ValueError
+        If there are fewer than two samples, or ``t`` is not strictly
+        increasing and evenly spaced (the bias walk scales with one dt).
     """
     t = np.asarray(t, dtype=np.float64)
     angles = np.asarray(angles, dtype=np.float64)
@@ -209,7 +159,12 @@ def simulate_imu_stream(
     n = t.shape[0]
     if n < 2:
         raise ValueError("stream needs at least two samples")
-    dt = float(t[1] - t[0])
+    steps = np.diff(t)
+    dt = float(steps[0])
+    if not np.all(steps > 0.0):
+        raise ValueError("t must be strictly increasing")
+    if np.max(np.abs(steps - dt)) > _SPACING_RTOL * dt:
+        raise ValueError("t must be evenly spaced")
 
     gyro_white = rng.standard_normal((n, 3))
     walk = rng.standard_normal((n, 3))
@@ -220,7 +175,7 @@ def simulate_imu_stream(
     bias[1:] = np.sqrt(dt) * p.n_b * np.cumsum(walk[:-1], axis=0)
 
     omega_m = body_rates + bias + p.n_w * gyro_white
-    R = dcm_batch(angles)
+    R = dcm_body_from_inertial(angles)
     a_m = R @ w.g_inertial + p.n_a * accel_white
     m_m = R @ w.h_inertial + p.n_m * mag_white
     return ImuStream(t=t, omega_m=omega_m, a_m=a_m, m_m=m_m, bias_true=bias)

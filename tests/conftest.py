@@ -1,7 +1,6 @@
 import pytest
 
 from eh2marg import NoiseParams, WorldConstants, nominal_model, synthesize_gain
-from eh2marg.harness import _warm_up_kernels
 
 
 @pytest.fixture(scope="session")
@@ -23,8 +22,3 @@ def model(noise, world):
 def cert(model):
     return synthesize_gain(model)
 
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels(world, noise):
-    """Compile/load the jitted kernels once so timed tests see steady state."""
-    _warm_up_kernels(world, noise)

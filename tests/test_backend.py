@@ -1,112 +1,17 @@
-"""Backend selection tests: env-flag parsing and numba/numpy parity."""
+"""Backend tests: numpy is the only backend, and a full case runs on it."""
 
-import json
-import os
-import subprocess
-import sys
-import textwrap
-
-import numpy as np
-import pytest
-
-from eh2marg._backend import BACKEND, NUMBA_ENABLED, _numba_requested
+import eh2marg
+from eh2marg.harness import BACKEND, ScenarioConfig, run_experiment
 
 
 class TestEnvParsing:
-    @pytest.mark.parametrize("value", ["0", "false", "off", "no", " OFF ", "False"])
-    def test_disabling_values(self, value, monkeypatch):
-        monkeypatch.setenv("EH2MARG_NUMBA", value)
-        assert _numba_requested() is False
-
-    @pytest.mark.parametrize("value", ["1", "true", "on", "yes", ""])
-    def test_enabling_values(self, value, monkeypatch):
-        monkeypatch.setenv("EH2MARG_NUMBA", value)
-        assert _numba_requested() is True
-
-    def test_default_is_enabled(self, monkeypatch):
-        monkeypatch.delenv("EH2MARG_NUMBA", raising=False)
-        assert _numba_requested() is True
-
     def test_backend_name_consistent(self):
-        assert BACKEND == ("numba" if NUMBA_ENABLED else "numpy")
-
-
-_PARITY_SCRIPT = textwrap.dedent(
-    """
-    import json
-    import numpy as np
-    from eh2marg import BACKEND
-    from eh2marg.filters import EH2FilterState, EKFState, eh2_step, ekf_step
-    from eh2marg.dynamics import EulerState
-    from eh2marg.kinematics import EulerAngles
-    from eh2marg.sensors import ImuSample, NoiseParams, WorldConstants
-    from eh2marg.linearization import nominal_model
-    from eh2marg.synthesis import synthesize_gain
-
-    world = WorldConstants()
-    noise = NoiseParams()
-    L0 = synthesize_gain(nominal_model(noise, world)).L
-    rng = np.random.default_rng(99)
-    s1 = EH2FilterState(xhat=EulerState(EulerAngles(0.1, -0.2, 0.3)), L0=L0)
-    s2 = EKFState(xhat=EulerState(EulerAngles(0.1, -0.2, 0.3)))
-    for k in range(50):
-        sample = ImuSample(
-            t=0.01 * k,
-            omega_m=rng.normal(scale=0.4, size=3),
-            a_m=np.array([0.0, 0.0, 9.81]) + rng.normal(scale=0.02, size=3),
-            m_m=np.array([0.48, 0.0, 0.58]) + rng.normal(scale=0.005, size=3),
-        )
-        s1 = eh2_step(s1, sample, world, 0.01)
-        s2 = ekf_step(s2, sample, world, noise, 0.01)
-    print(json.dumps({
-        "backend": BACKEND,
-        "eh2": s1.xhat.as_vector().tolist(),
-        "ekf": s2.xhat.as_vector().tolist(),
-        "P_trace": float(np.trace(s2.P)),
-    }))
-    """
-)
-
-
-def _run_parity(numba_flag: str) -> dict:
-    env = dict(os.environ, EH2MARG_NUMBA=numba_flag)
-    proc = subprocess.run(
-        [sys.executable, "-c", _PARITY_SCRIPT],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return json.loads(proc.stdout)
+        assert BACKEND == "numpy"
+        assert eh2marg.BACKEND == BACKEND
 
 
 class TestBackendParity:
-    def test_numpy_fallback_matches_numba(self):
-        on = _run_parity("1")
-        off = _run_parity("0")
-        assert on["backend"] == "numba"
-        assert off["backend"] == "numpy"
-        # Same arithmetic, different compilers: states agree to fused-op
-        # rounding, far below any physical tolerance in the suite.
-        np.testing.assert_allclose(on["eh2"], off["eh2"], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(on["ekf"], off["ekf"], rtol=0, atol=1e-12)
-        assert on["P_trace"] == pytest.approx(off["P_trace"], rel=1e-10)
-
     def test_fallback_runs_full_case(self):
-        env = dict(os.environ, EH2MARG_NUMBA="0")
-        code = (
-            "import json\n"
-            "from eh2marg.harness import ScenarioConfig, run_experiment\n"
-            "res = run_experiment(ScenarioConfig.case_ii(num_trials=1))\n"
-            "print(json.dumps({'backend': res['backend'],"
-            " 'ok': res['aggregate']['num_ok']}))\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        doc = json.loads(proc.stdout)
-        assert doc == {"backend": "numpy", "ok": 1}
+        res = run_experiment(ScenarioConfig.case_ii(num_trials=1))
+        assert res["backend"] == "numpy"
+        assert res["aggregate"]["num_ok"] == 1

@@ -201,14 +201,6 @@ class TestBench:
         assert doc["steps"] == 300
         assert doc["eh2"]["mean_ms"] > 0.0
 
-    def test_compare_backends(self, capsys):
-        rc = main(["bench", "--steps", "300", "--compare-backends"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "backend numba" in out
-        assert "backend numpy" in out
-        assert "faster than" in out
-
     def test_too_few_steps_exits_1(self):
         assert main(["bench", "--steps", "100"]) == 1
 

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 from scipy.spatial.transform import Rotation
 
@@ -8,8 +11,6 @@ from eh2marg import (
     EulerAngles,
     GimbalLockError,
     angle_error,
-    body_rates_batch,
-    dcm_batch,
     dcm_body_from_inertial,
     euler_rates,
     kinematic_matrix,
@@ -169,10 +170,29 @@ class TestAngleError:
 def test_batch_helpers_match_scalar_versions():
     rng = np.random.default_rng(17)
     angles = random_angles(rng, 40)
-    rates = rng.standard_normal((40, 3))
-    R_all = dcm_batch(angles)
-    w_all = body_rates_batch(angles, rates)
+    R_all = dcm_body_from_inertial(angles)
+    Tinv_all = kinematic_matrix_inverse(angles)
+    assert R_all.shape == Tinv_all.shape == (40, 3, 3)
     for k in range(angles.shape[0]):
         e = EulerAngles.from_array(angles[k])
         assert_allclose(R_all[k], dcm_body_from_inertial(e), atol=1e-14)
-        assert_allclose(w_all[k], kinematic_matrix_inverse(e) @ rates[k], atol=1e-14)
+        assert_allclose(Tinv_all[k], kinematic_matrix_inverse(e), atol=1e-14)
+
+
+_angle_batches = st.integers(min_value=1, max_value=40).flatmap(
+    lambda n: arrays(
+        np.float64,
+        (n, 3),
+        elements=st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False),
+    )
+)
+
+
+@given(_angle_batches)
+def test_batch_equals_row_by_row_exactly(angles):
+    """An (n, 3) batch gives, bit for bit, the rows' (3,) results."""
+    R_all = dcm_body_from_inertial(angles)
+    Tinv_all = kinematic_matrix_inverse(angles)
+    for k, row in enumerate(angles):
+        assert np.array_equal(R_all[k], dcm_body_from_inertial(row))
+        assert np.array_equal(Tinv_all[k], kinematic_matrix_inverse(row))

@@ -8,16 +8,20 @@ from eh2marg import (
     NoiseParams,
     WorldConstants,
     dcm_body_from_inertial,
-    measurement_noise_cov,
-    process_noise_cov,
-    simulate_accel,
-    simulate_gyro,
     simulate_imu_stream,
-    simulate_mag,
-    step_bias,
 )
 
 SILENT = NoiseParams(0.0, 0.0, 0.0, 0.0)
+
+
+def _stream(angles, p=SILENT, w=None, rates=None, dt=0.01, seed=0):
+    """Sensor stream along the given (n, 3) attitudes, n >= 2, sampled every dt."""
+    angles = np.asarray(angles, dtype=float)
+    n = angles.shape[0]
+    rates = np.zeros((n, 3)) if rates is None else np.broadcast_to(rates, (n, 3))
+    return simulate_imu_stream(
+        np.arange(n) * dt, angles, rates, w or WorldConstants(), p, np.random.default_rng(seed)
+    )
 
 
 class TestNoiseParams:
@@ -47,38 +51,37 @@ class TestWorldConstants:
 
 
 def test_simulate_gyro_noise_free():
-    rng = np.random.default_rng(0)
-    assert_allclose(simulate_gyro([0.3, 0.0, -0.1], np.zeros(3), SILENT, rng), [0.3, 0.0, -0.1])
-    assert_allclose(simulate_gyro(np.zeros(3), [0.01, 0.0, 0.0], SILENT, rng), [0.01, 0.0, 0.0])
+    stream = _stream(np.zeros((4, 3)), rates=[0.3, 0.0, -0.1])
+    assert_allclose(stream.omega_m, np.tile([0.3, 0.0, -0.1], (4, 1)))
+    biased = _stream(np.zeros((4, 3)), p=NoiseParams(0.0, 0.01, 0.0, 0.0))
+    assert_allclose(biased.omega_m, biased.bias_true)
 
 
 def test_simulate_gyro_sample_mean():
-    p = NoiseParams(n_w=0.1)
-    rng = np.random.default_rng(42)
+    p = NoiseParams(n_w=0.1, n_b=0.0, n_a=0.0, n_m=0.0)
     n = 100_000
-    total = np.zeros(3)
-    for _ in range(n):
-        total += simulate_gyro([0.2, 0.0, 0.0], [0.0, 0.01, 0.0], p, rng)
-    assert np.all(np.abs(total / n - [0.2, 0.01, 0.0]) < 3.0 * p.n_w / np.sqrt(n))
+    stream = _stream(np.zeros((n, 3)), p=p, rates=[0.2, 0.0, 0.0], seed=42)
+    mean = stream.omega_m.mean(axis=0)
+    assert np.all(np.abs(mean - [0.2, 0.0, 0.0]) < 3.0 * p.n_w / np.sqrt(n))
 
 
-def test_step_bias_scaling_and_precondition():
-    rng = np.random.default_rng(3)
-    p = NoiseParams(n_b=0.01)
-    assert_allclose(step_bias([0.1, 0.0, 0.0], SILENT, 0.01, rng), [0.1, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        step_bias(np.zeros(3), p, 0.0, rng)
-    # variance after N steps ~ N dt n_b^2
-    n_paths, n_steps, dt = 10_000, 10, 0.01
-    rng = np.random.default_rng(7)
-    finals = np.zeros((n_paths, 3))
-    for i in range(n_paths):
-        b = np.zeros(3)
-        for _ in range(n_steps):
-            b = step_bias(b, p, dt, rng)
-        finals[i] = b
-    target = n_steps * dt * p.n_b**2
-    assert_allclose(finals.var(axis=0), target, rtol=0.05)
+def test_bias_walk_scaling_and_time_precondition():
+    # The bias walk takes one sqrt(dt)-scaled step per sample interval, so
+    # the increment variance is dt n_b^2; quadrupling dt quadruples it.
+    p = NoiseParams(n_w=0.0, n_b=0.01, n_a=0.0, n_m=0.0)
+    for dt in (0.01, 0.04):
+        stream = _stream(np.zeros((20_001, 3)), p=p, dt=dt, seed=7)
+        increments = np.diff(stream.bias_true, axis=0)
+        assert_allclose(increments.var(axis=0), dt * p.n_b**2, rtol=0.05)
+    t = np.arange(5) * 0.01
+    truth = np.zeros((5, 3))
+    for bad, message in (
+        (t[::-1], "strictly increasing"),
+        (np.r_[t[:2], t[1], t[3:]], "strictly increasing"),
+        (t**2, "evenly spaced"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            simulate_imu_stream(bad, truth, truth, WorldConstants(), p, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize(
@@ -89,37 +92,25 @@ def test_step_bias_scaling_and_precondition():
     ],
 )
 def test_simulate_accel_noise_free(e, expected):
-    rng = np.random.default_rng(0)
-    assert_allclose(simulate_accel(e, WorldConstants(), SILENT, rng), expected, atol=1e-12)
+    stream = _stream([e.as_array()] * 2)
+    assert_allclose(stream.a_m, [expected] * 2, atol=1e-12)
 
 
 def test_simulate_mag_quarter_yaw():
     w = WorldConstants(h_inertial=[1.0, 0.0, 0.5])
-    rng = np.random.default_rng(0)
-    m = simulate_mag(EulerAngles(0.0, 0.0, np.pi / 2.0), w, SILENT, rng)
-    assert_allclose(m, [0.0, -1.0, 0.5], atol=1e-12)
+    stream = _stream([[0.0, 0.0, np.pi / 2.0]] * 2, w=w)
+    assert_allclose(stream.m_m, [[0.0, -1.0, 0.5]] * 2, atol=1e-12)
 
 
 def test_norm_preservation_over_random_attitudes():
     rng = np.random.default_rng(9)
     w = WorldConstants()
-    for _ in range(50):
-        e = EulerAngles(
-            rng.uniform(-np.pi, np.pi), rng.uniform(-1.4, 1.4), rng.uniform(-np.pi, np.pi)
-        )
-        assert np.linalg.norm(simulate_accel(e, w, SILENT, rng)) == pytest.approx(
-            np.linalg.norm(w.g_inertial), abs=1e-10
-        )
-        assert np.linalg.norm(simulate_mag(e, w, SILENT, rng)) == pytest.approx(
-            np.linalg.norm(w.h_inertial), abs=1e-10
-        )
-
-
-def test_noise_covariances():
-    p = NoiseParams(n_w=0.1, n_b=0.01, n_a=2.0, n_m=3.0)
-    assert_allclose(process_noise_cov(p), np.diag([0.01] * 3 + [1e-4] * 3))
-    assert_allclose(measurement_noise_cov(p), np.diag([4.0] * 3 + [9.0] * 3))
-    assert_allclose(process_noise_cov(NoiseParams(1.0, 1.0, 0.0, 0.0)), np.eye(6))
+    angles = np.column_stack(
+        [rng.uniform(-np.pi, np.pi, 50), rng.uniform(-1.4, 1.4, 50), rng.uniform(-np.pi, np.pi, 50)]
+    )
+    stream = _stream(angles, w=w)
+    assert_allclose(np.linalg.norm(stream.a_m, axis=1), np.linalg.norm(w.g_inertial), atol=1e-10)
+    assert_allclose(np.linalg.norm(stream.m_m, axis=1), np.linalg.norm(w.h_inertial), atol=1e-10)
 
 
 def test_imu_sample_stacks_measurement():
