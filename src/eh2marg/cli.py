@@ -209,8 +209,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     timing = agg.get("timing")
     if timing is not None:
         print(
-            f"timing: eh2 {timing['eh2_mean_ms']:.6f} ms/step, "
-            f"ekf {timing['ekf_mean_ms']:.6f} ms/step, "
+            f"timing: eh2 {timing['eh2_mean_ms']:.6f} ms per trial-step, "
+            f"ekf {timing['ekf_mean_ms']:.6f} ms per trial-step, "
             f"ratio {timing['ratio_eh2_over_ekf']:.4f}"
         )
     return 0

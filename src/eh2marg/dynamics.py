@@ -7,7 +7,8 @@ body frame.  Integration is fixed-step classical RK4 with the gyro sample
 held constant across the step.
 
 The array-level functions (:func:`process_model`, :func:`measurement_model`,
-:func:`rk4_step`) take plain ``(6,)`` state arrays; both filters and
+:func:`rk4_step`, :func:`checked_state`) take a plain ``(6,)`` state array
+or an ``(N, 6)`` stack of states that advance together; both filters and
 dead reckoning (:func:`integrate_step`) are built on them.
 """
 
@@ -21,6 +22,7 @@ from .errors import NonFiniteState
 from .kinematics import (
     EulerAngles,
     _check_gimbal,
+    _matvec,
     dcm_body_from_inertial,
     kinematic_matrix,
     wrap_angle,
@@ -38,9 +40,6 @@ __all__ = [
     "rk4_step",
     "state_derivative",
 ]
-
-_ZERO3 = np.zeros(3)
-
 
 @dataclass(frozen=True)
 class EulerState:
@@ -77,22 +76,26 @@ class Measurement6:
 
 
 def process_model(x: NDArray[np.float64], omega: NDArray[np.float64]) -> NDArray[np.float64]:
-    """f(x, omega) = [T(Phi)(omega - b); 0] for a state array x = [Phi; b].
+    """f(x, omega) = [T(Phi)(omega - b); 0] for a state x = [Phi; b], (6,) or (N, 6).
 
     Raises
     ------
     GimbalLockError
         Propagated from the rate transformation.
     """
-    return np.concatenate([kinematic_matrix(x[:3]) @ (omega - x[3:]), _ZERO3])
+    f = np.zeros(x.shape)
+    f[..., :3] = _matvec(kinematic_matrix(x[..., :3]), omega - x[..., 3:])
+    return f
 
 
 def measurement_model(
     angles: NDArray[np.float64], references: NDArray[np.float64]
 ) -> NDArray[np.float64]:
     """h(Phi) = [R g; R h] for the (2, 3) rows [g; h] of
-    :meth:`~eh2marg.sensors.WorldConstants.reference_rows`."""
-    return (references @ dcm_body_from_inertial(angles).T).ravel()
+    :meth:`~eh2marg.sensors.WorldConstants.reference_rows`; (3,) angles give
+    a (6,) vector and (N, 3) angles an (N, 6) stack."""
+    h = references @ dcm_body_from_inertial(angles).mT
+    return h.reshape(h.shape[:-2] + (6,))
 
 
 def rk4_step(
@@ -102,10 +105,13 @@ def rk4_step(
 ) -> NDArray[np.float64]:
     """One classical RK4 step of x_dot = f(x); the attitude is re-wrapped after.
 
+    ``x`` is one (6,) state or an (N, 6) stack that ``f`` maps row by row.
+
     Raises
     ------
     GimbalLockError
-        If a stage (through ``f``) or the result enters the gimbal guard band.
+        If a stage (through ``f``) or the result (of any row) enters the
+        gimbal guard band.
     NonFiniteState
         If the result is not finite.
     """
@@ -117,17 +123,17 @@ def rk4_step(
 
 
 def checked_state(x: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Wrap the attitude of a new state in place and reject an unusable one.
+    """Wrap the attitude of a new state (or stack) in place and reject an unusable one.
 
     Raises
     ------
     GimbalLockError
-        If the pitch lies in the gimbal guard band.
+        If the pitch (of any row) lies in the gimbal guard band.
     NonFiniteState
         If any entry is NaN or infinite.
     """
-    x[:3] = wrap_angle(x[:3])
-    _check_gimbal(x[1])
+    x[..., :3] = wrap_angle(x[..., :3])
+    _check_gimbal(x)
     if not np.isfinite(x).all():
         raise NonFiniteState(f"state became non-finite: {x!r}")
     return x

@@ -9,9 +9,11 @@ accel/mag form the innovation — for the extended-H2 filter the measurement
 is held constant over the RK4 step, for the EKF it is applied to the
 predicted state.
 
-:func:`eh2` and :func:`ekf` are the steps on plain arrays, which the
-Monte-Carlo harness calls directly; :func:`eh2_step` and :func:`ekf_step`
-wrap them for the validated state containers.
+:func:`eh2` and :func:`ekf` are the steps on plain arrays: one ``(6,)``
+state, or an ``(N, 6)`` stack of states (with ``(N, 6, 6)`` covariances)
+that the Monte-Carlo harness advances together, one call per time step.
+:func:`eh2_step` and :func:`ekf_step` wrap them for the validated state
+containers.
 """
 
 from dataclasses import dataclass, field
@@ -24,6 +26,7 @@ from .errors import DegenerateSample, InnovationCovSingular
 from .kinematics import (
     EPS_GIMBAL,
     EulerAngles,
+    _matvec,
     attitude_matrices,
     dcm_body_from_inertial,
     kinematic_matrix,
@@ -39,12 +42,19 @@ __all__ = [
     "eh2",
     "eh2_step",
     "ekf",
+    "check_gravity_along_z",
     "ekf_step",
     "initialize_from_first_sample",
 ]
 
 #: Default initial EKF covariance: 0.1 rad attitude std, 0.01 rad/s bias std.
 DEFAULT_P0 = np.diag([0.1**2] * 3 + [0.01**2] * 3)
+
+_EYE6 = np.eye(6)
+_DIAG6 = np.arange(6)
+
+#: Largest horizontal share of g (|g_xy| / |g|) that still counts as gravity along +z.
+_GRAVITY_AXIS_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -91,11 +101,13 @@ def eh2(
 
     ``xhat_dot = f(xhat, omega) + L (h(xhat) - y)`` with ``references`` the
     rows [g; h] of :meth:`~eh2marg.sensors.WorldConstants.reference_rows`.
+    ``x``, ``omega`` and ``y`` are (6,), (3,), (6,) for one filter, or
+    (N, 6), (N, 3), (N, 6) for N filters that share L and dt.
 
     Raises
     ------
     GimbalLockError
-        If the estimate enters the gimbal guard band during the step.
+        If the estimate (of any row) enters the gimbal guard band during the step.
     NonFiniteState
         If the new estimate is not finite.
     """
@@ -105,9 +117,9 @@ def eh2(
         # written out so that T and R share one sine/cosine evaluation: the
         # derivative runs four times per step, and per-step cost is what the
         # filter is compared on.
-        T, R = attitude_matrices(xs[:3])
-        out = L @ ((references @ R.T).ravel() - y)
-        out[:3] += T @ (omega - xs[3:])
+        T, R = attitude_matrices(xs[..., :3])
+        out = _matvec(L, (references @ R.mT).reshape(y.shape) - y)
+        out[..., :3] += _matvec(T, omega - xs[..., 3:])
         return out
 
     return rk4_step(xdot, x, dt)
@@ -127,38 +139,40 @@ def ekf(
     Predict: RK4 mean propagation with the gyro sample, covariance through
     F = I + A dt and Qd, both linearized at the current estimate.  Update:
     Kalman gain from the innovation covariance with H linearized at the
-    prediction, then the covariance is symmetrized.
+    prediction, then the covariance is symmetrized.  ``x``/``P`` are (6,)
+    and (6, 6) for one filter, or (N, 6) and (N, 6, 6) for N filters.
 
     Raises
     ------
     GimbalLockError
-        If the estimate enters the gimbal guard band.
+        If the estimate (of any row) enters the gimbal guard band.
     InnovationCovSingular
-        If H P- H^T + R is numerically singular.
+        If H P- H^T + R (of any row) is numerically singular.
     NonFiniteState
         If the new estimate is not finite.
     """
-    T = kinematic_matrix(x[:3])
-    F = np.eye(6)
-    F[:3, :3] += dt * rate_jacobian(x[:3], omega - x[3:])
-    F[:3, 3:] = -dt * T
+    T = kinematic_matrix(x[..., :3])
+    F = np.empty_like(P)
+    F[...] = _EYE6
+    F[..., :3, :3] += dt * rate_jacobian(x[..., :3], omega - x[..., 3:])
+    F[..., :3, 3:] = -dt * T
     xp = rk4_step(lambda xs: process_model(xs, omega), x, dt)
-    Qd = np.zeros((6, 6))
-    Qd[:3, :3] = q.n_w * q.n_w * (T @ T.T) * dt
-    Qd[3:, 3:] = q.n_b * q.n_b * dt * np.eye(3)
-    Pp = F @ P @ F.T + Qd
-    H = np.zeros((6, 6))
-    H[:, :3] = measurement_jacobian(xp[:3], references)
-    S = H @ Pp @ H.T
-    S[np.diag_indices(6)] += [q.n_a * q.n_a] * 3 + [q.n_m * q.n_m] * 3
-    PHt = Pp @ H.T
+    Qd = np.zeros(P.shape)
+    Qd[..., :3, :3] = q.n_w * q.n_w * (T @ T.mT) * dt
+    Qd[..., 3:, 3:] = q.n_b * q.n_b * dt * np.eye(3)
+    Pp = F @ P @ F.mT + Qd
+    H = np.zeros(P.shape)
+    H[..., :, :3] = measurement_jacobian(xp[..., :3], references)
+    S = H @ Pp @ H.mT
+    S[..., _DIAG6, _DIAG6] += [q.n_a * q.n_a] * 3 + [q.n_m * q.n_m] * 3
+    PHt = Pp @ H.mT
     try:
-        K = np.linalg.solve(S, PHt.T).T
+        K = np.linalg.solve(S, PHt.mT).mT
     except np.linalg.LinAlgError as exc:
         raise InnovationCovSingular(f"innovation covariance solve failed: {exc}") from exc
-    x_new = checked_state(xp + K @ (y - measurement_model(xp[:3], references)))
-    P_new = (np.eye(6) - K @ H) @ Pp
-    return x_new, 0.5 * (P_new + P_new.T)
+    x_new = checked_state(xp + _matvec(K, y - measurement_model(xp[..., :3], references)))
+    P_new = (_EYE6 - K @ H) @ Pp
+    return x_new, 0.5 * (P_new + P_new.mT)
 
 
 def eh2_step(
@@ -218,19 +232,41 @@ def ekf_step(
     return EKFState(xhat=EulerState.from_vector(x), P=P)
 
 
+def check_gravity_along_z(w: WorldConstants) -> None:
+    """Reject a world whose gravity is not along the inertial +z axis.
+
+    :func:`initialize_from_first_sample` reads roll and pitch off the
+    accelerometer as if gravity pointed along +z; for any other direction it
+    would return a wrong attitude without noticing.
+
+    Raises
+    ------
+    ValueError
+        If g_z <= 0 or |(g_x, g_y)| exceeds ``1e-12 |g|``.
+    """
+    g = w.g_inertial
+    if g[2] <= 0.0 or np.hypot(g[0], g[1]) > _GRAVITY_AXIS_RTOL * np.linalg.norm(g):
+        raise ValueError(
+            f"initialization assumes gravity along +z, got g_inertial = {g.tolist()}"
+        )
+
+
 def initialize_from_first_sample(sample: ImuSample, w: WorldConstants) -> EulerState:
     """Static attitude initialization from one accel/mag sample; bias starts at 0.
 
     Roll and pitch come from the accelerometer (gravity direction), yaw from
     the tilt-compensated magnetometer.  The construction assumes gravity
-    points along the inertial z axis, as in the default world constants.
+    points along the inertial +z axis, as in the default world constants.
 
     Raises
     ------
+    ValueError
+        If ``w.g_inertial`` is not along +z (see :func:`check_gravity_along_z`).
     DegenerateSample
         If the accelerometer magnitude is below half of |g| (free-fall-like,
         attitude unobservable from the accelerometer).
     """
+    check_gravity_along_z(w)
     g_norm = float(np.linalg.norm(w.g_inertial))
     a = sample.a_m
     if np.linalg.norm(a) < 0.5 * g_norm:

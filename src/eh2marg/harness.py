@@ -4,6 +4,12 @@ The harness turns a :class:`ScenarioConfig` into deterministic truth
 trajectories, simulates noisy sensor streams per trial, runs the extended-H2
 filter and the EKF side by side on identical data with interleaved per-step
 timing, and aggregates per-axis error metrics across trials.
+
+The trials of a run advance together: one loop over time steps an
+``(N, 6)`` stack of every live trial through each filter, so the per-call
+overhead is paid once per time step rather than once per trial.  A trial's
+timing is therefore the stacked step time divided by the number of live
+trials (ms per trial-step).
 """
 
 import dataclasses
@@ -12,13 +18,19 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter_ns
-from typing import Any
+from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ConfigError, Eh2MargError, LengthMismatch
-from .filters import DEFAULT_P0, eh2, ekf, initialize_from_first_sample
+from .filters import (
+    DEFAULT_P0,
+    check_gravity_along_z,
+    eh2,
+    ekf,
+    initialize_from_first_sample,
+)
 from .kinematics import kinematic_matrix_inverse, wrap_angle
 from .sensors import ImuStream, NoiseParams, WorldConstants, simulate_imu_stream
 from .synthesis import synthesize_gain
@@ -48,7 +60,9 @@ GIMBAL_MARGIN = 0.05
 #: Most steps (duration x imu_rate) one trial may take.  A trial's truth,
 #: sensor stream, noise draws and estimates peak near 500 bytes per step, so
 #: this caps one trial near 250 MB; case I takes 5,000 steps, ``bench``
-#: 10,000 by default.
+#: 10,000 by default.  Trials advance in batches of at most
+#: ``MAX_STEPS // steps`` trials, whose stacked inputs and estimates (about
+#: 120 bytes per trial-step) stay inside the same cap.
 MAX_STEPS = 500_000
 
 #: Per-axis starting phases for the simultaneous (case II) sinusoids, chosen
@@ -135,6 +149,10 @@ class ScenarioConfig:
             raise ConfigError("noise must be a NoiseParams instance")
         if not isinstance(self.world, WorldConstants):
             raise ConfigError("world must be a WorldConstants instance")
+        try:
+            check_gravity_along_z(self.world)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if not 0 <= int(self.seed) < 2**64:
@@ -415,6 +433,11 @@ def timing_stats(per_step_times_ms: NDArray[np.float64]) -> tuple[float, float]:
     return mean, std
 
 
+#: Rows formatted per write: one format operation per block is about twice
+#: as fast as one per value, and a block's Python floats and text stay
+#: small (about 0.6 MB) where a whole case I trial would take about 3 MB.
+_CSV_BLOCK_ROWS = 1000
+
 _CSV_HEADER = (
     "t,phi_true,theta_true,psi_true,phi_eh2,theta_eh2,psi_eh2,"
     "phi_ekf,theta_ekf,psi_ekf"
@@ -429,62 +452,149 @@ def _write_trial_csv(
     ekf: NDArray[np.float64],
 ) -> None:
     rows = np.column_stack([t, truth, eh2, ekf])
+    row_fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(_CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+        for first in range(0, rows.shape[0], _CSV_BLOCK_ROWS):
+            block = rows[first : first + _CSV_BLOCK_ROWS]
+            fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
-def _run_single_trial(
-    stream: ImuStream,
+class _Failure(NamedTuple):
+    """Why a trial stopped: the error, and the filter step that raised it.
+
+    ``filter``, ``step`` and ``t`` (the time of the sample the step
+    consumed) are None when the trial failed before its first step.
+    """
+
+    error: Eh2MargError
+    filter: str | None = None
+    step: int | None = None
+    t: float | None = None
+
+    @property
+    def message(self) -> str:
+        return str(self.error) if self.step is None else f"step {self.step}: {self.error}"
+
+    def record(self) -> dict[str, Any]:
+        """The fields of a failed trial's record in metrics.json."""
+        return {
+            "error": f"{type(self.error).__name__}: {self.message}",
+            "filter": self.filter,
+            "step": self.step,
+            "t": self.t,
+        }
+
+
+class _TrialBatch(NamedTuple):
+    """What :func:`_run_trials` returns for N trials of n samples.
+
+    ``estimates[f, k, j]`` is the attitude of filter f (0 eh2, 1 EKF) for
+    trial j at sample k; rows of failed trials are unspecified.
+    ``step_ns[f, k]`` is the time of filter f's step k divided by the
+    number of trials it advanced.  ``failures`` maps a trial's row to why
+    it stopped.
+    """
+
+    estimates: NDArray[np.float64]
+    step_ns: NDArray[np.float64]
+    failures: dict[int, _Failure]
+
+
+def _advance(
+    step: Callable[..., tuple], arrays: tuple
+) -> tuple[tuple | None, dict[int, Eh2MargError]]:
+    """Run one filter step on every row of ``arrays``; rows that raise drop out.
+
+    Returns the new stacked state (None when no row is left) and the error
+    of every row that raised.  One row takes the (6,) path.  When a stacked
+    call raises, the step is re-run row by row, so that each failing row
+    gets the error its own run raises and the other rows carry on.
+    """
+    rows = len(arrays[0])
+    if rows > 1:
+        try:
+            return step(*arrays), {}
+        except Eh2MargError:
+            pass
+    done, errors = [], {}
+    for i in range(rows):
+        try:
+            done.append(step(*(a[i] for a in arrays)))
+        except Eh2MargError as exc:
+            errors[i] = exc
+    if not done:
+        return None, errors
+    return tuple(np.stack(c) for c in zip(*done)), errors
+
+
+def _run_trials(
+    num_trials: int,
+    streams: Iterable[ImuStream],
     L0: NDArray[np.float64],
     world: WorldConstants,
     noise: NoiseParams,
     dt: float,
-) -> tuple[
-    NDArray[np.float64],
-    NDArray[np.float64],
-    NDArray[np.int64],
-    NDArray[np.int64],
-]:
-    """Run both filters over one stream; returns estimates and per-step ns times.
+) -> _TrialBatch:
+    """Run both filters over ``num_trials`` streams on one time grid, all trials at once.
 
-    Raises
-    ------
-    Eh2MargError
-        From the first step of either filter that fails.
+    Each stream is initialized, its gyro and accel/mag samples are copied
+    into (n, N, 3) and (n, N, 6) stacks, and the stream is dropped, so
+    ``streams`` may be a generator that builds one stream at a time.  Then
+    one loop over time advances every live trial with one stacked call per
+    filter; each call is timed.  A trial whose step raises
+    :class:`~eh2marg.errors.Eh2MargError` stops there and the others carry on.
     """
-    n = len(stream)
-    x1 = initialize_from_first_sample(stream.sample(0), world).as_vector()
-    x2 = x1.copy()
-    P = DEFAULT_P0.copy()
-    est_eh2 = np.empty((n, 3))
-    est_ekf = np.empty((n, 3))
-    est_eh2[0] = x1[:3]
-    est_ekf[0] = x2[:3]
-    t_eh2 = np.empty(n - 1, dtype=np.int64)
-    t_ekf = np.empty(n - 1, dtype=np.int64)
-    y_all = np.hstack([stream.a_m, stream.m_m])
-    om_all = stream.omega_m
-    references = world.reference_rows()
+    failures: dict[int, _Failure] = {}
+    ok = []
+    for j, stream in enumerate(streams):
+        if j == 0:
+            t = stream.t
+            n = len(t)
+            omega = np.empty((n, num_trials, 3))
+            y = np.empty((n, num_trials, 6))
+            x0 = np.empty((num_trials, 6))
+        omega[:, j] = stream.omega_m
+        y[:, j, :3] = stream.a_m
+        y[:, j, 3:] = stream.m_m
+        try:
+            x0[j] = initialize_from_first_sample(stream.sample(0), world).as_vector()
+            ok.append(j)
+        except Eh2MargError as exc:
+            failures[j] = _Failure(exc)
+    del stream
 
-    try:
-        for k in range(n - 1):
-            om_k = om_all[k]
-            y_k = y_all[k]
+    references = world.reference_rows()
+    steps = (
+        ("eh2", lambda x, om, yk: (eh2(x, om, yk, L0, references, dt),)),
+        ("ekf", lambda x, P, om, yk: ekf(x, P, om, yk, noise, references, dt)),
+    )
+    live = np.array(ok, dtype=np.intp)
+    states = [(x0[live],), (x0[live], np.repeat(DEFAULT_P0[None], len(live), axis=0))]
+    estimates = np.empty((2, n, num_trials, 3))
+    estimates[:, 0] = x0[:, :3]
+    step_ns = np.zeros((2, n - 1))
+    for k in range(n - 1):
+        if not len(live):
+            break
+        inputs = (omega[k, live], y[k, live])
+        for f, (name, step) in enumerate(steps):
             tic = perf_counter_ns()
-            x1 = eh2(x1, om_k, y_k, L0, references, dt)
-            toc = perf_counter_ns()
-            t_eh2[k] = toc - tic
-            tic = perf_counter_ns()
-            x2, P = ekf(x2, P, om_k, y_k, noise, references, dt)
-            toc = perf_counter_ns()
-            t_ekf[k] = toc - tic
-            est_eh2[k + 1] = x1[:3]
-            est_ekf[k + 1] = x2[:3]
-    except Eh2MargError as exc:
-        raise type(exc)(f"step {k}: {exc}") from exc
-    return est_eh2, est_ekf, t_eh2, t_ekf
+            new, errors = _advance(step, states[f] + inputs)
+            step_ns[f, k] = (perf_counter_ns() - tic) / len(live)
+            if errors:
+                for i, exc in errors.items():
+                    failures[int(live[i])] = _Failure(exc, name, k, float(t[k]))
+                keep = np.ones(len(live), dtype=bool)
+                keep[list(errors)] = False
+                live = live[keep]
+                inputs = tuple(a[keep] for a in inputs)
+                states = [tuple(a[keep] for a in state) for state in states]
+                if not len(live):
+                    break
+            states[f] = new
+            estimates[f, k + 1, live] = new[0][:, :3]
+    return _TrialBatch(estimates, step_ns, failures)
 
 
 def run_experiment(
@@ -500,7 +610,9 @@ def run_experiment(
     is supplied, then per trial: simulate a sensor stream seeded by
     (cfg.seed, trial), run both filters from the same static initialization,
     and compute per-axis wrapped-error metrics after the exclusion window.
-    A failing trial is recorded with its error and does not abort the batch.
+    The trials run in batches of at most ``MAX_STEPS // steps`` that advance
+    together (see :func:`_run_trials`).  A failing trial is recorded with
+    its error, filter, step and time, and does not stop the others.
 
     When ``out_dir`` is given, writes ``trial_<k>.csv`` per successful trial
     and ``metrics.json`` with everything this function returns.
@@ -526,43 +638,49 @@ def run_experiment(
     ok_ekf: list[RunMetrics] = []
     timing_means = {"eh2": [], "ekf": []}  # type: dict[str, list[float]]
     yaw_wins = 0
-    for trial in range(cfg.num_trials):
-        rng = np.random.default_rng((cfg.seed, trial))
-        stream = simulate_imu_stream(
-            traj.t, traj.angles, body_rates, cfg.world, cfg.noise, rng
+    batch_size = MAX_STEPS // (len(traj) - 1)
+    for first in range(0, cfg.num_trials, batch_size):
+        members = range(first, min(first + batch_size, cfg.num_trials))
+        streams = (
+            simulate_imu_stream(
+                traj.t, traj.angles, body_rates, cfg.world, cfg.noise,
+                np.random.default_rng((cfg.seed, trial)),
+            )
+            for trial in members
         )
-        record: dict[str, Any] = {"trial": trial}
-        try:
-            est_eh2, est_ekf, t_eh2_ns, t_ekf_ns = _run_single_trial(
-                stream, L0, cfg.world, cfg.noise, dt
-            )
-        except Eh2MargError as exc:
-            record["ok"] = False
-            record["error"] = f"{type(exc).__name__}: {exc}"
+        batch = _run_trials(len(members), streams, L0, cfg.world, cfg.noise, dt)
+        timing = None
+        for row, trial in enumerate(members):
+            record: dict[str, Any] = {"trial": trial}
+            if row in batch.failures:
+                record["ok"] = False
+                record.update(batch.failures[row].record())
+                trials.append(record)
+                continue
+            est_eh2, est_ekf = batch.estimates[:, :, row]
+            m_eh2 = compute_metrics(traj, est_eh2, exclude_initial)
+            m_ekf = compute_metrics(traj, est_ekf, exclude_initial)
+            if timing is None:
+                timing = [timing_stats(ns * 1e-6) for ns in batch.step_ns]
+            (mean1, std1), (mean2, std2) = timing
+            record["ok"] = True
+            record["eh2"] = m_eh2.to_dict()
+            record["ekf"] = m_ekf.to_dict()
+            record["timing"] = {
+                "eh2": {"mean_ms": mean1, "std_ms": std1},
+                "ekf": {"mean_ms": mean2, "std_ms": std2},
+            }
             trials.append(record)
-            continue
-        m_eh2 = compute_metrics(traj, est_eh2, exclude_initial)
-        m_ekf = compute_metrics(traj, est_ekf, exclude_initial)
-        mean1, std1 = timing_stats(t_eh2_ns * 1e-6)
-        mean2, std2 = timing_stats(t_ekf_ns * 1e-6)
-        record["ok"] = True
-        record["eh2"] = m_eh2.to_dict()
-        record["ekf"] = m_ekf.to_dict()
-        record["timing"] = {
-            "eh2": {"mean_ms": mean1, "std_ms": std1},
-            "ekf": {"mean_ms": mean2, "std_ms": std2},
-        }
-        trials.append(record)
-        ok_eh2.append(m_eh2)
-        ok_ekf.append(m_ekf)
-        timing_means["eh2"].append(mean1)
-        timing_means["ekf"].append(mean2)
-        if m_eh2.rms[2] < m_ekf.rms[2]:
-            yaw_wins += 1
-        if out_path is not None:
-            _write_trial_csv(
-                out_path / f"trial_{trial:03d}.csv", traj.t, traj.angles, est_eh2, est_ekf
-            )
+            ok_eh2.append(m_eh2)
+            ok_ekf.append(m_ekf)
+            timing_means["eh2"].append(mean1)
+            timing_means["ekf"].append(mean2)
+            if m_eh2.rms[2] < m_ekf.rms[2]:
+                yaw_wins += 1
+            if out_path is not None:
+                _write_trial_csv(
+                    out_path / f"trial_{trial:03d}.csv", traj.t, traj.angles, est_eh2, est_ekf
+                )
 
     num_ok = len(ok_eh2)
     aggregate: dict[str, Any] = {
@@ -653,13 +771,12 @@ def run_timing_benchmark(
     stream = simulate_imu_stream(
         traj.t, traj.angles, traj.body_rates(), cfg.world, cfg.noise, rng
     )
-    _, _, t_eh2_ns, t_ekf_ns = _run_single_trial(
-        stream, cert.L, cfg.world, cfg.noise, 1.0 / cfg.imu_rate
-    )
-    t_eh2_ns = t_eh2_ns[:steps]
-    t_ekf_ns = t_ekf_ns[:steps]
-    mean1, std1 = timing_stats(t_eh2_ns * 1e-6)
-    mean2, std2 = timing_stats(t_ekf_ns * 1e-6)
+    batch = _run_trials(1, [stream], cert.L, cfg.world, cfg.noise, 1.0 / cfg.imu_rate)
+    if batch.failures:
+        failure = batch.failures[0]
+        raise type(failure.error)(failure.message) from failure.error
+    mean1, std1 = timing_stats(batch.step_ns[0, :steps] * 1e-6)
+    mean2, std2 = timing_stats(batch.step_ns[1, :steps] * 1e-6)
     return {
         "backend": BACKEND,
         "steps": int(steps),

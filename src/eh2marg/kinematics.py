@@ -100,8 +100,22 @@ class EulerAngles:
         return np.array([self.phi, self.theta, self.psi])
 
 
-def _check_gimbal(theta: float) -> None:
-    theta = float(theta)
+def _check_gimbal(x: NDArray[np.float64]) -> None:
+    """Raise GimbalLockError if the pitch ``x[..., 1]`` is in the guard band.
+
+    ``x`` is an attitude (3,) or a state (6,), or an (n, 3) / (n, 6) stack,
+    which is rejected when any of its rows is in the band.
+    """
+    if x.ndim > 1:
+        theta = x[:, 1]
+        bad = np.abs(wrap_angle(theta)) >= np.pi / 2.0 - EPS_GIMBAL
+        if bad.any():
+            raise GimbalLockError(
+                f"pitch {theta[bad]!r} rad of rows {np.flatnonzero(bad).tolist()} is "
+                f"within {EPS_GIMBAL} rad of the +/- pi/2 singularity"
+            )
+        return
+    theta = float(x[1])
     if abs(math.pi - (math.pi - theta) % (2.0 * math.pi)) >= math.pi / 2.0 - EPS_GIMBAL:
         raise GimbalLockError(
             f"pitch {theta!r} rad is within {EPS_GIMBAL} rad of the +/- pi/2 singularity"
@@ -116,30 +130,45 @@ def _sin_cos(e: "EulerAngles | ArrayLike") -> tuple:
     """Sines and cosines of (phi, theta, psi), unpackable in that order.
 
     A single attitude yields Python floats, which keep the per-step scalar
-    arithmetic cheap; an (n, 3) array yields one length-n array per angle.
+    arithmetic cheap; an (n, 3) stack yields one length-n array per angle,
+    so the same expressions evaluate the whole stack.
     """
     a = _as_angles(e)
     if a.ndim == 1:
         return np.sin(a).tolist(), np.cos(a).tolist()
-    return np.sin(a.T), np.cos(a.T)
+    return np.sin(a).T, np.cos(a).T
 
 
-def _matrix(rows: list) -> NDArray[np.float64]:
-    """A 3x3 matrix from nested entries, or (n, 3, 3) when entries are length-n arrays."""
-    m = np.array(rows)
-    return m if m.ndim == 2 else np.ascontiguousarray(np.moveaxis(m, -1, 0))
+def _matrix(rows: list, like: "list | NDArray[np.float64]") -> NDArray[np.float64]:
+    """A matrix from nested entries, or an (n, ...) stack of them.
+
+    ``like`` is a sine/cosine from :func:`_sin_cos`: a list means the entries
+    are Python floats and one matrix is built; an array means the entries
+    are length-n arrays (or constants) that fill an (n, ...) stack.
+    """
+    if isinstance(like, list):
+        return np.array(rows)
+    shape, entries = [len(rows)], rows
+    while isinstance(entries[0], list):
+        shape.append(len(entries[0]))
+        entries = [v for row in entries for v in row]
+    m = np.empty((len(like[0]), len(entries)))
+    for j, v in enumerate(entries):
+        m[:, j] = v
+    return m.reshape(-1, *shape)
 
 
 def _rate_matrix(s: ArrayLike, c: ArrayLike) -> NDArray[np.float64]:
     (sp, st, _), (cp, ct, _) = s, c
     tt = st / ct
     sec = 1.0 / ct
-    return np.array(
+    return _matrix(
         [
             [1.0, tt * sp, tt * cp],
             [0.0, cp, -sp],
             [0.0, sec * sp, sec * cp],
-        ]
+        ],
+        s,
     )
 
 
@@ -150,8 +179,19 @@ def _dcm(s: ArrayLike, c: ArrayLike) -> NDArray[np.float64]:
             [ct * cs, ct * ss, -st],
             [sp * st * cs - cp * ss, sp * st * ss + cp * cs, sp * ct],
             [cp * st * cs + sp * ss, cp * st * ss - sp * cs, cp * ct],
-        ]
+        ],
+        s,
     )
+
+
+def _matvec(A: NDArray[np.float64], v: NDArray[np.float64]) -> NDArray[np.float64]:
+    """``A @ v`` for one vector, or row by row for an (n, k) stack of vectors.
+
+    A is one matrix or an (n, m, k) stack.  Each row goes through the same
+    matrix-vector product as a single vector, so a stacked result equals the
+    row-wise results bit for bit.
+    """
+    return A @ v if v.ndim == 1 else (A @ v[..., None])[..., 0]
 
 
 def kinematic_matrix(e: "EulerAngles | ArrayLike") -> NDArray[np.float64]:
@@ -159,20 +199,20 @@ def kinematic_matrix(e: "EulerAngles | ArrayLike") -> NDArray[np.float64]:
 
     Parameters
     ----------
-    e : EulerAngles or array_like, shape (3,)
-        Current attitude.
+    e : EulerAngles or array_like, shape (3,) or (n, 3)
+        Current attitude, or a stack of attitudes.
 
     Returns
     -------
-    numpy.ndarray, shape (3, 3)
+    numpy.ndarray, shape (3, 3) or (n, 3, 3)
 
     Raises
     ------
     GimbalLockError
-        If the pitch is within ``EPS_GIMBAL`` of +/- pi/2.
+        If the pitch (of any row) is within ``EPS_GIMBAL`` of +/- pi/2.
     """
     a = _as_angles(e)
-    _check_gimbal(a[1])
+    _check_gimbal(a)
     return _rate_matrix(*_sin_cos(a))
 
 
@@ -182,14 +222,15 @@ def kinematic_matrix_inverse(e: "EulerAngles | ArrayLike") -> NDArray[np.float64
     Unlike ``T`` itself this map is defined for all attitudes; no gimbal
     guard is needed.  An (n, 3) angle array gives an (n, 3, 3) stack.
     """
-    (sp, st, _), (cp, ct, _) = _sin_cos(e)
-    one, zero = np.ones_like(st), np.zeros_like(st)
+    s, c = _sin_cos(e)
+    (sp, st, _), (cp, ct, _) = s, c
     return _matrix(
         [
-            [one, zero, -st],
-            [zero, cp, sp * ct],
-            [zero, -sp, cp * ct],
-        ]
+            [1.0, 0.0, -st],
+            [0.0, cp, sp * ct],
+            [0.0, -sp, cp * ct],
+        ],
+        s,
     )
 
 
@@ -215,15 +256,15 @@ def attitude_matrices(
     e: "EulerAngles | ArrayLike",
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """:func:`kinematic_matrix` and :func:`dcm_body_from_inertial` of one
-    attitude from a single sine/cosine evaluation.
+    attitude, or of an (n, 3) stack, from a single sine/cosine evaluation.
 
     Raises
     ------
     GimbalLockError
-        If the pitch is within ``EPS_GIMBAL`` of +/- pi/2.
+        If the pitch (of any row) is within ``EPS_GIMBAL`` of +/- pi/2.
     """
     a = _as_angles(e)
-    _check_gimbal(a[1])
+    _check_gimbal(a)
     s, c = _sin_cos(a)
     return _rate_matrix(s, c), _dcm(s, c)
 

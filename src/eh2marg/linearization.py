@@ -15,7 +15,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .dynamics import EulerState
-from .kinematics import _sin_cos, kinematic_matrix
+from .kinematics import _matrix, _sin_cos, kinematic_matrix
 from .sensors import NoiseParams, WorldConstants, _vector3
 
 __all__ = [
@@ -78,22 +78,26 @@ def rate_jacobian(
 ) -> NDArray[np.float64]:
     """d(T(Phi) omega)/dPhi for fixed omega; columns ordered (phi, theta, psi).
 
-    Like T itself it is unbounded near pitch +/- pi/2; callers evaluate
+    ``angles`` and ``omega`` are (3,) vectors, giving a (3, 3) matrix, or
+    (n, 3) stacks, giving (n, 3, 3).  Like T itself it is unbounded near
+    pitch +/- pi/2; callers evaluate
     :func:`~eh2marg.kinematics.kinematic_matrix` at the same attitude, which
     enforces the gimbal guard.
     """
-    (sp, st, _), (cp, ct, _) = _sin_cos(angles)
+    s, c = _sin_cos(angles)
+    (sp, st, _), (cp, ct, _) = s, c
     tt = st / ct
     sec = 1.0 / ct
-    w1, w2 = float(omega[1]), float(omega[2])
+    _, w1, w2 = omega.tolist() if omega.ndim == 1 else omega.T
     u = cp * w1 - sp * w2
     v = sp * w1 + cp * w2
-    return np.array(
+    return _matrix(
         [
             [tt * u, sec * sec * v, 0.0],
             [-v, 0.0, 0.0],
             [sec * u, sec * tt * v, 0.0],
-        ]
+        ],
+        s,
     )
 
 
@@ -103,10 +107,12 @@ def measurement_jacobian(
     """d[R g; R h]/dPhi, shape (6, 3), from the closed-form dR/dphi, dR/dtheta, dR/dpsi.
 
     ``references`` holds the rows [g; h] as returned by
-    :meth:`~eh2marg.sensors.WorldConstants.reference_rows`.
+    :meth:`~eh2marg.sensors.WorldConstants.reference_rows`.  An (n, 3)
+    angle stack gives an (n, 6, 3) stack.
     """
-    (sp, st, ss), (cp, ct, cs) = _sin_cos(angles)
-    dR = np.array(
+    s, c = _sin_cos(angles)
+    (sp, st, ss), (cp, ct, cs) = s, c
+    dR = _matrix(
         [
             [
                 [0.0, 0.0, 0.0],
@@ -123,10 +129,12 @@ def measurement_jacobian(
                 [-sp * st * ss - cp * cs, sp * st * cs - cp * ss, 0.0],
                 [-cp * st * ss + sp * cs, cp * st * cs + sp * ss, 0.0],
             ],
-        ]
+        ],
+        s,
     )
     # (dR_k @ r)_i for reference c lands in row 3 c + i, column k.
-    return (dR @ references.T).T.reshape(6, 3)
+    dRr = (dR @ references.T).swapaxes(-1, -3)
+    return dRr.reshape(dRr.shape[:-3] + (6, 3))
 
 
 def jacobians_process(

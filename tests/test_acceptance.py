@@ -3,8 +3,7 @@
 Each criterion prints one ``[criterion N] <name>: PASS/FAIL`` line with
 output capture suspended, so a teed test log always shows the verdicts,
 and asserts both the numerical claim and its runtime budget.  Budgets are
-wall-clock on a warmed process: the session-scoped conftest fixture
-compiles the kernels before any criterion runs.
+wall-clock, including any first-call cost in the process.
 """
 
 import contextlib

@@ -180,6 +180,7 @@ class TestReport:
         for axis in ("roll", "pitch", "yaw"):
             assert axis in text
         assert "eh2 yaw wins: 1/1" in text
+        assert "ms per trial-step" in text
 
     def test_missing_metrics_exits_1(self, tmp_path, capsys):
         rc = main(["report", "--out", str(tmp_path)])

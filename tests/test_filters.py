@@ -10,12 +10,14 @@ from eh2marg.filters import (
     DEFAULT_P0,
     EH2FilterState,
     EKFState,
+    eh2,
     eh2_step,
+    ekf,
     ekf_step,
     initialize_from_first_sample,
 )
 from eh2marg.kinematics import EPS_GIMBAL, EulerAngles, angle_error
-from eh2marg.sensors import ImuSample, NoiseParams
+from eh2marg.sensors import ImuSample, NoiseParams, WorldConstants
 
 DT = 0.01
 
@@ -73,6 +75,21 @@ class TestInitializeFromFirstSample:
         )
         with pytest.raises(DegenerateSample):
             initialize_from_first_sample(sample, world)
+
+    @pytest.mark.parametrize(
+        "g", [[0.0, 0.0, -9.81], [1e-9, 0.0, 9.81], [0.0, 9.81, 0.0], [0.5, 0.5, 9.7]]
+    )
+    def test_gravity_off_z_rejected(self, g):
+        w = WorldConstants(g_inertial=g)
+        sample = ImuSample(t=0.0, omega_m=np.zeros(3), a_m=g, m_m=w.h_inertial)
+        with pytest.raises(ValueError, match="gravity along \\+z"):
+            initialize_from_first_sample(sample, w)
+
+    def test_gravity_along_z_within_tolerance_accepted(self):
+        w = WorldConstants(g_inertial=[1e-12, 0.0, 20.0])
+        sample = ImuSample(t=0.0, omega_m=np.zeros(3), a_m=[0.0, 0.0, 20.0], m_m=w.h_inertial)
+        x = initialize_from_first_sample(sample, w)
+        assert_allclose(x.attitude.as_array(), 0.0, atol=1e-12)
 
     def test_vertical_sample_saturates_inside_guard(self, world):
         # Nose straight down: theta would hit +pi/2; the initializer must
@@ -290,3 +307,47 @@ class TestEkfStep:
         s2 = ekf_step(EKFState(x), sample, world, noise, DT)
         assert np.array_equal(s1.xhat.as_vector(), s2.xhat.as_vector())
         assert np.array_equal(s1.P, s2.P)
+
+
+class TestStackedSteps:
+    """(N, 6) states advance as N independent filters, bit for bit."""
+
+    @staticmethod
+    def _inputs(world, n=6):
+        rng = np.random.default_rng(5)
+        x = np.column_stack(
+            [
+                rng.uniform(-2.5, 2.5, n),
+                rng.uniform(-1.2, 1.2, n),
+                rng.uniform(-2.5, 2.5, n),
+                rng.normal(scale=0.01, size=(n, 3)),
+            ]
+        )
+        omega = rng.normal(scale=0.5, size=(n, 3))
+        y = np.hstack([world.g_inertial, world.h_inertial]) + rng.normal(scale=0.05, size=(n, 6))
+        P = DEFAULT_P0 * rng.uniform(0.5, 2.0, size=(n, 1, 1))
+        return x, omega, y, P
+
+    def test_eh2_rows_match_single_steps(self, world, cert):
+        x, omega, y, _ = self._inputs(world)
+        refs = world.reference_rows()
+        out = eh2(x, omega, y, cert.L, refs, DT)
+        assert out.shape == x.shape
+        for k in range(len(x)):
+            assert np.array_equal(out[k], eh2(x[k], omega[k], y[k], cert.L, refs, DT))
+
+    def test_ekf_rows_match_single_steps(self, world, noise):
+        x, omega, y, P = self._inputs(world)
+        refs = world.reference_rows()
+        x_new, P_new = ekf(x, P, omega, y, noise, refs, DT)
+        assert P_new.shape == P.shape
+        for k in range(len(x)):
+            xk, Pk = ekf(x[k], P[k], omega[k], y[k], noise, refs, DT)
+            assert np.array_equal(x_new[k], xk)
+            assert np.array_equal(P_new[k], Pk)
+
+    def test_one_row_in_gimbal_band_fails_the_stack(self, world, cert):
+        x, omega, y, _ = self._inputs(world)
+        x[3, 1] = np.pi / 2.0 - EPS_GIMBAL / 2.0
+        with pytest.raises(GimbalLockError, match=r"rows \[3\]"):
+            eh2(x, omega, y, cert.L, world.reference_rows(), DT)

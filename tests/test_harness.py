@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from eh2marg.errors import ConfigError, LengthMismatch
+from eh2marg import harness
+from eh2marg.errors import ConfigError, LengthMismatch, NonFiniteState
 from eh2marg.filters import EH2FilterState, EKFState, eh2_step, ekf_step, initialize_from_first_sample
 from eh2marg.harness import (
     GIMBAL_MARGIN,
@@ -23,7 +24,7 @@ from eh2marg.harness import (
     timing_stats,
 )
 from eh2marg.linearization import nominal_model
-from eh2marg.sensors import NoiseParams, simulate_imu_stream
+from eh2marg.sensors import NoiseParams, WorldConstants, simulate_imu_stream
 from eh2marg.synthesis import synthesize_gain
 
 DEG30 = np.pi / 6.0
@@ -139,6 +140,13 @@ class TestScenarioConfig:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    @pytest.mark.parametrize("g", [[0.0, 0.0, -9.81], [0.1, 0.0, 9.81]])
+    def test_world_with_gravity_off_z_rejected(self, g):
+        with pytest.raises(ConfigError, match="gravity along"):
+            ScenarioConfig.case_ii(world=WorldConstants(g_inertial=g))
+        with pytest.raises(ConfigError, match="gravity along"):
+            ScenarioConfig.from_dict({"case_id": "II", "world": {"g_inertial": g}})
 
     def test_max_steps_itself_accepted(self):
         cfg = ScenarioConfig(case_id="custom", duration=MAX_STEPS / 100.0, amplitude_deg=20)
@@ -464,6 +472,54 @@ class TestRunExperiment:
         assert not list(tmp_path.glob("trial_*.csv"))
         assert (tmp_path / "metrics.json").exists()
 
+    def test_failed_trial_fields(self):
+        cfg = ScenarioConfig.case_ii(num_trials=2)
+        res = run_experiment(cfg, gain=np.full((6, 6), 1e3))
+        for rec in res["trials"]:
+            assert rec["filter"] in ("eh2", "ekf")
+            assert isinstance(rec["step"], int)
+            assert rec["t"] == rec["step"] / cfg.imu_rate
+            assert f": step {rec['step']}: " in rec["error"]
+
+    def test_every_trial_matches_public_steps(self, tmp_path, world, noise):
+        # All trials advance as one (N, 6) stack; each must still equal the
+        # public single-state steps run on its own stream, bit for bit.
+        cfg = ScenarioConfig.case_ii(num_trials=3)
+        run_experiment(cfg, out_dir=tmp_path)
+        traj = generate_trajectory(cfg)
+        L0 = synthesize_gain(nominal_model(noise, world)).L
+        dt = 1.0 / cfg.imu_rate
+        for trial in range(cfg.num_trials):
+            stream = simulate_imu_stream(
+                traj.t, traj.angles, traj.body_rates(), world, noise,
+                np.random.default_rng((cfg.seed, trial)),
+            )
+            x0 = initialize_from_first_sample(stream.sample(0), world)
+            s1 = EH2FilterState(xhat=x0, L0=L0)
+            s2 = EKFState(xhat=x0)
+            est = np.empty((len(stream), 6))
+            est[0] = np.r_[x0.attitude.as_array(), x0.attitude.as_array()]
+            for k in range(len(stream) - 1):
+                sample = stream.sample(k)
+                s1 = eh2_step(s1, sample, world, dt)
+                s2 = ekf_step(s2, sample, world, noise, dt)
+                est[k + 1] = np.r_[s1.xhat.attitude.as_array(), s2.xhat.attitude.as_array()]
+            data = np.loadtxt(tmp_path / f"trial_{trial:03d}.csv", delimiter=",", skiprows=1)
+            assert np.array_equal(data[:, 4:10], est)
+
+    def test_split_into_batches_byte_identical(self, tmp_path, monkeypatch):
+        # MAX_STEPS // 1,000 steps = 2 trials per batch: 5 trials run as 2 + 2 + 1.
+        cfg = ScenarioConfig.case_ii(num_trials=5)
+        whole = run_experiment(cfg, out_dir=tmp_path / "whole")
+        monkeypatch.setattr(harness, "MAX_STEPS", 2_500)
+        split = run_experiment(cfg, out_dir=tmp_path / "split")
+        assert metrics_without_timing(split) == metrics_without_timing(whole)
+        for trial in range(cfg.num_trials):
+            name = f"trial_{trial:03d}.csv"
+            assert (tmp_path / "split" / name).read_bytes() == (
+                tmp_path / "whole" / name
+            ).read_bytes()
+
     def test_invalid_explicit_gain(self):
         cfg = ScenarioConfig.case_ii(num_trials=1)
         with pytest.raises(ConfigError):
@@ -500,3 +556,55 @@ class TestRunTimingBenchmark:
     def test_too_few_steps(self):
         with pytest.raises(ConfigError):
             run_timing_benchmark(steps=100)
+
+
+class TestRunTrials:
+    @staticmethod
+    def _streams(cfg, trials):
+        traj = generate_trajectory(cfg)
+        return traj, [
+            simulate_imu_stream(
+                traj.t, traj.angles, traj.body_rates(), cfg.world, cfg.noise,
+                np.random.default_rng((cfg.seed, trial)),
+            )
+            for trial in trials
+        ]
+
+    def test_failing_trial_leaves_the_others_untouched(self, cert):
+        cfg = ScenarioConfig.case_ii(num_trials=3)
+        dt = 1.0 / cfg.imu_rate
+        traj, streams = self._streams(cfg, range(3))
+        streams[1].a_m[50, 0] = np.nan
+        _, (s0, s2) = self._streams(cfg, (0, 2))
+        batch = harness._run_trials(3, streams, cert.L, cfg.world, cfg.noise, dt)
+        ref = harness._run_trials(2, [s0, s2], cert.L, cfg.world, cfg.noise, dt)
+
+        assert list(batch.failures) == [1]
+        failure = batch.failures[1]
+        assert isinstance(failure.error, NonFiniteState)
+        assert (failure.filter, failure.step, failure.t) == ("eh2", 50, traj.t[50])
+        record = failure.record()
+        assert record["error"].startswith("NonFiniteState: step 50: ")
+        assert (record["filter"], record["step"], record["t"]) == ("eh2", 50, traj.t[50])
+        assert not ref.failures
+        assert np.array_equal(batch.estimates[:, :, [0, 2]], ref.estimates)
+
+    def test_one_trial_matches_a_stack_row(self, cert):
+        cfg = ScenarioConfig.case_ii(num_trials=4)
+        dt = 1.0 / cfg.imu_rate
+        _, streams = self._streams(cfg, range(4))
+        _, (s0,) = self._streams(cfg, (0,))
+        stacked = harness._run_trials(4, streams, cert.L, cfg.world, cfg.noise, dt)
+        single = harness._run_trials(1, [s0], cert.L, cfg.world, cfg.noise, dt)
+        assert np.array_equal(stacked.estimates[:, :, :1], single.estimates)
+        assert np.all(stacked.step_ns > 0.0) and np.all(single.step_ns > 0.0)
+
+    def test_all_trials_failing_stops_early(self):
+        cfg = ScenarioConfig.case_ii(num_trials=2)
+        _, streams = self._streams(cfg, range(2))
+        batch = harness._run_trials(
+            2, streams, np.full((6, 6), 1e3), cfg.world, cfg.noise, 1.0 / cfg.imu_rate
+        )
+        assert sorted(batch.failures) == [0, 1]
+        last = max(f.step for f in batch.failures.values())
+        assert np.all(batch.step_ns[:, last + 1:] == 0.0)

@@ -17,6 +17,7 @@ from eh2marg import (
     kinematic_matrix_inverse,
     wrap_angle,
 )
+from eh2marg.kinematics import _check_gimbal, attitude_matrices
 
 
 def random_angles(rng, n, theta_max=1.4):
@@ -196,3 +197,42 @@ def test_batch_equals_row_by_row_exactly(angles):
     for k, row in enumerate(angles):
         assert np.array_equal(R_all[k], dcm_body_from_inertial(row))
         assert np.array_equal(Tinv_all[k], kinematic_matrix_inverse(row))
+
+
+@given(_angle_batches)
+def test_stacked_rate_matrix_equals_row_by_row_exactly(angles):
+    """T and (T, R) of an (n, 3) stack equal the rows' results bit for bit,
+    and the stack is rejected exactly when one of its rows is."""
+    in_band = np.abs(wrap_angle(angles[:, 1])) >= np.pi / 2.0 - EPS_GIMBAL
+    if in_band.any():
+        with pytest.raises(GimbalLockError):
+            kinematic_matrix(angles)
+        with pytest.raises(GimbalLockError):
+            attitude_matrices(angles)
+        return
+    T_all = kinematic_matrix(angles)
+    T2_all, R_all = attitude_matrices(angles)
+    assert T_all.shape == R_all.shape == (len(angles), 3, 3)
+    for k, row in enumerate(angles):
+        assert np.array_equal(T_all[k], kinematic_matrix(row))
+        T2, R = attitude_matrices(row)
+        assert np.array_equal(T2_all[k], T2)
+        assert np.array_equal(R_all[k], R)
+
+
+def test_check_gimbal_rejects_stack_with_one_row_in_band():
+    states = np.zeros((4, 6))
+    states[:, 1] = [0.1, -1.2, 0.3, 1.5]
+    _check_gimbal(states)
+    _check_gimbal(states[:, :3])
+    states[2, 1] = np.pi / 2.0 - EPS_GIMBAL / 2.0
+    with pytest.raises(GimbalLockError, match=r"rows \[2\]"):
+        _check_gimbal(states)
+    with pytest.raises(GimbalLockError, match=r"rows \[2\]"):
+        _check_gimbal(states[:, :3])
+    # The band is taken on the wrapped pitch, as for one state.
+    states[2, 1] = -np.pi / 2.0 + 2.0 * np.pi
+    with pytest.raises(GimbalLockError):
+        _check_gimbal(states)
+    with pytest.raises(GimbalLockError):
+        _check_gimbal(states[2])

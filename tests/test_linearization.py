@@ -12,7 +12,9 @@ from eh2marg.linearization import (
     finite_difference_jacobian,
     jacobians_measurement,
     jacobians_process,
+    measurement_jacobian,
     nominal_model,
+    rate_jacobian,
 )
 from eh2marg.sensors import NoiseParams, WorldConstants
 
@@ -181,3 +183,17 @@ class TestNominalModel:
         strong = nominal_model(world=WorldConstants(g_inertial=[0.0, 0.0, 20.0]))
         default = nominal_model()
         assert_allclose(strong.Cy[:3, :3], default.Cy[:3, :3] * (20.0 / 9.81), atol=1e-12)
+
+
+def test_stacked_jacobians_equal_row_by_row_exactly(world):
+    rng = np.random.default_rng(11)
+    states = np.array([_random_state(rng).as_vector() for _ in range(7)])
+    omega = rng.normal(scale=0.5, size=(7, 3))
+    refs = world.reference_rows()
+    J_all = rate_jacobian(states[:, :3], omega)
+    H_all = measurement_jacobian(states[:, :3], refs)
+    assert J_all.shape == (7, 3, 3)
+    assert H_all.shape == (7, 6, 3)
+    for k in range(7):
+        assert np.array_equal(J_all[k], rate_jacobian(states[k, :3], omega[k]))
+        assert np.array_equal(H_all[k], measurement_jacobian(states[k, :3], refs))
