@@ -35,7 +35,6 @@ from .sensors import ImuSample, ImuStream, NoiseParams, WorldConstants, simulate
 from .dynamics import EulerState, Measurement6, integrate_step, measurement, state_derivative
 from .linearization import (
     LinearModel,
-    assemble_model,
     finite_difference_jacobian,
     jacobians_measurement,
     jacobians_process,
@@ -109,7 +108,6 @@ __all__ = [
     "UnstableClosedLoop",
     "WorldConstants",
     "angle_error",
-    "assemble_model",
     "compute_metrics",
     "dcm_body_from_inertial",
     "eh2_step",

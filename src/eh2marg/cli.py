@@ -166,8 +166,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.steps < 200:
-        raise ConfigError(f"--steps must be >= 200, got {args.steps}")
     res = run_timing_benchmark(steps=args.steps, seed=args.seed)
     print(f"backend {res['backend']}: {res['steps']} interleaved steps")
     for name in ("eh2", "ekf"):
@@ -211,7 +209,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(
             f"timing: eh2 {timing['eh2_mean_ms']:.6f} ms per trial-step, "
             f"ekf {timing['ekf_mean_ms']:.6f} ms per trial-step, "
-            f"ratio {timing['ratio_eh2_over_ekf']:.4f}"
+            f"ratio per trial-step {timing['ratio_eh2_over_ekf']:.4f} "
+            "(trials stacked; criterion 7 uses eh2marg bench)"
         )
     return 0
 

@@ -2,7 +2,11 @@
 
 The extended-H2 filter propagates the full nonlinear models with a fixed,
 precomputed gain: ``xhat_dot = f(xhat, u, 0) + L0 (h(xhat, 0) - y)``.  The
-EKF baseline re-linearizes per step and propagates a covariance.  Both
+EKF baseline propagates a covariance and re-linearizes at every estimate
+with :func:`~eh2marg.linearization.jacobians_process` and
+:func:`~eh2marg.linearization.jacobians_measurement`, the same two functions
+the offline gain design evaluates at the nominal point, so it linearizes
+the very model the gain was designed on.  Both
 filters consume one :class:`~eh2marg.sensors.ImuSample` per step: the
 sample's gyro drives the propagation over dt and the same sample's
 accel/mag form the innovation — for the extended-H2 filter the measurement
@@ -29,10 +33,9 @@ from .kinematics import (
     _matvec,
     attitude_matrices,
     dcm_body_from_inertial,
-    kinematic_matrix,
     wrap_angle,
 )
-from .linearization import measurement_jacobian, rate_jacobian
+from .linearization import jacobians_measurement, jacobians_process
 from .sensors import ImuSample, NoiseParams, WorldConstants
 
 __all__ = [
@@ -51,7 +54,6 @@ __all__ = [
 DEFAULT_P0 = np.diag([0.1**2] * 3 + [0.01**2] * 3)
 
 _EYE6 = np.eye(6)
-_DIAG6 = np.arange(6)
 
 #: Largest horizontal share of g (|g_xy| / |g|) that still counts as gravity along +z.
 _GRAVITY_AXIS_RTOL = 1e-12
@@ -136,10 +138,14 @@ def ekf(
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """One EKF predict+update cycle on arrays; returns the new (x, P).
 
+    The EKF re-linearizes the design model of the extended-H2 gain at every
+    estimate: A, Bw come from :func:`~eh2marg.linearization.jacobians_process`
+    at the current estimate and Cy, Dw from
+    :func:`~eh2marg.linearization.jacobians_measurement` at the prediction.
     Predict: RK4 mean propagation with the gyro sample, covariance through
-    F = I + A dt and Qd, both linearized at the current estimate.  Update:
-    Kalman gain from the innovation covariance with H linearized at the
-    prediction, then the covariance is symmetrized.  ``x``/``P`` are (6,)
+    F = I + A dt and Qd = Bw Bw^T dt.  Update: Kalman gain from
+    S = H P- H^T + R with H = Cy and R = Dw Dw^T, then the Joseph form
+    (I - K H) P- (I - K H)^T + K R K^T, symmetrized.  ``x``/``P`` are (6,)
     and (6, 6) for one filter, or (N, 6) and (N, 6, 6) for N filters.
 
     Raises
@@ -151,27 +157,21 @@ def ekf(
     NonFiniteState
         If the new estimate is not finite.
     """
-    T = kinematic_matrix(x[..., :3])
-    F = np.empty_like(P)
-    F[...] = _EYE6
-    F[..., :3, :3] += dt * rate_jacobian(x[..., :3], omega - x[..., 3:])
-    F[..., :3, 3:] = -dt * T
+    A, Bw = jacobians_process(x, omega, q)
+    F = _EYE6 + dt * A
     xp = rk4_step(lambda xs: process_model(xs, omega), x, dt)
-    Qd = np.zeros(P.shape)
-    Qd[..., :3, :3] = q.n_w * q.n_w * (T @ T.mT) * dt
-    Qd[..., 3:, 3:] = q.n_b * q.n_b * dt * np.eye(3)
-    Pp = F @ P @ F.mT + Qd
-    H = np.zeros(P.shape)
-    H[..., :, :3] = measurement_jacobian(xp[..., :3], references)
-    S = H @ Pp @ H.mT
-    S[..., _DIAG6, _DIAG6] += [q.n_a * q.n_a] * 3 + [q.n_m * q.n_m] * 3
+    Pp = F @ P @ F.mT + dt * (Bw @ Bw.mT)
+    H, Dw = jacobians_measurement(xp[..., :3], references, q)
+    R = Dw @ Dw.mT
+    S = H @ Pp @ H.mT + R
     PHt = Pp @ H.mT
     try:
         K = np.linalg.solve(S, PHt.mT).mT
     except np.linalg.LinAlgError as exc:
         raise InnovationCovSingular(f"innovation covariance solve failed: {exc}") from exc
     x_new = checked_state(xp + _matvec(K, y - measurement_model(xp[..., :3], references)))
-    P_new = (_EYE6 - K @ H) @ Pp
+    I_KH = _EYE6 - K @ H
+    P_new = I_KH @ Pp @ I_KH.mT + K @ R @ K.mT
     return x_new, 0.5 * (P_new + P_new.mT)
 
 

@@ -735,36 +735,25 @@ def metrics_without_timing(metrics: Any) -> Any:
     return metrics
 
 
-def run_timing_benchmark(
-    steps: int = 10_000,
-    *,
-    seed: int = 42,
-    cfg: ScenarioConfig | None = None,
-) -> dict[str, Any]:
+def run_timing_benchmark(steps: int = 10_000, *, seed: int = 42) -> dict[str, Any]:
     """Interleaved per-step timing of both filters over ``steps`` steps.
 
     Each loop iteration times one extended-H2 step and one EKF step on the
     same sample, so scheduler and thermal drift hit both filters equally.
-    The default scenario is a smooth 20 deg three-axis sinusoid long enough
-    to supply the requested number of steps.
+    The scenario is a smooth 20 deg three-axis sinusoid that supplies
+    exactly the requested number of steps.
     """
     if steps < 200:
         raise ConfigError(f"steps must be >= 200 for stable statistics, got {steps}")
-    if cfg is None:
-        cfg = ScenarioConfig(
-            case_id="custom",
-            duration=steps / 100.0,
-            imu_rate=100.0,
-            angular_speed=0.5,
-            amplitude_deg=20.0,
-            seed=seed,
-            num_trials=1,
-        )
-    n_steps = int(round(cfg.duration * cfg.imu_rate))
-    if n_steps < steps:
-        raise ConfigError(
-            f"scenario provides {n_steps} steps but {steps} were requested"
-        )
+    cfg = ScenarioConfig(
+        case_id="custom",
+        duration=steps / 100.0,
+        imu_rate=100.0,
+        angular_speed=0.5,
+        amplitude_deg=20.0,
+        seed=seed,
+        num_trials=1,
+    )
     cert = synthesize_gain(nominal_model(cfg.noise, cfg.world))
     traj = generate_trajectory(cfg)
     rng = np.random.default_rng((cfg.seed, 0))

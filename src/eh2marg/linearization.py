@@ -1,11 +1,13 @@
-"""Jacobians of the process/measurement models and linear-model assembly.
+"""The linearized plant: one set of Jacobians for the design model and the EKF.
 
-The gain is designed once from the linearization at the nominal operating
-point (zero attitude, zero bias, zero input).  Closed-form Jacobians are
-provided for arbitrary operating points — the EKF baseline re-linearizes at
-the current estimate through :func:`rate_jacobian` and
-:func:`measurement_jacobian` — together with a central finite-difference
-oracle used to cross-check them.
+:func:`jacobians_process` and :func:`jacobians_measurement` are the one
+place the linear model is built.  The gain is designed once, offline, from
+them evaluated at the nominal operating point (zero attitude, zero bias,
+zero input; :func:`nominal_model`); the EKF baseline re-linearizes with the
+same two functions at every estimate.  Both fold the noise standard
+deviations into the columns of Bw and Dw, so the model is driven by
+unit-intensity white noise.  A central finite-difference oracle
+cross-checks the closed forms.
 """
 
 from dataclasses import dataclass
@@ -14,13 +16,11 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamics import EulerState
 from .kinematics import _matrix, _sin_cos, kinematic_matrix
-from .sensors import NoiseParams, WorldConstants, _vector3
+from .sensors import NoiseParams, WorldConstants
 
 __all__ = [
     "LinearModel",
-    "assemble_model",
     "finite_difference_jacobian",
     "jacobians_measurement",
     "jacobians_process",
@@ -29,12 +29,12 @@ __all__ = [
     "rate_jacobian",
 ]
 
-_CZ_DEFAULT = np.hstack([np.eye(3), np.zeros((3, 3))])
+_EYE3 = np.eye(3)
 
 
 @dataclass(frozen=True)
 class LinearModel:
-    """Matrices of the linearized plant x_dot = A x + Bu u + Bw w, y = Cy x + Dw w.
+    """Matrices of the linearized plant x_dot = A x + Bw w, y = Cy x + Dw w.
 
     Noise enters through a single stacked channel w = [n_w; n_b; n_a; n_m]
     in R^12; process and measurement noise occupy disjoint column blocks of
@@ -43,23 +43,13 @@ class LinearModel:
     """
 
     A: NDArray[np.float64]
-    Bu: NDArray[np.float64]
     Bw: NDArray[np.float64]
     Cy: NDArray[np.float64]
-    Du: NDArray[np.float64]
     Dw: NDArray[np.float64]
     Cz: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        shapes = {
-            "A": (6, 6),
-            "Bu": (6, 3),
-            "Bw": (6, 12),
-            "Cy": (6, 6),
-            "Du": (6, 3),
-            "Dw": (6, 12),
-            "Cz": (3, 6),
-        }
+        shapes = {"A": (6, 6), "Bw": (6, 12), "Cy": (6, 6), "Dw": (6, 12), "Cz": (3, 6)}
         for name, shape in shapes.items():
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             if arr.shape != shape:
@@ -138,60 +128,48 @@ def measurement_jacobian(
 
 
 def jacobians_process(
-    nominal: EulerState | None = None, u0: NDArray[np.float64] | None = None
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
-    """Closed-form A, Bu, Bw_process of the process model at an operating point.
+    x: NDArray[np.float64], omega: NDArray[np.float64], noise: NoiseParams
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """A and Bw of the process model, linearized at the state x with gyro input omega.
 
-    Parameters
-    ----------
-    nominal : EulerState, optional
-        Operating state; defaults to the zero nominal point.
-    u0 : array_like, optional
-        Operating gyro input; defaults to zero.
-
-    Returns
-    -------
-    A : numpy.ndarray, shape (6, 6)
-    Bu : numpy.ndarray, shape (6, 3)
-    Bw_process : numpy.ndarray, shape (6, 6)
-        Jacobian w.r.t. the physical process noise [n_w; n_b] (unit intensity;
-        scaling by the noise stds happens in :func:`assemble_model`).
+    ``x`` and ``omega`` are (6,) and (3,), giving A (6, 6) and Bw (6, 12),
+    or (N, 6) and (N, 3) stacks, giving (N, 6, 6) and (N, 6, 12).  Bw maps
+    the unit-intensity channel w = [n_w; n_b; n_a; n_m] with the noise
+    standard deviations folded into its columns; the measurement columns
+    are zero.
 
     Raises
     ------
     GimbalLockError
-        If the nominal attitude sits in the gimbal guard band.
+        If the attitude (of any row) sits in the gimbal guard band.
     """
-    if nominal is None:
-        nominal = EulerState()
-    u = np.zeros(3) if u0 is None else _vector3(u0, "u0")
-    angles = nominal.attitude.as_array()
-    T = kinematic_matrix(angles)
-    A = np.zeros((6, 6))
-    A[:3, :3] = rate_jacobian(angles, u - nominal.bias)
-    A[:3, 3:] = -T
-    Bu = np.vstack([T, np.zeros((3, 3))])
-    Bw_process = np.zeros((6, 6))
-    Bw_process[:3, :3] = -T
-    Bw_process[3:, 3:] = np.eye(3)
-    return A, Bu, Bw_process
+    T = kinematic_matrix(x[..., :3])
+    A = np.zeros(x.shape[:-1] + (6, 6))
+    A[..., :3, :3] = rate_jacobian(x[..., :3], omega - x[..., 3:])
+    A[..., :3, 3:] = -T
+    Bw = np.zeros(x.shape[:-1] + (6, 12))
+    Bw[..., :3, :3] = -noise.n_w * T
+    Bw[..., 3:, 3:6] = noise.n_b * _EYE3
+    return A, Bw
 
 
 def jacobians_measurement(
-    nominal: EulerState | None = None, w: WorldConstants | None = None
+    angles: NDArray[np.float64], references: NDArray[np.float64], noise: NoiseParams
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Closed-form Cy and Dw_meas of the measurement model at an operating point.
+    """Cy and Dw of the measurement model, linearized at the attitude ``angles``.
 
-    The bias columns of Cy are identically zero (h does not depend on b);
-    Dw_meas is the identity on the stacked [n_a; n_m] channel.
+    ``references`` holds the rows [g; h] of
+    :meth:`~eh2marg.sensors.WorldConstants.reference_rows`.  (3,) angles
+    give Cy (6, 6) and Dw (6, 12); (N, 3) angles give (N, 6, 6) and
+    (N, 6, 12).  The bias columns of Cy are zero (h does not depend on b);
+    Dw carries the accelerometer and magnetometer standard deviations on
+    the [n_a; n_m] columns and zeros on the process columns.
     """
-    if nominal is None:
-        nominal = EulerState()
-    if w is None:
-        w = WorldConstants()
-    Cy = np.zeros((6, 6))
-    Cy[:, :3] = measurement_jacobian(nominal.attitude.as_array(), w.reference_rows())
-    return Cy, np.eye(6)
+    Cy = np.zeros(angles.shape[:-1] + (6, 6))
+    Cy[..., :3] = measurement_jacobian(angles, references)
+    Dw = np.zeros(angles.shape[:-1] + (6, 12))
+    Dw[..., 6:] = np.diag([noise.n_a] * 3 + [noise.n_m] * 3)
+    return Cy, Dw
 
 
 def finite_difference_jacobian(
@@ -213,51 +191,12 @@ def finite_difference_jacobian(
     return jac
 
 
-def assemble_model(
-    process: tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]],
-    measurement: tuple[NDArray[np.float64], NDArray[np.float64]],
-    noise: NoiseParams,
-    cz: NDArray[np.float64] | None = None,
-) -> LinearModel:
-    """Assemble the LinearModel, folding noise stds into the Bw/Dw columns.
-
-    The synthesis consumes unit-intensity white noise, so the covariances
-    enter by scaling: the n_w/n_b columns of Bw_process and the n_a/n_m
-    columns of Dw_meas are multiplied by their standard deviations.
-
-    Parameters
-    ----------
-    process : tuple
-        (A, Bu, Bw_process) from :func:`jacobians_process`.
-    measurement : tuple
-        (Cy, Dw_meas) from :func:`jacobians_measurement`.
-    noise : NoiseParams
-    cz : numpy.ndarray, optional
-        Performance output map; defaults to attitude-only, [I3 03].
-    """
-    A, Bu, Bw_process = (np.asarray(m, dtype=np.float64) for m in process)
-    Cy, Dw_meas = (np.asarray(m, dtype=np.float64) for m in measurement)
-    scale_proc = np.diag([noise.n_w] * 3 + [noise.n_b] * 3)
-    scale_meas = np.diag([noise.n_a] * 3 + [noise.n_m] * 3)
-    Bw = np.hstack([Bw_process @ scale_proc, np.zeros((6, 6))])
-    Dw = np.hstack([np.zeros((6, 6)), Dw_meas @ scale_meas])
-    return LinearModel(
-        A=A,
-        Bu=Bu,
-        Bw=Bw,
-        Cy=Cy,
-        Du=np.zeros((6, 3)),
-        Dw=Dw,
-        Cz=_CZ_DEFAULT.copy() if cz is None else np.asarray(cz, dtype=np.float64),
-    )
-
-
 def nominal_model(
     noise: NoiseParams | None = None, world: WorldConstants | None = None
 ) -> LinearModel:
-    """LinearModel at the zero nominal point with the given noise and world."""
+    """The design model: both Jacobians at the zero state and zero input, Cz = [I3 0]."""
     noise = NoiseParams() if noise is None else noise
     world = WorldConstants() if world is None else world
-    return assemble_model(
-        jacobians_process(), jacobians_measurement(w=world), noise
-    )
+    A, Bw = jacobians_process(np.zeros(6), np.zeros(3), noise)
+    Cy, Dw = jacobians_measurement(np.zeros(3), world.reference_rows(), noise)
+    return LinearModel(A=A, Bw=Bw, Cy=Cy, Dw=Dw, Cz=np.eye(3, 6))

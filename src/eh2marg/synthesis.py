@@ -186,25 +186,18 @@ def synthesize_gain(m: LinearModel) -> GainCertificate:
     if not detectable:
         raise SynthesisFailure(f"(A, Cy) is not detectable: eigenvalue {bad_eig} unobservable")
 
-    if np.all(m.Cy == 0.0):
-        # No information in y; the optimal gain is zero (A must already be stable).
-        max_real = float(np.max(np.real(np.linalg.eigvals(m.A))))
-        if not max_real < 0.0:
-            raise SynthesisFailure("Cy = 0 with unstable A: no stabilizing estimator exists")
-        L = np.zeros((m.A.shape[0], m.Cy.shape[0]))
-    else:
-        W = m.Bw @ m.Bw.T
-        S = m.Bw @ m.Dw.T
-        V_inv_S_T = np.linalg.solve(V, S.T)
-        A_tilde = m.A - S @ np.linalg.solve(V, m.Cy)
-        W_tilde = W - S @ V_inv_S_T
-        W_tilde = 0.5 * (W_tilde + W_tilde.T)
-        try:
-            P = solve_care(A_tilde.T, m.Cy.T, W_tilde, V)
-        except NonConvergence as exc:
-            raise SynthesisFailure(f"filter CARE did not converge: {exc}") from exc
-        K = np.linalg.solve(V.T, (P @ m.Cy.T + S).T).T
-        L = -K
+    W = m.Bw @ m.Bw.T
+    S = m.Bw @ m.Dw.T
+    V_inv_S_T = np.linalg.solve(V, S.T)
+    A_tilde = m.A - S @ np.linalg.solve(V, m.Cy)
+    W_tilde = W - S @ V_inv_S_T
+    W_tilde = 0.5 * (W_tilde + W_tilde.T)
+    try:
+        P = solve_care(A_tilde.T, m.Cy.T, W_tilde, V)
+    except NonConvergence as exc:
+        raise SynthesisFailure(f"filter CARE did not converge: {exc}") from exc
+    K = np.linalg.solve(V.T, (P @ m.Cy.T + S).T).T
+    L = -K
 
     F = m.A + L @ m.Cy
     max_real = float(np.max(np.real(np.linalg.eigvals(F))))

@@ -97,13 +97,11 @@ def test_criterion_1_jacobian_fidelity(capfd, world, noise):
 
         x0, u0, w0 = np.zeros(6), np.zeros(3), np.zeros(12)
         fd_A = finite_difference_jacobian(lambda v: f_aug(v, u0, w0), x0)
-        fd_Bu = finite_difference_jacobian(lambda v: f_aug(x0, v, w0), u0)
         fd_Bw = finite_difference_jacobian(lambda v: f_aug(x0, u0, v), w0)
         fd_Cy = finite_difference_jacobian(lambda v: h_aug(v, w0), x0)
         fd_Dw = finite_difference_jacobian(lambda v: h_aug(x0, v), w0)
         for name, closed, fd in (
             ("A", m.A, fd_A),
-            ("Bu", m.Bu, fd_Bu),
             ("Bw", m.Bw, fd_Bw),
             ("Cy", m.Cy, fd_Cy),
             ("Dw", m.Dw, fd_Dw),

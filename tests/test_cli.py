@@ -181,6 +181,8 @@ class TestReport:
             assert axis in text
         assert "eh2 yaw wins: 1/1" in text
         assert "ms per trial-step" in text
+        assert "ratio per trial-step" in text
+        assert "(trials stacked; criterion 7 uses eh2marg bench)" in text
 
     def test_missing_metrics_exits_1(self, tmp_path, capsys):
         rc = main(["report", "--out", str(tmp_path)])

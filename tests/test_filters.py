@@ -16,8 +16,9 @@ from eh2marg.filters import (
     ekf_step,
     initialize_from_first_sample,
 )
+from eh2marg.harness import ScenarioConfig, generate_trajectory
 from eh2marg.kinematics import EPS_GIMBAL, EulerAngles, angle_error
-from eh2marg.sensors import ImuSample, NoiseParams, WorldConstants
+from eh2marg.sensors import ImuSample, NoiseParams, WorldConstants, simulate_imu_stream
 
 DT = 0.01
 
@@ -267,6 +268,22 @@ class TestEkfStep:
             s = ekf_step(s, sample, world, noise, DT)
             assert np.array_equal(s.P, s.P.T)
             assert np.min(np.linalg.eigvalsh(s.P)) >= -1e-10
+
+    def test_covariance_symmetric_psd_over_case_ii_trial(self):
+        # Every step of one case II trial (60 deg motion): the Joseph-form
+        # update keeps P exactly symmetric and PSD up to rounding.
+        cfg = ScenarioConfig.case_ii(num_trials=1)
+        traj = generate_trajectory(cfg)
+        stream = simulate_imu_stream(
+            traj.t, traj.angles, traj.body_rates(), cfg.world, cfg.noise,
+            np.random.default_rng((cfg.seed, 0)),
+        )
+        dt = 1.0 / cfg.imu_rate
+        s = EKFState(xhat=initialize_from_first_sample(stream.sample(0), cfg.world))
+        for k in range(len(stream) - 1):
+            s = ekf_step(s, stream.sample(k), cfg.world, cfg.noise, dt)
+            assert np.array_equal(s.P, s.P.T)
+            assert np.min(np.linalg.eigvalsh(s.P)) >= -1e-12 * np.max(np.abs(s.P))
 
     def test_default_initial_covariance(self):
         s = EKFState(xhat=EulerState())

@@ -1,4 +1,4 @@
-"""Tests for the closed-form Jacobians and linear-model assembly."""
+"""Tests for the closed-form Jacobians and the linear model built from them."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from eh2marg.dynamics import EulerState, measurement, state_derivative
 from eh2marg.kinematics import EulerAngles
 from eh2marg.linearization import (
     LinearModel,
-    assemble_model,
     finite_difference_jacobian,
     jacobians_measurement,
     jacobians_process,
@@ -17,6 +16,9 @@ from eh2marg.linearization import (
     rate_jacobian,
 )
 from eh2marg.sensors import NoiseParams, WorldConstants
+
+#: Unit standard deviations: Bw and Dw then hold the bare noise Jacobians.
+UNIT = NoiseParams(n_w=1.0, n_b=1.0, n_a=1.0, n_m=1.0)
 
 
 def _random_state(rng: np.random.Generator) -> EulerState:
@@ -43,17 +45,18 @@ class TestFiniteDifferenceOracle:
 
 class TestProcessJacobians:
     def test_nominal_blocks(self):
-        A, Bu, Bw_proc = jacobians_process()
+        A, Bw = jacobians_process(np.zeros(6), np.zeros(3), UNIT)
         assert_allclose(A[:3, :3], np.zeros((3, 3)), atol=0)
         assert_allclose(A[:3, 3:], -np.eye(3), atol=0)
         assert_allclose(A[3:, :], np.zeros((3, 6)), atol=0)
-        assert_allclose(Bu, np.vstack([np.eye(3), np.zeros((3, 3))]), atol=0)
-        assert_allclose(Bw_proc[:3, :3], -np.eye(3), atol=0)
-        assert_allclose(Bw_proc[:3, 3:], np.zeros((3, 3)), atol=0)
-        assert_allclose(Bw_proc[3:, 3:], np.eye(3), atol=0)
+        assert_allclose(Bw[:3, :3], -np.eye(3), atol=0)
+        assert_allclose(Bw[:3, 3:6], np.zeros((3, 3)), atol=0)
+        assert_allclose(Bw[3:, :3], np.zeros((3, 3)), atol=0)
+        assert_allclose(Bw[3:, 3:6], np.eye(3), atol=0)
+        assert np.all(Bw[:, 6:] == 0.0)
 
     def test_matches_finite_difference_at_nominal(self):
-        A, _, _ = jacobians_process()
+        A, _ = jacobians_process(np.zeros(6), np.zeros(3), UNIT)
         fd = finite_difference_jacobian(
             lambda v: state_derivative(EulerState.from_vector(v), np.zeros(3)),
             np.zeros(6),
@@ -65,45 +68,37 @@ class TestProcessJacobians:
         rng = np.random.default_rng(seed)
         x0 = _random_state(rng)
         u0 = rng.normal(scale=0.8, size=3)
-        A, _, _ = jacobians_process(nominal=x0, u0=u0)
+        A, _ = jacobians_process(x0.as_vector(), u0, UNIT)
         fd = finite_difference_jacobian(
             lambda v: state_derivative(EulerState.from_vector(v), u0),
             x0.as_vector(),
         )
         assert np.max(np.abs(A - fd)) < 1e-6
 
-    def test_input_jacobian_matches_finite_difference(self):
-        rng = np.random.default_rng(11)
-        x0 = _random_state(rng)
-        u0 = rng.normal(size=3)
-        _, Bu, _ = jacobians_process(nominal=x0, u0=u0)
-        fd = finite_difference_jacobian(
-            lambda u: state_derivative(x0, u), u0
-        )
-        assert np.max(np.abs(Bu - fd)) < 1e-6
-
 
 class TestMeasurementJacobians:
-    def test_gravity_block_at_nominal(self):
+    def test_gravity_block_at_nominal(self, world):
         # For g = [0, 0, g0] the attitude sensitivity of R g at zero attitude
         # is g0 * [[0, -1, 0], [1, 0, 0], [0, 0, 0]].
         g0 = 9.81
-        Cy, Dw_meas = jacobians_measurement()
+        Cy, Dw = jacobians_measurement(np.zeros(3), world.reference_rows(), UNIT)
         expected = g0 * np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         assert_allclose(Cy[:3, :3], expected, atol=1e-14)
-        assert_allclose(Dw_meas, np.eye(6), atol=0)
+        assert np.all(Dw[:, :6] == 0.0)
+        assert_allclose(Dw[:, 6:], np.eye(6), atol=0)
 
-    def test_bias_columns_are_zero(self):
+    def test_bias_columns_are_zero(self, world):
         rng = np.random.default_rng(3)
         for _ in range(5):
-            Cy, _ = jacobians_measurement(nominal=_random_state(rng))
+            angles = _random_state(rng).attitude.as_array()
+            Cy, _ = jacobians_measurement(angles, world.reference_rows(), UNIT)
             assert np.all(Cy[:, 3:] == 0.0)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_finite_difference(self, seed, world):
         rng = np.random.default_rng(seed + 100)
         x0 = _random_state(rng)
-        Cy, _ = jacobians_measurement(nominal=x0, w=world)
+        Cy, _ = jacobians_measurement(x0.attitude.as_array(), world.reference_rows(), UNIT)
         fd = finite_difference_jacobian(
             lambda v: measurement(EulerState.from_vector(v), world).stacked(),
             x0.as_vector(),
@@ -115,35 +110,29 @@ class TestLinearModel:
     def test_shape_rejection(self):
         m = nominal_model()
         with pytest.raises(ValueError, match="shape"):
-            LinearModel(
-                A=np.zeros((5, 6)),
-                Bu=m.Bu,
-                Bw=m.Bw,
-                Cy=m.Cy,
-                Du=m.Du,
-                Dw=m.Dw,
-                Cz=m.Cz,
-            )
+            LinearModel(A=np.zeros((5, 6)), Bw=m.Bw, Cy=m.Cy, Dw=m.Dw, Cz=m.Cz)
 
     def test_nonfinite_rejection(self):
         m = nominal_model()
         bad = m.A.copy()
         bad[0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            LinearModel(A=bad, Bu=m.Bu, Bw=m.Bw, Cy=m.Cy, Du=m.Du, Dw=m.Dw, Cz=m.Cz)
+            LinearModel(A=bad, Bw=m.Bw, Cy=m.Cy, Dw=m.Dw, Cz=m.Cz)
 
     def test_channel_overlap_rejection(self):
         m = nominal_model()
         bad = m.Bw.copy()
         bad[0, 7] = 1.0  # process matrix leaking into the measurement block
         with pytest.raises(ValueError, match="disjoint"):
-            LinearModel(A=m.A, Bu=m.Bu, Bw=bad, Cy=m.Cy, Du=m.Du, Dw=m.Dw, Cz=m.Cz)
+            LinearModel(A=m.A, Bw=bad, Cy=m.Cy, Dw=m.Dw, Cz=m.Cz)
 
 
 class TestAssembleModel:
+    """The noise folding and the performance output of :func:`nominal_model`."""
+
     def test_noise_std_folding(self):
         noise = NoiseParams(n_w=0.005, n_b=1e-4, n_a=0.02, n_m=0.005)
-        m = assemble_model(jacobians_process(), jacobians_measurement(), noise)
+        m = nominal_model(noise)
         assert_allclose(m.Bw[:3, :3], -0.005 * np.eye(3), atol=0)
         assert_allclose(m.Bw[3:, 3:6], 1e-4 * np.eye(3), atol=0)
         assert np.all(m.Bw[:, 6:] == 0.0)
@@ -154,14 +143,6 @@ class TestAssembleModel:
     def test_default_performance_output(self):
         m = nominal_model()
         assert_allclose(m.Cz, np.hstack([np.eye(3), np.zeros((3, 3))]), atol=0)
-        assert np.all(m.Du == 0.0)
-
-    def test_custom_cz(self):
-        cz = np.hstack([2.0 * np.eye(3), np.zeros((3, 3))])
-        m = assemble_model(
-            jacobians_process(), jacobians_measurement(), NoiseParams(), cz=cz
-        )
-        assert_allclose(m.Cz, cz, atol=0)
 
 
 class TestNominalModel:
@@ -185,15 +166,25 @@ class TestNominalModel:
         assert_allclose(strong.Cy[:3, :3], default.Cy[:3, :3] * (20.0 / 9.81), atol=1e-12)
 
 
-def test_stacked_jacobians_equal_row_by_row_exactly(world):
+def test_stacked_jacobians_equal_row_by_row_exactly(world, noise):
     rng = np.random.default_rng(11)
     states = np.array([_random_state(rng).as_vector() for _ in range(7)])
     omega = rng.normal(scale=0.5, size=(7, 3))
     refs = world.reference_rows()
     J_all = rate_jacobian(states[:, :3], omega)
     H_all = measurement_jacobian(states[:, :3], refs)
+    A_all, Bw_all = jacobians_process(states, omega, noise)
+    Cy_all, Dw_all = jacobians_measurement(states[:, :3], refs, noise)
     assert J_all.shape == (7, 3, 3)
     assert H_all.shape == (7, 6, 3)
+    assert A_all.shape == Cy_all.shape == (7, 6, 6)
+    assert Bw_all.shape == Dw_all.shape == (7, 6, 12)
     for k in range(7):
         assert np.array_equal(J_all[k], rate_jacobian(states[k, :3], omega[k]))
         assert np.array_equal(H_all[k], measurement_jacobian(states[k, :3], refs))
+        A, Bw = jacobians_process(states[k], omega[k], noise)
+        Cy, Dw = jacobians_measurement(states[k, :3], refs, noise)
+        assert np.array_equal(A_all[k], A)
+        assert np.array_equal(Bw_all[k], Bw)
+        assert np.array_equal(Cy_all[k], Cy)
+        assert np.array_equal(Dw_all[k], Dw)

@@ -1,0 +1,83 @@
+"""The public surface of the package, and the part of it the benchmark uses.
+
+The benchmark scripts under ``benchmark/`` import the package from source and
+read names off it.  A name deleted here would fail every benchmark
+repetition; these tests make it fail the test suite instead.  The scripts
+are parsed, never imported or run.
+"""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import pytest
+
+import eh2marg
+
+BENCHMARK_SCRIPTS = ("workloads.py", "run.py")
+BENCHMARK_DIR = Path(__file__).resolve().parent.parent / "benchmark"
+
+
+def _names_read_off_package(path: Path) -> set[str]:
+    """Dotted names the script reads off ``eh2marg``, e.g. ``nominal_model``, ``cli.main``.
+
+    Covers ``eh2marg.X`` and, for ``from eh2marg import X``, X itself and
+    ``X.Y`` read off it.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    aliases = {"eh2marg": ""}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "eh2marg":
+            for alias in node.names:
+                aliases[alias.asname or alias.name] = alias.name
+    names = {name for name in aliases.values() if name}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            prefix = aliases.get(node.value.id)
+            if prefix is not None and not node.attr.startswith("__"):
+                names.add(f"{prefix}.{node.attr}" if prefix else node.attr)
+    return names
+
+
+def _resolve(dotted: str):
+    head, *rest = dotted.split(".")
+    try:
+        obj = getattr(eh2marg, head)
+    except AttributeError:  # a submodule, as in ``from eh2marg import cli``
+        obj = importlib.import_module(f"eh2marg.{head}")
+    for part in rest:
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in eh2marg.__all__ if not hasattr(eh2marg, name)]
+    assert not missing, f"__all__ lists names the package lacks: {missing}"
+
+
+@pytest.mark.parametrize("script", BENCHMARK_SCRIPTS)
+def test_benchmark_reads_only_existing_names(script):
+    names = _names_read_off_package(BENCHMARK_DIR / script)
+    assert names, f"no eh2marg names found in {script}"
+    missing = []
+    for name in sorted(names):
+        try:
+            _resolve(name)
+        except (AttributeError, ImportError):
+            missing.append(name)
+    assert not missing, f"{script} reads names the package lacks: {missing}"
+
+
+def test_benchmark_names_include_its_entry_points():
+    names = set().union(
+        *(_names_read_off_package(BENCHMARK_DIR / s) for s in BENCHMARK_SCRIPTS)
+    )
+    assert {"cli.main", "nominal_model", "synthesize_gain", "eh2_step", "ekf_step"} <= names
+
+
+def test_nominal_model_accepts_noise_and_world():
+    noise, world = eh2marg.NoiseParams(), eh2marg.WorldConstants()
+    inspect.signature(eh2marg.nominal_model).bind(noise, world)
+    model = eh2marg.nominal_model(noise, world)
+    assert model.A.shape == (6, 6)
