@@ -170,7 +170,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print(f"backend {res['backend']}: {res['steps']} interleaved steps")
     for name in ("eh2", "ekf"):
         s = res[name]
-        print(f"  {name}: {s['mean_ms']:.6f} ms/step (std {s['std_ms']:.6f})")
+        print(
+            f"  {name}: {s['mean_ms']:.6f} ms/step (std {s['std_ms']:.6f}, "
+            f"p50 {s['p50_ms']:.6f}, p95 {s['p95_ms']:.6f})"
+        )
     print(f"  ratio eh2/ekf: {res['ratio_eh2_over_ekf']:.4f}")
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
@@ -206,12 +209,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
     print(f"eh2 yaw wins: {agg['yaw_wins_eh2']}/{agg['num_ok']}")
     timing = agg.get("timing")
     if timing is not None:
-        print(
-            f"timing: eh2 {timing['eh2_mean_ms']:.6f} ms per trial-step, "
-            f"ekf {timing['ekf_mean_ms']:.6f} ms per trial-step, "
-            f"ratio per trial-step {timing['ratio_eh2_over_ekf']:.4f} "
-            "(trials stacked; criterion 7 uses eh2marg bench)"
-        )
+        print("timing in ms per trial-step (trials stacked; criterion 7 uses eh2marg bench):")
+        for name in ("eh2", "ekf"):
+            # p50/p95 are absent from metrics.json files written before they were recorded.
+            stats = [
+                f"{stat} {timing[f'{name}_{stat}_ms']:.6f}"
+                for stat in ("mean", "p50", "p95")
+                if f"{name}_{stat}_ms" in timing
+            ]
+            print(f"  {name}: {', '.join(stats)}")
+        print(f"  ratio per trial-step {timing['ratio_eh2_over_ekf']:.4f}")
     return 0
 
 

@@ -43,7 +43,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EulerState:
-    """Filter state: attitude plus gyro bias."""
+    """Filter state: attitude plus gyro bias.
+
+    Every construction checks the state: the attitude through
+    :class:`~eh2marg.kinematics.EulerAngles`, and a finite (3,) bias.  The
+    public filter steps build one per step, so the checks run on Python
+    floats rather than through one numpy call per value.
+    """
 
     attitude: EulerAngles = field(default_factory=EulerAngles.zero)
     bias: NDArray[np.float64] = field(default_factory=lambda: np.zeros(3))
@@ -54,10 +60,11 @@ class EulerState:
     @classmethod
     def from_vector(cls, x: ArrayLike) -> "EulerState":
         arr = np.asarray(x, dtype=np.float64).reshape(6)
-        return cls(attitude=EulerAngles.from_array(arr[:3]), bias=arr[3:])
+        return cls(attitude=EulerAngles(*arr[:3].tolist()), bias=arr[3:])
 
     def as_vector(self) -> NDArray[np.float64]:
-        return np.concatenate([self.attitude.as_array(), self.bias])
+        a = self.attitude
+        return np.array([a.phi, a.theta, a.psi, *self.bias.tolist()])
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from .kinematics import (
     wrap_angle,
 )
 from .linearization import jacobians_measurement, jacobians_process
-from .sensors import ImuSample, NoiseParams, WorldConstants
+from .sensors import ImuSample, NoiseParams, WorldConstants, _finite
 
 __all__ = [
     "DEFAULT_P0",
@@ -72,7 +72,7 @@ class EH2FilterState:
 
     def __post_init__(self) -> None:
         L0 = np.asarray(self.L0, dtype=np.float64)
-        if L0.shape != (6, 6) or not np.all(np.isfinite(L0)):
+        if L0.shape != (6, 6) or not _finite(L0):
             raise ValueError("L0 must be a finite 6x6 matrix")
         object.__setattr__(self, "L0", L0)
 
@@ -86,7 +86,7 @@ class EKFState:
 
     def __post_init__(self) -> None:
         P = np.asarray(self.P, dtype=np.float64)
-        if P.shape != (6, 6) or not np.all(np.isfinite(P)):
+        if P.shape != (6, 6) or not _finite(P):
             raise ValueError("P must be a finite 6x6 matrix")
         object.__setattr__(self, "P", P)
 

@@ -417,20 +417,37 @@ def compute_metrics(
     )
 
 
+#: Leading per-step times treated as warm-up (allocator, caches) and
+#: excluded from timing statistics when more samples are available.
+_WARMUP_STEPS = 100
+
+
+def _steady_times(per_step_times_ms: NDArray[np.float64]) -> NDArray[np.float64]:
+    times = np.asarray(per_step_times_ms, dtype=np.float64).ravel()
+    if times.size == 0:
+        raise ValueError("need at least one timing sample")
+    return times[_WARMUP_STEPS:] if times.size > _WARMUP_STEPS else times
+
+
 def timing_stats(per_step_times_ms: NDArray[np.float64]) -> tuple[float, float]:
     """Mean and sample standard deviation of per-step times, in ms.
 
     When more than 100 samples are available the first 100 are treated as
     warm-up (allocator, caches) and excluded.
     """
-    times = np.asarray(per_step_times_ms, dtype=np.float64).ravel()
-    if times.size == 0:
-        raise ValueError("need at least one timing sample")
-    if times.size > 100:
-        times = times[100:]
+    times = _steady_times(per_step_times_ms)
     mean = float(np.mean(times))
     std = float(np.std(times, ddof=1)) if times.size > 1 else 0.0
     return mean, std
+
+
+def _timing_block(per_step_times_ms: NDArray[np.float64]) -> dict[str, float]:
+    """One filter's timing in metrics.json and bench.json: :func:`timing_stats`
+    as ``mean_ms``/``std_ms`` plus the median and 95th percentile of the
+    same steps as ``p50_ms``/``p95_ms``."""
+    mean, std = timing_stats(per_step_times_ms)
+    p50, p95 = np.percentile(_steady_times(per_step_times_ms), [50.0, 95.0]).tolist()
+    return {"mean_ms": mean, "std_ms": std, "p50_ms": p50, "p95_ms": p95}
 
 
 #: Rows formatted per write: one format operation per block is about twice
@@ -463,14 +480,16 @@ def _write_trial_csv(
 class _Failure(NamedTuple):
     """Why a trial stopped: the error, and the filter step that raised it.
 
-    ``filter``, ``step`` and ``t`` (the time of the sample the step
-    consumed) are None when the trial failed before its first step.
+    ``filter``, ``step``, ``t`` (the time of the sample the step consumed)
+    and ``last_state`` (the six floats of the state the step started from)
+    are None when the trial failed before its first step.
     """
 
     error: Eh2MargError
     filter: str | None = None
     step: int | None = None
     t: float | None = None
+    last_state: list[float] | None = None
 
     @property
     def message(self) -> str:
@@ -483,6 +502,7 @@ class _Failure(NamedTuple):
             "filter": self.filter,
             "step": self.step,
             "t": self.t,
+            "last_state": self.last_state,
         }
 
 
@@ -584,7 +604,9 @@ def _run_trials(
             step_ns[f, k] = (perf_counter_ns() - tic) / len(live)
             if errors:
                 for i, exc in errors.items():
-                    failures[int(live[i])] = _Failure(exc, name, k, float(t[k]))
+                    failures[int(live[i])] = _Failure(
+                        exc, name, k, float(t[k]), states[f][0][i].tolist()
+                    )
                 keep = np.ones(len(live), dtype=bool)
                 keep[list(errors)] = False
                 live = live[keep]
@@ -636,7 +658,7 @@ def run_experiment(
     trials: list[dict[str, Any]] = []
     ok_eh2: list[RunMetrics] = []
     ok_ekf: list[RunMetrics] = []
-    timing_means = {"eh2": [], "ekf": []}  # type: dict[str, list[float]]
+    timings: list[dict[str, dict[str, float]]] = []
     yaw_wins = 0
     batch_size = MAX_STEPS // (len(traj) - 1)
     for first in range(0, cfg.num_trials, batch_size):
@@ -661,20 +683,15 @@ def run_experiment(
             m_eh2 = compute_metrics(traj, est_eh2, exclude_initial)
             m_ekf = compute_metrics(traj, est_ekf, exclude_initial)
             if timing is None:
-                timing = [timing_stats(ns * 1e-6) for ns in batch.step_ns]
-            (mean1, std1), (mean2, std2) = timing
+                timing = [_timing_block(ns * 1e-6) for ns in batch.step_ns]
             record["ok"] = True
             record["eh2"] = m_eh2.to_dict()
             record["ekf"] = m_ekf.to_dict()
-            record["timing"] = {
-                "eh2": {"mean_ms": mean1, "std_ms": std1},
-                "ekf": {"mean_ms": mean2, "std_ms": std2},
-            }
+            record["timing"] = {"eh2": dict(timing[0]), "ekf": dict(timing[1])}
             trials.append(record)
             ok_eh2.append(m_eh2)
             ok_ekf.append(m_ekf)
-            timing_means["eh2"].append(mean1)
-            timing_means["ekf"].append(mean2)
+            timings.append(record["timing"])
             if m_eh2.rms[2] < m_ekf.rms[2]:
                 yaw_wins += 1
             if out_path is not None:
@@ -699,13 +716,16 @@ def run_experiment(
             "err_max_deg": np.max([m.err_max for m in ok_ekf], axis=0).tolist(),
         }
         aggregate["yaw_wins_eh2"] = yaw_wins
-        mean_eh2 = float(np.mean(timing_means["eh2"]))
-        mean_ekf = float(np.mean(timing_means["ekf"]))
-        aggregate["timing"] = {
-            "eh2_mean_ms": mean_eh2,
-            "ekf_mean_ms": mean_ekf,
-            "ratio_eh2_over_ekf": mean_eh2 / mean_ekf if mean_ekf > 0.0 else float("nan"),
+        agg_timing = {
+            f"{name}_{stat}": float(np.mean([t[name][stat] for t in timings]))
+            for name in ("eh2", "ekf")
+            for stat in ("mean_ms", "p50_ms", "p95_ms")
         }
+        mean_eh2, mean_ekf = agg_timing["eh2_mean_ms"], agg_timing["ekf_mean_ms"]
+        agg_timing["ratio_eh2_over_ekf"] = (
+            mean_eh2 / mean_ekf if mean_ekf > 0.0 else float("nan")
+        )
+        aggregate["timing"] = agg_timing
 
     result: dict[str, Any] = {
         "config": cfg.to_dict(),
@@ -764,12 +784,12 @@ def run_timing_benchmark(steps: int = 10_000, *, seed: int = 42) -> dict[str, An
     if batch.failures:
         failure = batch.failures[0]
         raise type(failure.error)(failure.message) from failure.error
-    mean1, std1 = timing_stats(batch.step_ns[0, :steps] * 1e-6)
-    mean2, std2 = timing_stats(batch.step_ns[1, :steps] * 1e-6)
+    eh2_timing, ekf_timing = (_timing_block(ns[:steps] * 1e-6) for ns in batch.step_ns)
+    mean1, mean2 = eh2_timing["mean_ms"], ekf_timing["mean_ms"]
     return {
         "backend": BACKEND,
         "steps": int(steps),
-        "eh2": {"mean_ms": mean1, "std_ms": std1},
-        "ekf": {"mean_ms": mean2, "std_ms": std2},
+        "eh2": eh2_timing,
+        "ekf": ekf_timing,
         "ratio_eh2_over_ekf": mean1 / mean2 if mean2 > 0.0 else float("nan"),
     }

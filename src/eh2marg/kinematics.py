@@ -32,6 +32,11 @@ __all__ = [
 #: Half-width (rad) of the exclusion band around theta = +/- pi/2.
 EPS_GIMBAL = 1e-6
 
+#: Smallest |pitch| (rad) in the exclusion band.
+_GIMBAL_BOUND = np.pi / 2.0 - EPS_GIMBAL
+#: Margin (rad) far above the rounding error of wrap_angle near +/- pi/2.
+_GIMBAL_SLACK = 1e-12
+
 
 def wrap_angle(angle: ArrayLike) -> NDArray[np.float64] | float:
     """Wrap angle(s) to the interval (-pi, pi].
@@ -71,18 +76,19 @@ class EulerAngles:
     psi: float
 
     def __post_init__(self) -> None:
+        # Tests on Python floats with math: a filter step builds one of these.
         for name in ("phi", "theta", "psi"):
             value = float(getattr(self, name))
             object.__setattr__(self, name, value)
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         for name in ("phi", "psi"):
             value = getattr(self, name)
-            if not (-np.pi < value <= np.pi):
+            if not (-math.pi < value <= math.pi):
                 raise ValueError(
                     f"{name} must lie in (-pi, pi], got {value!r}; use wrap_angle"
                 )
-        if not (-np.pi / 2.0 < self.theta < np.pi / 2.0):
+        if not (-math.pi / 2.0 < self.theta < math.pi / 2.0):
             raise ValueError(
                 f"theta must lie strictly inside (-pi/2, pi/2), got {self.theta!r}"
             )
@@ -93,8 +99,7 @@ class EulerAngles:
 
     @classmethod
     def from_array(cls, values: ArrayLike) -> "EulerAngles":
-        arr = np.asarray(values, dtype=np.float64).reshape(3)
-        return cls(float(arr[0]), float(arr[1]), float(arr[2]))
+        return cls(*np.asarray(values, dtype=np.float64).reshape(3).tolist())
 
     def as_array(self) -> NDArray[np.float64]:
         return np.array([self.phi, self.theta, self.psi])
@@ -108,7 +113,12 @@ def _check_gimbal(x: NDArray[np.float64]) -> None:
     """
     if x.ndim > 1:
         theta = x[:, 1]
-        bad = np.abs(wrap_angle(theta)) >= np.pi / 2.0 - EPS_GIMBAL
+        # Wrapping moves a pitch inside (-pi, pi] by at most a few ulp, so a
+        # stack whose every |pitch| is below the band by _GIMBAL_SLACK passes
+        # without it; only a stack that could touch the band is wrapped.
+        if np.abs(theta).max(initial=0.0) < _GIMBAL_BOUND - _GIMBAL_SLACK:
+            return
+        bad = np.abs(wrap_angle(theta)) >= _GIMBAL_BOUND
         if bad.any():
             raise GimbalLockError(
                 f"pitch {theta[bad]!r} rad of rows {np.flatnonzero(bad).tolist()} is "
@@ -116,7 +126,7 @@ def _check_gimbal(x: NDArray[np.float64]) -> None:
             )
         return
     theta = float(x[1])
-    if abs(math.pi - (math.pi - theta) % (2.0 * math.pi)) >= math.pi / 2.0 - EPS_GIMBAL:
+    if abs(math.pi - (math.pi - theta) % (2.0 * math.pi)) >= _GIMBAL_BOUND:
         raise GimbalLockError(
             f"pitch {theta!r} rad is within {EPS_GIMBAL} rad of the +/- pi/2 singularity"
         )

@@ -6,11 +6,13 @@ a caller-owned :class:`numpy.random.Generator` — the module never touches
 global RNG state.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
+from .errors import LengthMismatch
 from .kinematics import dcm_body_from_inertial
 
 __all__ = ["ImuSample", "ImuStream", "NoiseParams", "WorldConstants", "simulate_imu_stream"]
@@ -20,9 +22,16 @@ __all__ = ["ImuSample", "ImuStream", "NoiseParams", "WorldConstants", "simulate_
 _SPACING_RTOL = 1e-6
 
 
+def _finite(arr: NDArray[np.float64]) -> bool:
+    """Whether every entry is finite, tested on Python floats: the filter
+    steps check a few small arrays per call, and np.all(np.isfinite(arr))
+    costs more there than the tests themselves."""
+    return all(map(math.isfinite, arr.ravel().tolist()))
+
+
 def _vector3(values: ArrayLike, name: str) -> NDArray[np.float64]:
     arr = np.asarray(values, dtype=np.float64).reshape(3)
-    if not np.all(np.isfinite(arr)):
+    if not _finite(arr):
         raise ValueError(f"{name} must be finite, got {arr!r}")
     return arr
 
@@ -49,7 +58,14 @@ class NoiseParams:
 
 @dataclass(frozen=True)
 class WorldConstants:
-    """Inertial-frame reference vectors sensed by the accelerometer and magnetometer."""
+    """Inertial-frame reference vectors sensed by the accelerometer and magnetometer.
+
+    The vectors are copied on construction and are read-only: ``g_inertial``
+    and ``h_inertial`` are the rows of the (2, 3) array that
+    :meth:`reference_rows` returns, built once here rather than per filter
+    step, so they cannot drift apart.  Two worlds are equal when their
+    vectors are.
+    """
 
     g_inertial: NDArray[np.float64] = field(
         default_factory=lambda: np.array([0.0, 0.0, 9.81])
@@ -59,10 +75,14 @@ class WorldConstants:
     )
 
     def __post_init__(self) -> None:
-        g = _vector3(self.g_inertial, "g_inertial")
-        h = _vector3(self.h_inertial, "h_inertial")
+        rows = np.stack(
+            [_vector3(self.g_inertial, "g_inertial"), _vector3(self.h_inertial, "h_inertial")]
+        )
+        rows.flags.writeable = False
+        g, h = rows
         object.__setattr__(self, "g_inertial", g)
         object.__setattr__(self, "h_inertial", h)
+        object.__setattr__(self, "_rows", rows)
         if np.linalg.norm(g) == 0.0:
             raise ValueError("g_inertial must be nonzero")
         if np.linalg.norm(h) == 0.0:
@@ -71,9 +91,15 @@ class WorldConstants:
         if cross <= 1e-10 * np.linalg.norm(g) * np.linalg.norm(h):
             raise ValueError("h_inertial must not be parallel to g_inertial")
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WorldConstants):
+            return NotImplemented
+        return bool(np.array_equal(self._rows, other._rows))
+
     def reference_rows(self) -> NDArray[np.float64]:
-        """g and h as the rows of a (2, 3) array, the form the measurement model takes."""
-        return np.stack([self.g_inertial, self.h_inertial])
+        """g and h as the rows of a read-only (2, 3) array, the form the
+        measurement model takes; the same array on every call."""
+        return self._rows
 
 
 @dataclass(frozen=True)
@@ -87,7 +113,7 @@ class ImuSample:
 
     def __post_init__(self) -> None:
         t = float(self.t)
-        if not np.isfinite(t):
+        if not math.isfinite(t):
             raise ValueError(f"t must be finite, got {t!r}")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "omega_m", _vector3(self.omega_m, "omega_m"))
@@ -101,13 +127,32 @@ class ImuSample:
 
 @dataclass(frozen=True)
 class ImuStream:
-    """A dense IMU sample stream as column arrays (one row per sample)."""
+    """A dense IMU sample stream as column arrays (one row per sample).
+
+    The shapes are checked once, here: ``t`` is (n,) with n >= 2 and the
+    other four columns are (n, 3).  Finiteness is checked per sample, by
+    :class:`ImuSample`.
+
+    Raises
+    ------
+    LengthMismatch
+        If a column has another shape.
+    """
 
     t: NDArray[np.float64]
     omega_m: NDArray[np.float64]
     a_m: NDArray[np.float64]
     m_m: NDArray[np.float64]
     bias_true: NDArray[np.float64]
+
+    def __post_init__(self) -> None:
+        shapes = {f.name: np.shape(getattr(self, f.name)) for f in fields(self)}
+        n = shapes["t"][0] if len(shapes["t"]) == 1 else 0
+        if n < 2 or any(shape != (n, 3) for name, shape in shapes.items() if name != "t"):
+            raise LengthMismatch(
+                "ImuStream needs t of shape (n,) with n >= 2 and (n, 3) columns, got "
+                + ", ".join(f"{name} {shape}" for name, shape in shapes.items())
+            )
 
     def __len__(self) -> int:
         return self.t.shape[0]

@@ -183,6 +183,23 @@ class TestReport:
         assert "ms per trial-step" in text
         assert "ratio per trial-step" in text
         assert "(trials stacked; criterion 7 uses eh2marg bench)" in text
+        for name in ("eh2", "ekf"):
+            line = next(ln for ln in text.splitlines() if ln.startswith(f"  {name}: "))
+            assert "mean " in line and "p50 " in line and "p95 " in line
+
+    def test_old_metrics_without_percentiles(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--case", "II", "--trials", "1", "--out", str(out)]) == 0
+        doc = json.loads((out / "metrics.json").read_text())
+        timing = doc["aggregate"]["timing"]
+        for key in ("eh2_p50_ms", "eh2_p95_ms", "ekf_p50_ms", "ekf_p95_ms"):
+            del timing[key]
+        (out / "metrics.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert f"  eh2: mean {timing['eh2_mean_ms']:.6f}\n" in text
+        assert "p50" not in text
 
     def test_missing_metrics_exits_1(self, tmp_path, capsys):
         rc = main(["report", "--out", str(tmp_path)])
@@ -198,11 +215,16 @@ class TestBench:
     def test_small_run_writes_json(self, tmp_path, capsys):
         rc = main(["bench", "--steps", "300", "--out", str(tmp_path)])
         assert rc == 0
-        assert "ratio eh2/ekf:" in capsys.readouterr().out
+        text = capsys.readouterr().out
+        assert "ratio eh2/ekf:" in text
         with open(tmp_path / "bench.json") as fh:
             doc = json.load(fh)
         assert doc["steps"] == 300
         assert doc["eh2"]["mean_ms"] > 0.0
+        for name in ("eh2", "ekf"):
+            s = doc[name]
+            assert 0.0 < s["p50_ms"] <= s["p95_ms"]
+            assert f"p50 {s['p50_ms']:.6f}, p95 {s['p95_ms']:.6f})" in text
 
     def test_too_few_steps_exits_1(self):
         assert main(["bench", "--steps", "100"]) == 1

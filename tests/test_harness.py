@@ -5,11 +5,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from eh2marg import harness
 from eh2marg.errors import ConfigError, LengthMismatch, NonFiniteState
-from eh2marg.filters import EH2FilterState, EKFState, eh2_step, ekf_step, initialize_from_first_sample
+from eh2marg.filters import (
+    EH2FilterState,
+    EKFState,
+    eh2,
+    eh2_step,
+    ekf_step,
+    initialize_from_first_sample,
+)
 from eh2marg.harness import (
     GIMBAL_MARGIN,
     MAX_STEPS,
@@ -28,6 +37,38 @@ from eh2marg.sensors import NoiseParams, WorldConstants, simulate_imu_stream
 from eh2marg.synthesis import synthesize_gain
 
 DEG30 = np.pi / 6.0
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+#: Valid configs: every field drawn, steps per trial kept below MAX_STEPS,
+#: gravity along +z and the magnetic vector off that axis.
+_configs = st.builds(
+    ScenarioConfig,
+    case_id=st.sampled_from(["I", "II", "custom"]),
+    duration=_floats(1e-3, 400.0),
+    imu_rate=_floats(1e-3, 1000.0),
+    angular_speed=_floats(0.0, 10.0),
+    amplitude_deg=st.none() | _floats(0.0, 90.0) | st.tuples(*[_floats(0.0, 90.0)] * 3),
+    noise=st.builds(NoiseParams, *[_floats(0.0, 1.0)] * 4),
+    world=st.builds(
+        WorldConstants,
+        g_inertial=st.tuples(st.just(0.0), st.just(0.0), _floats(0.1, 100.0)),
+        h_inertial=st.tuples(_floats(0.1, 10.0), _floats(-10.0, 10.0), _floats(-10.0, 10.0)),
+    ),
+    seed=st.integers(0, 2**64 - 1),
+    num_trials=st.integers(1, 1000),
+)
+
+
+@given(_configs)
+def test_config_dict_round_trip_property(cfg):
+    for doc in (cfg.to_dict(), json.loads(json.dumps(cfg.to_dict()))):
+        back = ScenarioConfig.from_dict(doc)
+        assert back == cfg
+        assert back.config_hash() == cfg.config_hash()
 
 
 class TestScenarioConfig:
@@ -337,6 +378,17 @@ class TestTimingStats:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             timing_stats(np.array([]))
+        with pytest.raises(ValueError):
+            harness._timing_block(np.array([]))
+
+    def test_block_percentiles_drop_the_same_warmup(self):
+        times = np.concatenate([np.full(100, 99.0), np.arange(1.0, 101.0)])
+        block = harness._timing_block(times)
+        assert (block["mean_ms"], block["std_ms"]) == timing_stats(times)
+        assert block["p50_ms"] == pytest.approx(50.5)
+        assert block["p95_ms"] == pytest.approx(95.05)
+        short = harness._timing_block(np.array([4.0, 1.0, 2.0]))
+        assert (short["p50_ms"], short["mean_ms"]) == (2.0, pytest.approx(7.0 / 3.0))
 
 
 class TestRunExperiment:
@@ -404,6 +456,13 @@ class TestRunExperiment:
         assert agg["yaw_wins_eh2"] == wins
         assert agg["timing"]["eh2_mean_ms"] > 0.0
         assert agg["timing"]["ekf_mean_ms"] > 0.0
+        for name in ("eh2", "ekf"):
+            for stat in ("mean_ms", "p50_ms", "p95_ms"):
+                per_trial = [t["timing"][name][stat] for t in res["trials"]]
+                assert agg["timing"][f"{name}_{stat}"] == pytest.approx(np.mean(per_trial))
+            block = res["trials"][0]["timing"][name]
+            assert set(block) == {"mean_ms", "std_ms", "p50_ms", "p95_ms"}
+            assert 0.0 < block["p50_ms"] <= block["p95_ms"]
 
     def test_deterministic_outputs(self, tmp_path):
         cfg = ScenarioConfig.case_ii(num_trials=2, seed=123)
@@ -480,6 +539,14 @@ class TestRunExperiment:
             assert isinstance(rec["step"], int)
             assert rec["t"] == rec["step"] / cfg.imu_rate
             assert f": step {rec['step']}: " in rec["error"]
+            assert len(rec["last_state"]) == 6
+            assert all(isinstance(v, float) and np.isfinite(v) for v in rec["last_state"])
+
+    def test_failed_initialization_has_no_last_state(self):
+        record = harness._Failure(NonFiniteState("x")).record()
+        assert (record["filter"], record["step"], record["t"], record["last_state"]) == (
+            None, None, None, None
+        )
 
     def test_every_trial_matches_public_steps(self, tmp_path, world, noise):
         # All trials advance as one (N, 6) stack; each must still equal the
@@ -551,6 +618,7 @@ class TestRunTimingBenchmark:
         for name in ("eh2", "ekf"):
             assert res[name]["mean_ms"] > 0.0
             assert res[name]["std_ms"] >= 0.0
+            assert 0.0 < res[name]["p50_ms"] <= res[name]["p95_ms"]
         assert res["ratio_eh2_over_ekf"] > 0.0
 
     def test_too_few_steps(self):
@@ -588,6 +656,17 @@ class TestRunTrials:
         assert (record["filter"], record["step"], record["t"]) == ("eh2", 50, traj.t[50])
         assert not ref.failures
         assert np.array_equal(batch.estimates[:, :, [0, 2]], ref.estimates)
+
+        # last_state is the state the failing eh2 step started from: the
+        # state after 50 steps of trial 1 run alone, as six JSON floats.
+        x = initialize_from_first_sample(streams[1].sample(0), cfg.world).as_vector()
+        for k in range(50):
+            smp = streams[1].sample(k)
+            x = eh2(x, smp.omega_m, smp.stacked_measurement(), cert.L,
+                    cfg.world.reference_rows(), dt)
+        assert record["last_state"] == failure.last_state == x.tolist()
+        assert json.loads(json.dumps(record))["last_state"] == x.tolist()
+        assert np.array_equal(batch.estimates[0, 50, 1], x[:3])
 
     def test_one_trial_matches_a_stack_row(self, cert):
         cfg = ScenarioConfig.case_ii(num_trials=4)

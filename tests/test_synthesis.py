@@ -5,6 +5,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from numpy.testing import assert_allclose
 
 from eh2marg.errors import NonConvergence, SynthesisFailure, UnstableClosedLoop
@@ -215,6 +218,20 @@ class TestGainTextFormat:
         path = tmp_path / "gain.txt"
         save_gain_text(cert.L, path)
         assert np.array_equal(load_gain_text(path), cert.L)
+
+    @given(
+        arrays(
+            np.float64,
+            array_shapes(min_dims=2, max_dims=2, max_side=7),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        )
+    )
+    def test_roundtrip_bit_exact_property(self, tmp_path_factory, L):
+        path = tmp_path_factory.mktemp("gain") / "gain.txt"
+        save_gain_text(L, path)
+        loaded = load_gain_text(path)
+        assert loaded.shape == L.shape
+        assert loaded.tobytes() == L.tobytes()  # -0.0 and subnormals included
 
     def test_layout(self, tmp_path):
         path = tmp_path / "gain.txt"

@@ -1,0 +1,303 @@
+"""The checks of the step-path containers and the gimbal guard, input by input.
+
+Each case pins the exception type and the exact message, so that a cheaper
+form of a check is held to rejecting what the numpy form rejected, in the
+same words.
+"""
+
+import json
+import math
+import re
+
+import numpy as np
+import pytest
+
+from eh2marg.dynamics import EulerState
+from eh2marg.errors import GimbalLockError, LengthMismatch
+from eh2marg.filters import EH2FilterState, EKFState
+from eh2marg.kinematics import EPS_GIMBAL, EulerAngles, _check_gimbal
+from eh2marg.sensors import ImuSample, ImuStream, WorldConstants
+
+NONFINITE = [np.nan, np.inf, -np.inf]
+HALF_PI = np.pi / 2.0
+
+
+def _raises(make, exc_type, message):
+    with pytest.raises(exc_type) as info:
+        make()
+    assert type(info.value) is exc_type
+    assert str(info.value) == message
+
+
+def _vec(i, bad):
+    v = np.array([0.1, -0.2, 0.3])
+    v[i] = bad
+    return v
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+@pytest.mark.parametrize("i", range(3))
+@pytest.mark.parametrize("name", ["omega_m", "a_m", "m_m"])
+def test_imu_sample_rejects_nonfinite_vector(name, i, bad):
+    kwargs = dict(t=0.5, omega_m=[0.0, 0.0, 0.0], a_m=[0.0, 0.0, 9.81], m_m=[0.5, 0.0, 0.5])
+    kwargs[name] = _vec(i, bad)
+    _raises(lambda: ImuSample(**kwargs), ValueError, f"{name} must be finite, got {_vec(i, bad)!r}")
+
+
+@pytest.mark.parametrize("t", NONFINITE + [np.float64(np.nan), np.array(np.inf)])
+def test_imu_sample_rejects_nonfinite_time(t):
+    _raises(
+        lambda: ImuSample(t=t, omega_m=np.zeros(3), a_m=np.zeros(3), m_m=np.zeros(3)),
+        ValueError,
+        f"t must be finite, got {float(t)!r}",
+    )
+
+
+def test_imu_sample_takes_numpy_scalars_and_0d_time():
+    for t in (np.float64(0.25), np.array(0.25), np.float32(0.25)):
+        s = ImuSample(t=t, omega_m=np.zeros(3), a_m=np.zeros(3), m_m=np.zeros(3))
+        assert type(s.t) is float and s.t == 0.25
+
+
+@pytest.mark.parametrize("value", [np.zeros(2), np.zeros(4), np.array(1.0), np.zeros((1, 3, 1))])
+def test_imu_sample_shape_checks_unchanged(value):
+    size = np.asarray(value).size
+    if size == 3:
+        ImuSample(t=0.0, omega_m=value, a_m=np.zeros(3), m_m=np.zeros(3))
+        return
+    _raises(
+        lambda: ImuSample(t=0.0, omega_m=value, a_m=np.zeros(3), m_m=np.zeros(3)),
+        ValueError,
+        f"cannot reshape array of size {size} into shape (3,)",
+    )
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+@pytest.mark.parametrize("name", ["phi", "theta", "psi"])
+def test_euler_angles_reject_nonfinite(name, bad):
+    values = dict(phi=0.1, theta=-0.2, psi=0.3)
+    values[name] = bad
+    _raises(lambda: EulerAngles(**values), ValueError, f"{name} must be finite, got {float(bad)!r}")
+    # numpy-scalar and 0-d inputs give the same message
+    values[name] = np.float64(bad)
+    _raises(lambda: EulerAngles(**values), ValueError, f"{name} must be finite, got {float(bad)!r}")
+    values[name] = np.array(bad)
+    _raises(lambda: EulerAngles(**values), ValueError, f"{name} must be finite, got {float(bad)!r}")
+
+
+@pytest.mark.parametrize("name", ["phi", "psi"])
+def test_euler_angles_half_open_interval(name):
+    values = dict(phi=0.0, theta=0.0, psi=0.0)
+    for bad in (-np.pi, -math.pi, np.float64(-np.pi), 4.0, -4.0, np.nextafter(np.pi, 4.0)):
+        values[name] = bad
+        _raises(
+            lambda: EulerAngles(**values),
+            ValueError,
+            f"{name} must lie in (-pi, pi], got {float(bad)!r}; use wrap_angle",
+        )
+    values[name] = np.pi
+    assert getattr(EulerAngles(**values), name) == math.pi
+    values[name] = np.nextafter(-np.pi, 0.0)
+    assert getattr(EulerAngles(**values), name) == np.nextafter(-np.pi, 0.0)
+
+
+@pytest.mark.parametrize(
+    "theta", [HALF_PI, -HALF_PI, np.array(HALF_PI), np.float64(-HALF_PI), 2.0, -np.pi]
+)
+def test_euler_angles_reject_theta_at_or_beyond_half_pi(theta):
+    _raises(
+        lambda: EulerAngles(0.0, theta, 0.0),
+        ValueError,
+        f"theta must lie strictly inside (-pi/2, pi/2), got {float(theta)!r}",
+    )
+
+
+def test_euler_angles_keep_python_floats():
+    e = EulerAngles(np.float64(0.1), np.array(-0.2), np.float32(0.5))
+    assert all(type(v) is float for v in (e.phi, e.theta, e.psi))
+    assert (e.phi, e.theta, e.psi) == (0.1, -0.2, float(np.float32(0.5)))
+    inside = np.nextafter(HALF_PI, 0.0)
+    assert EulerAngles(0.0, inside, 0.0).theta == inside
+    assert EulerAngles(0.0, -inside, 0.0).theta == -inside
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+@pytest.mark.parametrize("i", range(6))
+def test_euler_state_from_vector_rejects_nonfinite(i, bad):
+    x = np.array([0.1, -0.2, 0.3, 0.01, 0.02, 0.03])
+    x[i] = bad
+    if i < 3:
+        name = ("phi", "theta", "psi")[i]
+        message = f"{name} must be finite, got {float(bad)!r}"
+    else:
+        message = f"bias must be finite, got {x[3:]!r}"
+    _raises(lambda: EulerState.from_vector(x), ValueError, message)
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+def test_euler_state_rejects_nonfinite_bias(bad):
+    _raises(
+        lambda: EulerState(bias=[0.0, bad, 0.0]),
+        ValueError,
+        f"bias must be finite, got {np.array([0.0, bad, 0.0])!r}",
+    )
+
+
+@pytest.mark.parametrize("bias", [[0.0, 0.0], np.zeros(4), np.zeros((3, 3)), 0.0])
+def test_euler_state_rejects_wrong_shape_bias(bias):
+    size = np.asarray(bias).size
+    _raises(
+        lambda: EulerState(bias=bias),
+        ValueError,
+        f"cannot reshape array of size {size} into shape (3,)",
+    )
+
+
+def test_euler_state_vector_round_trip_is_exact():
+    x = np.array([np.pi, np.nextafter(-HALF_PI, 0.0), -3.0, 1e-300, -5e300, 0.0])
+    s = EulerState.from_vector(x)
+    assert np.array_equal(s.as_vector(), x)
+    assert s.as_vector().dtype == np.float64
+    assert np.array_equal(EulerState.from_vector(x.tolist()).as_vector(), x)
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+def test_filter_states_reject_nonfinite_matrices(bad):
+    x = EulerState()
+    for i in (0, 17, 35):
+        m = np.eye(6)
+        m.flat[i] = bad
+        _raises(lambda: EH2FilterState(xhat=x, L0=m), ValueError, "L0 must be a finite 6x6 matrix")
+        _raises(lambda: EKFState(xhat=x, P=m), ValueError, "P must be a finite 6x6 matrix")
+
+
+@pytest.mark.parametrize("shape", [(6,), (5, 6), (6, 6, 1), (36,)])
+def test_filter_states_reject_wrong_shape(shape):
+    m = np.zeros(shape)
+    _raises(lambda: EH2FilterState(xhat=EulerState(), L0=m), ValueError, "L0 must be a finite 6x6 matrix")
+    _raises(lambda: EKFState(xhat=EulerState(), P=m), ValueError, "P must be a finite 6x6 matrix")
+
+
+def test_world_reference_rows_are_read_only_and_match_the_vectors():
+    w = WorldConstants(g_inertial=[0.0, 0.0, 9.8], h_inertial=[0.4, 0.1, 0.6])
+    rows = w.reference_rows()
+    assert rows is w.reference_rows()
+    assert rows.shape == (2, 3)
+    assert np.array_equal(rows, np.stack([w.g_inertial, w.h_inertial]))
+    for a in (rows, w.g_inertial, w.h_inertial):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
+def test_world_does_not_freeze_or_alias_the_caller_array():
+    g = np.array([0.0, 0.0, 9.81])
+    w = WorldConstants(g_inertial=g)
+    g[2] = 1.0
+    assert g.flags.writeable
+    assert w.g_inertial[2] == 9.81 and w.reference_rows()[0, 2] == 9.81
+
+
+def test_world_equality_compares_values():
+    assert WorldConstants() == WorldConstants(g_inertial=[0, 0, 9.81], h_inertial=(0.48, 0, 0.58))
+    assert WorldConstants() != WorldConstants(g_inertial=[0.0, 0.0, 9.8])
+
+
+@pytest.mark.parametrize(
+    "fields, shapes",
+    [
+        (dict(t=np.zeros(1)), "t (1,)"),
+        (dict(t=np.zeros((5, 1))), "t (5, 1)"),
+        (dict(omega_m=np.zeros((4, 3))), "omega_m (4, 3)"),
+        (dict(a_m=np.zeros((5, 2))), "a_m (5, 2)"),
+        (dict(m_m=np.zeros(15)), "m_m (15,)"),
+        (dict(bias_true=np.zeros((6, 3))), "bias_true (6, 3)"),
+    ],
+)
+def test_imu_stream_checks_shapes_at_construction(fields, shapes):
+    n = 5
+    arrays = dict(
+        t=np.arange(n) * 0.01,
+        omega_m=np.zeros((n, 3)),
+        a_m=np.zeros((n, 3)),
+        m_m=np.zeros((n, 3)),
+        bias_true=np.zeros((n, 3)),
+    )
+    ImuStream(**arrays)
+    arrays.update(fields)
+    with pytest.raises(LengthMismatch, match=r"^ImuStream needs t of shape \(n,\) with n >= 2 "):
+        ImuStream(**arrays)
+    with pytest.raises(LengthMismatch, match=re.escape(shapes)):
+        ImuStream(**arrays)
+
+
+def _rows_rejected_one_by_one(thetas):
+    bad = []
+    for i, theta in enumerate(thetas):
+        try:
+            _check_gimbal(np.array([0.0, theta, 0.0]))
+        except GimbalLockError:
+            bad.append(i)
+    return bad
+
+
+def _rows_rejected_stacked(states):
+    try:
+        _check_gimbal(states)
+    except GimbalLockError as exc:
+        return json.loads(str(exc).split(" of rows ")[1].split(" is within")[0])
+    return []
+
+
+EDGE = HALF_PI - EPS_GIMBAL
+EDGE_THETAS = [
+    EDGE,
+    np.nextafter(EDGE, 0.0),
+    np.nextafter(EDGE, 2.0),
+    -EDGE,
+    np.nextafter(-EDGE, 0.0),
+    np.nextafter(-EDGE, -2.0),
+    EDGE - 1e-12,
+    -EDGE + 1e-12,
+    EDGE + 2.0 * np.pi,
+    np.nextafter(EDGE, 0.0) - 2.0 * np.pi,
+    0.3 + 2.0 * np.pi,
+    -0.3 - 4.0 * np.pi,
+    np.pi - 0.2,
+    -np.pi + 0.2,
+    np.pi,
+    3.0 * np.pi / 2.0,
+    0.0,
+]
+
+
+@pytest.mark.parametrize("theta", EDGE_THETAS)
+def test_stacked_gimbal_guard_equals_row_by_row(theta):
+    thetas = [0.1, theta, -0.4]
+    states = np.zeros((3, 6))
+    states[:, 1] = thetas
+    expected = _rows_rejected_one_by_one(thetas)
+    assert _rows_rejected_stacked(states) == expected
+    assert _rows_rejected_stacked(states[:, :3]) == expected
+
+
+def test_stacked_gimbal_guard_lists_every_rejected_row():
+    states = np.zeros((len(EDGE_THETAS), 3))
+    states[:, 1] = EDGE_THETAS
+    expected = _rows_rejected_one_by_one(EDGE_THETAS)
+    assert expected  # the edge set holds rows on both sides of the band
+    assert len(expected) < len(EDGE_THETAS)
+    assert _rows_rejected_stacked(states) == expected
+    with pytest.raises(GimbalLockError) as info:
+        _check_gimbal(states)
+    assert str(info.value) == (
+        f"pitch {states[expected, 1]!r} rad of rows {expected} is "
+        f"within {EPS_GIMBAL} rad of the +/- pi/2 singularity"
+    )
+
+
+def test_stacked_gimbal_guard_takes_empty_and_nan_stacks():
+    _check_gimbal(np.zeros((0, 6)))
+    states = np.zeros((2, 6))
+    states[1, 1] = np.nan
+    assert _rows_rejected_stacked(states) == _rows_rejected_one_by_one([0.0, np.nan]) == []
