@@ -24,15 +24,13 @@ from .errors import (
 from .kinematics import (
     EPS_GIMBAL,
     EulerAngles,
-    angle_error,
     dcm_body_from_inertial,
-    euler_rates,
     kinematic_matrix,
     kinematic_matrix_inverse,
     wrap_angle,
 )
 from .sensors import ImuSample, ImuStream, NoiseParams, WorldConstants, simulate_imu_stream
-from .dynamics import EulerState, Measurement6, integrate_step, measurement, state_derivative
+from .dynamics import EulerState
 from .linearization import (
     LinearModel,
     finite_difference_jacobian,
@@ -71,7 +69,6 @@ from .harness import (
     metrics_without_timing,
     run_experiment,
     run_timing_benchmark,
-    timing_stats,
 )
 
 __version__ = "0.1.0"
@@ -97,7 +94,6 @@ __all__ = [
     "LengthMismatch",
     "LinearModel",
     "LmiReport",
-    "Measurement6",
     "NoiseParams",
     "NonConvergence",
     "NonFiniteState",
@@ -107,23 +103,19 @@ __all__ = [
     "Trajectory",
     "UnstableClosedLoop",
     "WorldConstants",
-    "angle_error",
     "compute_metrics",
     "dcm_body_from_inertial",
     "eh2_step",
     "ekf_step",
-    "euler_rates",
     "finite_difference_jacobian",
     "generate_trajectory",
     "h2_norm_of_error_system",
     "initialize_from_first_sample",
-    "integrate_step",
     "jacobians_measurement",
     "jacobians_process",
     "kinematic_matrix",
     "kinematic_matrix_inverse",
     "load_gain_text",
-    "measurement",
     "metrics_without_timing",
     "nominal_model",
     "run_experiment",
@@ -132,9 +124,7 @@ __all__ = [
     "simulate_imu_stream",
     "solve_care",
     "solve_lyapunov",
-    "state_derivative",
     "synthesize_gain",
-    "timing_stats",
     "verify_lmi",
     "wrap_angle",
     "__version__",

@@ -133,8 +133,6 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_scenario(args)
-    if args.exclude_initial < 0.0:
-        raise ConfigError(f"--exclude-initial must be >= 0, got {args.exclude_initial}")
     gain = None
     if args.gain is not None:
         try:

@@ -8,8 +8,8 @@ held constant across the step.
 
 The array-level functions (:func:`process_model`, :func:`measurement_model`,
 :func:`rk4_step`, :func:`checked_state`) take a plain ``(6,)`` state array
-or an ``(N, 6)`` stack of states that advance together; both filters and
-dead reckoning (:func:`integrate_step`) are built on them.
+or an ``(N, 6)`` stack of states that advance together; both filters are
+built on them.
 """
 
 from dataclasses import dataclass, field
@@ -27,18 +27,14 @@ from .kinematics import (
     kinematic_matrix,
     wrap_angle,
 )
-from .sensors import WorldConstants, _vector3
+from .sensors import _vector3
 
 __all__ = [
     "EulerState",
-    "Measurement6",
     "checked_state",
-    "integrate_step",
-    "measurement",
     "measurement_model",
     "process_model",
     "rk4_step",
-    "state_derivative",
 ]
 
 @dataclass(frozen=True)
@@ -65,21 +61,6 @@ class EulerState:
     def as_vector(self) -> NDArray[np.float64]:
         a = self.attitude
         return np.array([a.phi, a.theta, a.psi, *self.bias.tolist()])
-
-
-@dataclass(frozen=True)
-class Measurement6:
-    """Stacked accelerometer/magnetometer output y in R^6."""
-
-    accel: NDArray[np.float64]
-    mag: NDArray[np.float64]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "accel", _vector3(self.accel, "accel"))
-        object.__setattr__(self, "mag", _vector3(self.mag, "mag"))
-
-    def stacked(self) -> NDArray[np.float64]:
-        return np.concatenate([self.accel, self.mag])
 
 
 def process_model(x: NDArray[np.float64], omega: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -144,48 +125,3 @@ def checked_state(x: NDArray[np.float64]) -> NDArray[np.float64]:
     if not np.isfinite(x).all():
         raise NonFiniteState(f"state became non-finite: {x!r}")
     return x
-
-
-def state_derivative(x: EulerState, omega_m: ArrayLike) -> NDArray[np.float64]:
-    """Noise-free state derivative, stacked as ``[Phi_dot; b_dot]`` with b_dot = 0.
-
-    Raises
-    ------
-    GimbalLockError
-        Propagated from the rate transformation.
-    """
-    return process_model(x.as_vector(), _vector3(omega_m, "omega_m"))
-
-
-def measurement(x: EulerState, w: WorldConstants) -> Measurement6:
-    """Noise-free measurement h(x): gravity and magnetic vector in the body frame.
-
-    The gyro bias does not enter h.
-    """
-    y = measurement_model(x.attitude.as_array(), w.reference_rows())
-    return Measurement6(accel=y[:3], mag=y[3:])
-
-
-def integrate_step(x: EulerState, omega_m: ArrayLike, dt: float) -> EulerState:
-    """One classical RK4 step of the process model; attitude re-wrapped after.
-
-    Parameters
-    ----------
-    x : EulerState
-        State at the start of the step.
-    omega_m : array_like, shape (3,)
-        Gyro sample, held constant over the step (zero-order hold).
-    dt : float
-        Step length in seconds, > 0.
-
-    Raises
-    ------
-    GimbalLockError
-        If any internal RK4 stage enters the gimbal guard band.
-    NonFiniteState
-        If the integrated state is not finite.
-    """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be > 0, got {dt!r}")
-    omega = _vector3(omega_m, "omega_m")
-    return EulerState.from_vector(rk4_step(lambda xs: process_model(xs, omega), x.as_vector(), dt))

@@ -48,7 +48,6 @@ __all__ = [
     "metrics_without_timing",
     "run_experiment",
     "run_timing_benchmark",
-    "timing_stats",
 ]
 
 #: Array backend that runs the filters, recorded in metrics.json and bench.json.
@@ -404,7 +403,7 @@ def compute_metrics(
         raise LengthMismatch(
             f"estimates must have shape ({n}, 3) to match truth, got {est.shape}"
         )
-    if exclude_initial < 0.0:
+    if not exclude_initial >= 0.0:
         raise ValueError(f"exclude_initial must be >= 0, got {exclude_initial!r}")
     keep = truth.t - truth.t[0] >= exclude_initial
     if not np.any(keep):
@@ -422,32 +421,23 @@ def compute_metrics(
 _WARMUP_STEPS = 100
 
 
-def _steady_times(per_step_times_ms: NDArray[np.float64]) -> NDArray[np.float64]:
+def _timing_block(per_step_times_ms: NDArray[np.float64]) -> dict[str, float]:
+    """One filter's timing in metrics.json and bench.json, in ms: mean,
+    sample standard deviation, median and 95th percentile of the per-step
+    times.  When more than 100 samples are available the first 100 are
+    treated as warm-up (allocator, caches) and excluded."""
     times = np.asarray(per_step_times_ms, dtype=np.float64).ravel()
     if times.size == 0:
         raise ValueError("need at least one timing sample")
-    return times[_WARMUP_STEPS:] if times.size > _WARMUP_STEPS else times
-
-
-def timing_stats(per_step_times_ms: NDArray[np.float64]) -> tuple[float, float]:
-    """Mean and sample standard deviation of per-step times, in ms.
-
-    When more than 100 samples are available the first 100 are treated as
-    warm-up (allocator, caches) and excluded.
-    """
-    times = _steady_times(per_step_times_ms)
-    mean = float(np.mean(times))
-    std = float(np.std(times, ddof=1)) if times.size > 1 else 0.0
-    return mean, std
-
-
-def _timing_block(per_step_times_ms: NDArray[np.float64]) -> dict[str, float]:
-    """One filter's timing in metrics.json and bench.json: :func:`timing_stats`
-    as ``mean_ms``/``std_ms`` plus the median and 95th percentile of the
-    same steps as ``p50_ms``/``p95_ms``."""
-    mean, std = timing_stats(per_step_times_ms)
-    p50, p95 = np.percentile(_steady_times(per_step_times_ms), [50.0, 95.0]).tolist()
-    return {"mean_ms": mean, "std_ms": std, "p50_ms": p50, "p95_ms": p95}
+    if times.size > _WARMUP_STEPS:
+        times = times[_WARMUP_STEPS:]
+    p50, p95 = np.percentile(times, [50.0, 95.0]).tolist()
+    return {
+        "mean_ms": float(np.mean(times)),
+        "std_ms": float(np.std(times, ddof=1)) if times.size > 1 else 0.0,
+        "p50_ms": p50,
+        "p95_ms": p95,
+    }
 
 
 #: Rows formatted per write: one format operation per block is about twice
@@ -485,7 +475,7 @@ class _Failure(NamedTuple):
     are None when the trial failed before its first step.
     """
 
-    error: Eh2MargError
+    error: Exception
     filter: str | None = None
     step: int | None = None
     t: float | None = None
@@ -562,8 +552,10 @@ def _run_trials(
     into (n, N, 3) and (n, N, 6) stacks, and the stream is dropped, so
     ``streams`` may be a generator that builds one stream at a time.  Then
     one loop over time advances every live trial with one stacked call per
-    filter; each call is timed.  A trial whose step raises
-    :class:`~eh2marg.errors.Eh2MargError` stops there and the others carry on.
+    filter; each call is timed.  A trial whose initialization raises
+    :class:`~eh2marg.errors.Eh2MargError` or ``ValueError``, or whose step
+    raises :class:`~eh2marg.errors.Eh2MargError`, stops there and the others
+    carry on.
     """
     failures: dict[int, _Failure] = {}
     ok = []
@@ -580,7 +572,7 @@ def _run_trials(
         try:
             x0[j] = initialize_from_first_sample(stream.sample(0), world).as_vector()
             ok.append(j)
-        except Eh2MargError as exc:
+        except (Eh2MargError, ValueError) as exc:  # e.g. a non-finite first sample
             failures[j] = _Failure(exc)
     del stream
 
@@ -638,7 +630,19 @@ def run_experiment(
 
     When ``out_dir`` is given, writes ``trial_<k>.csv`` per successful trial
     and ``metrics.json`` with everything this function returns.
+
+    Raises
+    ------
+    ConfigError
+        If ``exclude_initial`` is not within [0, t_end], before any filter
+        runs or any file is written.  t_end is the time of the last sample:
+        the duration, rounded to whole steps.
     """
+    traj = generate_trajectory(cfg)
+    if not 0.0 <= exclude_initial <= traj.t[-1]:
+        raise ConfigError(
+            f"exclude_initial must be within [0, {traj.t[-1]:g}] s, got {exclude_initial!r}"
+        )
     if gain is None:
         cert = synthesize_gain(nominal_model(cfg.noise, cfg.world))
         L0 = cert.L
@@ -646,7 +650,6 @@ def run_experiment(
         L0 = np.asarray(gain, dtype=np.float64)
         if L0.shape != (6, 6) or not np.all(np.isfinite(L0)):
             raise ConfigError("gain must be a finite 6x6 matrix")
-    traj = generate_trajectory(cfg)
     body_rates = traj.body_rates()
     dt = 1.0 / cfg.imu_rate
 

@@ -20,10 +20,8 @@ from .errors import GimbalLockError
 __all__ = [
     "EPS_GIMBAL",
     "EulerAngles",
-    "angle_error",
     "attitude_matrices",
     "dcm_body_from_inertial",
-    "euler_rates",
     "kinematic_matrix",
     "kinematic_matrix_inverse",
     "wrap_angle",
@@ -277,20 +275,3 @@ def attitude_matrices(
     _check_gimbal(a)
     s, c = _sin_cos(a)
     return _rate_matrix(s, c), _dcm(s, c)
-
-
-def euler_rates(e: EulerAngles, omega_body: ArrayLike) -> NDArray[np.float64]:
-    """Euler-angle rates for the given body angular velocity.
-
-    Raises
-    ------
-    GimbalLockError
-        Propagated from :func:`kinematic_matrix`.
-    """
-    omega = np.asarray(omega_body, dtype=np.float64).reshape(3)
-    return kinematic_matrix(e) @ omega
-
-
-def angle_error(a: EulerAngles, b: EulerAngles) -> NDArray[np.float64]:
-    """Component-wise wrapped difference a - b, each component in (-pi, pi]."""
-    return wrap_angle(a.as_array() - b.as_array())

@@ -63,8 +63,8 @@ class WorldConstants:
     The vectors are copied on construction and are read-only: ``g_inertial``
     and ``h_inertial`` are the rows of the (2, 3) array that
     :meth:`reference_rows` returns, built once here rather than per filter
-    step, so they cannot drift apart.  Two worlds are equal when their
-    vectors are.
+    step, so they cannot drift apart.  Two worlds are equal, and hash
+    equal, when their vectors are.
     """
 
     g_inertial: NDArray[np.float64] = field(
@@ -95,6 +95,10 @@ class WorldConstants:
         if not isinstance(other, WorldConstants):
             return NotImplemented
         return bool(np.array_equal(self._rows, other._rows))
+
+    def __hash__(self) -> int:
+        # Over the floats, not the bytes: -0.0 == 0.0 for __eq__ and hash().
+        return hash(tuple(self._rows.ravel().tolist()))
 
     def reference_rows(self) -> NDArray[np.float64]:
         """g and h as the rows of a read-only (2, 3) array, the form the

@@ -139,6 +139,15 @@ class TestRun:
     def test_negative_exclusion_exits_1(self):
         assert main(["run", "--case", "II", "--exclude-initial", "-1"]) == 1
 
+    @pytest.mark.parametrize("exclude", ["nan", "inf", "-1", "11"])
+    def test_bad_exclusion_exits_1_before_any_trial(self, exclude, tmp_path, capsys):
+        # Case II lasts 10 s, so an 11 s window would leave no sample.
+        out = tmp_path / "out"
+        rc = main(["run", "--case", "II", "--exclude-initial", exclude, "--out", str(out)])
+        assert rc == 1
+        assert "exclude_initial" in capsys.readouterr().err
+        assert not (out / "metrics.json").exists()
+
     def test_destabilizing_gain_exits_3(self, tmp_path, capsys):
         gain_path = tmp_path / "bad_gain.txt"
         save_gain_text(np.full((6, 6), 1e6), gain_path)

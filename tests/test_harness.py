@@ -30,7 +30,6 @@ from eh2marg.harness import (
     metrics_without_timing,
     run_experiment,
     run_timing_benchmark,
-    timing_stats,
 )
 from eh2marg.linearization import nominal_model
 from eh2marg.sensors import NoiseParams, WorldConstants, simulate_imu_stream
@@ -68,6 +67,7 @@ def test_config_dict_round_trip_property(cfg):
     for doc in (cfg.to_dict(), json.loads(json.dumps(cfg.to_dict()))):
         back = ScenarioConfig.from_dict(doc)
         assert back == cfg
+        assert hash(back) == hash(cfg)
         assert back.config_hash() == cfg.config_hash()
 
 
@@ -146,6 +146,20 @@ class TestScenarioConfig:
     def test_from_dict_non_object(self):
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict([1, 2, 3])
+
+    def test_equal_configs_hash_equal(self):
+        default = WorldConstants()
+        signed_zero = WorldConstants(g_inertial=[-0.0, 0.0, 9.81])
+        assert signed_zero == default
+        assert hash(signed_zero) == hash(default)
+        other = WorldConstants(h_inertial=[0.5, 0.0, 0.5])
+        assert len({default, signed_zero, other}) == 2
+        a, b = ScenarioConfig.case_ii(), ScenarioConfig.case_ii(world=signed_zero)
+        assert a == b and hash(a) == hash(b)
+        table = {a: "II", ScenarioConfig.case_i(): "I"}
+        assert table[b] == "II"
+        assert table[ScenarioConfig.case_i()] == "I"
+        assert ScenarioConfig.case_ii(seed=43) not in table
 
     def test_config_hash(self):
         a = ScenarioConfig.case_i()
@@ -263,13 +277,13 @@ class TestGenerateTrajectory:
     def test_body_rates_consistency(self):
         # rates hold the Euler-angle derivatives; body_rates() maps them
         # through the inverse kinematics, so mapping back must recover them.
-        from eh2marg.kinematics import EulerAngles, euler_rates
+        from eh2marg.kinematics import EulerAngles, kinematic_matrix
 
         traj = generate_trajectory(ScenarioConfig.case_ii())
         omega = traj.body_rates()
         for k in (0, 313, 707, 1000):
             e = EulerAngles(*traj.angles[k])
-            assert_allclose(euler_rates(e, omega[k]), traj.rates[k], atol=1e-12)
+            assert_allclose(kinematic_matrix(e) @ omega[k], traj.rates[k], atol=1e-12)
 
     def test_trajectory_validation(self):
         t = np.linspace(0.0, 1.0, 11)
@@ -341,6 +355,8 @@ class TestComputeMetrics:
         traj = _flat_trajectory()
         with pytest.raises(ValueError):
             compute_metrics(traj, traj.angles, exclude_initial=-1.0)
+        with pytest.raises(ValueError, match="must be >= 0"):
+            compute_metrics(traj, traj.angles, exclude_initial=float("nan"))
         with pytest.raises(ValueError):
             compute_metrics(traj, traj.angles, exclude_initial=100.0)
 
@@ -352,39 +368,42 @@ class TestComputeMetrics:
 
 
 class TestTimingStats:
+    """The per-filter timing block of metrics.json and bench.json."""
+
     def test_example(self):
-        mean, std = timing_stats(np.array([1.0, 2.0, 3.0]))
-        assert mean == pytest.approx(2.0)
-        assert std == pytest.approx(1.0)
+        block = harness._timing_block(np.array([1.0, 2.0, 3.0]))
+        assert block["mean_ms"] == pytest.approx(2.0)
+        assert block["std_ms"] == pytest.approx(1.0)
 
     def test_constant_series(self):
-        mean, std = timing_stats(np.full(50, 5.0))
-        assert (mean, std) == (5.0, 0.0)
+        block = harness._timing_block(np.full(50, 5.0))
+        assert (block["mean_ms"], block["std_ms"]) == (5.0, 0.0)
 
     def test_single_sample(self):
-        assert timing_stats(np.array([3.0])) == (3.0, 0.0)
+        block = harness._timing_block(np.array([3.0]))
+        assert (block["mean_ms"], block["std_ms"]) == (3.0, 0.0)
 
     def test_warmup_dropped(self):
         times = np.concatenate([np.full(100, 99.0), np.full(50, 1.0)])
-        mean, std = timing_stats(times)
-        assert mean == pytest.approx(1.0)
-        assert std == 0.0
+        block = harness._timing_block(times)
+        assert block["mean_ms"] == pytest.approx(1.0)
+        assert block["std_ms"] == 0.0
 
     def test_exactly_100_kept(self):
         times = np.concatenate([np.full(99, 2.0), [4.0]])
-        mean, _ = timing_stats(times)
-        assert mean == pytest.approx(2.02)
+        assert harness._timing_block(times)["mean_ms"] == pytest.approx(2.02)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            timing_stats(np.array([]))
         with pytest.raises(ValueError):
             harness._timing_block(np.array([]))
 
     def test_block_percentiles_drop_the_same_warmup(self):
         times = np.concatenate([np.full(100, 99.0), np.arange(1.0, 101.0)])
         block = harness._timing_block(times)
-        assert (block["mean_ms"], block["std_ms"]) == timing_stats(times)
+        steady = times[100:]
+        assert (block["mean_ms"], block["std_ms"]) == (
+            float(np.mean(steady)), float(np.std(steady, ddof=1))
+        )
         assert block["p50_ms"] == pytest.approx(50.5)
         assert block["p95_ms"] == pytest.approx(95.05)
         short = harness._timing_block(np.array([4.0, 1.0, 2.0]))
@@ -596,6 +615,28 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             run_experiment(cfg, gain=bad)
 
+    @pytest.mark.parametrize("exclude", [float("nan"), float("inf"), -1.0, 11.0])
+    def test_bad_exclusion_rejected_before_any_trial(self, exclude, tmp_path, monkeypatch):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a filter ran")
+
+        monkeypatch.setattr(harness, "_run_trials", no_trials)
+        cfg = ScenarioConfig.case_ii(num_trials=1)
+        with pytest.raises(ConfigError, match="exclude_initial"):
+            run_experiment(cfg, out_dir=tmp_path / "out", exclude_initial=exclude)
+        assert not (tmp_path / "out").exists()
+
+    def test_exclusion_past_the_last_sample_rejected(self):
+        # 1.1 s at 3 Hz rounds to 3 steps, so the last sample is at 1 s; a
+        # window up to it keeps that one sample.
+        cfg = ScenarioConfig(
+            case_id="custom", duration=1.1, imu_rate=3.0, angular_speed=0.1,
+            amplitude_deg=5.0, num_trials=1,
+        )
+        with pytest.raises(ConfigError, match="exclude_initial"):
+            run_experiment(cfg, exclude_initial=1.05)
+        assert run_experiment(cfg, exclude_initial=1.0)["aggregate"]["num_ok"] == 1
+
 
 class TestMetricsWithoutTiming:
     def test_strips_recursively(self):
@@ -667,6 +708,24 @@ class TestRunTrials:
         assert record["last_state"] == failure.last_state == x.tolist()
         assert json.loads(json.dumps(record))["last_state"] == x.tolist()
         assert np.array_equal(batch.estimates[0, 50, 1], x[:3])
+
+    def test_nonfinite_first_sample_fails_only_that_trial(self, cert):
+        cfg = ScenarioConfig.case_ii(num_trials=2)
+        dt = 1.0 / cfg.imu_rate
+        _, streams = self._streams(cfg, range(2))
+        streams[1].a_m[0, 0] = np.nan
+        _, clean = self._streams(cfg, range(2))
+        batch = harness._run_trials(2, streams, cert.L, cfg.world, cfg.noise, dt)
+        ref = harness._run_trials(2, clean, cert.L, cfg.world, cfg.noise, dt)
+
+        assert list(batch.failures) == [1]
+        record = batch.failures[1].record()
+        assert record["error"].startswith("ValueError: a_m must be finite")
+        assert (record["filter"], record["step"], record["t"], record["last_state"]) == (
+            None, None, None, None
+        )
+        assert not ref.failures
+        assert np.array_equal(batch.estimates[:, :, 0], ref.estimates[:, :, 0])
 
     def test_one_trial_matches_a_stack_row(self, cert):
         cfg = ScenarioConfig.case_ii(num_trials=4)

@@ -81,3 +81,38 @@ def test_nominal_model_accepts_noise_and_world():
     inspect.signature(eh2marg.nominal_model).bind(noise, world)
     model = eh2marg.nominal_model(noise, world)
     assert model.A.shape == (6, 6)
+
+
+#: Exported for callers outside the program: the tests' Jacobian oracle,
+#: and the package version.
+_EXPORTED_FOR_CALLERS = {"finite_difference_jacobian", "__version__"}
+SOURCE_DIR = Path(eh2marg.__file__).resolve().parent
+
+
+def _references_outside_own_definition(path: Path) -> set[str]:
+    """Names a module loads or reads as attributes, except inside the
+    top-level definition of that same name (a function naming itself)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = set()
+    for top in tree.body:
+        own = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if name != own:
+                names.add(name)
+    return names
+
+
+def test_every_export_is_used_by_the_program():
+    # An export that only the tests call is a second code path to keep in
+    # step with the one the filters and the benchmark run.
+    files = [p for p in sorted(SOURCE_DIR.glob("*.py")) if p.name != "__init__.py"]
+    files += sorted(BENCHMARK_DIR.glob("*.py"))
+    used = set().union(*(_references_outside_own_definition(p) for p in files))
+    unused = sorted(set(eh2marg.__all__) - used - _EXPORTED_FOR_CALLERS)
+    assert not unused, f"exported, but nothing in src/ or benchmark/ uses: {unused}"
