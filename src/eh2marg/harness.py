@@ -88,12 +88,13 @@ def _as_amplitude_tuple(amplitude_deg: Any) -> tuple[float, float, float] | None
 
 def _to_json(value: Any) -> Any:
     """JSON-ready copy of a config value: dataclasses become dicts of their
-    fields, tuples and arrays become lists of floats."""
+    fields, tuples and arrays lists of floats, and -0.0 becomes 0.0 so that
+    configs which compare equal write the same JSON (and config_hash)."""
     if dataclasses.is_dataclass(value):
         return {f.name: _to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, (tuple, np.ndarray)):
-        return [float(v) for v in value]
-    return value
+        return [_to_json(float(v)) for v in value]
+    return value + 0.0 if isinstance(value, float) else value
 
 
 def _reject_unknown_keys(doc: Any, kind: type, label: str) -> None:

@@ -95,10 +95,6 @@ class EulerAngles:
     def zero(cls) -> "EulerAngles":
         return cls(0.0, 0.0, 0.0)
 
-    @classmethod
-    def from_array(cls, values: ArrayLike) -> "EulerAngles":
-        return cls(*np.asarray(values, dtype=np.float64).reshape(3).tolist())
-
     def as_array(self) -> NDArray[np.float64]:
         return np.array([self.phi, self.theta, self.psi])
 

@@ -1,13 +1,13 @@
 """H2-optimal estimator gain synthesis and LMI certification.
 
 The gain is computed through the Riccati dual of the H2 estimation problem
-(a filter CARE driven by the noise intensities embedded in Bw/Dw) and then
-certified against the synthesis LMI, which is evaluated constructively: a
-Lyapunov certificate X is built from the closed-loop error system's
-controllability Gramian plus a small inflation that turns the non-strict
-numerical inequalities into strict ones.  The LMI check is therefore an
-independent route to the same feasibility statement and serves as the
-acceptance oracle for the CARE result.
+(a filter CARE driven by the noise intensities in Bw/Dw, solved by Potter's
+eigenvector method) and then certified against the synthesis LMI, evaluated
+constructively: a Lyapunov certificate X is built from the closed-loop error
+system's controllability Gramian (one Kronecker-sum linear solve) plus a
+small inflation that turns the non-strict numerical inequalities into strict
+ones.  The LMI check is therefore an independent route to the same
+feasibility statement and the acceptance oracle for the CARE result.
 
 The gain matrix can be exported to and loaded from a plain-text format
 (row-major, whitespace-delimited, 17 significant digits) so a precomputed
@@ -18,7 +18,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from numpy.typing import NDArray
 
 from .errors import NonConvergence, SynthesisFailure, UnstableClosedLoop
@@ -77,7 +76,8 @@ class LmiReport:
 
 
 def solve_lyapunov(F: NDArray[np.float64], Q: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Solve the continuous Lyapunov equation F P + P F^T + Q = 0.
+    """Solve the continuous Lyapunov equation F P + P F^T + Q = 0 as one dense
+    solve of (F (x) I + I (x) F) vec(P) = -vec(Q), 36 x 36 for the 6-state design.
 
     Raises
     ------
@@ -86,8 +86,9 @@ def solve_lyapunov(F: NDArray[np.float64], Q: NDArray[np.float64]) -> NDArray[np
     """
     F = np.asarray(F, dtype=np.float64)
     Q = np.asarray(Q, dtype=np.float64)
+    eye = np.eye(F.shape[0])
     try:
-        P = scipy.linalg.solve_continuous_lyapunov(F, -Q)
+        P = np.linalg.solve(np.kron(F, eye) + np.kron(eye, F), -Q.ravel()).reshape(Q.shape)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise NonConvergence(f"Lyapunov solve failed: {exc}") from exc
     residual = np.linalg.norm(F @ P + P @ F.T + Q)
@@ -105,19 +106,27 @@ def solve_care(
     Q: NDArray[np.float64],
     R: NDArray[np.float64],
 ) -> NDArray[np.float64]:
-    """Solve the CARE A^T P + P A - P B R^-1 B^T P + Q = 0 for P.
+    """Solve the CARE A^T P + P A - P B R^-1 B^T P + Q = 0 for P = U2 U1^-1, where
+    [U1; U2] are the stable eigenvectors of the Hamiltonian [[A, -B R^-1 B^T], [-Q, -A^T]].
 
     Raises
     ------
     NonConvergence
-        If the solver fails or the relative residual exceeds 1e-8.
+        If the Hamiltonian does not have exactly n stable eigenvalues, U1
+        is singular, or the relative residual exceeds 1e-8.
     """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
     Q = np.asarray(Q, dtype=np.float64)
     R = np.asarray(R, dtype=np.float64)
+    n = A.shape[0]
     try:
-        P = scipy.linalg.solve_continuous_are(A, B, Q, R)
+        H = np.block([[A, -B @ np.linalg.solve(R, B.T)], [-Q, -A.T]])
+        eigvals, U = np.linalg.eig(H)
+        stable = np.flatnonzero(eigvals.real < 0.0)
+        if stable.size != n:
+            raise NonConvergence(f"Hamiltonian has {stable.size} stable eigenvalues, not {n}")
+        P = np.linalg.solve(U[:n, stable].T, U[n:, stable].T).T.real
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise NonConvergence(f"CARE solve failed: {exc}") from exc
     residual = A.T @ P + P @ A - P @ B @ np.linalg.solve(R, B.T @ P) + Q
@@ -186,18 +195,12 @@ def synthesize_gain(m: LinearModel) -> GainCertificate:
     if not detectable:
         raise SynthesisFailure(f"(A, Cy) is not detectable: eigenvalue {bad_eig} unobservable")
 
-    W = m.Bw @ m.Bw.T
-    S = m.Bw @ m.Dw.T
-    V_inv_S_T = np.linalg.solve(V, S.T)
-    A_tilde = m.A - S @ np.linalg.solve(V, m.Cy)
-    W_tilde = W - S @ V_inv_S_T
-    W_tilde = 0.5 * (W_tilde + W_tilde.T)
+    # No cross-covariance term: LinearModel keeps noise channels disjoint, Bw Dw^T = 0.
     try:
-        P = solve_care(A_tilde.T, m.Cy.T, W_tilde, V)
+        P = solve_care(m.A.T, m.Cy.T, m.Bw @ m.Bw.T, V)
     except NonConvergence as exc:
         raise SynthesisFailure(f"filter CARE did not converge: {exc}") from exc
-    K = np.linalg.solve(V.T, (P @ m.Cy.T + S).T).T
-    L = -K
+    L = -np.linalg.solve(V.T, (P @ m.Cy.T).T).T
 
     F = m.A + L @ m.Cy
     max_real = float(np.max(np.real(np.linalg.eigvals(F))))

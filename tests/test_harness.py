@@ -156,6 +156,7 @@ class TestScenarioConfig:
         assert len({default, signed_zero, other}) == 2
         a, b = ScenarioConfig.case_ii(), ScenarioConfig.case_ii(world=signed_zero)
         assert a == b and hash(a) == hash(b)
+        assert a.config_hash() == b.config_hash() == "c7cfcd4d61874a53"
         table = {a: "II", ScenarioConfig.case_i(): "I"}
         assert table[b] == "II"
         assert table[ScenarioConfig.case_i()] == "I"
@@ -175,6 +176,21 @@ class TestScenarioConfig:
         # or to a default would silently re-key every stored result.
         assert ScenarioConfig.case_i().config_hash() == "3fb9fd7a57e2e6d2"
         assert ScenarioConfig.case_ii().config_hash() == "c7cfcd4d61874a53"
+
+    @pytest.mark.parametrize(
+        "field, zero, negative_zero",
+        [
+            ("amplitude_deg", (20.0, 0.0, 20.0), (20.0, -0.0, 20.0)),
+            ("angular_speed", 0.0, -0.0),
+            ("noise", NoiseParams(n_b=0.0), NoiseParams(n_b=-0.0)),
+        ],
+    )
+    def test_signed_zero_same_config_hash(self, field, zero, negative_zero):
+        a = ScenarioConfig.case_ii(**{field: zero})
+        b = ScenarioConfig.case_ii(**{field: negative_zero})
+        assert a == b and hash(a) == hash(b)
+        assert a.to_dict() == b.to_dict()
+        assert a.config_hash() == b.config_hash()
 
     def test_from_dict_partial_nested_override(self):
         cfg = ScenarioConfig.from_dict({"case_id": "II", "noise": {"n_a": 0.5}})

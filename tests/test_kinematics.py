@@ -54,7 +54,7 @@ class TestEulerAngles:
     def test_zero_roundtrip(self):
         e = EulerAngles.zero()
         assert_allclose(e.as_array(), 0.0)
-        e2 = EulerAngles.from_array([0.1, -0.2, 0.3])
+        e2 = EulerAngles(0.1, -0.2, 0.3)
         assert (e2.phi, e2.theta, e2.psi) == (0.1, -0.2, 0.3)
 
     @pytest.mark.parametrize(
@@ -100,7 +100,7 @@ def test_inverse_against_axis_composition():
     """T^-1 columns must be [e1, R1(phi) e2, R1 R2 e3] (rate composition)."""
     rng = np.random.default_rng(7)
     for row in random_angles(rng, 50):
-        e = EulerAngles.from_array(row)
+        e = EulerAngles(*row)
         R1 = Rotation.from_euler("x", e.phi).as_matrix().T
         R2 = Rotation.from_euler("y", e.theta).as_matrix().T
         expected = np.column_stack(
@@ -113,7 +113,7 @@ def test_inverse_against_axis_composition():
 def test_dcm_against_scipy():
     rng = np.random.default_rng(11)
     for row in random_angles(rng, 100):
-        e = EulerAngles.from_array(row)
+        e = EulerAngles(*row)
         # intrinsic Z-Y-X maps body to inertial; ours is its transpose
         R_scipy = Rotation.from_euler("ZYX", [e.psi, e.theta, e.phi]).as_matrix()
         assert_allclose(dcm_body_from_inertial(e), R_scipy.T, atol=1e-14)
@@ -127,7 +127,7 @@ def test_dcm_yaw_quarter_turn():
 def test_dcm_orthonormality_sweep():
     rng = np.random.default_rng(3)
     for row in random_angles(rng, 200, theta_max=np.pi / 2 - 1e-3):
-        R = dcm_body_from_inertial(EulerAngles.from_array(row))
+        R = dcm_body_from_inertial(EulerAngles(*row))
         assert_allclose(R.T @ R, np.eye(3), atol=1e-10)
         assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-10)
 
@@ -141,7 +141,7 @@ def test_euler_rates_examples():
     )
     rng = np.random.default_rng(5)
     for row in random_angles(rng, 20):
-        assert_allclose(kinematic_matrix(EulerAngles.from_array(row)) @ np.zeros(3), 0.0)
+        assert_allclose(kinematic_matrix(EulerAngles(*row)) @ np.zeros(3), 0.0)
 
 
 class TestAngleError:
@@ -157,7 +157,7 @@ class TestAngleError:
     def test_identity_and_antisymmetry(self):
         rng = np.random.default_rng(13)
         for row_a, row_b in zip(random_angles(rng, 30), random_angles(rng, 30)):
-            a, b = EulerAngles.from_array(row_a), EulerAngles.from_array(row_b)
+            a, b = EulerAngles(*row_a), EulerAngles(*row_b)
             assert_allclose(wrap_angle(a.as_array() - a.as_array()), 0.0)
             fwd = wrap_angle(a.as_array() - b.as_array())
             rev = wrap_angle(b.as_array() - a.as_array())
@@ -176,7 +176,7 @@ def test_batch_helpers_match_scalar_versions():
     Tinv_all = kinematic_matrix_inverse(angles)
     assert R_all.shape == Tinv_all.shape == (40, 3, 3)
     for k in range(angles.shape[0]):
-        e = EulerAngles.from_array(angles[k])
+        e = EulerAngles(*angles[k])
         assert_allclose(R_all[k], dcm_body_from_inertial(e), atol=1e-14)
         assert_allclose(Tinv_all[k], kinematic_matrix_inverse(e), atol=1e-14)
 

@@ -133,7 +133,7 @@ class TestImuStream:
         assert_allclose(stream.omega_m, rates)
         assert_allclose(stream.bias_true, 0.0)
         for k in (0, 57, len(t) - 1):
-            R = dcm_body_from_inertial(EulerAngles.from_array(angles[k]))
+            R = dcm_body_from_inertial(EulerAngles(*angles[k]))
             assert_allclose(stream.a_m[k], R @ w.g_inertial, atol=1e-12)
             assert_allclose(stream.m_m[k], R @ w.h_inertial, atol=1e-12)
 

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
@@ -12,7 +13,7 @@ from numpy.testing import assert_allclose
 
 from eh2marg.errors import NonConvergence, SynthesisFailure, UnstableClosedLoop
 from eh2marg.linearization import nominal_model
-from eh2marg.sensors import NoiseParams
+from eh2marg.sensors import NoiseParams, WorldConstants
 from eh2marg.synthesis import (
     GainCertificate,
     h2_norm_of_error_system,
@@ -25,6 +26,21 @@ from eh2marg.synthesis import (
 )
 
 SQRT2 = math.sqrt(2.0)
+
+#: Design models on which the numpy solvers are checked against scipy's.
+DESIGNS = {
+    "default": (NoiseParams(), WorldConstants()),
+    "noisy": (NoiseParams(n_w=0.05, n_b=1e-3, n_a=0.2, n_m=0.05), WorldConstants()),
+    "quiet_gyro": (NoiseParams(n_w=1e-3, n_b=1e-5, n_a=0.05, n_m=0.01), WorldConstants()),
+    "other_world": (
+        NoiseParams(),
+        WorldConstants(g_inertial=[0.0, 0.0, 20.0], h_inertial=[0.2, 0.1, -0.4]),
+    ),
+}
+
+
+def _rel(actual, reference):
+    return np.linalg.norm(actual - reference) / np.linalg.norm(reference)
 
 
 def _scalar_model(a=-1.0, cy=1.0):
@@ -56,10 +72,7 @@ class TestSolveLyapunov:
         assert_allclose(P, P.T, atol=1e-10)
         assert np.linalg.norm(F @ P + P @ F.T + Q) <= 1e-8 * np.linalg.norm(Q)
 
-    @pytest.mark.filterwarnings("ignore:.*eigenvalue pair.*:RuntimeWarning")
     def test_singular_spectrum_rejected(self):
-        # F = 0 makes the Sylvester operator singular; the perturbed solve
-        # scipy falls back to cannot meet the residual bound.
         with pytest.raises(NonConvergence):
             solve_lyapunov(np.zeros((2, 2)), np.eye(2))
 
@@ -83,6 +96,42 @@ class TestSolveCare:
         res = A.T @ P + P @ A - P @ B @ np.linalg.solve(R, B.T @ P) + Q
         assert np.linalg.norm(res) <= 1e-8 * max(np.linalg.norm(P), 1.0)
         assert np.min(np.linalg.eigvalsh(0.5 * (P + P.T))) > 0.0
+
+    def test_no_stabilizing_solution_rejected(self):
+        # A = B = 0: every Hamiltonian eigenvalue is 0, none is stable.
+        with pytest.raises(NonConvergence, match="stable eigenvalues"):
+            solve_care(np.zeros((2, 2)), np.zeros((2, 1)), np.eye(2), np.eye(1))
+
+    def test_unstabilizable_pair_rejected(self):
+        # An unstable mode that B cannot reach has no stabilizing solution.
+        with pytest.raises(NonConvergence):
+            solve_care([[1.0, 0.0], [0.0, -1.0]], [[0.0], [1.0]], np.eye(2), [[1.0]])
+
+
+@pytest.mark.parametrize("design", DESIGNS)
+class TestAgainstScipy:
+    """The numpy solvers match scipy's on the design models."""
+
+    def test_care_and_gain(self, design):
+        m = nominal_model(*DESIGNS[design])
+        V = m.Dw @ m.Dw.T
+        args = (m.A.T, m.Cy.T, m.Bw @ m.Bw.T, V)
+        P_ref = scipy.linalg.solve_continuous_are(*args)
+        assert _rel(solve_care(*args), P_ref) <= 1e-12
+        L_ref = -np.linalg.solve(V, m.Cy @ P_ref).T
+        assert _rel(synthesize_gain(m).L, L_ref) <= 1e-12
+
+    def test_lyapunov(self, design):
+        m = nominal_model(*DESIGNS[design])
+        L = synthesize_gain(m).L
+        F = m.A + L @ m.Cy
+        G = m.Bw + L @ m.Dw
+        for Q in (G @ G.T, np.eye(6)):
+            P_ref = scipy.linalg.solve_continuous_lyapunov(F, -Q)
+            assert _rel(solve_lyapunov(F, Q), P_ref) <= 1e-12
+        Y_ref = scipy.linalg.solve_continuous_lyapunov(F, -G @ G.T)
+        h2_ref = math.sqrt(np.trace(m.Cz @ Y_ref @ m.Cz.T))
+        assert h2_norm_of_error_system(m, L) == pytest.approx(h2_ref, rel=1e-12)
 
 
 class TestH2Norm:
