@@ -198,6 +198,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
         f"trials {n_trials} (ok {agg.get('num_ok', 0)}, failed {agg.get('num_failed', 0)})  "
         f"backend {doc.get('backend', '?')}"
     )
+    gain = doc.get("gain")
+    if gain is not None:  # absent from metrics.json files written before it was recorded
+        keys = ("source", "sha256", "h2_norm", "gamma", "max_closedloop_real_eig", "lmi_feasible")
+        print("gain: " + ", ".join(f"{key} {json.dumps(gain[key])}" for key in keys))
     if agg.get("num_ok", 0) == 0:
         print("no successful trials to report")
         return 0

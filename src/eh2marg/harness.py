@@ -70,6 +70,9 @@ _CASE_II_PHASES = (0.0, np.pi / 12.0, np.pi / 6.0)
 
 _VALID_CASES = ("I", "II", "custom")
 
+#: The two filters, in the order of ``_TrialBatch``'s leading axis.
+_FILTERS = ("eh2", "ekf")
+
 
 def _as_amplitude_tuple(amplitude_deg: Any) -> tuple[float, float, float] | None:
     if amplitude_deg is None:
@@ -482,14 +485,11 @@ class _Failure(NamedTuple):
     t: float | None = None
     last_state: list[float] | None = None
 
-    @property
-    def message(self) -> str:
-        return str(self.error) if self.step is None else f"step {self.step}: {self.error}"
-
     def record(self) -> dict[str, Any]:
         """The fields of a failed trial's record in metrics.json."""
+        where = "" if self.step is None else f"step {self.step}: "
         return {
-            "error": f"{type(self.error).__name__}: {self.message}",
+            "error": f"{type(self.error).__name__}: {where}{self.error}",
             "filter": self.filter,
             "step": self.step,
             "t": self.t,
@@ -644,6 +644,7 @@ def run_experiment(
         raise ConfigError(
             f"exclude_initial must be within [0, {traj.t[-1]:g}] s, got {exclude_initial!r}"
         )
+    cert = None
     if gain is None:
         cert = synthesize_gain(nominal_model(cfg.noise, cfg.world))
         L0 = cert.L
@@ -651,6 +652,12 @@ def run_experiment(
         L0 = np.asarray(gain, dtype=np.float64)
         if L0.shape != (6, 6) or not np.all(np.isfinite(L0)):
             raise ConfigError("gain must be a finite 6x6 matrix")
+    gain_record = {
+        "source": "file" if cert is None else "synthesized",
+        "sha256": hashlib.sha256(L0.tobytes()).hexdigest(),
+    }
+    for key in ("h2_norm", "gamma", "max_closedloop_real_eig", "lmi_feasible"):
+        gain_record[key] = None if cert is None else getattr(cert, key)
     body_rates = traj.body_rates()
     dt = 1.0 / cfg.imu_rate
 
@@ -660,8 +667,7 @@ def run_experiment(
         out_path.mkdir(parents=True, exist_ok=True)
 
     trials: list[dict[str, Any]] = []
-    ok_eh2: list[RunMetrics] = []
-    ok_ekf: list[RunMetrics] = []
+    ok: dict[str, list[RunMetrics]] = {name: [] for name in _FILTERS}
     timings: list[dict[str, dict[str, float]]] = []
     yaw_wins = 0
     batch_size = MAX_STEPS // (len(traj) - 1)
@@ -683,46 +689,41 @@ def run_experiment(
                 record.update(batch.failures[row].record())
                 trials.append(record)
                 continue
-            est_eh2, est_ekf = batch.estimates[:, :, row]
-            m_eh2 = compute_metrics(traj, est_eh2, exclude_initial)
-            m_ekf = compute_metrics(traj, est_ekf, exclude_initial)
+            estimates = batch.estimates[:, :, row]
             if timing is None:
                 timing = [_timing_block(ns * 1e-6) for ns in batch.step_ns]
             record["ok"] = True
-            record["eh2"] = m_eh2.to_dict()
-            record["ekf"] = m_ekf.to_dict()
-            record["timing"] = {"eh2": dict(timing[0]), "ekf": dict(timing[1])}
+            record["timing"] = {}
+            for name, est, block in zip(_FILTERS, estimates, timing):
+                m = compute_metrics(traj, est, exclude_initial)
+                record[name] = m.to_dict()
+                record["timing"][name] = dict(block)
+                ok[name].append(m)
             trials.append(record)
-            ok_eh2.append(m_eh2)
-            ok_ekf.append(m_ekf)
             timings.append(record["timing"])
-            if m_eh2.rms[2] < m_ekf.rms[2]:
+            if ok["eh2"][-1].rms[2] < ok["ekf"][-1].rms[2]:
                 yaw_wins += 1
             if out_path is not None:
                 _write_trial_csv(
-                    out_path / f"trial_{trial:03d}.csv", traj.t, traj.angles, est_eh2, est_ekf
+                    out_path / f"trial_{trial:03d}.csv", traj.t, traj.angles, *estimates
                 )
 
-    num_ok = len(ok_eh2)
+    num_ok = len(timings)
     aggregate: dict[str, Any] = {
         "num_ok": num_ok,
         "num_failed": cfg.num_trials - num_ok,
     }
     if num_ok > 0:
-        aggregate["eh2"] = {
-            "rms_deg": np.mean([m.rms for m in ok_eh2], axis=0).tolist(),
-            "err_min_deg": np.min([m.err_min for m in ok_eh2], axis=0).tolist(),
-            "err_max_deg": np.max([m.err_max for m in ok_eh2], axis=0).tolist(),
-        }
-        aggregate["ekf"] = {
-            "rms_deg": np.mean([m.rms for m in ok_ekf], axis=0).tolist(),
-            "err_min_deg": np.min([m.err_min for m in ok_ekf], axis=0).tolist(),
-            "err_max_deg": np.max([m.err_max for m in ok_ekf], axis=0).tolist(),
-        }
+        for name, metrics in ok.items():
+            aggregate[name] = {
+                "rms_deg": np.mean([m.rms for m in metrics], axis=0).tolist(),
+                "err_min_deg": np.min([m.err_min for m in metrics], axis=0).tolist(),
+                "err_max_deg": np.max([m.err_max for m in metrics], axis=0).tolist(),
+            }
         aggregate["yaw_wins_eh2"] = yaw_wins
         agg_timing = {
             f"{name}_{stat}": float(np.mean([t[name][stat] for t in timings]))
-            for name in ("eh2", "ekf")
+            for name in _FILTERS
             for stat in ("mean_ms", "p50_ms", "p95_ms")
         }
         mean_eh2, mean_ekf = agg_timing["eh2_mean_ms"], agg_timing["ekf_mean_ms"]
@@ -736,6 +737,7 @@ def run_experiment(
         "config_hash": cfg.config_hash(),
         "backend": BACKEND,
         "exclude_initial": float(exclude_initial),
+        "gain": gain_record,
         "trials": trials,
         "aggregate": aggregate,
     }
@@ -762,10 +764,12 @@ def metrics_without_timing(metrics: Any) -> Any:
 def run_timing_benchmark(steps: int = 10_000, *, seed: int = 42) -> dict[str, Any]:
     """Interleaved per-step timing of both filters over ``steps`` steps.
 
-    Each loop iteration times one extended-H2 step and one EKF step on the
-    same sample, so scheduler and thermal drift hit both filters equally.
-    The scenario is a smooth 20 deg three-axis sinusoid that supplies
-    exactly the requested number of steps.
+    Runs one trial through :func:`run_experiment`, whose time loop times one
+    extended-H2 step and one EKF step on the same sample in turn, so
+    scheduler and thermal drift hit both filters equally.  The scenario is a
+    smooth 20 deg three-axis sinusoid that supplies exactly the requested
+    number of steps.  Raises ConfigError for fewer than 200 steps, and
+    Eh2MargError carrying the recorded error if the trial fails.
     """
     if steps < 200:
         raise ConfigError(f"steps must be >= 200 for stable statistics, got {steps}")
@@ -778,22 +782,13 @@ def run_timing_benchmark(steps: int = 10_000, *, seed: int = 42) -> dict[str, An
         seed=seed,
         num_trials=1,
     )
-    cert = synthesize_gain(nominal_model(cfg.noise, cfg.world))
-    traj = generate_trajectory(cfg)
-    rng = np.random.default_rng((cfg.seed, 0))
-    stream = simulate_imu_stream(
-        traj.t, traj.angles, traj.body_rates(), cfg.world, cfg.noise, rng
-    )
-    batch = _run_trials(1, [stream], cert.L, cfg.world, cfg.noise, 1.0 / cfg.imu_rate)
-    if batch.failures:
-        failure = batch.failures[0]
-        raise type(failure.error)(failure.message) from failure.error
-    eh2_timing, ekf_timing = (_timing_block(ns[:steps] * 1e-6) for ns in batch.step_ns)
-    mean1, mean2 = eh2_timing["mean_ms"], ekf_timing["mean_ms"]
+    result = run_experiment(cfg, exclude_initial=0.0)
+    trial = result["trials"][0]
+    if not trial["ok"]:
+        raise Eh2MargError(f"benchmark trial failed: {trial['error']}")
     return {
         "backend": BACKEND,
         "steps": int(steps),
-        "eh2": eh2_timing,
-        "ekf": ekf_timing,
-        "ratio_eh2_over_ekf": mean1 / mean2 if mean2 > 0.0 else float("nan"),
+        **trial["timing"],
+        "ratio_eh2_over_ekf": result["aggregate"]["timing"]["ratio_eh2_over_ekf"],
     }

@@ -39,7 +39,7 @@ class LinearModel:
     Noise enters through a single stacked channel w = [n_w; n_b; n_a; n_m]
     in R^12; process and measurement noise occupy disjoint column blocks of
     Bw and Dw.  z = Cz x is the output whose H2 error norm the synthesis
-    minimizes.
+    minimizes, so an all-zero Cz, which leaves no norm to bound, is rejected.
     """
 
     A: NDArray[np.float64]
@@ -61,6 +61,8 @@ class LinearModel:
             raise ValueError(
                 "noise channels must be disjoint: Bw = [Bw_process | 0], Dw = [0 | Dw_meas]"
             )
+        if not np.any(self.Cz):
+            raise ValueError("Cz is all zero: there is no H2 norm to bound")
 
 
 def rate_jacobian(

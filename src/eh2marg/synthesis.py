@@ -3,11 +3,13 @@
 The gain is computed through the Riccati dual of the H2 estimation problem
 (a filter CARE driven by the noise intensities in Bw/Dw, solved by Potter's
 eigenvector method) and then certified against the synthesis LMI, evaluated
-constructively: a Lyapunov certificate X is built from the closed-loop error
-system's controllability Gramian (one Kronecker-sum linear solve) plus a
+constructively: a Lyapunov certificate is built from the closed-loop error
+system's controllability Gramian Y (one Kronecker-sum linear solve) plus a
 small inflation that turns the non-strict numerical inequalities into strict
-ones.  The LMI check is therefore an independent route to the same
-feasibility statement and the acceptance oracle for the CARE result.
+ones, and the LMI blocks are checked in the coordinates of Y's Cholesky
+factor, where the certificate X = Y^-1 cancels and is never formed.  The LMI
+check is therefore an independent route to the same feasibility statement
+and the acceptance oracle for the CARE result.
 
 The gain matrix can be exported to and loaded from a plain-text format
 (row-major, whitespace-delimited, 17 significant digits) so a precomputed
@@ -181,8 +183,8 @@ def synthesize_gain(m: LinearModel) -> GainCertificate:
     Raises
     ------
     SynthesisFailure
-        If (A, Cy) is not detectable, Dw Dw^T is singular, or the Riccati
-        solve does not converge.
+        If (A, Cy) is not detectable, Dw Dw^T is singular, the Riccati
+        solve does not converge or its gain leaves A + L Cy not Hurwitz.
     """
     V = m.Dw @ m.Dw.T
     v_min = float(np.min(np.linalg.eigvalsh(V)))
@@ -202,19 +204,16 @@ def synthesize_gain(m: LinearModel) -> GainCertificate:
         raise SynthesisFailure(f"filter CARE did not converge: {exc}") from exc
     L = -np.linalg.solve(V.T, (P @ m.Cy.T).T).T
 
-    F = m.A + L @ m.Cy
-    max_real = float(np.max(np.real(np.linalg.eigvals(F))))
-    if not max_real < 0.0:
-        raise SynthesisFailure(
-            f"synthesized closed loop is not Hurwitz (max real eig {max_real:.3e})"
-        )
-    h2 = h2_norm_of_error_system(m, L)
+    try:
+        h2 = h2_norm_of_error_system(m, L)
+    except UnstableClosedLoop as exc:
+        raise SynthesisFailure(f"synthesized closed loop is not Hurwitz: {exc}") from exc
     gamma = h2 * (1.0 + 1e-9)
     report = verify_lmi(m, L, gamma * (1.0 + 1e-6))
     return GainCertificate(
         L=L,
         gamma=gamma,
-        max_closedloop_real_eig=max_real,
+        max_closedloop_real_eig=report.max_closedloop_real_eig,
         lmi_feasible=report.feasible,
         h2_norm=h2,
     )
@@ -223,16 +222,18 @@ def synthesize_gain(m: LinearModel) -> GainCertificate:
 def verify_lmi(m: LinearModel, L: NDArray[np.float64], gamma: float) -> LmiReport:
     """Check the synthesis LMI for a given gain and H2 bound gamma.
 
-    A candidate certificate (X, W, Q) is constructed explicitly: X is the
-    inverse of the error system's controllability Gramian inflated along the
-    identity direction, W = X L, and the slack matrix Q is a scaled copy of
-    the achieved output covariance.  With that choice the two matrix blocks
-    are negative definite and trace(Q) < gamma^2 exactly when gamma exceeds
-    the achieved H2 norm, so the check is constructive rather than an SDP
-    search.  Block definiteness is evaluated on congruence-equilibrated
-    copies of the blocks (which preserves sign) because the raw blocks mix
-    scales of order 1e5 and 1e-10 and would drown the strictness tolerance
-    in float rounding.
+    The LMI asks for X > 0, W = X L and a slack Q with block 1 =
+    [X A + W Cy + (.)^T, X Bw + W Dw; *, -I] < 0, block 2 = [-Q, Cz; Cz^T, -X]
+    < 0 and trace(Q) < gamma^2.  The candidate is constructed, not searched
+    for: X = Y^-1 with Y the error system's controllability Gramian inflated
+    along the identity, and Q a scaled copy of the achieved output
+    covariance, so all three hold exactly when gamma exceeds the achieved H2
+    norm.  The blocks are checked after the congruences diag(Y_h, I) and
+    diag(I / q_bar, Y_h), with Y = Y_h Y_h^T (Cholesky) and q_bar^2 =
+    trace(Q) / nz, which keep definiteness and equilibrate raw scales of
+    1e5 and 1e-10 that would drown the tolerance in rounding.  There X drops
+    out: with M = Y_h^-1 (A + L Cy) Y_h, block 1 is [M + M^T, Y_h^-1 (Bw +
+    L Dw); *, -I] and block 2 is [-Q / q_bar^2, Cz Y_h / q_bar; *, -I].
 
     Returns an :class:`LmiReport`; never raises for an infeasible pair.
     """
@@ -240,107 +241,59 @@ def verify_lmi(m: LinearModel, L: NDArray[np.float64], gamma: float) -> LmiRepor
     F = m.A + L @ m.Cy
     max_real = float(np.max(np.real(np.linalg.eigvals(F))))
     gamma_sq = float(gamma) ** 2
+
+    def infeasible(reason: str, trace_q: float = np.inf) -> LmiReport:
+        return LmiReport(False, np.inf, np.inf, trace_q, gamma_sq, max_real, reason)
+
     if not max_real < 0.0:
-        return LmiReport(
-            feasible=False,
-            block1_max_eig=np.inf,
-            block2_max_eig=np.inf,
-            trace_q=np.inf,
-            gamma_sq=gamma_sq,
-            max_closedloop_real_eig=max_real,
-            reason=f"closed loop not Hurwitz: max real eigenvalue {max_real:.3e}",
-        )
+        return infeasible(f"closed loop not Hurwitz: max real eigenvalue {max_real:.3e}")
     G = m.Bw + L @ m.Dw
     try:
         Y0 = solve_lyapunov(F, G @ G.T)
         P_I = solve_lyapunov(F, np.eye(F.shape[0]))
     except NonConvergence as exc:
-        return LmiReport(False, np.inf, np.inf, np.inf, gamma_sq, max_real, str(exc))
+        return infeasible(str(exc))
     trace0 = float(np.trace(m.Cz @ Y0 @ m.Cz.T))
-    trace_pi = float(np.trace(m.Cz @ P_I @ m.Cz.T))
     budget = gamma_sq - trace0
     if budget <= 0.0:
-        return LmiReport(
-            feasible=False,
-            block1_max_eig=np.inf,
-            block2_max_eig=np.inf,
-            trace_q=trace0,
-            gamma_sq=gamma_sq,
-            max_closedloop_real_eig=max_real,
-            reason=f"trace bound violated: achieved {trace0:.6e} >= gamma^2 {gamma_sq:.6e}",
+        return infeasible(
+            f"trace bound violated: achieved {trace0:.6e} >= gamma^2 {gamma_sq:.6e}", trace0
         )
     # Y = Y0 + delta P_I satisfies F Y + Y F^T + G G^T = -delta I exactly;
     # a third of the trace budget buys the inflation, a third the Q margin.
-    if trace_pi > 0.0:
-        delta = budget / (3.0 * trace_pi)
-        rho = min(budget / (3.0 * trace0), 0.5) if trace0 > 0.0 else 0.5
-    else:  # Cz = 0: the trace bound is vacuous, any inflation works
-        delta = 1.0
-        rho = 0.0
+    # trace(Cz P_I Cz^T) > 0 because P_I > 0 and LinearModel rejects Cz = 0.
+    delta = budget / (3.0 * float(np.trace(m.Cz @ P_I @ m.Cz.T)))
+    rho = min(budget / (3.0 * trace0), 0.5) if trace0 > 0.0 else 0.5
     Y = 0.5 * ((Y0 + delta * P_I) + (Y0 + delta * P_I).T)
     try:
-        Y_half = np.linalg.cholesky(Y)
-        X = np.linalg.inv(Y)
+        Y_h = np.linalg.cholesky(Y)
     except np.linalg.LinAlgError as exc:
-        return LmiReport(False, np.inf, np.inf, np.inf, gamma_sq, max_real, f"certificate not PD: {exc}")
-    X = 0.5 * (X + X.T)
-    W_lmi = X @ L
+        return infeasible(f"certificate not PD: {exc}")
     n = F.shape[0]
-    nw = G.shape[1]
-    nz = m.Cz.shape[0]
+    M, Y_h_inv_G = np.hsplit(np.linalg.solve(Y_h, np.hstack([F @ Y_h, G])), [n])
+    block1 = np.block([[M + M.T, Y_h_inv_G], [Y_h_inv_G.T, -np.eye(G.shape[1])]])
+    eig1 = float(np.max(np.linalg.eigvalsh(block1)))
 
-    # Block 1: [X A + W Cy + (.)^T, X Bw + W Dw; *, -I] with X A + W Cy = X F.
-    XF = X @ m.A + W_lmi @ m.Cy
-    XG = X @ m.Bw + W_lmi @ m.Dw
-    block1 = np.zeros((n + nw, n + nw))
-    block1[:n, :n] = XF + XF.T
-    block1[:n, n:] = XG
-    block1[n:, :n] = XG.T
-    block1[n:, n:] = -np.eye(nw)
-    scale1 = np.zeros_like(block1)
-    scale1[:n, :n] = Y_half
-    scale1[n:, n:] = np.eye(nw)
-    block1_eq = scale1.T @ block1 @ scale1
-    eig1 = float(np.max(np.linalg.eigvalsh(0.5 * (block1_eq + block1_eq.T))))
-
-    # Block 2: [-Q, Cz; Cz^T, -X] with slack Q = (1 + rho) Cz Y Cz^T,
-    # padded to strict definiteness by part of the budget when Cz = 0.
     Q_slack = (1.0 + rho) * (m.Cz @ Y @ m.Cz.T)
-    if trace_pi <= 0.0:
-        Q_slack = Q_slack + (budget / (2.0 * nz)) * np.eye(nz)
     trace_q = float(np.trace(Q_slack))
-    block2 = np.zeros((nz + n, nz + n))
-    block2[:nz, :nz] = -Q_slack
-    block2[:nz, nz:] = m.Cz
-    block2[nz:, :nz] = m.Cz.T
-    block2[nz:, nz:] = -X
-    q_bar = np.sqrt(trace_q / nz)
-    scale2 = np.zeros_like(block2)
-    scale2[:nz, :nz] = np.eye(nz) / q_bar
-    scale2[nz:, nz:] = Y_half
-    block2_eq = scale2.T @ block2 @ scale2
-    eig2 = float(np.max(np.linalg.eigvalsh(0.5 * (block2_eq + block2_eq.T))))
+    q_bar = np.sqrt(trace_q / m.Cz.shape[0])
+    Cz_Y_h = m.Cz @ Y_h / q_bar
+    block2 = np.block([[-Q_slack / q_bar**2, Cz_Y_h], [Cz_Y_h.T, -np.eye(n)]])
+    eig2 = float(np.max(np.linalg.eigvalsh(block2)))
 
-    trace_ok = trace_q < gamma_sq
-    feasible = eig1 < LMI_EIG_TOL and eig2 < LMI_EIG_TOL and trace_ok
-    reason = ""
-    if not feasible:
-        parts = []
-        if not eig1 < LMI_EIG_TOL:
-            parts.append(f"block1 max eigenvalue {eig1:.3e}")
-        if not eig2 < LMI_EIG_TOL:
-            parts.append(f"block2 max eigenvalue {eig2:.3e}")
-        if not trace_ok:
-            parts.append(f"trace(Q) {trace_q:.6e} >= gamma^2 {gamma_sq:.6e}")
-        reason = "; ".join(parts)
+    checks = (
+        (eig1 < LMI_EIG_TOL, f"block1 max eigenvalue {eig1:.3e}"),
+        (eig2 < LMI_EIG_TOL, f"block2 max eigenvalue {eig2:.3e}"),
+        (trace_q < gamma_sq, f"trace(Q) {trace_q:.6e} >= gamma^2 {gamma_sq:.6e}"),
+    )
     return LmiReport(
-        feasible=feasible,
+        feasible=all(holds for holds, _ in checks),
         block1_max_eig=eig1,
         block2_max_eig=eig2,
         trace_q=trace_q,
         gamma_sq=gamma_sq,
         max_closedloop_real_eig=max_real,
-        reason=reason,
+        reason="; ".join(violation for holds, violation in checks if not holds),
     )
 
 

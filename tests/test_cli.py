@@ -1,10 +1,12 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from eh2marg import harness
 from eh2marg.cli import main
 from eh2marg.synthesis import load_gain_text, save_gain_text
 
@@ -196,6 +198,25 @@ class TestReport:
             line = next(ln for ln in text.splitlines() if ln.startswith(f"  {name}: "))
             assert "mean " in line and "p50 " in line and "p95 " in line
 
+    def test_prints_gain_line(self, tmp_path, capsys, cert):
+        out = tmp_path / "out"
+        assert main(["run", "--case", "II", "--trials", "1", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 0
+        line = next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("gain: "))
+        assert line.startswith('gain: source "synthesized", sha256 "')
+        assert f"h2_norm {cert.h2_norm!r}" in line
+        assert line.endswith("lmi_feasible true")
+
+        save_gain_text(cert.L, tmp_path / "gain.txt")
+        argv = ["run", "--case", "II", "--trials", "1", "--gain", str(tmp_path / "gain.txt")]
+        assert main(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 0
+        line = next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("gain: "))
+        assert line.startswith('gain: source "file", sha256 "')
+        assert "h2_norm null" in line and line.endswith("lmi_feasible null")
+
     def test_old_metrics_without_percentiles(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["run", "--case", "II", "--trials", "1", "--out", str(out)]) == 0
@@ -237,6 +258,26 @@ class TestBench:
 
     def test_too_few_steps_exits_1(self):
         assert main(["bench", "--steps", "100"]) == 1
+
+    def test_failed_trial_exits_1(self, monkeypatch, capsys):
+        cert = SimpleNamespace(
+            L=np.full((6, 6), 1e3),
+            h2_norm=1.0,
+            gamma=1.0,
+            max_closedloop_real_eig=-1.0,
+            lmi_feasible=False,
+        )
+        monkeypatch.setattr(harness, "synthesize_gain", lambda model: cert)
+        assert main(["bench", "--steps", "300"]) == 1
+        assert "benchmark trial failed" in capsys.readouterr().err
+
+    def test_initialization_failure_exits_1(self, monkeypatch, capsys):
+        def fail(sample, world):
+            raise ValueError("unusable first sample")
+
+        monkeypatch.setattr(harness, "initialize_from_first_sample", fail)
+        assert main(["bench", "--steps", "300"]) == 1
+        assert "ValueError: unusable first sample" in capsys.readouterr().err
 
 
 class TestParser:

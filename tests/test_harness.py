@@ -1,5 +1,6 @@
 """Tests for scenario generation, the experiment runner, and metrics."""
 
+import hashlib
 import json
 import tracemalloc
 
@@ -464,6 +465,32 @@ class TestRunExperiment:
         agg = res["aggregate"]
         assert agg["num_ok"] == 10
         assert agg["yaw_wins_eh2"] >= 8
+
+    def test_gain_record_synthesized(self, cert):
+        res = run_experiment(ScenarioConfig.case_ii(num_trials=1))
+        assert res["gain"] == {
+            "source": "synthesized",
+            "sha256": hashlib.sha256(cert.L.tobytes()).hexdigest(),
+            "h2_norm": cert.h2_norm,
+            "gamma": cert.gamma,
+            "max_closedloop_real_eig": cert.max_closedloop_real_eig,
+            "lmi_feasible": True,
+        }
+        assert type(res["aggregate"]["yaw_wins_eh2"]) is int
+
+    def test_gain_record_file(self, tmp_path):
+        gain = np.full((6, 6), 1e3)
+        res = run_experiment(ScenarioConfig.case_ii(num_trials=1), gain=gain, out_dir=tmp_path)
+        expected = {
+            "source": "file",
+            "sha256": hashlib.sha256(gain.tobytes()).hexdigest(),
+            "h2_norm": None,
+            "gamma": None,
+            "max_closedloop_real_eig": None,
+            "lmi_feasible": None,
+        }
+        assert res["gain"] == expected
+        assert json.loads((tmp_path / "metrics.json").read_text())["gain"] == expected
 
     def test_result_structure_and_consistency(self, cert):
         cfg = ScenarioConfig.case_ii(num_trials=3)

@@ -126,6 +126,11 @@ class TestLinearModel:
         with pytest.raises(ValueError, match="disjoint"):
             LinearModel(A=m.A, Bw=bad, Cy=m.Cy, Dw=m.Dw, Cz=m.Cz)
 
+    def test_zero_performance_output_rejection(self):
+        m = nominal_model()
+        with pytest.raises(ValueError, match="Cz is all zero"):
+            LinearModel(A=m.A, Bw=m.Bw, Cy=m.Cy, Dw=m.Dw, Cz=np.zeros((3, 6)))
+
 
 class TestAssembleModel:
     """The noise folding and the performance output of :func:`nominal_model`."""

@@ -1,5 +1,6 @@
 """Tests for gain synthesis: Riccati/Lyapunov solvers, H2 norm, LMI check."""
 
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -15,6 +16,7 @@ from eh2marg.errors import NonConvergence, SynthesisFailure, UnstableClosedLoop
 from eh2marg.linearization import nominal_model
 from eh2marg.sensors import NoiseParams, WorldConstants
 from eh2marg.synthesis import (
+    LMI_EIG_TOL,
     GainCertificate,
     h2_norm_of_error_system,
     load_gain_text,
@@ -37,6 +39,13 @@ DESIGNS = {
         WorldConstants(g_inertial=[0.0, 0.0, 20.0], h_inertial=[0.2, 0.1, -0.4]),
     ),
 }
+
+#: Every NoiseParams field at 0.1x, 1x and 10x its default: 81 design models.
+_N0 = NoiseParams()
+NOISE_GRID = [
+    NoiseParams(n_w=_N0.n_w * a, n_b=_N0.n_b * b, n_a=_N0.n_a * c, n_m=_N0.n_m * d)
+    for a, b, c, d in itertools.product((0.1, 1.0, 10.0), repeat=4)
+]
 
 
 def _rel(actual, reference):
@@ -170,6 +179,12 @@ class TestSynthesizeGainScalar:
         with pytest.raises(SynthesisFailure):
             synthesize_gain(_scalar_model(a=0.1, cy=0.0))
 
+    def test_unstable_closed_loop_is_synthesis_failure(self, monkeypatch):
+        # A destabilizing Riccati solution gives L = 5 and A + L Cy = 4.
+        monkeypatch.setattr("eh2marg.synthesis.solve_care", lambda *args: np.array([[-5.0]]))
+        with pytest.raises(SynthesisFailure, match="not Hurwitz"):
+            synthesize_gain(_scalar_model())
+
 
 class TestSynthesizeGainNominal:
     def test_certificate(self, model, cert):
@@ -238,6 +253,66 @@ class TestVerifyLmi:
         h2 = h2_norm_of_error_system(m, np.zeros((1, 1)))
         assert verify_lmi(m, np.zeros((1, 1)), h2 * 1.05).feasible
         assert not verify_lmi(m, np.zeros((1, 1)), h2 * 0.95).feasible
+
+
+def _x_form_lmi(m, L, gamma):
+    """Reference evaluation of the LMI as written, in the certificate's own
+    coordinates: X = inv(Y), W = X L, both blocks assembled, then
+    equilibrated by the congruences diag(Y_h, I) and diag(I / q_bar, Y_h).
+    Returns (feasible, block 1 max eigenvalue, block 2 max eigenvalue)."""
+    F = m.A + L @ m.Cy
+    G = m.Bw + L @ m.Dw
+    Y0 = solve_lyapunov(F, G @ G.T)
+    P_I = solve_lyapunov(F, np.eye(6))
+    trace0 = np.trace(m.Cz @ Y0 @ m.Cz.T)
+    budget = gamma**2 - trace0
+    if budget <= 0.0:
+        return False, np.inf, np.inf
+    delta = budget / (3.0 * np.trace(m.Cz @ P_I @ m.Cz.T))
+    rho = min(budget / (3.0 * trace0), 0.5)
+    Y = Y0 + delta * P_I
+    Y = 0.5 * (Y + Y.T)
+    Y_h = np.linalg.cholesky(Y)
+    X = np.linalg.inv(Y)
+    X = 0.5 * (X + X.T)
+    W = X @ L
+    XF = X @ m.A + W @ m.Cy
+    XG = X @ m.Bw + W @ m.Dw
+    block1 = np.block([[XF + XF.T, XG], [XG.T, -np.eye(12)]])
+    Q = (1.0 + rho) * (m.Cz @ Y @ m.Cz.T)
+    block2 = np.block([[-Q, m.Cz], [m.Cz.T, -X]])
+    q_bar = math.sqrt(np.trace(Q) / 3.0)
+    eigs = []
+    for block, scale in (
+        (block1, scipy.linalg.block_diag(Y_h, np.eye(12))),
+        (block2, scipy.linalg.block_diag(np.eye(3) / q_bar, Y_h)),
+    ):
+        eq = scale.T @ block @ scale
+        eigs.append(np.max(np.linalg.eigvalsh(0.5 * (eq + eq.T))))
+    feasible = eigs[0] < LMI_EIG_TOL and eigs[1] < LMI_EIG_TOL and np.trace(Q) < gamma**2
+    return feasible, eigs[0], eigs[1]
+
+
+def _check_against_x_form(m):
+    cert = synthesize_gain(m)
+    for gamma in (cert.gamma * (1.0 + 1e-6), 1.01 * cert.h2_norm, 0.5 * cert.h2_norm):
+        report = verify_lmi(m, cert.L, gamma)
+        feasible, eig1, eig2 = _x_form_lmi(m, cert.L, gamma)
+        assert report.feasible == feasible
+        margins = [report.block1_max_eig, report.block2_max_eig]
+        assert_allclose(margins, [eig1, eig2], rtol=0, atol=1e-12)
+
+
+class TestVerifyLmiAgainstXForm:
+    """The Cholesky-coordinate check agrees with the LMI evaluated through X = inv(Y)."""
+
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_designs(self, design):
+        _check_against_x_form(nominal_model(*DESIGNS[design]))
+
+    def test_noise_grid(self):
+        for noise in NOISE_GRID:
+            _check_against_x_form(nominal_model(noise, WorldConstants()))
 
 
 class TestGainCertificateValidation:
