@@ -3,11 +3,13 @@
 Subcommands: ``synthesize`` (emit a gain file), ``run`` (execute a scenario
 and write CSV + metrics), ``bench`` (interleaved timing comparison), and
 ``report`` (pretty-print a metrics.json).  Exit codes: 0 success, 1 config
-error, 2 synthesis failure, 3 filter failure in every trial.
+error, or a reader that closed stdout before the output was written, 2
+synthesis failure, 3 filter failure in every trial.
 """
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -34,10 +36,6 @@ def _add_scenario_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument(
         "--case", choices=["I", "II"], help="built-in scenario (overridden by --config)"
     )
-    sp.add_argument("--seed", type=int, metavar="U64", help="override the config seed")
-    sp.add_argument(
-        "--trials", type=int, metavar="N", help="override the config trial count"
-    )
 
 
 def _build_parser() -> _Parser:
@@ -51,6 +49,10 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("run", help="run a scenario and write CSV + metrics.json")
     _add_scenario_flags(sp)
+    sp.add_argument("--seed", type=int, metavar="U64", help="override the config seed")
+    sp.add_argument(
+        "--trials", type=int, metavar="N", help="override the config trial count"
+    )
     sp.add_argument(
         "--out", type=Path, metavar="DIR", default=Path("out"), help="output directory"
     )
@@ -92,20 +94,14 @@ def _load_scenario(args: argparse.Namespace, *, required: bool = True) -> Scenar
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in {args.config}: {exc}") from exc
-        cfg = ScenarioConfig.from_dict(doc)
-    elif args.case == "I":
-        cfg = ScenarioConfig.case_i()
-    elif args.case == "II":
-        cfg = ScenarioConfig.case_ii()
-    elif required:
+        return ScenarioConfig.from_dict(doc)
+    if args.case == "I":
+        return ScenarioConfig.case_i()
+    if args.case == "II":
+        return ScenarioConfig.case_ii()
+    if required:
         raise ConfigError("provide --config or --case")
-    else:
-        return None
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.trials is not None:
-        cfg = replace(cfg, num_trials=args.trials)
-    return cfg
+    return None
 
 
 def _cmd_synthesize(args: argparse.Namespace) -> int:
@@ -133,6 +129,10 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_scenario(args)
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
+    if args.trials is not None:
+        cfg = replace(cfg, num_trials=args.trials)
     gain = None
     if args.gain is not None:
         try:
@@ -228,7 +228,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return int(args.func(args))
+        code = int(args.func(args))
+        sys.stdout.flush()  # a closed pipe raises here, inside the handlers
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has gone.  What is still buffered goes to
+        # devnull, so the flush at interpreter exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -23,7 +23,6 @@ from .kinematics import (
     EulerAngles,
     _check_gimbal,
     _matvec,
-    dcm_body_from_inertial,
     kinematic_matrix,
     wrap_angle,
 )
@@ -77,12 +76,13 @@ def process_model(x: NDArray[np.float64], omega: NDArray[np.float64]) -> NDArray
 
 
 def measurement_model(
-    angles: NDArray[np.float64], references: NDArray[np.float64]
+    R: NDArray[np.float64], references: NDArray[np.float64]
 ) -> NDArray[np.float64]:
-    """h(Phi) = [R g; R h] for the (2, 3) rows [g; h] of
-    :meth:`~eh2marg.sensors.WorldConstants.reference_rows`; (3,) angles give
-    a (6,) vector and (N, 3) angles an (N, 6) stack."""
-    h = references @ dcm_body_from_inertial(angles).mT
+    """h(Phi) = [R g; R h] for the DCM R = R(Phi) and the (2, 3) rows [g; h]
+    of :meth:`~eh2marg.sensors.WorldConstants.reference_rows`; a (3, 3) R
+    gives a (6,) vector and an (N, 3, 3) stack an (N, 6) stack.  Callers
+    pass R built from the sines and cosines their other matrices share."""
+    h = references @ R.mT
     return h.reshape(h.shape[:-2] + (6,))
 
 

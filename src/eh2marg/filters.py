@@ -115,12 +115,11 @@ def eh2(
     """
 
     def xdot(xs):
-        # process_model(xs, omega) + L (measurement_model(xs[:3], references) - y)
-        # written out so that T and R share one sine/cosine evaluation: the
-        # derivative runs four times per step, and per-step cost is what the
-        # filter is compared on.
+        # f(xs, omega) + L (h(xs) - y) with T and R from one sine/cosine
+        # evaluation: the derivative runs four times per step, and per-step
+        # cost is what the filter is compared on.
         T, R = attitude_matrices(xs[..., :3])
-        out = _matvec(L, (references @ R.mT).reshape(y.shape) - y)
+        out = _matvec(L, measurement_model(R, references) - y)
         out[..., :3] += _matvec(T, omega - xs[..., 3:])
         return out
 
@@ -140,11 +139,13 @@ def ekf(
 
     The EKF re-linearizes the design model of the extended-H2 gain at every
     estimate: A, Bw come from :func:`~eh2marg.linearization.jacobians_process`
-    at the current estimate and Cy, Dw from
-    :func:`~eh2marg.linearization.jacobians_measurement` at the prediction.
+    at the current estimate, and h = [R g; R h] with Cy, Dw from
+    :func:`~eh2marg.linearization.jacobians_measurement` at the prediction;
+    Cy = [[R g]x T^-1; [R h]x T^-1] comes from h itself.  A step evaluates
+    sine and cosine six times: once per call and once per RK4 stage.
     Predict: RK4 mean propagation with the gyro sample, covariance through
-    F = I + A dt and Qd = Bw Bw^T dt.  Update: Kalman gain from
-    S = H P- H^T + R with H = Cy and R = Dw Dw^T, then the Joseph form
+    F = I + A dt and Qd = Bw Bw^T dt.  Update: innovation y - h, Kalman gain
+    from S = H P- H^T + R with H = Cy and R = Dw Dw^T, then the Joseph form
     (I - K H) P- (I - K H)^T + K R K^T, symmetrized.  ``x``/``P`` are (6,)
     and (6, 6) for one filter, or (N, 6) and (N, 6, 6) for N filters.
 
@@ -161,7 +162,7 @@ def ekf(
     F = _EYE6 + dt * A
     xp = rk4_step(lambda xs: process_model(xs, omega), x, dt)
     Pp = F @ P @ F.mT + dt * (Bw @ Bw.mT)
-    H, Dw = jacobians_measurement(xp[..., :3], references, q)
+    h, H, Dw = jacobians_measurement(xp[..., :3], references, q)
     R = Dw @ Dw.mT
     S = H @ Pp @ H.mT + R
     PHt = Pp @ H.mT
@@ -169,7 +170,7 @@ def ekf(
         K = np.linalg.solve(S, PHt.mT).mT
     except np.linalg.LinAlgError as exc:
         raise InnovationCovSingular(f"innovation covariance solve failed: {exc}") from exc
-    x_new = checked_state(xp + _matvec(K, y - measurement_model(xp[..., :3], references)))
+    x_new = checked_state(xp + _matvec(K, y - h))
     I_KH = _EYE6 - K @ H
     P_new = I_KH @ Pp @ I_KH.mT + K @ R @ K.mT
     return x_new, 0.5 * (P_new + P_new.mT)

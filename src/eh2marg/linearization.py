@@ -6,17 +6,21 @@ them evaluated at the nominal operating point (zero attitude, zero bias,
 zero input; :func:`nominal_model`); the EKF baseline re-linearizes with the
 same two functions at every estimate.  Both fold the noise standard
 deviations into the columns of Bw and Dw, so the model is driven by
-unit-intensity white noise.  A central finite-difference oracle
-cross-checks the closed forms.
+unit-intensity white noise.  Each evaluates the attitude's sines and
+cosines once.  Cy needs no derivative of the DCM: R_dot = -[w]x R with
+w = T^-1(Phi) Phi_dot gives d(R r)/dPhi = [R r]x T^-1(Phi) for a fixed
+inertial r, so Cy follows from the predicted measurement h = [R g; R h].
+A central finite-difference oracle cross-checks the closed forms.
 """
 
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.typing import NDArray
+from numpy.typing import ArrayLike, NDArray
 
-from .kinematics import _matrix, _sin_cos, kinematic_matrix
+from .dynamics import measurement_model
+from .kinematics import _check_gimbal, _dcm, _matrix, _rate_matrix, _sin_cos
 from .sensors import NoiseParams, WorldConstants
 
 __all__ = [
@@ -24,9 +28,7 @@ __all__ = [
     "finite_difference_jacobian",
     "jacobians_measurement",
     "jacobians_process",
-    "measurement_jacobian",
     "nominal_model",
-    "rate_jacobian",
 ]
 
 _EYE3 = np.eye(3)
@@ -65,18 +67,11 @@ class LinearModel:
             raise ValueError("Cz is all zero: there is no H2 norm to bound")
 
 
-def rate_jacobian(
-    angles: NDArray[np.float64], omega: NDArray[np.float64]
+def _rate_jacobian(
+    s: ArrayLike, c: ArrayLike, omega: NDArray[np.float64]
 ) -> NDArray[np.float64]:
-    """d(T(Phi) omega)/dPhi for fixed omega; columns ordered (phi, theta, psi).
-
-    ``angles`` and ``omega`` are (3,) vectors, giving a (3, 3) matrix, or
-    (n, 3) stacks, giving (n, 3, 3).  Like T itself it is unbounded near
-    pitch +/- pi/2; callers evaluate
-    :func:`~eh2marg.kinematics.kinematic_matrix` at the same attitude, which
-    enforces the gimbal guard.
-    """
-    s, c = _sin_cos(angles)
+    """d(T(Phi) omega)/dPhi for fixed omega, columns (phi, theta, psi); a (3,)
+    omega gives (3, 3), an (n, 3) stack (n, 3, 3)."""
     (sp, st, _), (cp, ct, _) = s, c
     tt = st / ct
     sec = 1.0 / ct
@@ -93,40 +88,26 @@ def rate_jacobian(
     )
 
 
-def measurement_jacobian(
-    angles: NDArray[np.float64], references: NDArray[np.float64]
+def _measurement_jacobian(
+    h: NDArray[np.float64], s: ArrayLike, c: ArrayLike
 ) -> NDArray[np.float64]:
-    """d[R g; R h]/dPhi, shape (6, 3), from the closed-form dR/dphi, dR/dtheta, dR/dpsi.
+    """dh/dPhi = [[R g]x T^-1(Phi); [R h]x T^-1(Phi)] from h = [R g; R h] itself.
 
-    ``references`` holds the rows [g; h] as returned by
-    :meth:`~eh2marg.sensors.WorldConstants.reference_rows`.  An (n, 3)
-    angle stack gives an (n, 6, 3) stack.
+    T^-1 has the columns e1, (0, cos phi, -sin phi) and R's third column
+    (-sin theta, sin phi cos theta, cos phi cos theta).  A (6,) h gives
+    (6, 3), an (n, 6) stack (n, 6, 3).
     """
-    s, c = _sin_cos(angles)
-    (sp, st, ss), (cp, ct, cs) = s, c
-    dR = _matrix(
-        [
-            [
-                [0.0, 0.0, 0.0],
-                [cp * st * cs + sp * ss, cp * st * ss - sp * cs, cp * ct],
-                [-sp * st * cs + cp * ss, -sp * st * ss - cp * cs, -sp * ct],
-            ],
-            [
-                [-st * cs, -st * ss, -ct],
-                [sp * ct * cs, sp * ct * ss, -sp * st],
-                [cp * ct * cs, cp * ct * ss, -cp * st],
-            ],
-            [
-                [-ct * ss, ct * cs, 0.0],
-                [-sp * st * ss - cp * cs, sp * st * cs - cp * ss, 0.0],
-                [-cp * st * ss + sp * cs, cp * st * cs + sp * ss, 0.0],
-            ],
-        ],
-        s,
-    )
-    # (dR_k @ r)_i for reference c lands in row 3 c + i, column k.
-    dRr = (dR @ references.T).swapaxes(-1, -3)
-    return dRr.reshape(dRr.shape[:-3] + (6, 3))
+    (sp, st, _), (cp, ct, _) = s, c
+    r1, r2, r3 = -st, sp * ct, cp * ct
+    v = h.tolist() if h.ndim == 1 else h.T
+    rows = []
+    for v1, v2, v3 in (v[:3], v[3:]):
+        rows += [
+            [0.0, -sp * v2 - cp * v3, r3 * v2 - r2 * v3],
+            [v3, sp * v1, r1 * v3 - r3 * v1],
+            [-v2, cp * v1, r2 * v1 - r1 * v2],
+        ]
+    return _matrix(rows, s)
 
 
 def jacobians_process(
@@ -145,9 +126,11 @@ def jacobians_process(
     GimbalLockError
         If the attitude (of any row) sits in the gimbal guard band.
     """
-    T = kinematic_matrix(x[..., :3])
+    _check_gimbal(x)
+    s, c = _sin_cos(x[..., :3])
+    T = _rate_matrix(s, c)
     A = np.zeros(x.shape[:-1] + (6, 6))
-    A[..., :3, :3] = rate_jacobian(x[..., :3], omega - x[..., 3:])
+    A[..., :3, :3] = _rate_jacobian(s, c, omega - x[..., 3:])
     A[..., :3, 3:] = -T
     Bw = np.zeros(x.shape[:-1] + (6, 12))
     Bw[..., :3, :3] = -noise.n_w * T
@@ -157,21 +140,24 @@ def jacobians_process(
 
 def jacobians_measurement(
     angles: NDArray[np.float64], references: NDArray[np.float64], noise: NoiseParams
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Cy and Dw of the measurement model, linearized at the attitude ``angles``.
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+    """h, Cy and Dw of the measurement model at the attitude ``angles``.
 
     ``references`` holds the rows [g; h] of
     :meth:`~eh2marg.sensors.WorldConstants.reference_rows`.  (3,) angles
-    give Cy (6, 6) and Dw (6, 12); (N, 3) angles give (N, 6, 6) and
-    (N, 6, 12).  The bias columns of Cy are zero (h does not depend on b);
-    Dw carries the accelerometer and magnetometer standard deviations on
-    the [n_a; n_m] columns and zeros on the process columns.
+    give h (6,), Cy (6, 6) and Dw (6, 12); (N, 3) angles give (N, 6),
+    (N, 6, 6) and (N, 6, 12).  h is
+    :func:`~eh2marg.dynamics.measurement_model`, and Cy is built from it.
+    The bias columns of Cy are zero (h does not depend on b); Dw carries the accelerometer and magnetometer standard
+    deviations on the [n_a; n_m] columns and zeros on the process columns.
     """
+    s, c = _sin_cos(angles)
+    h = measurement_model(_dcm(s, c), references)
     Cy = np.zeros(angles.shape[:-1] + (6, 6))
-    Cy[..., :3] = measurement_jacobian(angles, references)
+    Cy[..., :3] = _measurement_jacobian(h, s, c)
     Dw = np.zeros(angles.shape[:-1] + (6, 12))
     Dw[..., 6:] = np.diag([noise.n_a] * 3 + [noise.n_m] * 3)
-    return Cy, Dw
+    return h, Cy, Dw
 
 
 def finite_difference_jacobian(
@@ -200,5 +186,5 @@ def nominal_model(
     noise = NoiseParams() if noise is None else noise
     world = WorldConstants() if world is None else world
     A, Bw = jacobians_process(np.zeros(6), np.zeros(3), noise)
-    Cy, Dw = jacobians_measurement(np.zeros(3), world.reference_rows(), noise)
+    _, Cy, Dw = jacobians_measurement(np.zeros(3), world.reference_rows(), noise)
     return LinearModel(A=A, Bw=Bw, Cy=Cy, Dw=Dw, Cz=np.eye(3, 6))

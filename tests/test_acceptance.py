@@ -86,7 +86,7 @@ def test_criterion_1_jacobian_fidelity(capfd, world, noise):
             return body
 
         def h_aug(x6, w12):
-            y = measurement_model(x6[:3], world.reference_rows())
+            y = measurement_model(dcm_body_from_inertial(x6[:3]), world.reference_rows())
             y[:3] += noise.n_a * w12[6:9]
             y[3:] += noise.n_m * w12[9:12]
             return y

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import errno
 import json
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -44,6 +46,12 @@ class TestSynthesize:
         assert rc == 0
         reloaded = load_gain_text(tmp_path / "gain_L0.txt")
         assert not np.array_equal(reloaded, cert.L)
+
+    @pytest.mark.parametrize("flag", ["--seed", "--trials"])
+    def test_run_only_flag_is_a_usage_error(self, flag, capsys):
+        # The gain depends only on the noise and the world, never on these.
+        assert main(["synthesize", flag, "3"]) == 1
+        assert "config error" in capsys.readouterr().err
 
     def test_degenerate_noise_exits_2(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, {"case_id": "I", "noise": {"n_a": 0.0, "n_m": 0.0}})
@@ -239,6 +247,34 @@ class TestReport:
     def test_corrupt_metrics_exits_1(self, tmp_path):
         (tmp_path / "metrics.json").write_text("{{{")
         assert main(["report", "--out", str(tmp_path)]) == 1
+
+    def test_closed_pipe_exits_1_without_traceback(self, tmp_path, monkeypatch, capsys):
+        # As in `eh2marg report | true`: the reader is gone before the first line.
+        (tmp_path / "metrics.json").write_text("{}")
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr("sys.stdout", _ClosedPipe(fd))
+            assert main(["report", "--out", str(tmp_path)]) == 1
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+        assert capsys.readouterr().err == ""
+
+
+class _ClosedPipe:
+    """A stdout on file descriptor ``fd`` whose reader has gone."""
+
+    def __init__(self, fd: int) -> None:
+        self._fd = fd
+
+    def write(self, text: str) -> int:
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    def flush(self) -> None:
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    def fileno(self) -> int:
+        return self._fd
 
 
 class TestBench:

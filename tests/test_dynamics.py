@@ -6,7 +6,13 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
-from eh2marg import EulerAngles, EulerState, GimbalLockError, WorldConstants
+from eh2marg import (
+    EulerAngles,
+    EulerState,
+    GimbalLockError,
+    WorldConstants,
+    dcm_body_from_inertial,
+)
 from eh2marg.dynamics import measurement_model, process_model, rk4_step
 
 
@@ -17,7 +23,7 @@ def _rk4(x, omega, dt):
 
 
 def _h(x: EulerState, world) -> np.ndarray:
-    return measurement_model(x.attitude.as_array(), world.reference_rows())
+    return measurement_model(dcm_body_from_inertial(x.attitude), world.reference_rows())
 
 
 def test_state_derivative_examples():

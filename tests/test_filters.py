@@ -17,7 +17,7 @@ from eh2marg.filters import (
     initialize_from_first_sample,
 )
 from eh2marg.harness import ScenarioConfig, generate_trajectory
-from eh2marg.kinematics import EPS_GIMBAL, EulerAngles, wrap_angle
+from eh2marg.kinematics import EPS_GIMBAL, EulerAngles, dcm_body_from_inertial, wrap_angle
 from eh2marg.sensors import ImuSample, NoiseParams, WorldConstants, simulate_imu_stream
 
 DT = 0.01
@@ -32,7 +32,7 @@ def _sample_at(x: EulerState, world, omega_m=None, t=0.0) -> ImuSample:
 
 def _h(x: EulerState, world) -> np.ndarray:
     """Noise-free accel/mag output h(x), stacked."""
-    return measurement_model(x.attitude.as_array(), world.reference_rows())
+    return measurement_model(dcm_body_from_inertial(x.attitude), world.reference_rows())
 
 
 def _dead_reckon(x: np.ndarray, omega, dt: float) -> np.ndarray:

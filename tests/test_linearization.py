@@ -2,18 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from eh2marg.dynamics import EulerState, measurement_model, process_model
-from eh2marg.kinematics import EulerAngles
+from eh2marg.kinematics import EulerAngles, dcm_body_from_inertial
 from eh2marg.linearization import (
     LinearModel,
     finite_difference_jacobian,
     jacobians_measurement,
     jacobians_process,
-    measurement_jacobian,
     nominal_model,
-    rate_jacobian,
 )
 from eh2marg.sensors import NoiseParams, WorldConstants
 
@@ -26,6 +26,18 @@ def _random_state(rng: np.random.Generator) -> EulerState:
     theta = rng.uniform(-1.2, 1.2)
     bias = rng.normal(scale=0.01, size=3)
     return EulerState(EulerAngles(phi, theta, psi), bias)
+
+
+#: Attitudes over the whole roll and yaw range with pitch up to 86 deg, well
+#: clear of the gimbal guard band, where T's sec(theta) terms stay small
+#: enough for the central difference to hold 1e-6.
+_attitudes = st.tuples(
+    st.floats(-np.pi, np.pi), st.floats(-1.5, 1.5), st.floats(-np.pi, np.pi)
+).map(np.array)
+
+
+def _h(angles: np.ndarray, references: np.ndarray) -> np.ndarray:
+    return measurement_model(dcm_body_from_inertial(angles), references)
 
 
 class TestFiniteDifferenceOracle:
@@ -64,16 +76,16 @@ class TestProcessJacobians:
         assert np.max(np.abs(A - fd)) < 1e-6
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_matches_finite_difference_off_nominal(self, seed):
+    @given(angles=_attitudes)
+    def test_matches_finite_difference_off_nominal(self, seed, angles):
+        # At the seed's random state, and at that state turned to a drawn attitude.
         rng = np.random.default_rng(seed)
-        x0 = _random_state(rng)
+        x0 = _random_state(rng).as_vector()
         u0 = rng.normal(scale=0.8, size=3)
-        A, _ = jacobians_process(x0.as_vector(), u0, UNIT)
-        fd = finite_difference_jacobian(
-            lambda v: process_model(v, u0),
-            x0.as_vector(),
-        )
-        assert np.max(np.abs(A - fd)) < 1e-6
+        for x in (x0, np.concatenate([angles, x0[3:]])):
+            A, _ = jacobians_process(x, u0, UNIT)
+            fd = finite_difference_jacobian(lambda v: process_model(v, u0), x)
+            assert np.max(np.abs(A - fd)) < 1e-6
 
 
 class TestMeasurementJacobians:
@@ -81,7 +93,7 @@ class TestMeasurementJacobians:
         # For g = [0, 0, g0] the attitude sensitivity of R g at zero attitude
         # is g0 * [[0, -1, 0], [1, 0, 0], [0, 0, 0]].
         g0 = 9.81
-        Cy, Dw = jacobians_measurement(np.zeros(3), world.reference_rows(), UNIT)
+        _, Cy, Dw = jacobians_measurement(np.zeros(3), world.reference_rows(), UNIT)
         expected = g0 * np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         assert_allclose(Cy[:3, :3], expected, atol=1e-14)
         assert np.all(Dw[:, :6] == 0.0)
@@ -91,19 +103,20 @@ class TestMeasurementJacobians:
         rng = np.random.default_rng(3)
         for _ in range(5):
             angles = _random_state(rng).attitude.as_array()
-            Cy, _ = jacobians_measurement(angles, world.reference_rows(), UNIT)
+            _, Cy, _ = jacobians_measurement(angles, world.reference_rows(), UNIT)
             assert np.all(Cy[:, 3:] == 0.0)
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_matches_finite_difference(self, seed, world):
+    @given(angles=_attitudes)
+    def test_matches_finite_difference(self, seed, world, angles):
+        # At the seed's random state, and at that state turned to a drawn attitude.
         rng = np.random.default_rng(seed + 100)
-        x0 = _random_state(rng)
-        Cy, _ = jacobians_measurement(x0.attitude.as_array(), world.reference_rows(), UNIT)
-        fd = finite_difference_jacobian(
-            lambda v: measurement_model(v[:3], world.reference_rows()),
-            x0.as_vector(),
-        )
-        assert np.max(np.abs(Cy - fd)) < 1e-6
+        x0 = _random_state(rng).as_vector()
+        refs = world.reference_rows()
+        for x in (x0, np.concatenate([angles, x0[3:]])):
+            _, Cy, _ = jacobians_measurement(x[:3], refs, UNIT)
+            fd = finite_difference_jacobian(lambda v: _h(v[:3], refs), x)
+            assert np.max(np.abs(Cy - fd)) < 1e-6
 
 
 class TestLinearModel:
@@ -176,19 +189,20 @@ def test_stacked_jacobians_equal_row_by_row_exactly(world, noise):
     states = np.array([_random_state(rng).as_vector() for _ in range(7)])
     omega = rng.normal(scale=0.5, size=(7, 3))
     refs = world.reference_rows()
-    J_all = rate_jacobian(states[:, :3], omega)
-    H_all = measurement_jacobian(states[:, :3], refs)
     A_all, Bw_all = jacobians_process(states, omega, noise)
-    Cy_all, Dw_all = jacobians_measurement(states[:, :3], refs, noise)
-    assert J_all.shape == (7, 3, 3)
-    assert H_all.shape == (7, 6, 3)
+    h_all, Cy_all, Dw_all = jacobians_measurement(states[:, :3], refs, noise)
     assert A_all.shape == Cy_all.shape == (7, 6, 6)
     assert Bw_all.shape == Dw_all.shape == (7, 6, 12)
+    # The h returned with Cy is the measurement model's, bit for bit.
+    assert np.array_equal(h_all, _h(states[:, :3], refs))
     for k in range(7):
-        assert np.array_equal(J_all[k], rate_jacobian(states[k, :3], omega[k]))
-        assert np.array_equal(H_all[k], measurement_jacobian(states[k, :3], refs))
         A, Bw = jacobians_process(states[k], omega[k], noise)
-        Cy, Dw = jacobians_measurement(states[k, :3], refs, noise)
+        h, Cy, Dw = jacobians_measurement(states[k, :3], refs, noise)
+        assert np.array_equal(h, _h(states[k, :3], refs))
+        assert np.array_equal(h_all[k], h)
+        # The attitude blocks d(T u)/dPhi and dh/dPhi, then the whole matrices.
+        assert np.array_equal(A_all[k, :3, :3], A[:3, :3])
+        assert np.array_equal(Cy_all[k, :, :3], Cy[:, :3])
         assert np.array_equal(A_all[k], A)
         assert np.array_equal(Bw_all[k], Bw)
         assert np.array_equal(Cy_all[k], Cy)
