@@ -2,9 +2,11 @@
 
 Subcommands: ``synthesize`` (emit a gain file), ``run`` (execute a scenario
 and write CSV + metrics), ``bench`` (interleaved timing comparison), and
-``report`` (pretty-print a metrics.json).  Exit codes: 0 success, 1 config
-error, or a reader that closed stdout before the output was written, 2
-synthesis failure, 3 filter failure in every trial.
+``report`` (pretty-print a metrics.json; a document in any other shape than
+``run`` writes is a config error).  Exit codes: 0 success, 1 config error,
+an output path that cannot be written, or a reader that closed stdout
+before the output was written, 2 synthesis failure, 3 filter failure in
+every trial.
 """
 
 import argparse
@@ -13,6 +15,7 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Any
 
 from .errors import ConfigError, Eh2MargError, SynthesisFailure
 from .harness import ScenarioConfig, run_experiment, run_timing_benchmark
@@ -85,16 +88,21 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _read_json(path: Path) -> Any:
+    """The JSON document in ``path``; an unreadable file, bytes that are not
+    UTF-8 or text that is not JSON raise ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError, JSONDecodeError
+        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+
+
 def _load_scenario(args: argparse.Namespace, *, required: bool = True) -> ScenarioConfig | None:
     if args.config is not None:
-        try:
-            with open(args.config, "r") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {args.config}: {exc}") from exc
-        return ScenarioConfig.from_dict(doc)
+        return ScenarioConfig.from_dict(_read_json(args.config))
     if args.case == "I":
         return ScenarioConfig.case_i()
     if args.case == "II":
@@ -181,46 +189,39 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _report_lines(doc: Any) -> list[str]:
+    """The lines ``report`` prints for a metrics.json written by ``run``."""
+    cfg, agg, gain = doc["config"], doc["aggregate"], doc["gain"]
+    gain_keys = ("source", "sha256", "h2_norm", "gamma", "max_closedloop_real_eig", "lmi_feasible")
+    lines = [
+        f"scenario case {cfg['case_id']}  seed {cfg['seed']}  trials {len(doc['trials'])} "
+        f"(ok {agg['num_ok']}, failed {agg['num_failed']})  backend {doc['backend']}",
+        "gain: " + ", ".join(f"{key} {json.dumps(gain[key])}" for key in gain_keys),
+    ]
+    if agg["num_ok"] == 0:
+        return lines + ["no successful trials to report"]
+    lines.append(f"{'axis':<7}{'eh2 rms [deg]':>16}{'ekf rms [deg]':>16}")
+    for i, axis in enumerate(_AXES):
+        lines.append(f"{axis:<7}{agg['eh2']['rms_deg'][i]:>16.6f}{agg['ekf']['rms_deg'][i]:>16.6f}")
+    lines.append(f"eh2 yaw wins: {agg['yaw_wins_eh2']}/{agg['num_ok']}")
+    timing = agg["timing"]
+    lines.append("timing in ms per trial-step (trials stacked; criterion 7 uses eh2marg bench):")
+    for name in ("eh2", "ekf"):
+        stats = ", ".join(
+            f"{stat} {timing[f'{name}_{stat}_ms']:.6f}" for stat in ("mean", "p50", "p95")
+        )
+        lines.append(f"  {name}: {stats}")
+    lines.append(f"  ratio per trial-step {timing['ratio_eh2_over_ekf']:.4f}")
+    return lines
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     path = args.out / "metrics.json"
     try:
-        with open(path, "r") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    cfg = doc.get("config", {})
-    agg = doc.get("aggregate", {})
-    n_trials = len(doc.get("trials", []))
-    print(
-        f"scenario case {cfg.get('case_id', '?')}  seed {cfg.get('seed', '?')}  "
-        f"trials {n_trials} (ok {agg.get('num_ok', 0)}, failed {agg.get('num_failed', 0)})  "
-        f"backend {doc.get('backend', '?')}"
-    )
-    gain = doc.get("gain")
-    if gain is not None:  # absent from metrics.json files written before it was recorded
-        keys = ("source", "sha256", "h2_norm", "gamma", "max_closedloop_real_eig", "lmi_feasible")
-        print("gain: " + ", ".join(f"{key} {json.dumps(gain[key])}" for key in keys))
-    if agg.get("num_ok", 0) == 0:
-        print("no successful trials to report")
-        return 0
-    print(f"{'axis':<7}{'eh2 rms [deg]':>16}{'ekf rms [deg]':>16}")
-    for i, axis in enumerate(_AXES):
-        print(f"{axis:<7}{agg['eh2']['rms_deg'][i]:>16.6f}{agg['ekf']['rms_deg'][i]:>16.6f}")
-    print(f"eh2 yaw wins: {agg['yaw_wins_eh2']}/{agg['num_ok']}")
-    timing = agg.get("timing")
-    if timing is not None:
-        print("timing in ms per trial-step (trials stacked; criterion 7 uses eh2marg bench):")
-        for name in ("eh2", "ekf"):
-            # p50/p95 are absent from metrics.json files written before they were recorded.
-            stats = [
-                f"{stat} {timing[f'{name}_{stat}_ms']:.6f}"
-                for stat in ("mean", "p50", "p95")
-                if f"{name}_{stat}_ms" in timing
-            ]
-            print(f"  {name}: {', '.join(stats)}")
-        print(f"  ratio per trial-step {timing['ratio_eh2_over_ekf']:.4f}")
+        lines = _report_lines(_read_json(path))
+    except (LookupError, TypeError, ValueError) as exc:  # not the shape run writes
+        raise ConfigError(f"{path} is not a metrics.json written by run: {exc!r}") from exc
+    print("\n".join(lines))
     return 0
 
 
@@ -237,6 +238,9 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        return 1
+    except OSError as exc:  # e.g. an --out that names an existing file
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -7,11 +7,12 @@ with :func:`~eh2marg.linearization.jacobians_process` and
 :func:`~eh2marg.linearization.jacobians_measurement`, the same two functions
 the offline gain design evaluates at the nominal point, so it linearizes
 the very model the gain was designed on.  Both
-filters consume one :class:`~eh2marg.sensors.ImuSample` per step: the
-sample's gyro drives the propagation over dt and the same sample's
-accel/mag form the innovation — for the extended-H2 filter the measurement
-is held constant over the RK4 step, for the EKF it is applied to the
-predicted state.
+filters consume one :class:`~eh2marg.sensors.ImuSample` per step: step k
+takes sample k, measured at t_k, and returns the estimate at t_{k+1}.  The
+sample's gyro drives the propagation from t_k to t_{k+1}.  The extended-H2
+filter holds the sample's accel/mag constant over [t_k, t_{k+1}].  The EKF
+compares them with h at its prediction for t_{k+1}, so its measurement is
+one sample older than the state it corrects.
 
 :func:`eh2` and :func:`ekf` are the steps on plain arrays: one ``(6,)``
 state, or an ``(N, 6)`` stack of states (with ``(N, 6, 6)`` covariances)
@@ -144,7 +145,9 @@ def ekf(
     Cy = [[R g]x T^-1; [R h]x T^-1] comes from h itself.  A step evaluates
     sine and cosine six times: once per call and once per RK4 stage.
     Predict: RK4 mean propagation with the gyro sample, covariance through
-    F = I + A dt and Qd = Bw Bw^T dt.  Update: innovation y - h, Kalman gain
+    F = I + A dt and Qd = Bw Bw^T dt.  Update: innovation y - h, with y the
+    sample measured at the start of the step and h taken at the prediction
+    for its end, one dt later; Kalman gain
     from S = H P- H^T + R with H = Cy and R = Dw Dw^T, then the Joseph form
     (I - K H) P- (I - K H)^T + K R K^T, symmetrized.  ``x``/``P`` are (6,)
     and (6, 6) for one filter, or (N, 6) and (N, 6, 6) for N filters.

@@ -318,30 +318,28 @@ def generate_trajectory(cfg: ScenarioConfig) -> Trajectory:
                 mask |= np.isclose(t, cfg.duration)
             angles[mask, axis] = amp[axis] * np.sin(np.pi * tau[mask] / t_w)
             rates[mask, axis] = amp[axis] * (np.pi / t_w) * np.cos(np.pi * tau[mask] / t_w)
-    elif cfg.case_id == "II":
-        amp = np.full(3, np.deg2rad(60.0)) if amp_override is None else amp_override
-        if np.any(amp <= np.pi / 6.0):
-            raise ConfigError(
-                "case II requires per-axis amplitudes > 30 deg; got "
-                f"{np.rad2deg(amp).round(2).tolist()} deg"
-            )
-        if cfg.angular_speed <= 0.0:
-            raise ConfigError("case II requires angular_speed > 0 for its rate regime")
-        for axis in range(3):
-            omega = cfg.angular_speed / amp[axis]
-            phase = omega * t + _CASE_II_PHASES[axis]
-            angles[:, axis] = amp[axis] * np.sin(phase)
-            rates[:, axis] = cfg.angular_speed * np.cos(phase)
     else:
-        if amp_override is None:
-            raise ConfigError("custom case requires amplitude_deg")
-        amp = amp_override
+        if cfg.case_id == "II":
+            amp = np.full(3, np.deg2rad(60.0)) if amp_override is None else amp_override
+            if np.any(amp <= np.pi / 6.0):
+                raise ConfigError(
+                    "case II requires per-axis amplitudes > 30 deg; got "
+                    f"{np.rad2deg(amp).round(2).tolist()} deg"
+                )
+            if cfg.angular_speed <= 0.0:
+                raise ConfigError("case II requires angular_speed > 0 for its rate regime")
+            phases = _CASE_II_PHASES
+        else:
+            if amp_override is None:
+                raise ConfigError("custom case requires amplitude_deg")
+            amp = amp_override
+            phases = (0.0, 0.0, 0.0)
         for axis in range(3):
             if amp[axis] == 0.0 or cfg.angular_speed == 0.0:
                 continue
-            omega = cfg.angular_speed / amp[axis]
-            angles[:, axis] = amp[axis] * np.sin(omega * t)
-            rates[:, axis] = cfg.angular_speed * np.cos(omega * t)
+            phase = cfg.angular_speed / amp[axis] * t + phases[axis]
+            angles[:, axis] = amp[axis] * np.sin(phase)
+            rates[:, axis] = cfg.angular_speed * np.cos(phase)
 
     if np.max(np.abs(angles[:, 1])) > np.pi / 2.0 - GIMBAL_MARGIN:
         raise ConfigError(
@@ -667,9 +665,6 @@ def run_experiment(
         out_path.mkdir(parents=True, exist_ok=True)
 
     trials: list[dict[str, Any]] = []
-    ok: dict[str, list[RunMetrics]] = {name: [] for name in _FILTERS}
-    timings: list[dict[str, dict[str, float]]] = []
-    yaw_wins = 0
     batch_size = MAX_STEPS // (len(traj) - 1)
     for first in range(0, cfg.num_trials, batch_size):
         members = range(first, min(first + batch_size, cfg.num_trials))
@@ -681,56 +676,22 @@ def run_experiment(
             for trial in members
         )
         batch = _run_trials(len(members), streams, L0, cfg.world, cfg.noise, dt)
-        timing = None
+        timing = [_timing_block(ns * 1e-6) for ns in batch.step_ns]
         for row, trial in enumerate(members):
-            record: dict[str, Any] = {"trial": trial}
             if row in batch.failures:
-                record["ok"] = False
-                record.update(batch.failures[row].record())
-                trials.append(record)
+                trials.append({"trial": trial, "ok": False, **batch.failures[row].record()})
                 continue
             estimates = batch.estimates[:, :, row]
-            if timing is None:
-                timing = [_timing_block(ns * 1e-6) for ns in batch.step_ns]
-            record["ok"] = True
-            record["timing"] = {}
-            for name, est, block in zip(_FILTERS, estimates, timing):
-                m = compute_metrics(traj, est, exclude_initial)
-                record[name] = m.to_dict()
-                record["timing"][name] = dict(block)
-                ok[name].append(m)
+            record: dict[str, Any] = {
+                "trial": trial, "ok": True, "timing": dict(zip(_FILTERS, map(dict, timing)))
+            }
+            for name, est in zip(_FILTERS, estimates):
+                record[name] = compute_metrics(traj, est, exclude_initial).to_dict()
             trials.append(record)
-            timings.append(record["timing"])
-            if ok["eh2"][-1].rms[2] < ok["ekf"][-1].rms[2]:
-                yaw_wins += 1
             if out_path is not None:
                 _write_trial_csv(
                     out_path / f"trial_{trial:03d}.csv", traj.t, traj.angles, *estimates
                 )
-
-    num_ok = len(timings)
-    aggregate: dict[str, Any] = {
-        "num_ok": num_ok,
-        "num_failed": cfg.num_trials - num_ok,
-    }
-    if num_ok > 0:
-        for name, metrics in ok.items():
-            aggregate[name] = {
-                "rms_deg": np.mean([m.rms for m in metrics], axis=0).tolist(),
-                "err_min_deg": np.min([m.err_min for m in metrics], axis=0).tolist(),
-                "err_max_deg": np.max([m.err_max for m in metrics], axis=0).tolist(),
-            }
-        aggregate["yaw_wins_eh2"] = yaw_wins
-        agg_timing = {
-            f"{name}_{stat}": float(np.mean([t[name][stat] for t in timings]))
-            for name in _FILTERS
-            for stat in ("mean_ms", "p50_ms", "p95_ms")
-        }
-        mean_eh2, mean_ekf = agg_timing["eh2_mean_ms"], agg_timing["ekf_mean_ms"]
-        agg_timing["ratio_eh2_over_ekf"] = (
-            mean_eh2 / mean_ekf if mean_ekf > 0.0 else float("nan")
-        )
-        aggregate["timing"] = agg_timing
 
     result: dict[str, Any] = {
         "config": cfg.to_dict(),
@@ -739,13 +700,41 @@ def run_experiment(
         "exclude_initial": float(exclude_initial),
         "gain": gain_record,
         "trials": trials,
-        "aggregate": aggregate,
+        "aggregate": _aggregate(trials),
     }
     if out_path is not None:
         with open(out_path / "metrics.json", "w") as fh:
             json.dump(result, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return result
+
+
+def _aggregate(trials: list[dict[str, Any]]) -> dict[str, Any]:
+    """metrics.json's aggregate over the successful trial records: per filter
+    the mean RMS, least err_min and greatest err_max per axis, the eh2 yaw
+    wins, and the mean of each timing statistic with the eh2/EKF ratio."""
+    ok = [rec for rec in trials if rec["ok"]]
+    aggregate: dict[str, Any] = {"num_ok": len(ok), "num_failed": len(trials) - len(ok)}
+    if not ok:
+        return aggregate
+    reductions = {"rms_deg": np.mean, "err_min_deg": np.min, "err_max_deg": np.max}
+    for name in _FILTERS:
+        aggregate[name] = {
+            key: reduce([rec[name][key] for rec in ok], axis=0).tolist()
+            for key, reduce in reductions.items()
+        }
+    aggregate["yaw_wins_eh2"] = sum(
+        rec["eh2"]["rms_deg"][2] < rec["ekf"]["rms_deg"][2] for rec in ok
+    )
+    timing = {
+        f"{name}_{stat}": float(np.mean([rec["timing"][name][stat] for rec in ok]))
+        for name in _FILTERS
+        for stat in ("mean_ms", "p50_ms", "p95_ms")
+    }
+    mean_eh2, mean_ekf = timing["eh2_mean_ms"], timing["ekf_mean_ms"]
+    timing["ratio_eh2_over_ekf"] = mean_eh2 / mean_ekf if mean_ekf > 0.0 else float("nan")
+    aggregate["timing"] = timing
+    return aggregate
 
 
 def metrics_without_timing(metrics: Any) -> Any:

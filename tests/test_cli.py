@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import copy
 import errno
 import json
 import os
@@ -22,6 +23,24 @@ def _write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
+
+
+@pytest.fixture(scope="module")
+def metrics_doc():
+    """The metrics.json document of a one-trial case II run."""
+    return harness.run_experiment(harness.ScenarioConfig.case_ii(num_trials=1))
+
+
+def _write_metrics(out, doc):
+    out.mkdir(exist_ok=True)
+    (out / "metrics.json").write_text(json.dumps(doc))
+
+
+def _assert_config_error_only(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+    assert captured.err.count("\n") == 1  # one line, no traceback
 
 
 class TestSynthesize:
@@ -143,6 +162,13 @@ class TestRun:
     def test_missing_config_file_exits_1(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
 
+    @pytest.mark.parametrize("command", ["run", "synthesize"])
+    def test_non_utf8_config_exits_1(self, command, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"case_id": "I", "café": 1}'.encode("latin-1"))
+        assert main([command, "--config", str(path)]) == 1
+        _assert_config_error_only(capsys)
+
     def test_bad_case_choice_exits_1(self):
         assert main(["run", "--case", "III"]) == 1
 
@@ -225,19 +251,55 @@ class TestReport:
         assert line.startswith('gain: source "file", sha256 "')
         assert "h2_norm null" in line and line.endswith("lmi_feasible null")
 
-    def test_old_metrics_without_percentiles(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        assert main(["run", "--case", "II", "--trials", "1", "--out", str(out)]) == 0
-        doc = json.loads((out / "metrics.json").read_text())
-        timing = doc["aggregate"]["timing"]
+    def test_old_metrics_without_percentiles(self, tmp_path, capsys, metrics_doc):
+        doc = copy.deepcopy(metrics_doc)
         for key in ("eh2_p50_ms", "eh2_p95_ms", "ekf_p50_ms", "ekf_p95_ms"):
-            del timing[key]
-        (out / "metrics.json").write_text(json.dumps(doc))
+            del doc["aggregate"]["timing"][key]
+        _write_metrics(tmp_path, doc)
+        assert main(["report", "--out", str(tmp_path)]) == 1
+        _assert_config_error_only(capsys)
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"{}", b"[1, 2]", b'{"aggregate": {"num_ok": 1}}', b"\xff\xfe{}", b"[" * 100_000],
+        ids=["empty-object", "list", "aggregate-only", "non-utf8", "nested-too-deep"],
+    )
+    def test_foreign_document_exits_1(self, content, tmp_path, capsys):
+        (tmp_path / "metrics.json").write_bytes(content)
+        assert main(["report", "--out", str(tmp_path)]) == 1
+        _assert_config_error_only(capsys)
+
+    @pytest.mark.parametrize("block", ["gain", "aggregate.eh2", "aggregate.timing"])
+    def test_metrics_missing_block_exits_1(self, block, tmp_path, capsys, metrics_doc):
+        doc = copy.deepcopy(metrics_doc)
+        *parents, key = block.split(".")
+        parent = doc
+        for name in parents:
+            parent = parent[name]
+        del parent[key]
+        _write_metrics(tmp_path, doc)
+        assert main(["report", "--out", str(tmp_path)]) == 1
+        _assert_config_error_only(capsys)
+
+    def test_wrong_type_exits_1(self, tmp_path, capsys, metrics_doc):
+        doc = copy.deepcopy(metrics_doc)
+        doc["aggregate"]["eh2"]["rms_deg"] = "0.1 0.2 0.3"
+        _write_metrics(tmp_path, doc)
+        assert main(["report", "--out", str(tmp_path)]) == 1
+        _assert_config_error_only(capsys)
+
+    def test_all_failed_run_reports_no_trials(self, tmp_path, capsys):
+        gain_path = tmp_path / "bad_gain.txt"
+        save_gain_text(np.full((6, 6), 1e6), gain_path)
+        out = tmp_path / "out"
+        argv = ["run", "--case", "II", "--trials", "1", "--gain", str(gain_path)]
+        assert main(argv + ["--out", str(out)]) == 3
         capsys.readouterr()
         assert main(["report", "--out", str(out)]) == 0
-        text = capsys.readouterr().out
-        assert f"  eh2: mean {timing['eh2_mean_ms']:.6f}\n" in text
-        assert "p50" not in text
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith("trials 1 (ok 0, failed 1)  backend numpy")
+        assert lines[1].startswith('gain: source "file"')
+        assert lines[2:] == ["no successful trials to report"]
 
     def test_missing_metrics_exits_1(self, tmp_path, capsys):
         rc = main(["report", "--out", str(tmp_path)])
@@ -248,9 +310,11 @@ class TestReport:
         (tmp_path / "metrics.json").write_text("{{{")
         assert main(["report", "--out", str(tmp_path)]) == 1
 
-    def test_closed_pipe_exits_1_without_traceback(self, tmp_path, monkeypatch, capsys):
+    def test_closed_pipe_exits_1_without_traceback(
+        self, tmp_path, monkeypatch, capsys, metrics_doc
+    ):
         # As in `eh2marg report | true`: the reader is gone before the first line.
-        (tmp_path / "metrics.json").write_text("{}")
+        _write_metrics(tmp_path, metrics_doc)
         fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
         try:
             monkeypatch.setattr("sys.stdout", _ClosedPipe(fd))
@@ -314,6 +378,24 @@ class TestBench:
         monkeypatch.setattr(harness, "initialize_from_first_sample", fail)
         assert main(["bench", "--steps", "300"]) == 1
         assert "ValueError: unusable first sample" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--case", "II", "--trials", "1"],
+        ["synthesize"],
+        ["bench", "--steps", "300"],
+    ],
+    ids=["run", "synthesize", "bench"],
+)
+def test_out_naming_a_file_exits_1(argv, tmp_path, capsys):
+    path = tmp_path / "some_file"
+    path.write_text("")
+    assert main(argv + ["--out", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "File exists" in err
+    assert err.count("\n") == 1  # one line, no traceback
 
 
 class TestParser:
