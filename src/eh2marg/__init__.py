@@ -25,7 +25,6 @@ from .kinematics import (
     EPS_GIMBAL,
     EulerAngles,
     dcm_body_from_inertial,
-    kinematic_matrix,
     kinematic_matrix_inverse,
     wrap_angle,
 )
@@ -113,7 +112,6 @@ __all__ = [
     "initialize_from_first_sample",
     "jacobians_measurement",
     "jacobians_process",
-    "kinematic_matrix",
     "kinematic_matrix_inverse",
     "load_gain_text",
     "metrics_without_timing",

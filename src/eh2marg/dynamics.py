@@ -6,10 +6,12 @@ the measurement model maps gravity and the Earth magnetic vector into the
 body frame.  Integration is fixed-step classical RK4 with the gyro sample
 held constant across the step.
 
-The array-level functions (:func:`process_model`, :func:`measurement_model`,
-:func:`rk4_step`, :func:`checked_state`) take a plain ``(6,)`` state array
-or an ``(N, 6)`` stack of states that advance together; both filters are
-built on them.
+The array-level functions (:func:`process_model`, :func:`rk4_step`,
+:func:`checked_state`) take a plain ``(6,)`` state array or an ``(N, 6)``
+stack of states that advance together; :func:`measurement_model` takes the
+sines and cosines of one attitude or a stack, which its callers share with
+their other terms.  Neither model builds a 3x3 matrix: both apply T(Phi) or
+R(Phi) to vectors.  Both filters are built on these functions.
 """
 
 from dataclasses import dataclass, field
@@ -22,8 +24,10 @@ from .errors import NonFiniteState
 from .kinematics import (
     EulerAngles,
     _check_gimbal,
-    _matvec,
-    kinematic_matrix,
+    _euler_rates,
+    _matrix,
+    _rotate,
+    _sin_cos,
     wrap_angle,
 )
 from .sensors import _vector3
@@ -68,22 +72,24 @@ def process_model(x: NDArray[np.float64], omega: NDArray[np.float64]) -> NDArray
     Raises
     ------
     GimbalLockError
-        Propagated from the rate transformation.
+        If the pitch (of any row) is in the guard band, where T is singular.
     """
-    f = np.zeros(x.shape)
-    f[..., :3] = _matvec(kinematic_matrix(x[..., :3]), omega - x[..., 3:])
-    return f
+    _check_gimbal(x)
+    s, c = _sin_cos(x[..., :3])
+    return _matrix([*_euler_rates(s, c, omega - x[..., 3:]), 0.0, 0.0, 0.0], s)
 
 
 def measurement_model(
-    R: NDArray[np.float64], references: NDArray[np.float64]
+    s: ArrayLike, c: ArrayLike, references: NDArray[np.float64]
 ) -> NDArray[np.float64]:
-    """h(Phi) = [R g; R h] for the DCM R = R(Phi) and the (2, 3) rows [g; h]
-    of :meth:`~eh2marg.sensors.WorldConstants.reference_rows`; a (3, 3) R
-    gives a (6,) vector and an (N, 3, 3) stack an (N, 6) stack.  Callers
-    pass R built from the sines and cosines their other matrices share."""
-    h = references @ R.mT
-    return h.reshape(h.shape[:-2] + (6,))
+    """h(Phi) = [R g; R h] from the sines ``s`` and cosines ``c`` of Phi.
+
+    ``s, c = kinematics._sin_cos(angles)`` for (3,) angles gives a (6,)
+    vector, for (N, 3) angles an (N, 6) stack.  ``references`` holds the
+    rows [g; h] of :meth:`~eh2marg.sensors.WorldConstants.reference_rows`.
+    """
+    g, m = references.tolist()
+    return _matrix([*_rotate(s, c, g), *_rotate(s, c, m)], s)
 
 
 def rk4_step(

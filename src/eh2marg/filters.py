@@ -6,13 +6,15 @@ EKF baseline propagates a covariance and re-linearizes at every estimate
 with :func:`~eh2marg.linearization.jacobians_process` and
 :func:`~eh2marg.linearization.jacobians_measurement`, the same two functions
 the offline gain design evaluates at the nominal point, so it linearizes
-the very model the gain was designed on.  Both
-filters consume one :class:`~eh2marg.sensors.ImuSample` per step: step k
-takes sample k, measured at t_k, and returns the estimate at t_{k+1}.  The
-sample's gyro drives the propagation from t_k to t_{k+1}.  The extended-H2
-filter holds the sample's accel/mag constant over [t_k, t_{k+1}].  The EKF
-compares them with h at its prediction for t_{k+1}, so its measurement is
-one sample older than the state it corrects.
+the very model the gain was designed on.  The RK4 stages of both apply
+T(Phi) and R(Phi) to vectors without building either matrix; only the
+EKF's A and Bw hold T as a matrix.  Both filters consume one
+:class:`~eh2marg.sensors.ImuSample` per step: step k takes sample k,
+measured at t_k, and returns the estimate at t_{k+1}.  The sample's gyro
+drives the propagation from t_k to t_{k+1}.  The extended-H2 filter holds
+the sample's accel/mag constant over [t_k, t_{k+1}].  The EKF compares
+them with h at its prediction for t_{k+1}, so its measurement is one
+sample older than the state it corrects.
 
 :func:`eh2` and :func:`ekf` are the steps on plain arrays: one ``(6,)``
 state, or an ``(N, 6)`` stack of states (with ``(N, 6, 6)`` covariances)
@@ -31,8 +33,11 @@ from .errors import DegenerateSample, InnovationCovSingular
 from .kinematics import (
     EPS_GIMBAL,
     EulerAngles,
+    _check_gimbal,
+    _euler_rates,
+    _matrix,
     _matvec,
-    attitude_matrices,
+    _sin_cos,
     dcm_body_from_inertial,
     wrap_angle,
 )
@@ -116,12 +121,14 @@ def eh2(
     """
 
     def xdot(xs):
-        # f(xs, omega) + L (h(xs) - y) with T and R from one sine/cosine
-        # evaluation: the derivative runs four times per step, and per-step
-        # cost is what the filter is compared on.
-        T, R = attitude_matrices(xs[..., :3])
-        out = _matvec(L, measurement_model(R, references) - y)
-        out[..., :3] += _matvec(T, omega - xs[..., 3:])
+        # f(xs, omega) + L (h(xs) - y) from one gimbal check and one
+        # sine/cosine evaluation, with T and R applied to vectors and never
+        # built: the derivative runs four times per step, and per-step cost
+        # is what the filter is compared on.
+        _check_gimbal(xs)
+        s, c = _sin_cos(xs[..., :3])
+        out = _matvec(L, measurement_model(s, c, references) - y)
+        out[..., :3] += _matrix(_euler_rates(s, c, omega - xs[..., 3:]), s)
         return out
 
     return rk4_step(xdot, x, dt)
@@ -140,16 +147,17 @@ def ekf(
 
     The EKF re-linearizes the design model of the extended-H2 gain at every
     estimate: A, Bw come from :func:`~eh2marg.linearization.jacobians_process`
-    at the current estimate, and h = [R g; R h] with Cy, Dw from
+    at the current estimate, and h = [R g; R h] with Cy from
     :func:`~eh2marg.linearization.jacobians_measurement` at the prediction;
     Cy = [[R g]x T^-1; [R h]x T^-1] comes from h itself.  A step evaluates
     sine and cosine six times: once per call and once per RK4 stage.
     Predict: RK4 mean propagation with the gyro sample, covariance through
     F = I + A dt and Qd = Bw Bw^T dt.  Update: innovation y - h, with y the
     sample measured at the start of the step and h taken at the prediction
-    for its end, one dt later; Kalman gain
-    from S = H P- H^T + R with H = Cy and R = Dw Dw^T, then the Joseph form
-    (I - K H) P- (I - K H)^T + K R K^T, symmetrized.  ``x``/``P`` are (6,)
+    for its end, one dt later; Kalman gain from S = H P- H^T + R with H = Cy
+    and R = Dw Dw^T of the design model, the diagonal r of squared
+    accelerometer and magnetometer standard deviations; then the Joseph form
+    (I - K H) P- (I - K H)^T + (K r) K^T, symmetrized.  ``x``/``P`` are (6,)
     and (6, 6) for one filter, or (N, 6) and (N, 6, 6) for N filters.
 
     Raises
@@ -165,9 +173,9 @@ def ekf(
     F = _EYE6 + dt * A
     xp = rk4_step(lambda xs: process_model(xs, omega), x, dt)
     Pp = F @ P @ F.mT + dt * (Bw @ Bw.mT)
-    h, H, Dw = jacobians_measurement(xp[..., :3], references, q)
-    R = Dw @ Dw.mT
-    S = H @ Pp @ H.mT + R
+    h, H = jacobians_measurement(xp[..., :3], references)
+    r = np.array([q.n_a] * 3 + [q.n_m] * 3) ** 2
+    S = H @ Pp @ H.mT + np.diag(r)
     PHt = Pp @ H.mT
     try:
         K = np.linalg.solve(S, PHt.mT).mT
@@ -175,7 +183,7 @@ def ekf(
         raise InnovationCovSingular(f"innovation covariance solve failed: {exc}") from exc
     x_new = checked_state(xp + _matvec(K, y - h))
     I_KH = _EYE6 - K @ H
-    P_new = I_KH @ Pp @ I_KH.mT + K @ R @ K.mT
+    P_new = I_KH @ Pp @ I_KH.mT + (K * r) @ K.mT
     return x_new, 0.5 * (P_new + P_new.mT)
 
 
@@ -186,13 +194,15 @@ def eh2_step(
 
     Raises
     ------
+    ValueError
+        If ``dt`` is not finite and > 0.
     GimbalLockError
         If the estimate enters the gimbal guard band during the step.
     NonFiniteState
         If the new estimate is not finite.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be > 0, got {dt!r}")
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
     x = eh2(
         s.xhat.as_vector(),
         sample.omega_m,
@@ -215,6 +225,8 @@ def ekf_step(
 
     Raises
     ------
+    ValueError
+        If ``dt`` is not finite and > 0.
     GimbalLockError
         If the estimate enters the gimbal guard band.
     InnovationCovSingular
@@ -222,8 +234,8 @@ def ekf_step(
     NonFiniteState
         If the new estimate is not finite.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be > 0, got {dt!r}")
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
     x, P = ekf(
         s.xhat.as_vector(),
         s.P,

@@ -1,10 +1,14 @@
 """3-2-1 Euler-angle attitude kinematics.
 
-Provides the Euler-rate transformation matrix ``T`` mapping body angular
-rates to Euler-angle rates, the body-from-inertial direction cosine matrix
-of the 3-2-1 (yaw-pitch-roll) sequence, and angle-wrapping utilities.  The
-rate transformation is singular at pitch +/- 90 degrees ("gimbal lock"); all
-operations that evaluate it fail loudly inside a guard band of
+Provides the rate transformation ``T(Phi)``, mapping body angular rates to
+Euler-angle rates, and its inverse; the body-from-inertial direction cosine
+matrix ``R(Phi)`` of the 3-2-1 (yaw-pitch-roll) sequence; and angle
+wrapping.  The filter steps apply T and R to vectors through two private
+maps on the sines and cosines from :func:`_sin_cos`, :func:`_euler_rates`
+and :func:`_rotate`, and build no 3x3 matrix; only the Jacobians build T
+(:func:`_rate_matrix`).  T is singular at pitch +/- 90 degrees ("gimbal
+lock"); every caller that evaluates it first checks the pitch with
+:func:`_check_gimbal`, which fails loudly inside a guard band of
 ``EPS_GIMBAL`` radians around the singularity instead of returning huge
 ``tan``/``sec`` values.
 """
@@ -20,9 +24,7 @@ from .errors import GimbalLockError
 __all__ = [
     "EPS_GIMBAL",
     "EulerAngles",
-    "attitude_matrices",
     "dcm_body_from_inertial",
-    "kinematic_matrix",
     "kinematic_matrix_inverse",
     "wrap_angle",
 ]
@@ -143,11 +145,11 @@ def _sin_cos(e: "EulerAngles | ArrayLike") -> tuple:
     return np.sin(a).T, np.cos(a).T
 
 
-def _matrix(rows: list, like: "list | NDArray[np.float64]") -> NDArray[np.float64]:
-    """A matrix from nested entries, or an (n, ...) stack of them.
+def _matrix(rows: "list | tuple", like: "list | NDArray[np.float64]") -> NDArray[np.float64]:
+    """A vector or matrix from (nested) entries, or an (n, ...) stack of them.
 
     ``like`` is a sine/cosine from :func:`_sin_cos`: a list means the entries
-    are Python floats and one matrix is built; an array means the entries
+    are Python floats and one array is built; an array means the entries
     are length-n arrays (or constants) that fill an (n, ...) stack.
     """
     if isinstance(like, list):
@@ -163,6 +165,7 @@ def _matrix(rows: list, like: "list | NDArray[np.float64]") -> NDArray[np.float6
 
 
 def _rate_matrix(s: ArrayLike, c: ArrayLike) -> NDArray[np.float64]:
+    """T(Phi) as a matrix, for the Jacobians; :func:`_euler_rates` applies it."""
     (sp, st, _), (cp, ct, _) = s, c
     tt = st / ct
     sec = 1.0 / ct
@@ -176,16 +179,30 @@ def _rate_matrix(s: ArrayLike, c: ArrayLike) -> NDArray[np.float64]:
     )
 
 
-def _dcm(s: ArrayLike, c: ArrayLike) -> NDArray[np.float64]:
+def _euler_rates(s: ArrayLike, c: ArrayLike, w: NDArray[np.float64]) -> tuple:
+    """T(Phi) w: the Euler rates of the body rates w, component by component.
+
+    ``w`` is (3,) for the floats of one attitude or (n, 3) for a stack; the
+    three components come back as floats or length-n arrays.
+    """
+    (sp, st, _), (cp, ct, _) = s, c
+    w0, w1, w2 = w.tolist() if w.ndim == 1 else w.T
+    u = sp * w1 + cp * w2
+    psi_dot = u / ct
+    return w0 + st * psi_dot, cp * w1 - sp * w2, psi_dot
+
+
+def _rotate(s: ArrayLike, c: ArrayLike, r: "list | tuple") -> tuple:
+    """R(Phi) r = R1(phi) R2(theta) R3(psi) r for three floats r, one
+    elementary rotation at a time; the components come back as floats, or
+    as length-n arrays for a stack of attitudes.  This is the one place the
+    DCM is written."""
     (sp, st, ss), (cp, ct, cs) = s, c
-    return _matrix(
-        [
-            [ct * cs, ct * ss, -st],
-            [sp * st * cs - cp * ss, sp * st * ss + cp * cs, sp * ct],
-            [cp * st * cs + sp * ss, cp * st * ss - sp * cs, cp * ct],
-        ],
-        s,
-    )
+    x, y, z = r
+    x, y = cs * x + ss * y, cs * y - ss * x
+    x, z = ct * x - st * z, st * x + ct * z
+    y, z = cp * y + sp * z, cp * z - sp * y
+    return x, y, z
 
 
 def _matvec(A: NDArray[np.float64], v: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -198,30 +215,8 @@ def _matvec(A: NDArray[np.float64], v: NDArray[np.float64]) -> NDArray[np.float6
     return A @ v if v.ndim == 1 else (A @ v[..., None])[..., 0]
 
 
-def kinematic_matrix(e: "EulerAngles | ArrayLike") -> NDArray[np.float64]:
-    """Rate transformation matrix ``T`` with Euler rates = T @ body rates.
-
-    Parameters
-    ----------
-    e : EulerAngles or array_like, shape (3,) or (n, 3)
-        Current attitude, or a stack of attitudes.
-
-    Returns
-    -------
-    numpy.ndarray, shape (3, 3) or (n, 3, 3)
-
-    Raises
-    ------
-    GimbalLockError
-        If the pitch (of any row) is within ``EPS_GIMBAL`` of +/- pi/2.
-    """
-    a = _as_angles(e)
-    _check_gimbal(a)
-    return _rate_matrix(*_sin_cos(a))
-
-
 def kinematic_matrix_inverse(e: "EulerAngles | ArrayLike") -> NDArray[np.float64]:
-    """Inverse of :func:`kinematic_matrix`, mapping Euler rates to body rates.
+    """Inverse of the rate transformation T, mapping Euler rates to body rates.
 
     Unlike ``T`` itself this map is defined for all attitudes; no gimbal
     guard is needed.  An (n, 3) angle array gives an (n, 3, 3) stack.
@@ -251,23 +246,9 @@ def dcm_body_from_inertial(e: "EulerAngles | ArrayLike") -> NDArray[np.float64]:
     Returns
     -------
     numpy.ndarray, shape (3, 3) or (n, 3, 3)
-        Orthonormal rotation matrix (or stack) with determinant +1.
+        Orthonormal rotation matrix (or stack) with determinant +1; column j
+        is R e_j.
     """
-    return _dcm(*_sin_cos(e))
-
-
-def attitude_matrices(
-    e: "EulerAngles | ArrayLike",
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """:func:`kinematic_matrix` and :func:`dcm_body_from_inertial` of one
-    attitude, or of an (n, 3) stack, from a single sine/cosine evaluation.
-
-    Raises
-    ------
-    GimbalLockError
-        If the pitch (of any row) is within ``EPS_GIMBAL`` of +/- pi/2.
-    """
-    a = _as_angles(e)
-    _check_gimbal(a)
-    s, c = _sin_cos(a)
-    return _rate_matrix(s, c), _dcm(s, c)
+    s, c = _sin_cos(e)
+    columns = [_rotate(s, c, e_j) for e_j in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))]
+    return _matrix([list(row) for row in zip(*columns)], s)

@@ -4,12 +4,14 @@
 place the linear model is built.  The gain is designed once, offline, from
 them evaluated at the nominal operating point (zero attitude, zero bias,
 zero input; :func:`nominal_model`); the EKF baseline re-linearizes with the
-same two functions at every estimate.  Both fold the noise standard
-deviations into the columns of Bw and Dw, so the model is driven by
-unit-intensity white noise.  Each evaluates the attitude's sines and
-cosines once.  Cy needs no derivative of the DCM: R_dot = -[w]x R with
-w = T^-1(Phi) Phi_dot gives d(R r)/dPhi = [R r]x T^-1(Phi) for a fixed
-inertial r, so Cy follows from the predicted measurement h = [R g; R h].
+same two functions at every estimate.  The noise standard deviations are
+folded into the columns of Bw (:func:`jacobians_process`) and of the
+state-independent Dw (:func:`nominal_model`), so the model is driven by
+unit-intensity white noise.  Each Jacobian function evaluates the
+attitude's sines and cosines once.  Cy needs no derivative of the DCM:
+R_dot = -[w]x R with w = T^-1(Phi) Phi_dot gives d(R r)/dPhi =
+[R r]x T^-1(Phi) for a fixed inertial r, so Cy follows from the predicted
+measurement h = [R g; R h].
 A central finite-difference oracle cross-checks the closed forms.
 """
 
@@ -20,7 +22,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .dynamics import measurement_model
-from .kinematics import _check_gimbal, _dcm, _matrix, _rate_matrix, _sin_cos
+from .kinematics import _check_gimbal, _matrix, _rate_matrix, _sin_cos
 from .sensors import NoiseParams, WorldConstants
 
 __all__ = [
@@ -139,25 +141,21 @@ def jacobians_process(
 
 
 def jacobians_measurement(
-    angles: NDArray[np.float64], references: NDArray[np.float64], noise: NoiseParams
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
-    """h, Cy and Dw of the measurement model at the attitude ``angles``.
+    angles: NDArray[np.float64], references: NDArray[np.float64]
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """h and Cy of the measurement model at the attitude ``angles``.
 
     ``references`` holds the rows [g; h] of
     :meth:`~eh2marg.sensors.WorldConstants.reference_rows`.  (3,) angles
-    give h (6,), Cy (6, 6) and Dw (6, 12); (N, 3) angles give (N, 6),
-    (N, 6, 6) and (N, 6, 12).  h is
-    :func:`~eh2marg.dynamics.measurement_model`, and Cy is built from it.
-    The bias columns of Cy are zero (h does not depend on b); Dw carries the accelerometer and magnetometer standard
-    deviations on the [n_a; n_m] columns and zeros on the process columns.
+    give h (6,) and Cy (6, 6); (N, 3) angles give (N, 6) and (N, 6, 6).
+    h is :func:`~eh2marg.dynamics.measurement_model`, and Cy is built from
+    it.  The bias columns of Cy are zero (h does not depend on b).
     """
     s, c = _sin_cos(angles)
-    h = measurement_model(_dcm(s, c), references)
+    h = measurement_model(s, c, references)
     Cy = np.zeros(angles.shape[:-1] + (6, 6))
     Cy[..., :3] = _measurement_jacobian(h, s, c)
-    Dw = np.zeros(angles.shape[:-1] + (6, 12))
-    Dw[..., 6:] = np.diag([noise.n_a] * 3 + [noise.n_m] * 3)
-    return h, Cy, Dw
+    return h, Cy
 
 
 def finite_difference_jacobian(
@@ -182,9 +180,13 @@ def finite_difference_jacobian(
 def nominal_model(
     noise: NoiseParams | None = None, world: WorldConstants | None = None
 ) -> LinearModel:
-    """The design model: both Jacobians at the zero state and zero input, Cz = [I3 0]."""
+    """The design model: both Jacobians at the zero state and zero input, Cz = [I3 0],
+    and the state-independent Dw, which holds the accelerometer and
+    magnetometer standard deviations on the [n_a; n_m] columns."""
     noise = NoiseParams() if noise is None else noise
     world = WorldConstants() if world is None else world
     A, Bw = jacobians_process(np.zeros(6), np.zeros(3), noise)
-    _, Cy, Dw = jacobians_measurement(np.zeros(3), world.reference_rows(), noise)
+    _, Cy = jacobians_measurement(np.zeros(3), world.reference_rows())
+    Dw = np.zeros((6, 12))
+    Dw[:, 6:] = np.diag([noise.n_a] * 3 + [noise.n_m] * 3)
     return LinearModel(A=A, Bw=Bw, Cy=Cy, Dw=Dw, Cz=np.eye(3, 6))

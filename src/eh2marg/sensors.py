@@ -13,7 +13,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .errors import LengthMismatch
-from .kinematics import dcm_body_from_inertial
+from .kinematics import _matrix, _rotate, _sin_cos
 
 __all__ = ["ImuSample", "ImuStream", "NoiseParams", "WorldConstants", "simulate_imu_stream"]
 
@@ -224,7 +224,7 @@ def simulate_imu_stream(
     bias[1:] = np.sqrt(dt) * p.n_b * np.cumsum(walk[:-1], axis=0)
 
     omega_m = body_rates + bias + p.n_w * gyro_white
-    R = dcm_body_from_inertial(angles)
-    a_m = R @ w.g_inertial + p.n_a * accel_white
-    m_m = R @ w.h_inertial + p.n_m * mag_white
+    s, c = _sin_cos(angles)
+    a_m = _matrix(_rotate(s, c, w.g_inertial.tolist()), s) + p.n_a * accel_white
+    m_m = _matrix(_rotate(s, c, w.h_inertial.tolist()), s) + p.n_m * mag_white
     return ImuStream(t=t, omega_m=omega_m, a_m=a_m, m_m=m_m, bias_true=bias)

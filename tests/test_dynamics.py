@@ -3,6 +3,9 @@ that both filters run."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
@@ -11,9 +14,9 @@ from eh2marg import (
     EulerState,
     GimbalLockError,
     WorldConstants,
-    dcm_body_from_inertial,
 )
 from eh2marg.dynamics import measurement_model, process_model, rk4_step
+from eh2marg.kinematics import _sin_cos
 
 
 def _rk4(x, omega, dt):
@@ -23,7 +26,7 @@ def _rk4(x, omega, dt):
 
 
 def _h(x: EulerState, world) -> np.ndarray:
-    return measurement_model(dcm_body_from_inertial(x.attitude), world.reference_rows())
+    return measurement_model(*_sin_cos(x.attitude), world.reference_rows())
 
 
 def test_state_derivative_examples():
@@ -51,6 +54,36 @@ def test_state_derivative_bias_block_always_zero():
             bias=rng.standard_normal(3) * 0.1,
         )
         assert_allclose(process_model(x.as_vector(), rng.standard_normal(3))[3:], 0.0)
+
+
+_state_and_rate_stacks = st.integers(min_value=1, max_value=20).flatmap(
+    lambda n: arrays(
+        np.float64,
+        (n, 9),
+        elements=st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False),
+    )
+)
+
+
+@given(_state_and_rate_stacks)
+def test_stacked_process_model_equals_row_by_row_exactly(cols):
+    """f of an (N, 6) stack equals, bit for bit, f of each (6,) row with its
+    own gyro rate; the stack is rejected exactly when one of its rows is."""
+    x, omega = cols[:, :6], cols[:, 6:]
+    rows_in_band = []
+    for k in range(len(x)):
+        try:
+            process_model(x[k], omega[k])
+        except GimbalLockError:
+            rows_in_band.append(k)
+    if rows_in_band:
+        with pytest.raises(GimbalLockError):
+            process_model(x, omega)
+        return
+    f_all = process_model(x, omega)
+    assert f_all.shape == x.shape
+    for k in range(len(x)):
+        assert np.array_equal(f_all[k], process_model(x[k], omega[k]))
 
 
 class TestMeasurement:

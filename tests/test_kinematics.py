@@ -11,11 +11,31 @@ from eh2marg import (
     EulerAngles,
     GimbalLockError,
     dcm_body_from_inertial,
-    kinematic_matrix,
     kinematic_matrix_inverse,
     wrap_angle,
 )
-from eh2marg.kinematics import _check_gimbal, attitude_matrices
+from eh2marg.dynamics import process_model
+from eh2marg.kinematics import _check_gimbal, _euler_rates, _rate_matrix, _rotate, _sin_cos
+
+
+def kinematic_matrix(e):
+    """T(Phi) as a matrix, as the Jacobians build it."""
+    return _rate_matrix(*_sin_cos(e))
+
+
+def euler_rates(e, w):
+    """The T map applied to one (3,) or a stack of (n, 3) body rates, as an array."""
+    return np.array(_euler_rates(*_sin_cos(e), np.asarray(w, dtype=np.float64))).T
+
+
+def rotate(e, r):
+    """The R map applied to the three floats r, as an array."""
+    return np.array(_rotate(*_sin_cos(e), r)).T
+
+
+def rate_process(e, w=(0.0, 0.0, 0.0)):
+    """The guarded caller of the T map: process_model at zero bias."""
+    return process_model(np.r_[np.asarray(e, dtype=np.float64), 0.0, 0.0, 0.0], np.asarray(w))
 
 
 def random_angles(rng, n, theta_max=1.4):
@@ -74,6 +94,7 @@ class TestEulerAngles:
 
 def test_kinematic_matrix_identity_at_zero():
     assert_allclose(kinematic_matrix(EulerAngles.zero()), np.eye(3), atol=0.0)
+    assert_allclose(euler_rates(EulerAngles.zero(), [0.1, 0.2, 0.3]), [0.1, 0.2, 0.3], atol=0.0)
 
 
 def test_kinematic_matrix_known_value():
@@ -87,13 +108,14 @@ def test_kinematic_matrix_known_value():
 def test_kinematic_matrix_gimbal_guard(theta):
     e = EulerAngles(0.0, np.clip(theta, -np.pi / 2 + 1e-12, np.pi / 2 - 1e-12), 0.0)
     with pytest.raises(GimbalLockError):
-        kinematic_matrix(e)
+        rate_process(e.as_array())
 
 
 def test_kinematic_matrix_just_outside_guard():
     e = EulerAngles(0.3, np.pi / 2.0 - 1e-5, -0.7)
     T = kinematic_matrix(e)
     assert np.all(np.isfinite(T))
+    assert np.all(np.isfinite(rate_process(e.as_array(), [0.1, -0.2, 0.3])))
 
 
 def test_inverse_against_axis_composition():
@@ -133,15 +155,15 @@ def test_dcm_orthonormality_sweep():
 
 
 def test_euler_rates_examples():
-    assert_allclose(kinematic_matrix(EulerAngles.zero()) @ [0.1, 0.2, 0.3], [0.1, 0.2, 0.3])
+    assert_allclose(euler_rates(EulerAngles.zero(), [0.1, 0.2, 0.3]), [0.1, 0.2, 0.3])
     assert_allclose(
-        kinematic_matrix(EulerAngles(np.pi / 2.0, np.pi / 4.0, 0.0)) @ [0.0, 0.0, 1.0],
+        euler_rates(EulerAngles(np.pi / 2.0, np.pi / 4.0, 0.0), [0.0, 0.0, 1.0]),
         [0.0, -1.0, 0.0],
         atol=1e-15,
     )
     rng = np.random.default_rng(5)
     for row in random_angles(rng, 20):
-        assert_allclose(kinematic_matrix(EulerAngles(*row)) @ np.zeros(3), 0.0)
+        assert_allclose(euler_rates(EulerAngles(*row), np.zeros(3)), 0.0)
 
 
 class TestAngleError:
@@ -202,23 +224,57 @@ def test_batch_equals_row_by_row_exactly(angles):
 
 @given(_angle_batches)
 def test_stacked_rate_matrix_equals_row_by_row_exactly(angles):
-    """T and (T, R) of an (n, 3) stack equal the rows' results bit for bit,
-    and the stack is rejected exactly when one of its rows is."""
+    """T and R of an (n, 3) stack equal the rows' results bit for bit, and
+    the stack is rejected exactly when one of its rows is."""
     in_band = np.abs(wrap_angle(angles[:, 1])) >= np.pi / 2.0 - EPS_GIMBAL
+    states = np.column_stack([angles, np.zeros_like(angles)])
     if in_band.any():
         with pytest.raises(GimbalLockError):
-            kinematic_matrix(angles)
-        with pytest.raises(GimbalLockError):
-            attitude_matrices(angles)
+            process_model(states, np.zeros(3))
         return
     T_all = kinematic_matrix(angles)
-    T2_all, R_all = attitude_matrices(angles)
+    R_all = dcm_body_from_inertial(angles)
     assert T_all.shape == R_all.shape == (len(angles), 3, 3)
     for k, row in enumerate(angles):
         assert np.array_equal(T_all[k], kinematic_matrix(row))
-        T2, R = attitude_matrices(row)
-        assert np.array_equal(T2_all[k], T2)
-        assert np.array_equal(R_all[k], R)
+        assert np.array_equal(R_all[k], dcm_body_from_inertial(row))
+        process_model(states[k], np.zeros(3))
+
+
+_vectors = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+_EPS = np.finfo(np.float64).eps
+#: Absolute slack for products that underflow: the smallest normal float.
+_TINY = np.finfo(np.float64).tiny
+
+
+@given(_angle_batches, st.lists(_vectors, min_size=3, max_size=3), st.randoms())
+def test_stacked_maps_equal_row_by_row_exactly(angles, r, random):
+    """The T and R maps of an (n, 3) stack give, bit for bit, the rows'
+    results on Python floats."""
+    w = np.array([[random.uniform(-10.0, 10.0) for _ in range(3)] for _ in angles])
+    rates_all = euler_rates(angles, w)
+    rotated_all = rotate(angles, r)
+    assert rates_all.shape == rotated_all.shape == (len(angles), 3)
+    for k, row in enumerate(angles):
+        assert np.array_equal(rates_all[k], euler_rates(row, w[k]))
+        assert np.array_equal(rotated_all[k], rotate(row, r))
+
+
+@given(_angle_batches, st.lists(_vectors, min_size=3, max_size=3))
+def test_maps_match_their_matrices(angles, v):
+    """The T map against T @ v, and the R map against R @ r, for the same
+    vector v = r.  Each side rounds every term a few times (T: the products
+    and the division by cos theta; R: three rotations), so the two may part
+    by a few ulp of the operands: 4 eps of |T| @ |v| per component for T,
+    and, R being orthonormal, 4 eps of |r|_1 for R; plus the smallest normal
+    float, for products that underflow."""
+    v = np.array(v)
+    T = kinematic_matrix(angles)
+    rates_tol = 4.0 * _EPS * (np.abs(T) @ np.abs(v)) + _TINY
+    assert np.all(np.abs(euler_rates(angles, np.tile(v, (len(angles), 1))) - T @ v) <= rates_tol)
+    rotated = rotate(angles, v.tolist())
+    rotated_tol = 4.0 * _EPS * np.abs(v).sum() + _TINY
+    assert np.all(np.abs(rotated - dcm_body_from_inertial(angles) @ v) <= rotated_tol)
 
 
 def test_check_gimbal_rejects_stack_with_one_row_in_band():
