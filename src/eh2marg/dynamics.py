@@ -11,7 +11,8 @@ The array-level functions (:func:`process_model`, :func:`rk4_step`,
 stack of states that advance together; :func:`measurement_model` takes the
 sines and cosines of one attitude or a stack, which its callers share with
 their other terms.  Neither model builds a 3x3 matrix: both apply T(Phi) or
-R(Phi) to vectors.  Both filters are built on these functions.
+R(Phi) to vectors, a stack's g and h in one pass.  Both filters are built
+on these functions.
 """
 
 from dataclasses import dataclass, field
@@ -25,8 +26,8 @@ from .kinematics import (
     EulerAngles,
     _check_gimbal,
     _euler_rates,
-    _matrix,
     _rotate,
+    _rotate_rows,
     _sin_cos,
     wrap_angle,
 )
@@ -76,7 +77,9 @@ def process_model(x: NDArray[np.float64], omega: NDArray[np.float64]) -> NDArray
     """
     _check_gimbal(x)
     s, c = _sin_cos(x[..., :3])
-    return _matrix([*_euler_rates(s, c, omega - x[..., 3:]), 0.0, 0.0, 0.0], s)
+    f = np.zeros(x.shape)
+    f.T[0], f.T[1], f.T[2] = _euler_rates(s, c, omega - x[..., 3:])
+    return f
 
 
 def measurement_model(
@@ -85,11 +88,14 @@ def measurement_model(
     """h(Phi) = [R g; R h] from the sines ``s`` and cosines ``c`` of Phi.
 
     ``s, c = kinematics._sin_cos(angles)`` for (3,) angles gives a (6,)
-    vector, for (N, 3) angles an (N, 6) stack.  ``references`` holds the
+    vector, for (N, 3) angles an (N, 6) stack from the 2N rows R g, R h, ...
+    of :func:`~eh2marg.kinematics._rotate_rows`.  ``references`` holds the
     rows [g; h] of :meth:`~eh2marg.sensors.WorldConstants.reference_rows`.
     """
-    g, m = references.tolist()
-    return _matrix([*_rotate(s, c, g), *_rotate(s, c, m)], s)
+    if isinstance(s, list):
+        g, m = references.tolist()
+        return np.array([*_rotate(s, c, g), *_rotate(s, c, m)])
+    return _rotate_rows(s, c, references)
 
 
 def rk4_step(

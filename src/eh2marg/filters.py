@@ -24,6 +24,7 @@ containers.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
@@ -97,6 +98,15 @@ class EKFState:
         object.__setattr__(self, "P", P)
 
 
+@lru_cache(maxsize=8)
+def _measurement_variances(q: NoiseParams) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """r = (n_a^2, n_a^2, n_a^2, n_m^2, n_m^2, n_m^2) and diag(r), read-only."""
+    r = np.array([q.n_a] * 3 + [q.n_m] * 3) ** 2
+    R = np.diag(r)
+    r.flags.writeable = R.flags.writeable = False
+    return r, R
+
+
 def eh2(
     x: NDArray[np.float64],
     omega: NDArray[np.float64],
@@ -128,7 +138,12 @@ def eh2(
         _check_gimbal(xs)
         s, c = _sin_cos(xs[..., :3])
         out = _matvec(L, measurement_model(s, c, references) - y)
-        out[..., :3] += _matrix(_euler_rates(s, c, omega - xs[..., 3:]), s)
+        rates = _euler_rates(s, c, omega - xs[..., 3:])
+        if xs.ndim == 1:
+            out[:3] += _matrix(rates, s)
+        else:
+            for j, rate in enumerate(rates):
+                out[:, j] += rate
         return out
 
     return rk4_step(xdot, x, dt)
@@ -174,8 +189,8 @@ def ekf(
     xp = rk4_step(lambda xs: process_model(xs, omega), x, dt)
     Pp = F @ P @ F.mT + dt * (Bw @ Bw.mT)
     h, H = jacobians_measurement(xp[..., :3], references)
-    r = np.array([q.n_a] * 3 + [q.n_m] * 3) ** 2
-    S = H @ Pp @ H.mT + np.diag(r)
+    r, R = _measurement_variances(q)
+    S = H @ Pp @ H.mT + R
     PHt = Pp @ H.mT
     try:
         K = np.linalg.solve(S, PHt.mT).mT

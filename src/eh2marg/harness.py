@@ -453,20 +453,26 @@ _CSV_HEADER = (
 )
 
 
+def _truth_cells(t: NDArray[np.float64], truth: NDArray[np.float64]) -> NDArray[np.object_]:
+    """Each CSV row's ``t,phi_true,theta_true,psi_true``, the same in every trial."""
+    rows = np.column_stack([t, truth])
+    text = ("%.17g" + ",%.17g" * 3 + "\n") * len(rows) % tuple(rows.ravel().tolist())
+    return np.array(text.split("\n")[:-1], dtype=object)
+
+
 def _write_trial_csv(
-    path: Path,
-    t: NDArray[np.float64],
-    truth: NDArray[np.float64],
-    eh2: NDArray[np.float64],
-    ekf: NDArray[np.float64],
+    path: Path, truth_cells: NDArray[np.object_], estimates: NDArray[np.float64]
 ) -> None:
-    rows = np.column_stack([t, truth, eh2, ekf])
-    row_fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    """Write the truth cells beside the (2, n, 3) eh2 and EKF attitudes."""
+    estimates = np.hstack(estimates)
+    cells = np.empty((_CSV_BLOCK_ROWS, 7), dtype=object)
     with open(path, "w", newline="\n") as fh:
         fh.write(_CSV_HEADER + "\n")
-        for first in range(0, rows.shape[0], _CSV_BLOCK_ROWS):
-            block = rows[first : first + _CSV_BLOCK_ROWS]
-            fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
+        for first in range(0, len(estimates), _CSV_BLOCK_ROWS):
+            block = cells[: len(estimates) - first]
+            block[:, 0] = truth_cells[first : first + len(block)]
+            block[:, 1:] = estimates[first : first + len(block)]
+            fh.write(("%s" + ",%.17g" * 6 + "\n") * len(block) % tuple(block.ravel().tolist()))
 
 
 class _Failure(NamedTuple):
@@ -663,6 +669,7 @@ def run_experiment(
     if out_dir is not None:
         out_path = Path(out_dir)
         out_path.mkdir(parents=True, exist_ok=True)
+        truth_cells = _truth_cells(traj.t, traj.angles)
 
     trials: list[dict[str, Any]] = []
     batch_size = MAX_STEPS // (len(traj) - 1)
@@ -689,9 +696,7 @@ def run_experiment(
                 record[name] = compute_metrics(traj, est, exclude_initial).to_dict()
             trials.append(record)
             if out_path is not None:
-                _write_trial_csv(
-                    out_path / f"trial_{trial:03d}.csv", traj.t, traj.angles, *estimates
-                )
+                _write_trial_csv(out_path / f"trial_{trial:03d}.csv", truth_cells, estimates)
 
     result: dict[str, Any] = {
         "config": cfg.to_dict(),

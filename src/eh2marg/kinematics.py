@@ -6,8 +6,10 @@ matrix ``R(Phi)`` of the 3-2-1 (yaw-pitch-roll) sequence; and angle
 wrapping.  The filter steps apply T and R to vectors through two private
 maps on the sines and cosines from :func:`_sin_cos`, :func:`_euler_rates`
 and :func:`_rotate`, and build no 3x3 matrix; only the Jacobians build T
-(:func:`_rate_matrix`).  T is singular at pitch +/- 90 degrees ("gimbal
-lock"); every caller that evaluates it first checks the pitch with
+(:func:`_rate_matrix`).  :func:`_rotate_rows` rotates several references
+in one pass over interleaved rows, as a small stack costs per numpy call,
+not per element.  T is singular at pitch +/- 90 degrees ("gimbal lock");
+every caller that evaluates it first checks the pitch with
 :func:`_check_gimbal`, which fails loudly inside a guard band of
 ``EPS_GIMBAL`` radians around the singularity instead of returning huge
 ``tan``/``sec`` values.
@@ -36,6 +38,8 @@ EPS_GIMBAL = 1e-6
 _GIMBAL_BOUND = np.pi / 2.0 - EPS_GIMBAL
 #: Margin (rad) far above the rounding error of wrap_angle near +/- pi/2.
 _GIMBAL_SLACK = 1e-12
+#: The condition a rejected pitch fails, as GimbalLockError states it.
+_GIMBAL_BAND = f"does not wrap to inside (-pi/2 + {EPS_GIMBAL}, pi/2 - {EPS_GIMBAL}) rad"
 
 
 def wrap_angle(angle: ArrayLike) -> NDArray[np.float64] | float:
@@ -117,19 +121,12 @@ def _check_gimbal(x: NDArray[np.float64]) -> None:
         bad = np.abs(wrap_angle(theta)) >= _GIMBAL_BOUND
         if bad.any():
             raise GimbalLockError(
-                f"pitch {theta[bad]!r} rad of rows {np.flatnonzero(bad).tolist()} is "
-                f"within {EPS_GIMBAL} rad of the +/- pi/2 singularity"
+                f"pitch {theta[bad]!r} rad of rows {np.flatnonzero(bad).tolist()} {_GIMBAL_BAND}"
             )
         return
     theta = float(x[1])
     if abs(math.pi - (math.pi - theta) % (2.0 * math.pi)) >= _GIMBAL_BOUND:
-        raise GimbalLockError(
-            f"pitch {theta!r} rad is within {EPS_GIMBAL} rad of the +/- pi/2 singularity"
-        )
-
-
-def _as_angles(e: "EulerAngles | ArrayLike") -> NDArray[np.float64]:
-    return e.as_array() if isinstance(e, EulerAngles) else np.asarray(e, dtype=np.float64)
+        raise GimbalLockError(f"pitch {theta!r} rad {_GIMBAL_BAND}")
 
 
 def _sin_cos(e: "EulerAngles | ArrayLike") -> tuple:
@@ -139,7 +136,7 @@ def _sin_cos(e: "EulerAngles | ArrayLike") -> tuple:
     arithmetic cheap; an (n, 3) stack yields one length-n array per angle,
     so the same expressions evaluate the whole stack.
     """
-    a = _as_angles(e)
+    a = e.as_array() if isinstance(e, EulerAngles) else np.asarray(e, dtype=np.float64)
     if a.ndim == 1:
         return np.sin(a).tolist(), np.cos(a).tolist()
     return np.sin(a).T, np.cos(a).T
@@ -193,16 +190,28 @@ def _euler_rates(s: ArrayLike, c: ArrayLike, w: NDArray[np.float64]) -> tuple:
 
 
 def _rotate(s: ArrayLike, c: ArrayLike, r: "list | tuple") -> tuple:
-    """R(Phi) r = R1(phi) R2(theta) R3(psi) r for three floats r, one
-    elementary rotation at a time; the components come back as floats, or
-    as length-n arrays for a stack of attitudes.  This is the one place the
-    DCM is written."""
+    """R(Phi) r = R1(phi) R2(theta) R3(psi) r, one elementary rotation at a
+    time, on the components of r and the sines and cosines of Phi as floats
+    or as length-n arrays.  This is the one place the DCM is written."""
     (sp, st, ss), (cp, ct, cs) = s, c
     x, y, z = r
     x, y = cs * x + ss * y, cs * y - ss * x
     x, z = ct * x - st * z, st * x + ct * z
     y, z = cp * y + sp * z, cp * z - sp * y
     return x, y, z
+
+
+def _rotate_rows(
+    s: ArrayLike, c: ArrayLike, references: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """R(Phi) r for each inertial row r of ``references`` (k, 3) at each attitude
+    of a stack, as (n, 3k): one :func:`_rotate` over the kn rows r_1 .. r_k of
+    attitude 0, then of attitude 1, ..., each computed as for its attitude alone."""
+    k, n = references.shape[0], s.shape[1]
+    out = np.empty((k * n, 3))
+    out.reshape(n, k, 3)[:] = references
+    out[:, 0], out[:, 1], out[:, 2] = _rotate(s.repeat(k, axis=1), c.repeat(k, axis=1), out.T)
+    return out.reshape(n, 3 * k)
 
 
 def _matvec(A: NDArray[np.float64], v: NDArray[np.float64]) -> NDArray[np.float64]:

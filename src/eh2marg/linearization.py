@@ -11,7 +11,7 @@ unit-intensity white noise.  Each Jacobian function evaluates the
 attitude's sines and cosines once.  Cy needs no derivative of the DCM:
 R_dot = -[w]x R with w = T^-1(Phi) Phi_dot gives d(R r)/dPhi =
 [R r]x T^-1(Phi) for a fixed inertial r, so Cy follows from the predicted
-measurement h = [R g; R h].
+measurement h = [R g; R h], on a stack in one pass over its 2N rows.
 A central finite-difference oracle cross-checks the closed forms.
 """
 
@@ -97,19 +97,23 @@ def _measurement_jacobian(
 
     T^-1 has the columns e1, (0, cos phi, -sin phi) and R's third column
     (-sin theta, sin phi cos theta, cos phi cos theta).  A (6,) h gives
-    (6, 3), an (n, 6) stack (n, 6, 3).
+    (6, 3); an (n, 6) stack (n, 6, 3), from one block per row R g, R h, ...
     """
+    if h.ndim == 1:
+        blocks = h.reshape(2, 3).tolist()
+    else:
+        s, c = s.repeat(2, axis=1), c.repeat(2, axis=1)
+        blocks = (h.reshape(-1, 3).T,)
     (sp, st, _), (cp, ct, _) = s, c
     r1, r2, r3 = -st, sp * ct, cp * ct
-    v = h.tolist() if h.ndim == 1 else h.T
     rows = []
-    for v1, v2, v3 in (v[:3], v[3:]):
+    for v1, v2, v3 in blocks:
         rows += [
             [0.0, -sp * v2 - cp * v3, r3 * v2 - r2 * v3],
             [v3, sp * v1, r1 * v3 - r3 * v1],
             [-v2, cp * v1, r2 * v1 - r1 * v2],
         ]
-    return _matrix(rows, s)
+    return _matrix(rows, s).reshape(*h.shape[:-1], 6, 3)
 
 
 def jacobians_process(

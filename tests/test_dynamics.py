@@ -113,6 +113,15 @@ class TestMeasurement:
             assert np.linalg.norm(y[:3]) == pytest.approx(np.linalg.norm(world.g_inertial), abs=1e-10)
             assert np.linalg.norm(y[3:]) == pytest.approx(np.linalg.norm(world.h_inertial), abs=1e-10)
 
+    def test_stack_takes_integer_references_as_rows_do(self):
+        # The stack rotates its references in a float buffer: integer rows
+        # must not truncate the rotated values.
+        angles = np.array([[0.3, -0.2, 1.1], [-1.0, 0.5, -2.0]])
+        references = np.array([[0, 0, 10], [1, 0, 1]])
+        h_all = measurement_model(*_sin_cos(angles), references)
+        for k, row in enumerate(angles):
+            assert np.array_equal(h_all[k], measurement_model(*_sin_cos(row), references))
+
 
 class TestIntegrateStep:
     def test_zero_rate_fixed_point(self):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from eh2marg.dynamics import EulerState, measurement_model, process_model, rk4_step
@@ -18,6 +20,7 @@ from eh2marg.filters import (
 )
 from eh2marg.harness import ScenarioConfig, generate_trajectory
 from eh2marg.kinematics import EPS_GIMBAL, EulerAngles, _sin_cos, wrap_angle
+from eh2marg.linearization import jacobians_measurement
 from eh2marg.sensors import ImuSample, NoiseParams, WorldConstants, simulate_imu_stream
 
 DT = 0.01
@@ -376,6 +379,44 @@ class TestStackedSteps:
             xk, Pk = ekf(x[k], P[k], omega[k], y[k], noise, refs, DT)
             assert np.array_equal(x_new[k], xk)
             assert np.array_equal(P_new[k], Pk)
+
+    @given(
+        st.integers(1, 12),
+        st.lists(st.floats(-10.0, 10.0), min_size=6, max_size=6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_stacks_equal_rows_for_any_references(self, noise, cert, n, refs, seed):
+        # The measurement model rotates the two reference rows as one
+        # interleaved stack of 2n rows; any pair of non-parallel rows must
+        # give each state's own result, bit for bit, down to the filters.
+        g, h = np.array(refs[:3]), np.array(refs[3:])
+        assume(np.linalg.norm(np.cross(g, h)) > 1e-3 * np.linalg.norm(g) * np.linalg.norm(h))
+        references = WorldConstants(g, h).reference_rows()
+        rng = np.random.default_rng(seed)
+        x = np.column_stack(
+            [
+                rng.uniform(-np.pi, np.pi, n),
+                rng.uniform(-1.2, 1.2, n),
+                rng.uniform(-np.pi, np.pi, n),
+                rng.normal(scale=0.01, size=(n, 3)),
+            ]
+        )
+        omega = rng.normal(scale=0.5, size=(n, 3))
+        y = measurement_model(*_sin_cos(x[:, :3]), references) + rng.normal(0.0, 0.01, (n, 6))
+        P = DEFAULT_P0 * rng.uniform(0.5, 2.0, size=(n, 1, 1))
+        h_all = measurement_model(*_sin_cos(x[:, :3]), references)
+        jac_all = jacobians_measurement(x[:, :3], references)
+        eh2_all = eh2(x, omega, y, cert.L, references, DT)
+        ekf_all = ekf(x, P, omega, y, noise, references, DT)
+        for k in range(n):
+            assert np.array_equal(h_all[k], measurement_model(*_sin_cos(x[k, :3]), references))
+            for stacked, row in zip(jac_all, jacobians_measurement(x[k, :3], references)):
+                assert np.array_equal(stacked[k], row)
+            assert np.array_equal(eh2_all[k], eh2(x[k], omega[k], y[k], cert.L, references, DT))
+            for stacked, row in zip(
+                ekf_all, ekf(x[k], P[k], omega[k], y[k], noise, references, DT)
+            ):
+                assert np.array_equal(stacked[k], row)
 
     def test_one_row_in_gimbal_band_fails_the_stack(self, world, cert):
         x, omega, y, _ = self._inputs(world)

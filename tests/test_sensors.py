@@ -10,6 +10,7 @@ from eh2marg import (
     dcm_body_from_inertial,
     simulate_imu_stream,
 )
+from eh2marg.kinematics import _rotate, _sin_cos
 
 SILENT = NoiseParams(0.0, 0.0, 0.0, 0.0)
 
@@ -111,6 +112,21 @@ def test_norm_preservation_over_random_attitudes():
     stream = _stream(angles, w=w)
     assert_allclose(np.linalg.norm(stream.a_m, axis=1), np.linalg.norm(w.g_inertial), atol=1e-10)
     assert_allclose(np.linalg.norm(stream.m_m, axis=1), np.linalg.norm(w.h_inertial), atol=1e-10)
+
+
+def test_accel_and_mag_are_each_reference_rotated_row_by_row():
+    # Bit for bit, accel is R(Phi) g and mag R(Phi) h as _rotate gives them
+    # row by row, in a world where g and h differ in every component.
+    rng = np.random.default_rng(4)
+    w = WorldConstants(g_inertial=[0.3, -0.2, 9.7], h_inertial=[0.41, 0.12, 0.58])
+    angles = np.column_stack(
+        [rng.uniform(-np.pi, np.pi, 9), rng.uniform(-1.4, 1.4, 9), rng.uniform(-np.pi, np.pi, 9)]
+    )
+    stream = _stream(angles, w=w)
+    for k, row in enumerate(angles):
+        s, c = _sin_cos(row)
+        assert np.array_equal(stream.a_m[k], _rotate(s, c, w.g_inertial.tolist()))
+        assert np.array_equal(stream.m_m[k], _rotate(s, c, w.h_inertial.tolist()))
 
 
 def test_imu_sample_stacks_measurement():

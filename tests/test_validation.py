@@ -245,7 +245,7 @@ def _rows_rejected_stacked(states):
     try:
         _check_gimbal(states)
     except GimbalLockError as exc:
-        return json.loads(str(exc).split(" of rows ")[1].split(" is within")[0])
+        return json.loads(str(exc).split(" of rows ")[1].split(" does not wrap")[0])
     return []
 
 
@@ -291,8 +291,28 @@ def test_stacked_gimbal_guard_lists_every_rejected_row():
     with pytest.raises(GimbalLockError) as info:
         _check_gimbal(states)
     assert str(info.value) == (
-        f"pitch {states[expected, 1]!r} rad of rows {expected} is "
-        f"within {EPS_GIMBAL} rad of the +/- pi/2 singularity"
+        f"pitch {states[expected, 1]!r} rad of rows {expected} does not wrap to "
+        f"inside (-pi/2 + {EPS_GIMBAL}, pi/2 - {EPS_GIMBAL}) rad"
+    )
+
+
+@pytest.mark.parametrize("theta", [2.0, -3.0, HALF_PI])
+def test_gimbal_message_states_the_band_the_pitch_misses(theta):
+    # 2.0 and -3.0 rad are far from +/- pi/2 but still rejected (they wrap
+    # to themselves, outside the band); the message names the interval
+    # the wrapped pitch must lie in, not a distance to the singularity.
+    band = f"does not wrap to inside (-pi/2 + {EPS_GIMBAL}, pi/2 - {EPS_GIMBAL}) rad"
+    _raises(
+        lambda: _check_gimbal(np.array([0.0, theta, 0.0])),
+        GimbalLockError,
+        f"pitch {theta!r} rad {band}",
+    )
+    states = np.zeros((2, 6))
+    states[1, 1] = theta
+    _raises(
+        lambda: _check_gimbal(states),
+        GimbalLockError,
+        f"pitch {states[[1], 1]!r} rad of rows [1] {band}",
     )
 
 
