@@ -10,9 +10,12 @@ The array-level functions (:func:`process_model`, :func:`rk4_step`,
 :func:`checked_state`) take a plain ``(6,)`` state array or an ``(N, 6)``
 stack of states that advance together; :func:`measurement_model` takes the
 sines and cosines of one attitude or a stack, which its callers share with
-their other terms.  Neither model builds a 3x3 matrix: both apply T(Phi) or
-R(Phi) to vectors, a stack's g and h in one pass.  Both filters are built
-on these functions.
+their other terms.  Neither model builds a 3x3 matrix: the process model
+applies T(Phi) to vectors, and h(Phi) is a constant table
+(:func:`~eh2marg.kinematics._rotation_table`) applied to trigonometric
+products of Phi, one matrix-vector product per row of a stack.
+:func:`rk4_step` takes its first stage from a caller that already holds
+it.  Both filters are built on these functions.
 """
 
 from dataclasses import dataclass, field
@@ -26,8 +29,9 @@ from .kinematics import (
     EulerAngles,
     _check_gimbal,
     _euler_rates,
-    _rotate,
-    _rotate_rows,
+    _matvec,
+    _monomials,
+    _rotation_table,
     _sin_cos,
     wrap_angle,
 )
@@ -83,29 +87,35 @@ def process_model(x: NDArray[np.float64], omega: NDArray[np.float64]) -> NDArray
 
 
 def measurement_model(
-    s: ArrayLike, c: ArrayLike, references: NDArray[np.float64]
+    s: ArrayLike,
+    c: ArrayLike,
+    references: NDArray[np.float64],
+    monomials: NDArray[np.float64] | None = None,
 ) -> NDArray[np.float64]:
     """h(Phi) = [R g; R h] from the sines ``s`` and cosines ``c`` of Phi.
 
     ``s, c = kinematics._sin_cos(angles)`` for (3,) angles gives a (6,)
-    vector, for (N, 3) angles an (N, 6) stack from the 2N rows R g, R h, ...
-    of :func:`~eh2marg.kinematics._rotate_rows`.  ``references`` holds the
+    vector, for (N, 3) angles an (N, 6) stack.  ``references`` holds the
     rows [g; h] of :meth:`~eh2marg.sensors.WorldConstants.reference_rows`.
+    h is the h rows of :func:`~eh2marg.kinematics._rotation_table` applied to
+    the trigonometric products of Phi.  ``monomials``, when given, is
+    ``kinematics._monomials(s, c)``, which a caller may already hold.
     """
-    if isinstance(s, list):
-        g, m = references.tolist()
-        return np.array([*_rotate(s, c, g), *_rotate(s, c, m)])
-    return _rotate_rows(s, c, references)
+    if monomials is None:
+        monomials = _monomials(s, c)
+    return _matvec(_rotation_table(references)[:6], monomials)
 
 
 def rk4_step(
     f: Callable[[NDArray[np.float64]], NDArray[np.float64]],
     x: NDArray[np.float64],
     dt: float,
+    k1: NDArray[np.float64] | None = None,
 ) -> NDArray[np.float64]:
     """One classical RK4 step of x_dot = f(x); the attitude is re-wrapped after.
 
     ``x`` is one (6,) state or an (N, 6) stack that ``f`` maps row by row.
+    ``k1``, when given, is f(x), which a caller may already hold.
 
     Raises
     ------
@@ -115,7 +125,8 @@ def rk4_step(
     NonFiniteState
         If the result is not finite.
     """
-    k1 = f(x)
+    if k1 is None:
+        k1 = f(x)
     k2 = f(x + 0.5 * dt * k1)
     k3 = f(x + 0.5 * dt * k2)
     k4 = f(x + dt * k3)

@@ -6,9 +6,12 @@ EKF baseline propagates a covariance and re-linearizes at every estimate
 with :func:`~eh2marg.linearization.jacobians_process` and
 :func:`~eh2marg.linearization.jacobians_measurement`, the same two functions
 the offline gain design evaluates at the nominal point, so it linearizes
-the very model the gain was designed on.  The RK4 stages of both apply
-T(Phi) and R(Phi) to vectors without building either matrix; only the
-EKF's A and Bw hold T as a matrix.  Both filters consume one
+the very model the gain was designed on.  Neither builds R(Phi): h and Cy
+are constant tables applied to trigonometric products of Phi, and the
+extended-H2 filter folds L0 into its table once per call, so each RK4
+stage gets L0 h(xhat) from one matrix-vector product.  The RK4 stages apply
+T(Phi) to vectors; only the EKF's A and Bw hold T as a matrix, and the EKF
+takes its first RK4 stage from A.  Both filters consume one
 :class:`~eh2marg.sensors.ImuSample` per step: step k takes sample k,
 measured at t_k, and returns the estimate at t_{k+1}.  The sample's gyro
 drives the propagation from t_k to t_{k+1}.  The extended-H2 filter holds
@@ -29,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamics import EulerState, checked_state, measurement_model, process_model, rk4_step
+from .dynamics import EulerState, checked_state, process_model, rk4_step
 from .errors import DegenerateSample, InnovationCovSingular
 from .kinematics import (
     EPS_GIMBAL,
@@ -38,6 +41,8 @@ from .kinematics import (
     _euler_rates,
     _matrix,
     _matvec,
+    _monomials,
+    _rotation_table,
     _sin_cos,
     dcm_body_from_inertial,
     wrap_angle,
@@ -119,6 +124,9 @@ def eh2(
 
     ``xhat_dot = f(xhat, omega) + L (h(xhat) - y)`` with ``references`` the
     rows [g; h] of :meth:`~eh2marg.sensors.WorldConstants.reference_rows`.
+    L h(xhat) is taken as (L C_h) m(xhat), with C_h the h rows of the
+    rotation table and m the trigonometric products of xhat, and L y once
+    per call.
     ``x``, ``omega`` and ``y`` are (6,), (3,), (6,) for one filter, or
     (N, 6), (N, 3), (N, 6) for N filters that share L and dt.
 
@@ -130,14 +138,18 @@ def eh2(
         If the new estimate is not finite.
     """
 
+    # y is held over the step, so L y is the same in all four stages.
+    gain_table = L @ _rotation_table(references)[:6]
+    Ly = _matvec(L, y)
+
     def xdot(xs):
         # f(xs, omega) + L (h(xs) - y) from one gimbal check and one
-        # sine/cosine evaluation, with T and R applied to vectors and never
-        # built: the derivative runs four times per step, and per-step cost
-        # is what the filter is compared on.
+        # sine/cosine evaluation, with T and R never built: the derivative
+        # runs four times per step, and per-step cost is what the filter is
+        # compared on.
         _check_gimbal(xs)
         s, c = _sin_cos(xs[..., :3])
-        out = _matvec(L, measurement_model(s, c, references) - y)
+        out = _matvec(gain_table, _monomials(s, c)) - Ly
         rates = _euler_rates(s, c, omega - xs[..., 3:])
         if xs.ndim == 1:
             out[:3] += _matrix(rates, s)
@@ -164,8 +176,10 @@ def ekf(
     estimate: A, Bw come from :func:`~eh2marg.linearization.jacobians_process`
     at the current estimate, and h = [R g; R h] with Cy from
     :func:`~eh2marg.linearization.jacobians_measurement` at the prediction;
-    Cy = [[R g]x T^-1; [R h]x T^-1] comes from h itself.  A step evaluates
-    sine and cosine six times: once per call and once per RK4 stage.
+    both are read off one set of trigonometric products.  A step evaluates
+    sine and cosine five times: once in each Jacobian function and once in
+    each of RK4 stages 2-4; stage 1, T(x)(omega - b), comes from the -T
+    block of A.
     Predict: RK4 mean propagation with the gyro sample, covariance through
     F = I + A dt and Qd = Bw Bw^T dt.  Update: innovation y - h, with y the
     sample measured at the start of the step and h taken at the prediction
@@ -186,7 +200,10 @@ def ekf(
     """
     A, Bw = jacobians_process(x, omega, q)
     F = _EYE6 + dt * A
-    xp = rk4_step(lambda xs: process_model(xs, omega), x, dt)
+    # RK4 stage 1 is f(x) = [T(x)(omega - b); 0], and A already holds -T(x).
+    k1 = np.zeros(x.shape)
+    k1[..., :3] = -_matvec(A[..., :3, 3:], omega - x[..., 3:])
+    xp = rk4_step(lambda xs: process_model(xs, omega), x, dt, k1)
     Pp = F @ P @ F.mT + dt * (Bw @ Bw.mT)
     h, H = jacobians_measurement(xp[..., :3], references)
     r, R = _measurement_variances(q)

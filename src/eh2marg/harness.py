@@ -594,7 +594,10 @@ def _run_trials(
     for k in range(n - 1):
         if not len(live):
             break
-        inputs = (omega[k, live], y[k, live])
+        # While every trial is live, plain indexing reads and writes views
+        # instead of copying through ``live``.
+        rows = slice(None) if len(live) == num_trials else live
+        inputs = (omega[k, rows], y[k, rows])
         for f, (name, step) in enumerate(steps):
             tic = perf_counter_ns()
             new, errors = _advance(step, states[f] + inputs)
@@ -606,13 +609,13 @@ def _run_trials(
                     )
                 keep = np.ones(len(live), dtype=bool)
                 keep[list(errors)] = False
-                live = live[keep]
+                live = rows = live[keep]
                 inputs = tuple(a[keep] for a in inputs)
                 states = [tuple(a[keep] for a in state) for state in states]
                 if not len(live):
                     break
             states[f] = new
-            estimates[f, k + 1, live] = new[0][:, :3]
+            estimates[f, k + 1, rows] = new[0][:, :3]
     return _TrialBatch(estimates, step_ns, failures)
 
 

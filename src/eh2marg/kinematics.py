@@ -3,20 +3,29 @@
 Provides the rate transformation ``T(Phi)``, mapping body angular rates to
 Euler-angle rates, and its inverse; the body-from-inertial direction cosine
 matrix ``R(Phi)`` of the 3-2-1 (yaw-pitch-roll) sequence; and angle
-wrapping.  The filter steps apply T and R to vectors through two private
-maps on the sines and cosines from :func:`_sin_cos`, :func:`_euler_rates`
-and :func:`_rotate`, and build no 3x3 matrix; only the Jacobians build T
-(:func:`_rate_matrix`).  :func:`_rotate_rows` rotates several references
-in one pass over interleaved rows, as a small stack costs per numpy call,
-not per element.  T is singular at pitch +/- 90 degrees ("gimbal lock");
-every caller that evaluates it first checks the pitch with
-:func:`_check_gimbal`, which fails loudly inside a guard band of
-``EPS_GIMBAL`` radians around the singularity instead of returning huge
-``tan``/``sec`` values.
+wrapping.  R is written once, as the map :func:`_rotate` on the sines and
+cosines from :func:`_sin_cos`; :func:`_euler_rates` applies T the same way,
+and only the Jacobians build T (:func:`_rate_matrix`).
+
+The filter steps read R(Phi) r off constant tables instead.  Every entry of
+R and of its first derivatives is a combination, with coefficients 0 or
++/-1, of the 27 products of (1, sin, cos) of phi, theta and psi (22 of them
+occur).  :func:`_rotation_coefficients` reads the coefficients off
+:func:`_rotate` once, :func:`_rotation_table` folds a block of reference
+vectors into them once per block, and :func:`_monomials` evaluates the
+products; R r and d(R r)/dPhi for every row of a stack are then one
+matrix-vector product per row, in one numpy call, since a small stack
+costs per numpy call, not per element.
+
+T is singular at pitch +/- 90 degrees ("gimbal lock"); every caller that
+evaluates it first checks the pitch with :func:`_check_gimbal`, which fails
+loudly inside a guard band of ``EPS_GIMBAL`` radians around the
+singularity instead of returning huge ``tan``/``sec`` values.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -201,17 +210,87 @@ def _rotate(s: ArrayLike, c: ArrayLike, r: "list | tuple") -> tuple:
     return x, y, z
 
 
-def _rotate_rows(
-    s: ArrayLike, c: ArrayLike, references: NDArray[np.float64]
-) -> NDArray[np.float64]:
-    """R(Phi) r for each inertial row r of ``references`` (k, 3) at each attitude
-    of a stack, as (n, 3k): one :func:`_rotate` over the kn rows r_1 .. r_k of
-    attitude 0, then of attitude 1, ..., each computed as for its attitude alone."""
-    k, n = references.shape[0], s.shape[1]
-    out = np.empty((k * n, 3))
-    out.reshape(n, k, 3)[:] = references
-    out[:, 0], out[:, 1], out[:, 2] = _rotate(s.repeat(k, axis=1), c.repeat(k, axis=1), out.T)
-    return out.reshape(n, 3 * k)
+@lru_cache(maxsize=1)
+def _rotation_coefficients() -> NDArray[np.float64]:
+    """R(Phi) and its derivatives as exact combinations of the 27 products
+    (1, sin, cos)[i](phi) * (1, sin, cos)[j](theta) * (1, sin, cos)[k](psi):
+    the read-only (27, 4, 3, 3) coefficients of R, dR/dphi, dR/dtheta and
+    dR/dpsi, row 9i + 3j + k for each product.
+
+    :func:`_rotate` is affine in each angle's (sin, cos).  At the points
+    (sin, cos) = (0, 0), (1, 0), (0, 1) the basis (1, sin, cos) reads
+    (1, 0, 0), (1, 1, 0), (1, 0, 1), so R on the unit vectors at the 27
+    corners fixes every coefficient; each comes out 0 or +/-1, and 22
+    products carry one.  A derivative maps the coefficients (a, b, c) of
+    (1, sin, cos) to (0, -c, b).
+    """
+    from_points = np.array([[1.0, 0.0, 0.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
+    derivative = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+    eye = np.eye(3)
+    corner = np.indices((3, 3, 3)).reshape(3, 27)
+    s, c = (corner == 1).astype(np.float64), (corner == 2).astype(np.float64)
+    values = np.array([_rotate(s, c, e_j) for e_j in eye]).transpose(2, 1, 0)
+    R = reduce(np.kron, (from_points,) * 3) @ values.reshape(27, 9)
+    per_angle = ((derivative, eye, eye), (eye, derivative, eye), (eye, eye, derivative))
+    tables = [R] + [reduce(np.kron, ops) @ R for ops in per_angle]
+    coefficients = np.stack(tables, axis=1).reshape(27, 4, 3, 3)
+    coefficients.flags.writeable = False
+    return coefficients
+
+
+@lru_cache(maxsize=8)
+def _reference_table(references: bytes) -> NDArray[np.float64]:
+    """See :func:`_rotation_table`; ``references`` as the bytes of float64 rows."""
+    rotated = _rotation_coefficients() @ np.frombuffer(references).reshape(-1, 3).T
+    # rotated[m, d, j, i]: product m's coefficient in (R r_i)_j (d = 0) and
+    # in its derivative by angle d - 1.
+    table = np.concatenate(
+        [
+            rotated[:, 0].transpose(2, 1, 0).reshape(-1, 27),
+            rotated[:, 1:].transpose(3, 2, 1, 0).reshape(-1, 27),
+        ]
+    )
+    table.flags.writeable = False
+    return table
+
+
+def _rotation_table(references: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The read-only (12k, 27) table that maps the products of
+    :func:`_monomials` to R r_1 .. R r_k (3k rows), then to d(R r_i)_j/dPhi
+    (3 rows per entry), for the k rows r_i of ``references``; built once
+    per distinct block."""
+    return _reference_table(np.asarray(references, dtype=np.float64).tobytes())
+
+
+def _monomials(s: ArrayLike, c: ArrayLike) -> NDArray[np.float64]:
+    """The 27 products of :func:`_rotation_coefficients` for the sines and
+    cosines of one attitude, (27,), or of a stack, (n, 27) C-contiguous.
+
+    Every product is (phi factor * theta factor) * psi factor, for the floats
+    of one attitude and for a stack alike, and :func:`_matvec` then applies
+    a table to each row as to one attitude's products, so a stack's rows are
+    bit for bit those of its attitudes.  All 27 are kept: picking out the 22
+    that occur costs a stack one more numpy call than the 5 zero columns
+    cost the product.
+    """
+    if isinstance(s, list):
+        # Written out, as this runs in every RK4 stage of a one-state step; a
+        # factor 1 is left out, since 1.0 * v is v bit for bit.
+        (sp, st, ss), (cp, ct, cs) = s, c
+        spst, spct, cpst, cpct = sp * st, sp * ct, cp * st, cp * ct
+        return np.array(
+            [
+                1.0, ss, cs, st, st * ss, st * cs, ct, ct * ss, ct * cs,
+                sp, sp * ss, sp * cs, spst, spst * ss, spst * cs, spct, spct * ss, spct * cs,
+                cp, cp * ss, cp * cs, cpst, cpst * ss, cpst * cs, cpct, cpct * ss, cpct * cs,
+            ]
+        )
+    f = np.empty((len(s[0]), 3, 3))  # [row, 1/sin/cos, angle]
+    f[:, 0] = 1.0
+    f[:, 1] = s.T
+    f[:, 2] = c.T
+    pairs = (f[:, :, 0, None] * f[:, None, :, 1]).reshape(-1, 9, 1)
+    return (pairs * f[:, None, :, 2]).reshape(-1, 27)
 
 
 def _matvec(A: NDArray[np.float64], v: NDArray[np.float64]) -> NDArray[np.float64]:

@@ -8,10 +8,11 @@ same two functions at every estimate.  The noise standard deviations are
 folded into the columns of Bw (:func:`jacobians_process`) and of the
 state-independent Dw (:func:`nominal_model`), so the model is driven by
 unit-intensity white noise.  Each Jacobian function evaluates the
-attitude's sines and cosines once.  Cy needs no derivative of the DCM:
-R_dot = -[w]x R with w = T^-1(Phi) Phi_dot gives d(R r)/dPhi =
-[R r]x T^-1(Phi) for a fixed inertial r, so Cy follows from the predicted
-measurement h = [R g; R h], on a stack in one pass over its 2N rows.
+attitude's sines and cosines once.  Cy is read off the same trigonometric
+products as the predicted measurement h = [R g; R h]: the table of
+:func:`~eh2marg.kinematics._rotation_table` holds the rows of d(R r)/dPhi,
+differentiated exactly when the table is built, beside those of R r, so
+one state or a whole stack gets Cy from one matrix-vector product per row.
 A central finite-difference oracle cross-checks the closed forms.
 """
 
@@ -22,7 +23,15 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .dynamics import measurement_model
-from .kinematics import _check_gimbal, _matrix, _rate_matrix, _sin_cos
+from .kinematics import (
+    _check_gimbal,
+    _matrix,
+    _matvec,
+    _monomials,
+    _rate_matrix,
+    _rotation_table,
+    _sin_cos,
+)
 from .sensors import NoiseParams, WorldConstants
 
 __all__ = [
@@ -90,32 +99,6 @@ def _rate_jacobian(
     )
 
 
-def _measurement_jacobian(
-    h: NDArray[np.float64], s: ArrayLike, c: ArrayLike
-) -> NDArray[np.float64]:
-    """dh/dPhi = [[R g]x T^-1(Phi); [R h]x T^-1(Phi)] from h = [R g; R h] itself.
-
-    T^-1 has the columns e1, (0, cos phi, -sin phi) and R's third column
-    (-sin theta, sin phi cos theta, cos phi cos theta).  A (6,) h gives
-    (6, 3); an (n, 6) stack (n, 6, 3), from one block per row R g, R h, ...
-    """
-    if h.ndim == 1:
-        blocks = h.reshape(2, 3).tolist()
-    else:
-        s, c = s.repeat(2, axis=1), c.repeat(2, axis=1)
-        blocks = (h.reshape(-1, 3).T,)
-    (sp, st, _), (cp, ct, _) = s, c
-    r1, r2, r3 = -st, sp * ct, cp * ct
-    rows = []
-    for v1, v2, v3 in blocks:
-        rows += [
-            [0.0, -sp * v2 - cp * v3, r3 * v2 - r2 * v3],
-            [v3, sp * v1, r1 * v3 - r3 * v1],
-            [-v2, cp * v1, r2 * v1 - r1 * v2],
-        ]
-    return _matrix(rows, s).reshape(*h.shape[:-1], 6, 3)
-
-
 def jacobians_process(
     x: NDArray[np.float64], omega: NDArray[np.float64], noise: NoiseParams
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
@@ -152,14 +135,17 @@ def jacobians_measurement(
     ``references`` holds the rows [g; h] of
     :meth:`~eh2marg.sensors.WorldConstants.reference_rows`.  (3,) angles
     give h (6,) and Cy (6, 6); (N, 3) angles give (N, 6) and (N, 6, 6).
-    h is :func:`~eh2marg.dynamics.measurement_model`, and Cy is built from
-    it.  The bias columns of Cy are zero (h does not depend on b).
+    h is :func:`~eh2marg.dynamics.measurement_model`, and the angle columns
+    of Cy are the derivative rows of
+    :func:`~eh2marg.kinematics._rotation_table` applied to the same
+    trigonometric products.  The bias columns of Cy are zero (h does not
+    depend on b).
     """
     s, c = _sin_cos(angles)
-    h = measurement_model(s, c, references)
+    m = _monomials(s, c)
     Cy = np.zeros(angles.shape[:-1] + (6, 6))
-    Cy[..., :3] = _measurement_jacobian(h, s, c)
-    return h, Cy
+    Cy[..., :3] = _matvec(_rotation_table(references)[6:], m).reshape(Cy.shape[:-1] + (3,))
+    return measurement_model(s, c, references, m), Cy
 
 
 def finite_difference_jacobian(

@@ -327,12 +327,13 @@ def load_gain_text(path: str | os.PathLike) -> NDArray[np.float64]:
     rows, cols = int(header[0]), int(header[1])
     if len(data_lines) - 1 != rows:
         raise ValueError(f"{path}: expected {rows} rows, found {len(data_lines) - 1}")
-    out = np.empty((rows, cols))
-    for i, line in enumerate(data_lines[1:]):
-        values = line.split()
-        if len(values) != cols:
-            raise ValueError(f"{path}: row {i} has {len(values)} values, expected {cols}")
-        out[i] = [float(v) for v in values]
+    # Every row is checked against the header before anything is allocated,
+    # so a header cannot ask for more memory than the file holds values.
+    values = [line.split() for line in data_lines[1:]]
+    for i, row in enumerate(values):
+        if len(row) != cols:
+            raise ValueError(f"{path}: row {i} has {len(row)} values, expected {cols}")
+    out = np.array([[float(v) for v in row] for row in values]).reshape(rows, cols)
     if not np.all(np.isfinite(out)):
         raise ValueError(f"{path}: non-finite entries")
     return out

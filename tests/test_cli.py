@@ -212,6 +212,16 @@ class TestRun:
         )
         assert rc == 1
 
+    def test_gain_header_larger_than_its_rows_exits_1(self, tmp_path, capsys):
+        # The header asks for 6 x 1e11 values (4.4 TiB) above six short
+        # rows: the rows are checked before anything that size is allocated.
+        path = tmp_path / "gain.txt"
+        path.write_text("6 100000000000\n" + "1.0 2.0\n" * 6)
+        assert main(["run", "--case", "II", "--gain", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid gain file")
+        assert "row 0 has 2 values, expected 100000000000" in err
+
 
 class TestReport:
     def test_prints_table(self, tmp_path, capsys):

@@ -137,6 +137,15 @@ class TestIntegrateStep:
         assert x[0] == pytest.approx(0.3, abs=1e-13)
         assert_allclose(x[1:3], 0.0, atol=1e-13)
 
+    def test_given_first_stage_changes_nothing(self):
+        # A caller that already holds f(x) hands it over as k1, bit for bit.
+        rng = np.random.default_rng(12)
+        x = np.column_stack([rng.uniform(-1.2, 1.2, (5, 3)), rng.normal(0.0, 0.01, (5, 3))])
+        omega = rng.normal(0.0, 0.5, (5, 3))
+        for xs, om in ((x, omega), (x[2], omega[2])):
+            f = lambda v, om=om: process_model(v, om)
+            assert np.array_equal(rk4_step(f, xs, 0.01, f(xs)), rk4_step(f, xs, 0.01))
+
     def test_gimbal_guard_raises(self):
         x = EulerState(attitude=EulerAngles(0.0, np.pi / 2.0 - 2e-6, 0.0)).as_vector()
         with pytest.raises(GimbalLockError):

@@ -15,7 +15,18 @@ from eh2marg import (
     wrap_angle,
 )
 from eh2marg.dynamics import process_model
-from eh2marg.kinematics import _check_gimbal, _euler_rates, _rate_matrix, _rotate, _sin_cos
+from eh2marg.kinematics import (
+    _check_gimbal,
+    _euler_rates,
+    _matvec,
+    _monomials,
+    _rate_matrix,
+    _rotate,
+    _rotation_coefficients,
+    _rotation_table,
+    _sin_cos,
+)
+from eh2marg.linearization import finite_difference_jacobian
 
 
 def kinematic_matrix(e):
@@ -293,3 +304,68 @@ def test_check_gimbal_rejects_stack_with_one_row_in_band():
         _check_gimbal(states)
     with pytest.raises(GimbalLockError):
         _check_gimbal(states[2])
+
+
+def _sweep_angles():
+    """Attitudes with pitch out to the edge of the gimbal band, roll and yaw
+    next to +/- pi, and random ones in between."""
+    edge = np.pi / 2.0 - EPS_GIMBAL * (1.0 + 1e-9)
+    near_pi = np.nextafter(np.pi, 0.0)
+    grid = np.array(
+        [
+            [phi, theta, psi]
+            for phi in (-near_pi, -1.0, 0.0, 2.5, np.pi)
+            for theta in (-edge, -0.7, 0.0, 1.3, edge)
+            for psi in (-near_pi, -2.0, 0.0, 0.4, np.pi)
+        ]
+    )
+    return np.vstack([grid, random_angles(np.random.default_rng(8), 50, theta_max=edge)])
+
+
+#: Reference blocks: the unit vectors, and the default world's [g; h].
+_REFERENCE_BLOCKS = (np.eye(3), np.array([[0.0, 0.0, 9.81], [0.48, 0.0, 0.58]]))
+
+
+def test_rotation_coefficients_are_exact():
+    # Read off _rotate at (sin, cos) in {0, 1}: every coefficient is 0 or
+    # +/-1, 13 products make up R and 9 more its derivatives.
+    coefficients = _rotation_coefficients()
+    assert coefficients.shape == (27, 4, 3, 3)
+    assert set(np.unique(coefficients).tolist()) == {-1.0, 0.0, 1.0}
+    assert np.count_nonzero(coefficients[:, 0].any(axis=(1, 2))) == 13
+    assert np.count_nonzero(coefficients.any(axis=(1, 2, 3))) == 22
+
+
+@pytest.mark.parametrize("references", _REFERENCE_BLOCKS)
+def test_table_reproduces_rotate(references):
+    """The table applied to the products against _rotate itself, on a stack
+    and on each attitude's floats: each side rounds every term a few times,
+    so they may part by a few ulp of |r|_1, as for test_maps_match_their_matrices."""
+    angles = _sweep_angles()
+    k = len(references)
+    table = _rotation_table(references)
+    assert table.shape == (12 * k, 27)
+    s, c = _sin_cos(angles)
+    rotated = np.hstack([np.array(_rotate(s, c, r)).T for r in references.tolist()])
+    tol = 4.0 * _EPS * np.abs(references).sum(axis=1).repeat(3) + _TINY
+    stacked = _matvec(table, _monomials(s, c))[:, : 3 * k]
+    assert np.all(np.abs(stacked - rotated) <= tol)
+    for row, expected in zip(angles, stacked):
+        assert np.array_equal(_matvec(table, _monomials(*_sin_cos(row)))[: 3 * k], expected)
+
+
+@pytest.mark.parametrize("references", _REFERENCE_BLOCKS)
+def test_table_derivatives_match_finite_difference(references):
+    """The derivative rows of the table against central differences of _rotate."""
+    table = _rotation_table(references)
+    k = len(references)
+
+    def rotated(a):
+        s, c = _sin_cos(a)
+        return np.concatenate([_rotate(s, c, r) for r in references.tolist()])
+
+    scale = np.abs(references).sum()
+    for angles in _sweep_angles():
+        jac = _matvec(table, _monomials(*_sin_cos(angles)))[3 * k :].reshape(3 * k, 3)
+        fd = finite_difference_jacobian(rotated, angles)
+        assert np.max(np.abs(jac - fd)) < 1e-8 * scale
