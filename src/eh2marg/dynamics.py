@@ -8,14 +8,14 @@ held constant across the step.
 
 The array-level functions (:func:`process_model`, :func:`rk4_step`,
 :func:`checked_state`) take a plain ``(6,)`` state array or an ``(N, 6)``
-stack of states that advance together; :func:`measurement_model` takes the
-sines and cosines of one attitude or a stack, which its callers share with
-their other terms.  Neither model builds a 3x3 matrix: the process model
-applies T(Phi) to vectors, and h(Phi) is a constant table
-(:func:`~eh2marg.kinematics._rotation_table`) applied to trigonometric
-products of Phi, one matrix-vector product per row of a stack.
-:func:`rk4_step` takes its first stage from a caller that already holds
-it.  Both filters are built on these functions.
+stack of states that advance together.  The process model applies T(Phi)
+to vectors without building it as a matrix.  h(Phi) has no function of
+its own: it is a constant table (:func:`~eh2marg.kinematics._rotation_table`)
+applied to trigonometric products of Phi, which
+:func:`~eh2marg.linearization.jacobians_measurement` evaluates with Cy and
+the extended-H2 filter with its gain folded in.  :func:`rk4_step` takes
+its first stage from a caller that already holds it.  Both filters are
+built on these functions.
 """
 
 from dataclasses import dataclass, field
@@ -29,9 +29,6 @@ from .kinematics import (
     EulerAngles,
     _check_gimbal,
     _euler_rates,
-    _matvec,
-    _monomials,
-    _rotation_table,
     _sin_cos,
     wrap_angle,
 )
@@ -40,7 +37,6 @@ from .sensors import _vector3
 __all__ = [
     "EulerState",
     "checked_state",
-    "measurement_model",
     "process_model",
     "rk4_step",
 ]
@@ -84,26 +80,6 @@ def process_model(x: NDArray[np.float64], omega: NDArray[np.float64]) -> NDArray
     f = np.zeros(x.shape)
     f.T[0], f.T[1], f.T[2] = _euler_rates(s, c, omega - x[..., 3:])
     return f
-
-
-def measurement_model(
-    s: ArrayLike,
-    c: ArrayLike,
-    references: NDArray[np.float64],
-    monomials: NDArray[np.float64] | None = None,
-) -> NDArray[np.float64]:
-    """h(Phi) = [R g; R h] from the sines ``s`` and cosines ``c`` of Phi.
-
-    ``s, c = kinematics._sin_cos(angles)`` for (3,) angles gives a (6,)
-    vector, for (N, 3) angles an (N, 6) stack.  ``references`` holds the
-    rows [g; h] of :meth:`~eh2marg.sensors.WorldConstants.reference_rows`.
-    h is the h rows of :func:`~eh2marg.kinematics._rotation_table` applied to
-    the trigonometric products of Phi.  ``monomials``, when given, is
-    ``kinematics._monomials(s, c)``, which a caller may already hold.
-    """
-    if monomials is None:
-        monomials = _monomials(s, c)
-    return _matvec(_rotation_table(references)[:6], monomials)
 
 
 def rk4_step(

@@ -6,11 +6,12 @@ EKF baseline propagates a covariance and re-linearizes at every estimate
 with :func:`~eh2marg.linearization.jacobians_process` and
 :func:`~eh2marg.linearization.jacobians_measurement`, the same two functions
 the offline gain design evaluates at the nominal point, so it linearizes
-the very model the gain was designed on.  Neither builds R(Phi): h and Cy
-are constant tables applied to trigonometric products of Phi, and the
-extended-H2 filter folds L0 into its table once per call, so each RK4
-stage gets L0 h(xhat) from one matrix-vector product.  The RK4 stages apply
-T(Phi) to vectors; only the EKF's A and Bw hold T as a matrix, and the EKF
+the very model the gain was designed on.  Neither builds R(Phi): the EKF
+gets h and Cy together from one constant table applied to trigonometric
+products of Phi, and the extended-H2 filter folds L0 into the table's h
+rows once per call, so each RK4 stage gets L0 h(xhat) from one
+matrix-vector product.  The RK4 stages apply T(Phi) to vectors; only the
+EKF's A holds T as a matrix (Bw's gyro block is read off it), and the EKF
 takes its first RK4 stage from A.  Both filters consume one
 :class:`~eh2marg.sensors.ImuSample` per step: step k takes sample k,
 measured at t_k, and returns the estimate at t_{k+1}.  The sample's gyro

@@ -4,15 +4,16 @@ Provides the rate transformation ``T(Phi)``, mapping body angular rates to
 Euler-angle rates, and its inverse; the body-from-inertial direction cosine
 matrix ``R(Phi)`` of the 3-2-1 (yaw-pitch-roll) sequence; and angle
 wrapping.  R is written once, as the map :func:`_rotate` on the sines and
-cosines from :func:`_sin_cos`; :func:`_euler_rates` applies T the same way,
-and only the Jacobians build T (:func:`_rate_matrix`).
+cosines from :func:`_sin_cos`; :func:`_euler_rates` applies T the same way.
+Only the EKF's Jacobian A holds T as a matrix
+(:func:`eh2marg.linearization._attitude_rows`).
 
 The filter steps read R(Phi) r off constant tables instead.  Every entry of
 R and of its first derivatives is a combination, with coefficients 0 or
 +/-1, of the 27 products of (1, sin, cos) of phi, theta and psi (22 of them
 occur).  :func:`_rotation_coefficients` reads the coefficients off
-:func:`_rotate` once, :func:`_rotation_table` folds a block of reference
-vectors into them once per block, and :func:`_monomials` evaluates the
+:func:`_rotate` once, :func:`_rotation_table` folds the reference rows
+[g; h] into them once per block, and :func:`_monomials` evaluates the
 products; R r and d(R r)/dPhi for every row of a stack are then one
 matrix-vector product per row, in one numpy call, since a small stack
 costs per numpy call, not per element.
@@ -170,21 +171,6 @@ def _matrix(rows: "list | tuple", like: "list | NDArray[np.float64]") -> NDArray
     return m.reshape(-1, *shape)
 
 
-def _rate_matrix(s: ArrayLike, c: ArrayLike) -> NDArray[np.float64]:
-    """T(Phi) as a matrix, for the Jacobians; :func:`_euler_rates` applies it."""
-    (sp, st, _), (cp, ct, _) = s, c
-    tt = st / ct
-    sec = 1.0 / ct
-    return _matrix(
-        [
-            [1.0, tt * sp, tt * cp],
-            [0.0, cp, -sp],
-            [0.0, sec * sp, sec * cp],
-        ],
-        s,
-    )
-
-
 def _euler_rates(s: ArrayLike, c: ArrayLike, w: NDArray[np.float64]) -> tuple:
     """T(Phi) w: the Euler rates of the body rates w, component by component.
 
@@ -239,9 +225,12 @@ def _rotation_coefficients() -> NDArray[np.float64]:
 
 
 @lru_cache(maxsize=8)
-def _reference_table(references: bytes) -> NDArray[np.float64]:
-    """See :func:`_rotation_table`; ``references`` as the bytes of float64 rows."""
-    rotated = _rotation_coefficients() @ np.frombuffer(references).reshape(-1, 3).T
+def _reference_table(references: bytes, shape: tuple) -> NDArray[np.float64]:
+    """See :func:`_rotation_table`; ``references`` as the bytes of float64
+    rows of the given ``shape``, checked here, once per block."""
+    if shape != (2, 3):
+        raise ValueError(f"references must be the rows [g; h], shape (2, 3), got {shape}")
+    rotated = _rotation_coefficients() @ np.frombuffer(references).reshape(2, 3).T
     # rotated[m, d, j, i]: product m's coefficient in (R r_i)_j (d = 0) and
     # in its derivative by angle d - 1.
     table = np.concatenate(
@@ -255,11 +244,13 @@ def _reference_table(references: bytes) -> NDArray[np.float64]:
 
 
 def _rotation_table(references: NDArray[np.float64]) -> NDArray[np.float64]:
-    """The read-only (12k, 27) table that maps the products of
-    :func:`_monomials` to R r_1 .. R r_k (3k rows), then to d(R r_i)_j/dPhi
-    (3 rows per entry), for the k rows r_i of ``references``; built once
-    per distinct block."""
-    return _reference_table(np.asarray(references, dtype=np.float64).tobytes())
+    """The read-only (24, 27) table that maps the products of
+    :func:`_monomials` to h = [R g; R h] (6 rows), then to d(R r_i)_j/dPhi
+    (3 rows per entry), for the rows [g; h] of ``references``; built once
+    per distinct block.  A block of any shape but (2, 3) raises ValueError.
+    """
+    references = np.asarray(references, dtype=np.float64)
+    return _reference_table(references.tobytes(), references.shape)
 
 
 def _monomials(s: ArrayLike, c: ArrayLike) -> NDArray[np.float64]:

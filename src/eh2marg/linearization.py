@@ -8,11 +8,12 @@ same two functions at every estimate.  The noise standard deviations are
 folded into the columns of Bw (:func:`jacobians_process`) and of the
 state-independent Dw (:func:`nominal_model`), so the model is driven by
 unit-intensity white noise.  Each Jacobian function evaluates the
-attitude's sines and cosines once.  Cy is read off the same trigonometric
-products as the predicted measurement h = [R g; R h]: the table of
-:func:`~eh2marg.kinematics._rotation_table` holds the rows of d(R r)/dPhi,
-differentiated exactly when the table is built, beside those of R r, so
-one state or a whole stack gets Cy from one matrix-vector product per row.
+attitude's sines and cosines once and fills its matrices in one pass.  A's
+attitude rows [d(T u)/dPhi | -T] are one fill (:func:`_attitude_rows`), and
+Bw's gyro block is read off them.  h = [R g; R h] and Cy are one product,
+per row of a stack, of :func:`~eh2marg.kinematics._rotation_table` with the
+attitude's trigonometric products: the table holds the rows of d(R r)/dPhi,
+differentiated exactly when it is built, beside those of R r.
 A central finite-difference oracle cross-checks the closed forms.
 """
 
@@ -22,13 +23,11 @@ from typing import Callable
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .dynamics import measurement_model
 from .kinematics import (
     _check_gimbal,
     _matrix,
     _matvec,
     _monomials,
-    _rate_matrix,
     _rotation_table,
     _sin_cos,
 )
@@ -78,22 +77,22 @@ class LinearModel:
             raise ValueError("Cz is all zero: there is no H2 norm to bound")
 
 
-def _rate_jacobian(
-    s: ArrayLike, c: ArrayLike, omega: NDArray[np.float64]
-) -> NDArray[np.float64]:
-    """d(T(Phi) omega)/dPhi for fixed omega, columns (phi, theta, psi); a (3,)
-    omega gives (3, 3), an (n, 3) stack (n, 3, 3)."""
+def _attitude_rows(s: ArrayLike, c: ArrayLike, u: NDArray[np.float64]) -> NDArray[np.float64]:
+    """A's attitude rows [d(T(Phi) u)/dPhi | -T(Phi)] at body rates u = omega - b.
+
+    Columns (phi, theta, psi, b); a (3,) u gives (3, 6), an (n, 3) stack
+    (n, 3, 6).  The zeros of -T are -0.0, as negating T gives them.
+    """
     (sp, st, _), (cp, ct, _) = s, c
-    tt = st / ct
-    sec = 1.0 / ct
-    _, w1, w2 = omega.tolist() if omega.ndim == 1 else omega.T
-    u = cp * w1 - sp * w2
+    tt, sec = st / ct, 1.0 / ct
+    _, w1, w2 = u.tolist() if u.ndim == 1 else u.T
+    du = cp * w1 - sp * w2
     v = sp * w1 + cp * w2
     return _matrix(
         [
-            [tt * u, sec * sec * v, 0.0],
-            [-v, 0.0, 0.0],
-            [sec * u, sec * tt * v, 0.0],
+            [tt * du, sec * sec * v, 0.0, -1.0, -tt * sp, -tt * cp],
+            [-v, 0.0, 0.0, -0.0, -cp, sp],
+            [sec * du, sec * tt * v, 0.0, -0.0, -sec * sp, -sec * cp],
         ],
         s,
     )
@@ -107,8 +106,8 @@ def jacobians_process(
     ``x`` and ``omega`` are (6,) and (3,), giving A (6, 6) and Bw (6, 12),
     or (N, 6) and (N, 3) stacks, giving (N, 6, 6) and (N, 6, 12).  Bw maps
     the unit-intensity channel w = [n_w; n_b; n_a; n_m] with the noise
-    standard deviations folded into its columns; the measurement columns
-    are zero.
+    standard deviations folded into its columns; its gyro block is
+    n_w (-T), read off A.  The measurement columns are zero.
 
     Raises
     ------
@@ -116,13 +115,10 @@ def jacobians_process(
         If the attitude (of any row) sits in the gimbal guard band.
     """
     _check_gimbal(x)
-    s, c = _sin_cos(x[..., :3])
-    T = _rate_matrix(s, c)
     A = np.zeros(x.shape[:-1] + (6, 6))
-    A[..., :3, :3] = _rate_jacobian(s, c, omega - x[..., 3:])
-    A[..., :3, 3:] = -T
+    A[..., :3, :] = _attitude_rows(*_sin_cos(x[..., :3]), omega - x[..., 3:])
     Bw = np.zeros(x.shape[:-1] + (6, 12))
-    Bw[..., :3, :3] = -noise.n_w * T
+    Bw[..., :3, :3] = noise.n_w * A[..., :3, 3:]
     Bw[..., 3:, 3:6] = noise.n_b * _EYE3
     return A, Bw
 
@@ -135,17 +131,15 @@ def jacobians_measurement(
     ``references`` holds the rows [g; h] of
     :meth:`~eh2marg.sensors.WorldConstants.reference_rows`.  (3,) angles
     give h (6,) and Cy (6, 6); (N, 3) angles give (N, 6) and (N, 6, 6).
-    h is :func:`~eh2marg.dynamics.measurement_model`, and the angle columns
-    of Cy are the derivative rows of
-    :func:`~eh2marg.kinematics._rotation_table` applied to the same
-    trigonometric products.  The bias columns of Cy are zero (h does not
-    depend on b).
+    Both come from one product of :func:`~eh2marg.kinematics._rotation_table`
+    with the trigonometric products of the attitude: its first 6 rows are
+    h = [R g; R h], the other 18 the angle columns of Cy, row by row.  The
+    bias columns of Cy are zero (h does not depend on b).
     """
-    s, c = _sin_cos(angles)
-    m = _monomials(s, c)
+    hc = _matvec(_rotation_table(references), _monomials(*_sin_cos(angles)))
     Cy = np.zeros(angles.shape[:-1] + (6, 6))
-    Cy[..., :3] = _matvec(_rotation_table(references)[6:], m).reshape(Cy.shape[:-1] + (3,))
-    return measurement_model(s, c, references, m), Cy
+    Cy[..., :3] = hc[..., 6:].reshape(Cy.shape[:-1] + (3,))
+    return hc[..., :6], Cy
 
 
 def finite_difference_jacobian(

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from eh2marg.dynamics import EulerState, measurement_model, process_model
+from eh2marg.dynamics import EulerState, process_model
 from eh2marg.errors import GimbalLockError, UnstableClosedLoop
 from eh2marg.filters import EH2FilterState, EKFState, eh2_step, ekf_step
 from eh2marg.harness import (
@@ -26,13 +26,16 @@ from eh2marg.harness import (
 )
 from eh2marg.kinematics import (
     EulerAngles,
-    _rate_matrix,
-    _sin_cos,
     dcm_body_from_inertial,
     kinematic_matrix_inverse,
     wrap_angle,
 )
-from eh2marg.linearization import finite_difference_jacobian, jacobians_process, nominal_model
+from eh2marg.linearization import (
+    finite_difference_jacobian,
+    jacobians_measurement,
+    jacobians_process,
+    nominal_model,
+)
 from eh2marg.sensors import NoiseParams, simulate_imu_stream
 from eh2marg.synthesis import h2_norm_of_error_system, synthesize_gain, verify_lmi
 
@@ -87,7 +90,7 @@ def test_criterion_1_jacobian_fidelity(capfd, world, noise):
             return body
 
         def h_aug(x6, w12):
-            y = measurement_model(*_sin_cos(x6[:3]), world.reference_rows())
+            y = jacobians_measurement(x6[:3], world.reference_rows())[0]
             y[:3] += noise.n_a * w12[6:9]
             y[3:] += noise.n_m * w12[9:12]
             return y
@@ -227,7 +230,9 @@ def test_criterion_9_kinematics_properties(capfd):
             R = dcm_body_from_inertial(e)
             assert_allclose(R @ R.T, eye3, atol=1e-10)
             assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-10)
-            T = _rate_matrix(*_sin_cos(e))
+            # The program's T, as A's -T block.
+            x = np.r_[e.as_array(), np.zeros(3)]
+            T = -jacobians_process(x, np.zeros(3), NoiseParams())[0][:3, 3:]
             assert_allclose(T @ kinematic_matrix_inverse(e), eye3, atol=1e-10)
         # The rate map T is singular at the guard band; its inverse is total.
         for theta in (np.pi / 2 - 1e-9, -(np.pi / 2 - 1e-9)):

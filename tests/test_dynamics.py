@@ -15,8 +15,8 @@ from eh2marg import (
     GimbalLockError,
     WorldConstants,
 )
-from eh2marg.dynamics import measurement_model, process_model, rk4_step
-from eh2marg.kinematics import _sin_cos
+from eh2marg.dynamics import process_model, rk4_step
+from eh2marg.linearization import jacobians_measurement
 
 
 def _rk4(x, omega, dt):
@@ -26,7 +26,7 @@ def _rk4(x, omega, dt):
 
 
 def _h(x: EulerState, world) -> np.ndarray:
-    return measurement_model(*_sin_cos(x.attitude), world.reference_rows())
+    return jacobians_measurement(x.attitude.as_array(), world.reference_rows())[0]
 
 
 def test_state_derivative_examples():
@@ -118,9 +118,9 @@ class TestMeasurement:
         # must not truncate the rotated values.
         angles = np.array([[0.3, -0.2, 1.1], [-1.0, 0.5, -2.0]])
         references = np.array([[0, 0, 10], [1, 0, 1]])
-        h_all = measurement_model(*_sin_cos(angles), references)
+        h_all = jacobians_measurement(angles, references)[0]
         for k, row in enumerate(angles):
-            assert np.array_equal(h_all[k], measurement_model(*_sin_cos(row), references))
+            assert np.array_equal(h_all[k], jacobians_measurement(row, references)[0])
 
 
 class TestIntegrateStep:

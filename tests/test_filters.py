@@ -1,12 +1,14 @@
 """Tests for the extended-H2 filter, the EKF baseline, and initialization."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from eh2marg.dynamics import EulerState, measurement_model, process_model, rk4_step
+from eh2marg.dynamics import EulerState, process_model, rk4_step
 from eh2marg.errors import DegenerateSample, GimbalLockError, InnovationCovSingular
 from eh2marg.filters import (
     DEFAULT_P0,
@@ -19,7 +21,7 @@ from eh2marg.filters import (
     initialize_from_first_sample,
 )
 from eh2marg.harness import ScenarioConfig, generate_trajectory
-from eh2marg.kinematics import EPS_GIMBAL, EulerAngles, _sin_cos, wrap_angle
+from eh2marg.kinematics import EPS_GIMBAL, EulerAngles, wrap_angle
 from eh2marg.linearization import jacobians_measurement
 from eh2marg.sensors import ImuSample, NoiseParams, WorldConstants, simulate_imu_stream
 
@@ -35,7 +37,7 @@ def _sample_at(x: EulerState, world, omega_m=None, t=0.0) -> ImuSample:
 
 def _h(x: EulerState, world) -> np.ndarray:
     """Noise-free accel/mag output h(x), stacked."""
-    return measurement_model(*_sin_cos(x.attitude), world.reference_rows())
+    return jacobians_measurement(x.attitude.as_array(), world.reference_rows())[0]
 
 
 def _dead_reckon(x: np.ndarray, omega, dt: float) -> np.ndarray:
@@ -402,14 +404,12 @@ class TestStackedSteps:
             ]
         )
         omega = rng.normal(scale=0.5, size=(n, 3))
-        y = measurement_model(*_sin_cos(x[:, :3]), references) + rng.normal(0.0, 0.01, (n, 6))
-        P = DEFAULT_P0 * rng.uniform(0.5, 2.0, size=(n, 1, 1))
-        h_all = measurement_model(*_sin_cos(x[:, :3]), references)
         jac_all = jacobians_measurement(x[:, :3], references)
+        y = jac_all[0] + rng.normal(0.0, 0.01, (n, 6))
+        P = DEFAULT_P0 * rng.uniform(0.5, 2.0, size=(n, 1, 1))
         eh2_all = eh2(x, omega, y, cert.L, references, DT)
         ekf_all = ekf(x, P, omega, y, noise, references, DT)
         for k in range(n):
-            assert np.array_equal(h_all[k], measurement_model(*_sin_cos(x[k, :3]), references))
             for stacked, row in zip(jac_all, jacobians_measurement(x[k, :3], references)):
                 assert np.array_equal(stacked[k], row)
             assert np.array_equal(eh2_all[k], eh2(x[k], omega[k], y[k], cert.L, references, DT))
@@ -423,3 +423,33 @@ class TestStackedSteps:
         x[3, 1] = np.pi / 2.0 - EPS_GIMBAL / 2.0
         with pytest.raises(GimbalLockError, match=r"rows \[3\]"):
             eh2(x, omega, y, cert.L, world.reference_rows(), DT)
+
+
+_G, _MAG = [0.0, 0.0, 9.81], [0.48, 0.0, 0.58]
+
+#: Reference blocks that are not the rows [g; h]: each must be rejected, not
+#: read as if its rows sat where h and Cy expect them.
+_MALFORMED_REFERENCES = {
+    "one row": np.array([_G]),
+    "three rows": np.array([_G, _MAG, [1.0, 0.0, 0.0]]),
+    "flat g": np.array(_G),
+    "flat g and h": np.array(_G + _MAG),
+}
+
+#: The three callers of the rotation table, one state each.
+_TABLE_CALLERS = {
+    "eh2": lambda refs: eh2(np.zeros(6), np.zeros(3), np.zeros(6), np.eye(6), refs, DT),
+    "ekf": lambda refs: ekf(
+        np.zeros(6), DEFAULT_P0, np.zeros(3), np.zeros(6), NoiseParams(), refs, DT
+    ),
+    "jacobians_measurement": lambda refs: jacobians_measurement(np.zeros(3), refs),
+}
+
+
+@pytest.mark.parametrize("caller", _TABLE_CALLERS)
+@pytest.mark.parametrize("block", _MALFORMED_REFERENCES)
+def test_malformed_reference_block_is_rejected(caller, block):
+    references = _MALFORMED_REFERENCES[block]
+    shape = re.escape(str(references.shape))
+    with pytest.raises(ValueError, match=rf"shape \(2, 3\), got {shape}"):
+        _TABLE_CALLERS[caller](references)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
@@ -10,6 +10,7 @@ from eh2marg import (
     EPS_GIMBAL,
     EulerAngles,
     GimbalLockError,
+    NoiseParams,
     dcm_body_from_inertial,
     kinematic_matrix_inverse,
     wrap_angle,
@@ -20,18 +21,33 @@ from eh2marg.kinematics import (
     _euler_rates,
     _matvec,
     _monomials,
-    _rate_matrix,
     _rotate,
     _rotation_coefficients,
     _rotation_table,
     _sin_cos,
 )
-from eh2marg.linearization import finite_difference_jacobian
+from eh2marg.linearization import finite_difference_jacobian, jacobians_process
 
 
 def kinematic_matrix(e):
-    """T(Phi) as a matrix, as the Jacobians build it."""
-    return _rate_matrix(*_sin_cos(e))
+    """T(Phi) written out, for (3,) angles or an (n, 3) stack; with no
+    gimbal guard, so that it also evaluates inside the band."""
+    a = e.as_array() if isinstance(e, EulerAngles) else np.asarray(e, dtype=np.float64)
+    phi, theta = a[..., 0], a[..., 1]
+    sp, cp, tt, sec = np.sin(phi), np.cos(phi), np.tan(theta), 1.0 / np.cos(theta)
+    zero, one = np.zeros_like(phi), np.ones_like(phi)
+    rows = [[one, tt * sp, tt * cp], [zero, cp, -sp], [zero, sec * sp, sec * cp]]
+    return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
+
+
+def program_rate_matrix(angles, omega=(0.0, 0.0, 0.0), noise=None):
+    """The program's T(Phi): the -T block of A from jacobians_process at zero
+    bias, for (3,) angles or an (n, 3) stack, with A and Bw."""
+    angles = np.asarray(angles, dtype=np.float64)
+    x = np.concatenate([angles, np.zeros_like(angles)], axis=-1)
+    omega = np.broadcast_to(np.asarray(omega, dtype=np.float64), angles.shape)
+    A, Bw = jacobians_process(x, omega, NoiseParams() if noise is None else noise)
+    return -A[..., :3, 3:], A, Bw
 
 
 def euler_rates(e, w):
@@ -243,11 +259,11 @@ def test_stacked_rate_matrix_equals_row_by_row_exactly(angles):
         with pytest.raises(GimbalLockError):
             process_model(states, np.zeros(3))
         return
-    T_all = kinematic_matrix(angles)
+    T_all = program_rate_matrix(angles)[0]
     R_all = dcm_body_from_inertial(angles)
     assert T_all.shape == R_all.shape == (len(angles), 3, 3)
     for k, row in enumerate(angles):
-        assert np.array_equal(T_all[k], kinematic_matrix(row))
+        assert np.array_equal(T_all[k], program_rate_matrix(row)[0])
         assert np.array_equal(R_all[k], dcm_body_from_inertial(row))
         process_model(states[k], np.zeros(3))
 
@@ -256,6 +272,21 @@ _vectors = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 _EPS = np.finfo(np.float64).eps
 #: Absolute slack for products that underflow: the smallest normal float.
 _TINY = np.finfo(np.float64).tiny
+
+
+@given(_angle_batches, st.lists(_vectors, min_size=3, max_size=3), st.floats(0.01, 10.0))
+def test_program_rate_matrix_matches_written_out(angles, omega, n_w):
+    """Outside the band, A's -T block against T written out, for a stack and
+    for each of its states: both round sin, cos, tan or the division by
+    cos theta and one product, so an entry may part by a few ulp of itself.
+    Bw's gyro block is n_w times A's -T block, bit for bit."""
+    assume(np.all(np.abs(wrap_angle(angles[:, 1])) < np.pi / 2.0 - EPS_GIMBAL))
+    noise = NoiseParams(n_w=n_w)
+    for a in (angles, *angles):
+        T, A, Bw = program_rate_matrix(a, omega, noise)
+        expected = kinematic_matrix(a)
+        assert np.all(np.abs(T - expected) <= 4.0 * _EPS * np.abs(expected))
+        assert np.array_equal(Bw[..., :3, :3], n_w * A[..., :3, 3:])
 
 
 @given(_angle_batches, st.lists(_vectors, min_size=3, max_size=3), st.randoms())
@@ -322,8 +353,13 @@ def _sweep_angles():
     return np.vstack([grid, random_angles(np.random.default_rng(8), 50, theta_max=edge)])
 
 
-#: Reference blocks: the unit vectors, and the default world's [g; h].
-_REFERENCE_BLOCKS = (np.eye(3), np.array([[0.0, 0.0, 9.81], [0.48, 0.0, 0.58]]))
+#: Reference blocks: two pairs of unit vectors, which between them hold all
+#: three, and the default world's [g; h].
+_REFERENCE_BLOCKS = (
+    np.eye(3)[:2],
+    np.eye(3)[1:],
+    np.array([[0.0, 0.0, 9.81], [0.48, 0.0, 0.58]]),
+)
 
 
 def test_rotation_coefficients_are_exact():

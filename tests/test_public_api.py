@@ -133,3 +133,28 @@ def test_every_export_is_used_by_the_program():
         for name in set(_module_exports(path)) - used - _EXPORTED_FOR_CALLERS
     )
     assert not unused, f"exported, but nothing in src/ or benchmark/ uses: {unused}"
+
+
+def _private_definitions(path: Path) -> set[str]:
+    """The module-level functions, classes and constants of a module whose
+    names start with one underscore."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = set()
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            names.add(top.name)
+        elif isinstance(top, ast.Assign):
+            names.update(t.id for t in top.targets if isinstance(t, ast.Name))
+        elif isinstance(top, ast.AnnAssign) and isinstance(top.target, ast.Name):
+            names.add(top.target.id)
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def test_every_private_helper_is_used_by_the_program():
+    # A private helper that only the tests call is dead code with a test.
+    modules = sorted(SOURCE_DIR.glob("*.py"))
+    used = set().union(*(_references_outside_own_definition(p) for p in modules))
+    unused = sorted(
+        f"{path.stem}.{name}" for path in modules for name in _private_definitions(path) - used
+    )
+    assert not unused, f"private, but nothing in src/ uses: {unused}"
