@@ -14,8 +14,10 @@ its own: it is a constant table (:func:`~eh2marg.kinematics._rotation_table`)
 applied to trigonometric products of Phi, which
 :func:`~eh2marg.linearization.jacobians_measurement` evaluates with Cy and
 the extended-H2 filter with its gain folded in.  :func:`rk4_step` takes
-its first stage from a caller that already holds it.  Both filters are
-built on these functions.
+its first stage from a caller that already holds it, and ends in
+:func:`checked_state`, which rejects a non-finite result before it wraps
+the attitude and checks the pitch.  Both filters are built on these
+functions.
 """
 
 from dataclasses import dataclass, field
@@ -30,9 +32,8 @@ from .kinematics import (
     _check_gimbal,
     _euler_rates,
     _sin_cos,
-    wrap_angle,
 )
-from .sensors import _vector3
+from .sensors import _finite, _vector3
 
 __all__ = [
     "EulerState",
@@ -60,7 +61,8 @@ class EulerState:
     @classmethod
     def from_vector(cls, x: ArrayLike) -> "EulerState":
         arr = np.asarray(x, dtype=np.float64).reshape(6)
-        return cls(attitude=EulerAngles(*arr[:3].tolist()), bias=arr[3:])
+        phi, theta, psi, *_ = arr.tolist()
+        return cls(attitude=EulerAngles(phi, theta, psi), bias=arr[3:])
 
     def as_vector(self) -> NDArray[np.float64]:
         a = self.attitude
@@ -77,8 +79,11 @@ def process_model(x: NDArray[np.float64], omega: NDArray[np.float64]) -> NDArray
     """
     _check_gimbal(x)
     s, c = _sin_cos(x[..., :3])
+    rates = _euler_rates(s, c, omega - x[..., 3:])
+    if x.ndim == 1:
+        return np.array([*rates, 0.0, 0.0, 0.0])
     f = np.zeros(x.shape)
-    f.T[0], f.T[1], f.T[2] = _euler_rates(s, c, omega - x[..., 3:])
+    f.T[0], f.T[1], f.T[2] = rates
     return f
 
 
@@ -110,17 +115,22 @@ def rk4_step(
 
 
 def checked_state(x: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Wrap the attitude of a new state (or stack) in place and reject an unusable one.
+    """Reject a non-finite new state (or stack), then wrap its attitude in
+    place, as :func:`~eh2marg.kinematics.wrap_angle` does, and check the pitch.
+
+    Finiteness comes first, so a NaN or infinite entry is reported as it
+    came out of the step, and no infinite angle is wrapped (that would warn
+    and turn it into NaN).
 
     Raises
     ------
-    GimbalLockError
-        If the pitch (of any row) lies in the gimbal guard band.
     NonFiniteState
         If any entry is NaN or infinite.
+    GimbalLockError
+        If the pitch (of any row) lies in the gimbal guard band.
     """
-    x[..., :3] = wrap_angle(x[..., :3])
-    _check_gimbal(x)
-    if not np.isfinite(x).all():
+    if not _finite(x):
         raise NonFiniteState(f"state became non-finite: {x!r}")
+    x[..., :3] = np.pi - (np.pi - x[..., :3]) % (2.0 * np.pi)
+    _check_gimbal(x)
     return x

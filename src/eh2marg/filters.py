@@ -9,10 +9,12 @@ the offline gain design evaluates at the nominal point, so it linearizes
 the very model the gain was designed on.  Neither builds R(Phi): the EKF
 gets h and Cy together from one constant table applied to trigonometric
 products of Phi, and the extended-H2 filter folds L0 into the table's h
-rows once per call, so each RK4 stage gets L0 h(xhat) from one
-matrix-vector product.  The RK4 stages apply T(Phi) to vectors; only the
-EKF's A holds T as a matrix (Bw's gyro block is read off it), and the EKF
-takes its first RK4 stage from A.  Both filters consume one
+rows, so each RK4 stage gets L0 h(xhat) from one matrix-vector product.
+That gain table is built once per distinct gain and reference block and
+cached read-only under their bytes, so an L0 changed in place between
+steps gets a table of its own.  The RK4 stages apply T(Phi) to vectors;
+only the EKF's A holds T as a matrix (Bw's gyro block is read off it), and
+the EKF takes its first RK4 stage from A.  Both filters consume one
 :class:`~eh2marg.sensors.ImuSample` per step: step k takes sample k,
 measured at t_k, and returns the estimate at t_{k+1}.  The sample's gyro
 drives the propagation from t_k to t_{k+1}.  The extended-H2 filter holds
@@ -43,7 +45,7 @@ from .kinematics import (
     _matrix,
     _matvec,
     _monomials,
-    _rotation_table,
+    _reference_table,
     _sin_cos,
     dcm_body_from_inertial,
     wrap_angle,
@@ -113,6 +115,18 @@ def _measurement_variances(q: NoiseParams) -> tuple[NDArray[np.float64], NDArray
     return r, R
 
 
+@lru_cache(maxsize=8)
+def _gain_table(
+    L: bytes, shape: tuple, references: bytes, ref_shape: tuple
+) -> NDArray[np.float64]:
+    """L C_h, read-only, with C_h the h rows of the rotation table of the
+    reference block: built once per distinct gain and block, and keyed on
+    their bytes, so a gain changed in place is never read stale."""
+    table = np.frombuffer(L).reshape(shape) @ _reference_table(references, ref_shape)[:6]
+    table.flags.writeable = False
+    return table
+
+
 def eh2(
     x: NDArray[np.float64],
     omega: NDArray[np.float64],
@@ -126,8 +140,9 @@ def eh2(
     ``xhat_dot = f(xhat, omega) + L (h(xhat) - y)`` with ``references`` the
     rows [g; h] of :meth:`~eh2marg.sensors.WorldConstants.reference_rows`.
     L h(xhat) is taken as (L C_h) m(xhat), with C_h the h rows of the
-    rotation table and m the trigonometric products of xhat, and L y once
-    per call.
+    rotation table and m the trigonometric products of xhat; L C_h is
+    cached under the bytes of L and of ``references``, and L y is formed
+    once per call.
     ``x``, ``omega`` and ``y`` are (6,), (3,), (6,) for one filter, or
     (N, 6), (N, 3), (N, 6) for N filters that share L and dt.
 
@@ -139,8 +154,10 @@ def eh2(
         If the new estimate is not finite.
     """
 
+    L = np.asarray(L, dtype=np.float64)
+    references = np.asarray(references, dtype=np.float64)
+    gain_table = _gain_table(L.tobytes(), L.shape, references.tobytes(), references.shape)
     # y is held over the step, so L y is the same in all four stages.
-    gain_table = L @ _rotation_table(references)[:6]
     Ly = _matvec(L, y)
 
     def xdot(xs):
@@ -206,6 +223,8 @@ def ekf(
     k1[..., :3] = -_matvec(A[..., :3, 3:], omega - x[..., 3:])
     xp = rk4_step(lambda xs: process_model(xs, omega), x, dt, k1)
     Pp = F @ P @ F.mT + dt * (Bw @ Bw.mT)
+    # The update holds the step's memory peak, and needs none of these.
+    del A, Bw, F, k1
     h, H = jacobians_measurement(xp[..., :3], references)
     r, R = _measurement_variances(q)
     S = H @ Pp @ H.mT + R

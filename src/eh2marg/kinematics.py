@@ -90,22 +90,26 @@ class EulerAngles:
     psi: float
 
     def __post_init__(self) -> None:
-        # Tests on Python floats with math: a filter step builds one of these.
-        for name in ("phi", "theta", "psi"):
-            value = float(getattr(self, name))
-            object.__setattr__(self, name, value)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        for name in ("phi", "psi"):
-            value = getattr(self, name)
-            if not (-math.pi < value <= math.pi):
-                raise ValueError(
-                    f"{name} must lie in (-pi, pi], got {value!r}; use wrap_angle"
-                )
-        if not (-math.pi / 2.0 < self.theta < math.pi / 2.0):
-            raise ValueError(
-                f"theta must lie strictly inside (-pi/2, pi/2), got {self.theta!r}"
-            )
+        # One pass over local Python floats, tested with math: a filter step
+        # builds one of these.
+        phi = float(self.phi)
+        if not math.isfinite(phi):
+            raise ValueError(f"phi must be finite, got {phi!r}")
+        theta = float(self.theta)
+        if not math.isfinite(theta):
+            raise ValueError(f"theta must be finite, got {theta!r}")
+        psi = float(self.psi)
+        if not math.isfinite(psi):
+            raise ValueError(f"psi must be finite, got {psi!r}")
+        if not -math.pi < phi <= math.pi:
+            raise ValueError(f"phi must lie in (-pi, pi], got {phi!r}; use wrap_angle")
+        if not -math.pi < psi <= math.pi:
+            raise ValueError(f"psi must lie in (-pi, pi], got {psi!r}; use wrap_angle")
+        if not -math.pi / 2.0 < theta < math.pi / 2.0:
+            raise ValueError(f"theta must lie strictly inside (-pi/2, pi/2), got {theta!r}")
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "psi", psi)
 
     @classmethod
     def zero(cls) -> "EulerAngles":

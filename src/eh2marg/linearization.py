@@ -18,6 +18,7 @@ A central finite-difference oracle cross-checks the closed forms.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -77,6 +78,14 @@ class LinearModel:
             raise ValueError("Cz is all zero: there is no H2 norm to bound")
 
 
+@lru_cache(maxsize=8)
+def _bias_walk_block(noise: NoiseParams) -> NDArray[np.float64]:
+    """n_b I, Bw's bias-walk block, read-only; built once per noise setting."""
+    block = noise.n_b * _EYE3
+    block.flags.writeable = False
+    return block
+
+
 def _attitude_rows(s: ArrayLike, c: ArrayLike, u: NDArray[np.float64]) -> NDArray[np.float64]:
     """A's attitude rows [d(T(Phi) u)/dPhi | -T(Phi)] at body rates u = omega - b.
 
@@ -88,14 +97,16 @@ def _attitude_rows(s: ArrayLike, c: ArrayLike, u: NDArray[np.float64]) -> NDArra
     _, w1, w2 = u.tolist() if u.ndim == 1 else u.T
     du = cp * w1 - sp * w2
     v = sp * w1 + cp * w2
-    return _matrix(
-        [
-            [tt * du, sec * sec * v, 0.0, -1.0, -tt * sp, -tt * cp],
-            [-v, 0.0, 0.0, -0.0, -cp, sp],
-            [sec * du, sec * tt * v, 0.0, -0.0, -sec * sp, -sec * cp],
-        ],
+    # The 18 entries row by row, reshaped: no nested rows to hold at once.
+    rows = _matrix(
+        (
+            tt * du, sec * sec * v, 0.0, -1.0, -tt * sp, -tt * cp,
+            -v, 0.0, 0.0, -0.0, -cp, sp,
+            sec * du, sec * tt * v, 0.0, -0.0, -sec * sp, -sec * cp,
+        ),
         s,
     )
+    return rows.reshape(u.shape[:-1] + (3, 6))
 
 
 def jacobians_process(
@@ -119,7 +130,7 @@ def jacobians_process(
     A[..., :3, :] = _attitude_rows(*_sin_cos(x[..., :3]), omega - x[..., 3:])
     Bw = np.zeros(x.shape[:-1] + (6, 12))
     Bw[..., :3, :3] = noise.n_w * A[..., :3, 3:]
-    Bw[..., 3:, 3:6] = noise.n_b * _EYE3
+    Bw[..., 3:, 3:6] = _bias_walk_block(noise)
     return A, Bw
 
 

@@ -36,6 +36,16 @@ def _vector3(values: ArrayLike, name: str) -> NDArray[np.float64]:
     return arr
 
 
+def _floats3(values: ArrayLike, name: str) -> list[float]:
+    """The entries of a finite 3-vector as Python floats, checked as
+    :func:`_vector3` checks them."""
+    arr = np.asarray(values, dtype=np.float64).reshape(3)
+    floats = arr.tolist()
+    if not all(map(math.isfinite, floats)):
+        raise ValueError(f"{name} must be finite, got {arr!r}")
+    return floats
+
+
 @dataclass(frozen=True)
 class NoiseParams:
     """Per-axis sensor noise standard deviations.
@@ -108,7 +118,12 @@ class WorldConstants:
 
 @dataclass(frozen=True)
 class ImuSample:
-    """One timestamped gyro/accel/mag measurement triple."""
+    """One timestamped gyro/accel/mag measurement triple.
+
+    ``a_m`` and ``m_m`` are copied on construction into one read-only
+    6-vector, of which they are the halves: :meth:`stacked_measurement`
+    returns that vector, built once here rather than per filter step.
+    """
 
     t: float
     omega_m: NDArray[np.float64]
@@ -121,12 +136,16 @@ class ImuSample:
             raise ValueError(f"t must be finite, got {t!r}")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "omega_m", _vector3(self.omega_m, "omega_m"))
-        object.__setattr__(self, "a_m", _vector3(self.a_m, "a_m"))
-        object.__setattr__(self, "m_m", _vector3(self.m_m, "m_m"))
+        y = np.array(_floats3(self.a_m, "a_m") + _floats3(self.m_m, "m_m"))
+        y.setflags(write=False)
+        object.__setattr__(self, "a_m", y[:3])
+        object.__setattr__(self, "m_m", y[3:])
+        object.__setattr__(self, "_y", y)
 
     def stacked_measurement(self) -> NDArray[np.float64]:
-        """Accel and mag stacked into the 6-vector consumed by the filters."""
-        return np.concatenate([self.a_m, self.m_m])
+        """Accel and mag stacked into the read-only 6-vector consumed by the
+        filters; the same array on every call."""
+        return self._y
 
 
 @dataclass(frozen=True)

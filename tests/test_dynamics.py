@@ -13,9 +13,10 @@ from eh2marg import (
     EulerAngles,
     EulerState,
     GimbalLockError,
+    NonFiniteState,
     WorldConstants,
 )
-from eh2marg.dynamics import process_model, rk4_step
+from eh2marg.dynamics import checked_state, process_model, rk4_step
 from eh2marg.linearization import jacobians_measurement
 
 
@@ -156,6 +157,21 @@ class TestIntegrateStep:
         out = _rk4(x, [1.0, 0.0, 0.0], 0.01)
         assert -np.pi < out[0] <= np.pi
         assert out[0] == pytest.approx(-np.pi + 0.009, abs=1e-12)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    @pytest.mark.parametrize("angle", [np.inf, -np.inf])
+    def test_non_finite_state_rejected_before_wrapping(self, angle, column, stacked):
+        # Finiteness is checked before the attitude is wrapped: the error
+        # names the value the step produced, and no wrap of an infinite
+        # angle warns (every warning fails this suite).
+        x = np.array([0.1, -0.2, 0.3, 0.01, np.nan, 0.02])
+        x[column] = angle
+        if stacked:
+            x = np.stack([np.zeros(6), x])
+        with pytest.raises(NonFiniteState, match=rf"{angle!r},.*nan"):
+            checked_state(x)
+        assert x.reshape(-1, 6)[-1, column] == angle
 
     def test_rk4_self_convergence_order(self):
         """Error vs a dt/8 reference must shrink ~16x when dt halves."""

@@ -1,6 +1,8 @@
 """Tests for the extended-H2 filter, the EKF baseline, and initialization."""
 
 import re
+import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from eh2marg import filters
 from eh2marg.dynamics import EulerState, process_model, rk4_step
 from eh2marg.errors import DegenerateSample, GimbalLockError, InnovationCovSingular
 from eh2marg.filters import (
@@ -21,7 +24,7 @@ from eh2marg.filters import (
     initialize_from_first_sample,
 )
 from eh2marg.harness import ScenarioConfig, generate_trajectory
-from eh2marg.kinematics import EPS_GIMBAL, EulerAngles, wrap_angle
+from eh2marg.kinematics import EPS_GIMBAL, EulerAngles, _rotation_table, wrap_angle
 from eh2marg.linearization import jacobians_measurement
 from eh2marg.sensors import ImuSample, NoiseParams, WorldConstants, simulate_imu_stream
 
@@ -388,9 +391,9 @@ class TestStackedSteps:
         st.integers(0, 2**32 - 1),
     )
     def test_stacks_equal_rows_for_any_references(self, noise, cert, n, refs, seed):
-        # The measurement model rotates the two reference rows as one
-        # interleaved stack of 2n rows; any pair of non-parallel rows must
-        # give each state's own result, bit for bit, down to the filters.
+        # h, Cy and eh2's L h are read off tables built per reference block;
+        # any pair of non-parallel rows must give each state's own result,
+        # bit for bit, down to the filters.
         g, h = np.array(refs[:3]), np.array(refs[3:])
         assume(np.linalg.norm(np.cross(g, h)) > 1e-3 * np.linalg.norm(g) * np.linalg.norm(h))
         references = WorldConstants(g, h).reference_rows()
@@ -417,6 +420,24 @@ class TestStackedSteps:
                 ekf_all, ekf(x[k], P[k], omega[k], y[k], noise, references, DT)
             ):
                 assert np.array_equal(stacked[k], row)
+        # eh2 caches L C_h under the bytes of L and of the block.  A gain
+        # changed in place between two calls, and a second block, must each
+        # give what the uncached L @ _rotation_table(refs)[:6] gives, and
+        # what f(x) + L (h(x) - y) integrates to without any gain table.
+        L = cert.L.copy()
+        for block in (references, references[::-1].copy()):
+            for _ in range(2):
+                got = eh2(x, omega, y, L, block, DT)
+                uncached = lambda *_: L @ _rotation_table(block)[:6]
+                with patch.object(filters, "_gain_table", uncached):
+                    assert np.array_equal(got, eh2(x, omega, y, L, block, DT))
+                for k in range(n):
+                    assert np.array_equal(got[k], eh2(x[k], omega[k], y[k], L, block, DT))
+                xdot = lambda xs: process_model(xs, omega) + (
+                    jacobians_measurement(xs[:, :3], block)[0] - y
+                ) @ L.T
+                assert_allclose(got, rk4_step(xdot, x, DT), rtol=0.0, atol=1e-12)
+                L *= 1.5
 
     def test_one_row_in_gimbal_band_fails_the_stack(self, world, cert):
         x, omega, y, _ = self._inputs(world)
@@ -453,3 +474,27 @@ def test_malformed_reference_block_is_rejected(caller, block):
     shape = re.escape(str(references.shape))
     with pytest.raises(ValueError, match=rf"shape \(2, 3\), got {shape}"):
         _TABLE_CALLERS[caller](references)
+
+
+def _peak_bytes(call) -> int:
+    """tracemalloc peak of one call, after two warm-up calls."""
+    call()
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_state_eh2_step_allocates_well_under_the_ekf(world, noise, cert):
+    # README: a one-state eh2 step's allocation peak is about a third of the
+    # EKF's (no covariance, no linear solve, and a gain table built once).
+    x = np.array([0.1, -0.2, 0.3, 0.001, -0.002, 0.003])
+    omega = np.array([0.05, -0.02, 0.01])
+    y = _h(EulerState.from_vector(x), world) + 0.01
+    refs = world.reference_rows()
+    eh2_peak = _peak_bytes(lambda: eh2(x, omega, y, cert.L, refs, DT))
+    ekf_peak = _peak_bytes(lambda: ekf(x, DEFAULT_P0, omega, y, noise, refs, DT))
+    assert eh2_peak <= 0.4 * ekf_peak, (eh2_peak, ekf_peak)

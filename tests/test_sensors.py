@@ -130,8 +130,16 @@ def test_accel_and_mag_are_each_reference_rotated_row_by_row():
 
 
 def test_imu_sample_stacks_measurement():
-    s = ImuSample(t=0.0, omega_m=[1, 2, 3], a_m=[4, 5, 6], m_m=[7, 8, 9])
-    assert_allclose(s.stacked_measurement(), [4, 5, 6, 7, 8, 9])
+    a = np.array([4.0, 5.0, 6.0])
+    s = ImuSample(t=0.0, omega_m=[1, 2, 3], a_m=a, m_m=[7, 8, 9])
+    y = s.stacked_measurement()
+    assert_allclose(y, [4, 5, 6, 7, 8, 9])
+    # Built once, read-only, with a_m and m_m as its halves: the two filters
+    # share it, and a later write to the caller's array does not reach it.
+    assert s.stacked_measurement() is y and not y.flags.writeable
+    assert np.shares_memory(s.a_m, y) and np.shares_memory(s.m_m, y)
+    a[0] = 0.0
+    assert s.a_m[0] == y[0] == 4.0
 
 
 class TestImuStream:
