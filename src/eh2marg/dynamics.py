@@ -10,8 +10,9 @@ The array-level functions (:func:`process_model`, :func:`rk4_step`,
 :func:`checked_state`) take a plain ``(6,)`` state array or an ``(N, 6)``
 stack of states that advance together.  The process model applies T(Phi)
 to vectors without building it as a matrix.  h(Phi) has no function of
-its own: it is a constant table (:func:`~eh2marg.kinematics._rotation_table`)
-applied to trigonometric products of Phi, which
+its own: it is the world's constant table
+(:meth:`~eh2marg.sensors.WorldConstants.rotation_table`) applied to
+trigonometric products of Phi, which
 :func:`~eh2marg.linearization.jacobians_measurement` evaluates with Cy and
 the extended-H2 filter with its gain folded in.  :func:`rk4_step` takes
 its first stage from a caller that already holds it, and ends in

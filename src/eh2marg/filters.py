@@ -10,11 +10,13 @@ the very model the gain was designed on.  Neither builds R(Phi): the EKF
 gets h and Cy together from one constant table applied to trigonometric
 products of Phi, and the extended-H2 filter folds L0 into the table's h
 rows, so each RK4 stage gets L0 h(xhat) from one matrix-vector product.
-That gain table is built once per distinct gain and reference block and
-cached read-only under their bytes, so an L0 changed in place between
-steps gets a table of its own.  The RK4 stages apply T(Phi) to vectors;
-only the EKF's A holds T as a matrix (Bw's gyro block is read off it), and
-the EKF takes its first RK4 stage from A.  Both filters consume one
+The constant table is the world's
+(:meth:`~eh2marg.sensors.WorldConstants.rotation_table`), built with it.
+The gain table is built once per distinct gain and world and cached
+read-only under the gain's bytes and the world, so an L0 changed in place
+between steps gets a table of its own.  The RK4 stages apply T(Phi) to
+vectors; only the EKF's A holds T as a matrix (Bw's gyro block is read off
+it), and the EKF takes its first RK4 stage from A.  Both filters consume one
 :class:`~eh2marg.sensors.ImuSample` per step: step k takes sample k,
 measured at t_k, and returns the estimate at t_{k+1}.  The sample's gyro
 drives the propagation from t_k to t_{k+1}.  The extended-H2 filter holds
@@ -22,9 +24,10 @@ the sample's accel/mag constant over [t_k, t_{k+1}].  The EKF compares
 them with h at its prediction for t_{k+1}, so its measurement is one
 sample older than the state it corrects.
 
-:func:`eh2` and :func:`ekf` are the steps on plain arrays: one ``(6,)``
-state, or an ``(N, 6)`` stack of states (with ``(N, 6, 6)`` covariances)
-that the Monte-Carlo harness advances together, one call per time step.
+:func:`eh2` and :func:`ekf` are the steps on plain arrays and the world:
+one ``(6,)`` state, or an ``(N, 6)`` stack of states (with ``(N, 6, 6)``
+covariances) that the Monte-Carlo harness advances together, one call per
+time step.
 :func:`eh2_step` and :func:`ekf_step` wrap them for the validated state
 containers.
 """
@@ -45,7 +48,6 @@ from .kinematics import (
     _matrix,
     _matvec,
     _monomials,
-    _reference_table,
     _sin_cos,
     dcm_body_from_inertial,
     wrap_angle,
@@ -116,13 +118,11 @@ def _measurement_variances(q: NoiseParams) -> tuple[NDArray[np.float64], NDArray
 
 
 @lru_cache(maxsize=8)
-def _gain_table(
-    L: bytes, shape: tuple, references: bytes, ref_shape: tuple
-) -> NDArray[np.float64]:
-    """L C_h, read-only, with C_h the h rows of the rotation table of the
-    reference block: built once per distinct gain and block, and keyed on
-    their bytes, so a gain changed in place is never read stale."""
-    table = np.frombuffer(L).reshape(shape) @ _reference_table(references, ref_shape)[:6]
+def _gain_table(L: bytes, shape: tuple, world: WorldConstants) -> NDArray[np.float64]:
+    """L C_h, read-only, with C_h the h rows of the world's rotation table:
+    built once per distinct gain and world, and keyed on the gain's bytes,
+    so a gain changed in place is never read stale."""
+    table = np.frombuffer(L).reshape(shape) @ world.rotation_table()[:6]
     table.flags.writeable = False
     return table
 
@@ -132,17 +132,16 @@ def eh2(
     omega: NDArray[np.float64],
     y: NDArray[np.float64],
     L: NDArray[np.float64],
-    references: NDArray[np.float64],
+    world: WorldConstants,
     dt: float,
 ) -> NDArray[np.float64]:
     """One RK4 step of the extended-H2 filter on arrays; y is held over the step.
 
-    ``xhat_dot = f(xhat, omega) + L (h(xhat) - y)`` with ``references`` the
-    rows [g; h] of :meth:`~eh2marg.sensors.WorldConstants.reference_rows`.
-    L h(xhat) is taken as (L C_h) m(xhat), with C_h the h rows of the
-    rotation table and m the trigonometric products of xhat; L C_h is
-    cached under the bytes of L and of ``references``, and L y is formed
-    once per call.
+    ``xhat_dot = f(xhat, omega) + L (h(xhat) - y)`` with h = [R g; R h] for
+    the reference vectors of ``world``.  L h(xhat) is taken as
+    (L C_h) m(xhat), with C_h the h rows of the world's rotation table and
+    m the trigonometric products of xhat; L C_h is cached under the bytes
+    of L and the world, and L y is formed once per call.
     ``x``, ``omega`` and ``y`` are (6,), (3,), (6,) for one filter, or
     (N, 6), (N, 3), (N, 6) for N filters that share L and dt.
 
@@ -155,8 +154,7 @@ def eh2(
     """
 
     L = np.asarray(L, dtype=np.float64)
-    references = np.asarray(references, dtype=np.float64)
-    gain_table = _gain_table(L.tobytes(), L.shape, references.tobytes(), references.shape)
+    gain_table = _gain_table(L.tobytes(), L.shape, world)
     # y is held over the step, so L y is the same in all four stages.
     Ly = _matvec(L, y)
 
@@ -185,7 +183,7 @@ def ekf(
     omega: NDArray[np.float64],
     y: NDArray[np.float64],
     q: NoiseParams,
-    references: NDArray[np.float64],
+    world: WorldConstants,
     dt: float,
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """One EKF predict+update cycle on arrays; returns the new (x, P).
@@ -225,7 +223,7 @@ def ekf(
     Pp = F @ P @ F.mT + dt * (Bw @ Bw.mT)
     # The update holds the step's memory peak, and needs none of these.
     del A, Bw, F, k1
-    h, H = jacobians_measurement(xp[..., :3], references)
+    h, H = jacobians_measurement(xp[..., :3], world)
     r, R = _measurement_variances(q)
     S = H @ Pp @ H.mT + R
     PHt = Pp @ H.mT
@@ -255,14 +253,8 @@ def eh2_step(
     """
     if not 0.0 < dt < np.inf:
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
-    x = eh2(
-        s.xhat.as_vector(),
-        sample.omega_m,
-        sample.stacked_measurement(),
-        s.L0,
-        w.reference_rows(),
-        dt,
-    )
+    y = sample.stacked_measurement()
+    x = eh2(s.xhat.as_vector(), sample.omega_m, y, s.L0, w, dt)
     return EH2FilterState(xhat=EulerState.from_vector(x), L0=s.L0)
 
 
@@ -288,15 +280,8 @@ def ekf_step(
     """
     if not 0.0 < dt < np.inf:
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
-    x, P = ekf(
-        s.xhat.as_vector(),
-        s.P,
-        sample.omega_m,
-        sample.stacked_measurement(),
-        q,
-        w.reference_rows(),
-        dt,
-    )
+    y = sample.stacked_measurement()
+    x, P = ekf(s.xhat.as_vector(), s.P, sample.omega_m, y, q, w, dt)
     return EKFState(xhat=EulerState.from_vector(x), P=P)
 
 

@@ -581,10 +581,9 @@ def _run_trials(
             failures[j] = _Failure(exc)
     del stream
 
-    references = world.reference_rows()
     steps = (
-        ("eh2", lambda x, om, yk: (eh2(x, om, yk, L0, references, dt),)),
-        ("ekf", lambda x, P, om, yk: ekf(x, P, om, yk, noise, references, dt)),
+        ("eh2", lambda x, om, yk: (eh2(x, om, yk, L0, world, dt),)),
+        ("ekf", lambda x, P, om, yk: ekf(x, P, om, yk, noise, world, dt)),
     )
     live = np.array(ok, dtype=np.intp)
     states = [(x0[live],), (x0[live], np.repeat(DEFAULT_P0[None], len(live), axis=0))]

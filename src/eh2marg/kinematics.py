@@ -13,10 +13,10 @@ R and of its first derivatives is a combination, with coefficients 0 or
 +/-1, of the 27 products of (1, sin, cos) of phi, theta and psi (22 of them
 occur).  :func:`_rotation_coefficients` reads the coefficients off
 :func:`_rotate` once, :func:`_rotation_table` folds the reference rows
-[g; h] into them once per block, and :func:`_monomials` evaluates the
-products; R r and d(R r)/dPhi for every row of a stack are then one
-matrix-vector product per row, in one numpy call, since a small stack
-costs per numpy call, not per element.
+[g; h] into them once per :class:`~eh2marg.sensors.WorldConstants`, and
+:func:`_monomials` evaluates the products; R r and d(R r)/dPhi for every
+row of a stack are then one matrix-vector product per row, in one numpy
+call, since a small stack costs per numpy call, not per element.
 
 T is singular at pitch +/- 90 degrees ("gimbal lock"); every caller that
 evaluates it first checks the pitch with :func:`_check_gimbal`, which fails
@@ -228,13 +228,13 @@ def _rotation_coefficients() -> NDArray[np.float64]:
     return coefficients
 
 
-@lru_cache(maxsize=8)
-def _reference_table(references: bytes, shape: tuple) -> NDArray[np.float64]:
-    """See :func:`_rotation_table`; ``references`` as the bytes of float64
-    rows of the given ``shape``, checked here, once per block."""
-    if shape != (2, 3):
-        raise ValueError(f"references must be the rows [g; h], shape (2, 3), got {shape}")
-    rotated = _rotation_coefficients() @ np.frombuffer(references).reshape(2, 3).T
+def _rotation_table(rows: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The read-only (24, 27) table that maps the products of
+    :func:`_monomials` to h = [R g; R h] (6 rows), then to d(R r_i)_j/dPhi
+    (3 rows per entry), for the float (2, 3) ``rows`` [g; h].
+    :class:`~eh2marg.sensors.WorldConstants` builds it once per world.
+    """
+    rotated = _rotation_coefficients() @ rows.T
     # rotated[m, d, j, i]: product m's coefficient in (R r_i)_j (d = 0) and
     # in its derivative by angle d - 1.
     table = np.concatenate(
@@ -245,16 +245,6 @@ def _reference_table(references: bytes, shape: tuple) -> NDArray[np.float64]:
     )
     table.flags.writeable = False
     return table
-
-
-def _rotation_table(references: NDArray[np.float64]) -> NDArray[np.float64]:
-    """The read-only (24, 27) table that maps the products of
-    :func:`_monomials` to h = [R g; R h] (6 rows), then to d(R r_i)_j/dPhi
-    (3 rows per entry), for the rows [g; h] of ``references``; built once
-    per distinct block.  A block of any shape but (2, 3) raises ValueError.
-    """
-    references = np.asarray(references, dtype=np.float64)
-    return _reference_table(references.tobytes(), references.shape)
 
 
 def _monomials(s: ArrayLike, c: ArrayLike) -> NDArray[np.float64]:

@@ -11,7 +11,8 @@ unit-intensity white noise.  Each Jacobian function evaluates the
 attitude's sines and cosines once and fills its matrices in one pass.  A's
 attitude rows [d(T u)/dPhi | -T] are one fill (:func:`_attitude_rows`), and
 Bw's gyro block is read off them.  h = [R g; R h] and Cy are one product,
-per row of a stack, of :func:`~eh2marg.kinematics._rotation_table` with the
+per row of a stack, of the world's rotation table
+(:meth:`~eh2marg.sensors.WorldConstants.rotation_table`) with the
 attitude's trigonometric products: the table holds the rows of d(R r)/dPhi,
 differentiated exactly when it is built, beside those of R r.
 A central finite-difference oracle cross-checks the closed forms.
@@ -29,7 +30,6 @@ from .kinematics import (
     _matrix,
     _matvec,
     _monomials,
-    _rotation_table,
     _sin_cos,
 )
 from .sensors import NoiseParams, WorldConstants
@@ -135,19 +135,18 @@ def jacobians_process(
 
 
 def jacobians_measurement(
-    angles: NDArray[np.float64], references: NDArray[np.float64]
+    angles: NDArray[np.float64], world: WorldConstants
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """h and Cy of the measurement model at the attitude ``angles``.
 
-    ``references`` holds the rows [g; h] of
-    :meth:`~eh2marg.sensors.WorldConstants.reference_rows`.  (3,) angles
-    give h (6,) and Cy (6, 6); (N, 3) angles give (N, 6) and (N, 6, 6).
-    Both come from one product of :func:`~eh2marg.kinematics._rotation_table`
-    with the trigonometric products of the attitude: its first 6 rows are
+    (3,) angles give h (6,) and Cy (6, 6); (N, 3) angles give (N, 6) and
+    (N, 6, 6).  Both come from one product of the world's
+    :meth:`~eh2marg.sensors.WorldConstants.rotation_table` with the
+    trigonometric products of the attitude: its first 6 rows are
     h = [R g; R h], the other 18 the angle columns of Cy, row by row.  The
     bias columns of Cy are zero (h does not depend on b).
     """
-    hc = _matvec(_rotation_table(references), _monomials(*_sin_cos(angles)))
+    hc = _matvec(world.rotation_table(), _monomials(*_sin_cos(angles)))
     Cy = np.zeros(angles.shape[:-1] + (6, 6))
     Cy[..., :3] = hc[..., 6:].reshape(Cy.shape[:-1] + (3,))
     return hc[..., :6], Cy
@@ -181,7 +180,7 @@ def nominal_model(
     noise = NoiseParams() if noise is None else noise
     world = WorldConstants() if world is None else world
     A, Bw = jacobians_process(np.zeros(6), np.zeros(3), noise)
-    _, Cy = jacobians_measurement(np.zeros(3), world.reference_rows())
+    _, Cy = jacobians_measurement(np.zeros(3), world)
     Dw = np.zeros((6, 12))
     Dw[:, 6:] = np.diag([noise.n_a] * 3 + [noise.n_m] * 3)
     return LinearModel(A=A, Bw=Bw, Cy=Cy, Dw=Dw, Cz=np.eye(3, 6))

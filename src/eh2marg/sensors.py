@@ -13,7 +13,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .errors import LengthMismatch
-from .kinematics import _matrix, _rotate, _sin_cos
+from .kinematics import _matrix, _rotate, _rotation_table, _sin_cos
 
 __all__ = ["ImuSample", "ImuStream", "NoiseParams", "WorldConstants", "simulate_imu_stream"]
 
@@ -70,11 +70,11 @@ class NoiseParams:
 class WorldConstants:
     """Inertial-frame reference vectors sensed by the accelerometer and magnetometer.
 
-    The vectors are copied on construction and are read-only: ``g_inertial``
-    and ``h_inertial`` are the rows of the (2, 3) array that
-    :meth:`reference_rows` returns, built once here rather than per filter
-    step, so they cannot drift apart.  Two worlds are equal, and hash
-    equal, when their vectors are.
+    The vectors are copied on construction into the rows of one read-only
+    (2, 3) array, of which ``g_inertial`` and ``h_inertial`` are views, and
+    checked once.  The measurement model's rotation table for them is built
+    here too: :meth:`rotation_table` returns it to the filter steps.  Two
+    worlds are equal, and hash equal, when their vectors are.
     """
 
     g_inertial: NDArray[np.float64] = field(
@@ -100,6 +100,10 @@ class WorldConstants:
         cross = np.linalg.norm(np.cross(g, h))
         if cross <= 1e-10 * np.linalg.norm(g) * np.linalg.norm(h):
             raise ValueError("h_inertial must not be parallel to g_inertial")
+        object.__setattr__(self, "_table", _rotation_table(rows))
+        # Over the floats, not the bytes: -0.0 == 0.0 for __eq__ and hash().
+        # Taken once, as eh2's gain-table cache hashes the world every step.
+        object.__setattr__(self, "_hash", hash(tuple(rows.ravel().tolist())))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WorldConstants):
@@ -107,13 +111,14 @@ class WorldConstants:
         return bool(np.array_equal(self._rows, other._rows))
 
     def __hash__(self) -> int:
-        # Over the floats, not the bytes: -0.0 == 0.0 for __eq__ and hash().
-        return hash(tuple(self._rows.ravel().tolist()))
+        return self._hash
 
-    def reference_rows(self) -> NDArray[np.float64]:
-        """g and h as the rows of a read-only (2, 3) array, the form the
-        measurement model takes; the same array on every call."""
-        return self._rows
+    def rotation_table(self) -> NDArray[np.float64]:
+        """The read-only (24, 27) table of
+        :func:`~eh2marg.kinematics._rotation_table` for the rows [g; h]:
+        h = [R g; R h] and its Jacobian from the trigonometric products of
+        an attitude.  The same array on every call."""
+        return self._table
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ def _rk4(x, omega, dt):
 
 
 def _h(x: EulerState, world) -> np.ndarray:
-    return jacobians_measurement(x.attitude.as_array(), world.reference_rows())[0]
+    return jacobians_measurement(x.attitude.as_array(), world)[0]
 
 
 def test_state_derivative_examples():
@@ -115,13 +115,13 @@ class TestMeasurement:
             assert np.linalg.norm(y[3:]) == pytest.approx(np.linalg.norm(world.h_inertial), abs=1e-10)
 
     def test_stack_takes_integer_references_as_rows_do(self):
-        # The stack rotates its references in a float buffer: integer rows
-        # must not truncate the rotated values.
+        # The stack rotates its references in a float buffer: integer
+        # vectors must not truncate the rotated values.
         angles = np.array([[0.3, -0.2, 1.1], [-1.0, 0.5, -2.0]])
-        references = np.array([[0, 0, 10], [1, 0, 1]])
-        h_all = jacobians_measurement(angles, references)[0]
+        world = WorldConstants([0, 0, 10], [1, 0, 1])
+        h_all = jacobians_measurement(angles, world)[0]
         for k, row in enumerate(angles):
-            assert np.array_equal(h_all[k], jacobians_measurement(row, references)[0])
+            assert np.array_equal(h_all[k], jacobians_measurement(row, world)[0])
 
 
 class TestIntegrateStep:

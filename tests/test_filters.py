@@ -1,8 +1,6 @@
 """Tests for the extended-H2 filter, the EKF baseline, and initialization."""
 
-import re
 import tracemalloc
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -10,7 +8,6 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from eh2marg import filters
 from eh2marg.dynamics import EulerState, process_model, rk4_step
 from eh2marg.errors import DegenerateSample, GimbalLockError, InnovationCovSingular
 from eh2marg.filters import (
@@ -24,7 +21,14 @@ from eh2marg.filters import (
     initialize_from_first_sample,
 )
 from eh2marg.harness import ScenarioConfig, generate_trajectory
-from eh2marg.kinematics import EPS_GIMBAL, EulerAngles, _rotation_table, wrap_angle
+from eh2marg.kinematics import (
+    EPS_GIMBAL,
+    EulerAngles,
+    _matvec,
+    _monomials,
+    _sin_cos,
+    wrap_angle,
+)
 from eh2marg.linearization import jacobians_measurement
 from eh2marg.sensors import ImuSample, NoiseParams, WorldConstants, simulate_imu_stream
 
@@ -40,7 +44,7 @@ def _sample_at(x: EulerState, world, omega_m=None, t=0.0) -> ImuSample:
 
 def _h(x: EulerState, world) -> np.ndarray:
     """Noise-free accel/mag output h(x), stacked."""
-    return jacobians_measurement(x.attitude.as_array(), world.reference_rows())[0]
+    return jacobians_measurement(x.attitude.as_array(), world)[0]
 
 
 def _dead_reckon(x: np.ndarray, omega, dt: float) -> np.ndarray:
@@ -369,19 +373,17 @@ class TestStackedSteps:
 
     def test_eh2_rows_match_single_steps(self, world, cert):
         x, omega, y, _ = self._inputs(world)
-        refs = world.reference_rows()
-        out = eh2(x, omega, y, cert.L, refs, DT)
+        out = eh2(x, omega, y, cert.L, world, DT)
         assert out.shape == x.shape
         for k in range(len(x)):
-            assert np.array_equal(out[k], eh2(x[k], omega[k], y[k], cert.L, refs, DT))
+            assert np.array_equal(out[k], eh2(x[k], omega[k], y[k], cert.L, world, DT))
 
     def test_ekf_rows_match_single_steps(self, world, noise):
         x, omega, y, P = self._inputs(world)
-        refs = world.reference_rows()
-        x_new, P_new = ekf(x, P, omega, y, noise, refs, DT)
+        x_new, P_new = ekf(x, P, omega, y, noise, world, DT)
         assert P_new.shape == P.shape
         for k in range(len(x)):
-            xk, Pk = ekf(x[k], P[k], omega[k], y[k], noise, refs, DT)
+            xk, Pk = ekf(x[k], P[k], omega[k], y[k], noise, world, DT)
             assert np.array_equal(x_new[k], xk)
             assert np.array_equal(P_new[k], Pk)
 
@@ -391,12 +393,12 @@ class TestStackedSteps:
         st.integers(0, 2**32 - 1),
     )
     def test_stacks_equal_rows_for_any_references(self, noise, cert, n, refs, seed):
-        # h, Cy and eh2's L h are read off tables built per reference block;
-        # any pair of non-parallel rows must give each state's own result,
-        # bit for bit, down to the filters.
+        # h, Cy and eh2's L h are read off tables built per world; any pair
+        # of non-parallel reference vectors must give each state's own
+        # result, bit for bit, down to the filters.
         g, h = np.array(refs[:3]), np.array(refs[3:])
         assume(np.linalg.norm(np.cross(g, h)) > 1e-3 * np.linalg.norm(g) * np.linalg.norm(h))
-        references = WorldConstants(g, h).reference_rows()
+        world = WorldConstants(g, h)
         rng = np.random.default_rng(seed)
         x = np.column_stack(
             [
@@ -407,73 +409,47 @@ class TestStackedSteps:
             ]
         )
         omega = rng.normal(scale=0.5, size=(n, 3))
-        jac_all = jacobians_measurement(x[:, :3], references)
+        jac_all = jacobians_measurement(x[:, :3], world)
         y = jac_all[0] + rng.normal(0.0, 0.01, (n, 6))
         P = DEFAULT_P0 * rng.uniform(0.5, 2.0, size=(n, 1, 1))
-        eh2_all = eh2(x, omega, y, cert.L, references, DT)
-        ekf_all = ekf(x, P, omega, y, noise, references, DT)
+        eh2_all = eh2(x, omega, y, cert.L, world, DT)
+        ekf_all = ekf(x, P, omega, y, noise, world, DT)
         for k in range(n):
-            for stacked, row in zip(jac_all, jacobians_measurement(x[k, :3], references)):
+            for stacked, row in zip(jac_all, jacobians_measurement(x[k, :3], world)):
                 assert np.array_equal(stacked[k], row)
-            assert np.array_equal(eh2_all[k], eh2(x[k], omega[k], y[k], cert.L, references, DT))
-            for stacked, row in zip(
-                ekf_all, ekf(x[k], P[k], omega[k], y[k], noise, references, DT)
-            ):
+            assert np.array_equal(eh2_all[k], eh2(x[k], omega[k], y[k], cert.L, world, DT))
+            for stacked, row in zip(ekf_all, ekf(x[k], P[k], omega[k], y[k], noise, world, DT)):
                 assert np.array_equal(stacked[k], row)
-        # eh2 caches L C_h under the bytes of L and of the block.  A gain
-        # changed in place between two calls, and a second block, must each
-        # give what the uncached L @ _rotation_table(refs)[:6] gives, and
-        # what f(x) + L (h(x) - y) integrates to without any gain table.
+        # eh2 caches L C_h under the bytes of L and the world.  A gain
+        # changed in place between two calls, and a second world, must each
+        # give the bits of an RK4 with L C_h formed afresh as
+        # L @ rotation_table()[:6], and what f(x) + L (h(x) - y) integrates
+        # to without any gain table; an equal world built separately must
+        # give the same bits.
         L = cert.L.copy()
-        for block in (references, references[::-1].copy()):
+        for w in (world, WorldConstants(h, g)):
             for _ in range(2):
-                got = eh2(x, omega, y, L, block, DT)
-                uncached = lambda *_: L @ _rotation_table(block)[:6]
-                with patch.object(filters, "_gain_table", uncached):
-                    assert np.array_equal(got, eh2(x, omega, y, L, block, DT))
-                for k in range(n):
-                    assert np.array_equal(got[k], eh2(x[k], omega[k], y[k], L, block, DT))
+                got = eh2(x, omega, y, L, w, DT)
+                table = L @ w.rotation_table()[:6]
                 xdot = lambda xs: process_model(xs, omega) + (
-                    jacobians_measurement(xs[:, :3], block)[0] - y
+                    _matvec(table, _monomials(*_sin_cos(xs[:, :3]))) - _matvec(L, y)
+                )
+                assert np.array_equal(got, rk4_step(xdot, x, DT))
+                xdot = lambda xs: process_model(xs, omega) + (
+                    jacobians_measurement(xs[:, :3], w)[0] - y
                 ) @ L.T
                 assert_allclose(got, rk4_step(xdot, x, DT), rtol=0.0, atol=1e-12)
+                twin = WorldConstants(w.g_inertial.copy(), w.h_inertial.copy())
+                assert np.array_equal(got, eh2(x, omega, y, L, twin, DT))
+                for k in range(n):
+                    assert np.array_equal(got[k], eh2(x[k], omega[k], y[k], L, w, DT))
                 L *= 1.5
 
     def test_one_row_in_gimbal_band_fails_the_stack(self, world, cert):
         x, omega, y, _ = self._inputs(world)
         x[3, 1] = np.pi / 2.0 - EPS_GIMBAL / 2.0
         with pytest.raises(GimbalLockError, match=r"rows \[3\]"):
-            eh2(x, omega, y, cert.L, world.reference_rows(), DT)
-
-
-_G, _MAG = [0.0, 0.0, 9.81], [0.48, 0.0, 0.58]
-
-#: Reference blocks that are not the rows [g; h]: each must be rejected, not
-#: read as if its rows sat where h and Cy expect them.
-_MALFORMED_REFERENCES = {
-    "one row": np.array([_G]),
-    "three rows": np.array([_G, _MAG, [1.0, 0.0, 0.0]]),
-    "flat g": np.array(_G),
-    "flat g and h": np.array(_G + _MAG),
-}
-
-#: The three callers of the rotation table, one state each.
-_TABLE_CALLERS = {
-    "eh2": lambda refs: eh2(np.zeros(6), np.zeros(3), np.zeros(6), np.eye(6), refs, DT),
-    "ekf": lambda refs: ekf(
-        np.zeros(6), DEFAULT_P0, np.zeros(3), np.zeros(6), NoiseParams(), refs, DT
-    ),
-    "jacobians_measurement": lambda refs: jacobians_measurement(np.zeros(3), refs),
-}
-
-
-@pytest.mark.parametrize("caller", _TABLE_CALLERS)
-@pytest.mark.parametrize("block", _MALFORMED_REFERENCES)
-def test_malformed_reference_block_is_rejected(caller, block):
-    references = _MALFORMED_REFERENCES[block]
-    shape = re.escape(str(references.shape))
-    with pytest.raises(ValueError, match=rf"shape \(2, 3\), got {shape}"):
-        _TABLE_CALLERS[caller](references)
+            eh2(x, omega, y, cert.L, world, DT)
 
 
 def _peak_bytes(call) -> int:
@@ -494,7 +470,6 @@ def test_one_state_eh2_step_allocates_well_under_the_ekf(world, noise, cert):
     x = np.array([0.1, -0.2, 0.3, 0.001, -0.002, 0.003])
     omega = np.array([0.05, -0.02, 0.01])
     y = _h(EulerState.from_vector(x), world) + 0.01
-    refs = world.reference_rows()
-    eh2_peak = _peak_bytes(lambda: eh2(x, omega, y, cert.L, refs, DT))
-    ekf_peak = _peak_bytes(lambda: ekf(x, DEFAULT_P0, omega, y, noise, refs, DT))
+    eh2_peak = _peak_bytes(lambda: eh2(x, omega, y, cert.L, world, DT))
+    ekf_peak = _peak_bytes(lambda: ekf(x, DEFAULT_P0, omega, y, noise, world, DT))
     assert eh2_peak <= 0.4 * ekf_peak, (eh2_peak, ekf_peak)

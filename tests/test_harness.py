@@ -747,7 +747,7 @@ class TestRunTrials:
         for k in range(50):
             smp = streams[1].sample(k)
             x = eh2(x, smp.omega_m, smp.stacked_measurement(), cert.L,
-                    cfg.world.reference_rows(), dt)
+                    cfg.world, dt)
         assert record["last_state"] == failure.last_state == x.tolist()
         assert json.loads(json.dumps(record))["last_state"] == x.tolist()
         assert np.array_equal(batch.estimates[0, 50, 1], x[:3])

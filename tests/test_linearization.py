@@ -36,8 +36,8 @@ _attitudes = st.tuples(
 ).map(np.array)
 
 
-def _h(angles: np.ndarray, references: np.ndarray) -> np.ndarray:
-    return jacobians_measurement(angles, references)[0]
+def _h(angles: np.ndarray, world: WorldConstants) -> np.ndarray:
+    return jacobians_measurement(angles, world)[0]
 
 
 class TestFiniteDifferenceOracle:
@@ -93,7 +93,7 @@ class TestMeasurementJacobians:
         # For g = [0, 0, g0] the attitude sensitivity of R g at zero attitude
         # is g0 * [[0, -1, 0], [1, 0, 0], [0, 0, 0]].
         g0 = 9.81
-        _, Cy = jacobians_measurement(np.zeros(3), world.reference_rows())
+        _, Cy = jacobians_measurement(np.zeros(3), world)
         expected = g0 * np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         assert_allclose(Cy[:3, :3], expected, atol=1e-14)
         Dw = nominal_model(UNIT, world).Dw
@@ -104,7 +104,7 @@ class TestMeasurementJacobians:
         rng = np.random.default_rng(3)
         for _ in range(5):
             angles = _random_state(rng).attitude.as_array()
-            _, Cy = jacobians_measurement(angles, world.reference_rows())
+            _, Cy = jacobians_measurement(angles, world)
             assert np.all(Cy[:, 3:] == 0.0)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -113,10 +113,9 @@ class TestMeasurementJacobians:
         # At the seed's random state, and at that state turned to a drawn attitude.
         rng = np.random.default_rng(seed + 100)
         x0 = _random_state(rng).as_vector()
-        refs = world.reference_rows()
         for x in (x0, np.concatenate([angles, x0[3:]])):
-            _, Cy = jacobians_measurement(x[:3], refs)
-            fd = finite_difference_jacobian(lambda v: _h(v[:3], refs), x)
+            _, Cy = jacobians_measurement(x[:3], world)
+            fd = finite_difference_jacobian(lambda v: _h(v[:3], world), x)
             assert np.max(np.abs(Cy - fd)) < 1e-6
 
 
@@ -189,14 +188,13 @@ def test_stacked_jacobians_equal_row_by_row_exactly(world, noise):
     rng = np.random.default_rng(11)
     states = np.array([_random_state(rng).as_vector() for _ in range(7)])
     omega = rng.normal(scale=0.5, size=(7, 3))
-    refs = world.reference_rows()
     A_all, Bw_all = jacobians_process(states, omega, noise)
-    h_all, Cy_all = jacobians_measurement(states[:, :3], refs)
+    h_all, Cy_all = jacobians_measurement(states[:, :3], world)
     assert A_all.shape == Cy_all.shape == (7, 6, 6)
     assert Bw_all.shape == (7, 6, 12)
     for k in range(7):
         A, Bw = jacobians_process(states[k], omega[k], noise)
-        h, Cy = jacobians_measurement(states[k, :3], refs)
+        h, Cy = jacobians_measurement(states[k, :3], world)
         assert np.array_equal(h_all[k], h)
         # The attitude blocks d(T u)/dPhi and dh/dPhi, then the whole matrices.
         assert np.array_equal(A_all[k, :3, :3], A[:3, :3])

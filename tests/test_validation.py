@@ -15,7 +15,7 @@ import pytest
 from eh2marg.dynamics import EulerState
 from eh2marg.errors import GimbalLockError, LengthMismatch
 from eh2marg.filters import EH2FilterState, EKFState
-from eh2marg.kinematics import EPS_GIMBAL, EulerAngles, _check_gimbal
+from eh2marg.kinematics import EPS_GIMBAL, EulerAngles, _check_gimbal, _rotation_table
 from eh2marg.sensors import ImuSample, ImuStream, WorldConstants
 
 NONFINITE = [np.nan, np.inf, -np.inf]
@@ -178,13 +178,16 @@ def test_filter_states_reject_wrong_shape(shape):
     _raises(lambda: EKFState(xhat=EulerState(), P=m), ValueError, "P must be a finite 6x6 matrix")
 
 
-def test_world_reference_rows_are_read_only_and_match_the_vectors():
+def test_world_rotation_table_is_built_once_from_read_only_vectors():
     w = WorldConstants(g_inertial=[0.0, 0.0, 9.8], h_inertial=[0.4, 0.1, 0.6])
-    rows = w.reference_rows()
-    assert rows is w.reference_rows()
-    assert rows.shape == (2, 3)
-    assert np.array_equal(rows, np.stack([w.g_inertial, w.h_inertial]))
-    for a in (rows, w.g_inertial, w.h_inertial):
+    table = w.rotation_table()
+    assert table is w.rotation_table()
+    assert table.shape == (24, 27)
+    assert np.array_equal(table, _rotation_table(np.stack([w.g_inertial, w.h_inertial])))
+    # g and h are views of one read-only (2, 3) block, so they cannot drift apart.
+    assert w.g_inertial.base is w.h_inertial.base is not None
+    assert w.g_inertial.base.shape == (2, 3)
+    for a in (table, w.g_inertial, w.h_inertial):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 1.0
@@ -195,7 +198,8 @@ def test_world_does_not_freeze_or_alias_the_caller_array():
     w = WorldConstants(g_inertial=g)
     g[2] = 1.0
     assert g.flags.writeable
-    assert w.g_inertial[2] == 9.81 and w.reference_rows()[0, 2] == 9.81
+    assert w.g_inertial[2] == 9.81
+    assert np.array_equal(w.rotation_table(), WorldConstants().rotation_table())
 
 
 def test_world_equality_compares_values():
