@@ -7,8 +7,13 @@ body frame.  Integration is fixed-step classical RK4 with the gyro sample
 held constant across the step.
 
 The array-level functions (:func:`process_model`, :func:`rk4_step`,
-:func:`checked_state`) take a plain ``(6,)`` state array or an ``(N, 6)``
-stack of states that advance together.  The process model applies T(Phi)
+:func:`checked_state`) take a plain ``(6,)`` state array or a ``(6, N)``
+stack of states that advance together, component-major as in
+:mod:`~eh2marg.kinematics`: ``x[:3]`` is the attitude of one state or the
+three length-N attitude rows of a stack.  Since b_dot = 0, a step may hold
+the body rates u = omega - b fixed and integrate the attitude alone: the
+functions also take a ``(3,)`` attitude or a ``(3, N)`` stack of them,
+which carry no bias.  The process model applies T(Phi)
 to vectors without building it as a matrix.  h(Phi) has no function of
 its own: it is the world's constant table
 (:meth:`~eh2marg.sensors.WorldConstants.rotation_table`) applied to
@@ -71,20 +76,23 @@ class EulerState:
 
 
 def process_model(x: NDArray[np.float64], omega: NDArray[np.float64]) -> NDArray[np.float64]:
-    """f(x, omega) = [T(Phi)(omega - b); 0] for a state x = [Phi; b], (6,) or (N, 6).
+    """f(x, omega) = [T(Phi)(omega - b); 0] for a state x = [Phi; b], (6,) or (6, N),
+    with omega (3,) or (3, N).
+
+    For an attitude x = Phi alone, (3,) or (3, N), omega is taken as the
+    body rates, and f is the attitude rows T(Phi) omega.
 
     Raises
     ------
     GimbalLockError
-        If the pitch (of any row) is in the guard band, where T is singular.
+        If the pitch (of any member) is in the guard band, where T is singular.
     """
     _check_gimbal(x)
-    s, c = _sin_cos(x[..., :3])
-    rates = _euler_rates(s, c, omega - x[..., 3:])
-    if x.ndim == 1:
-        return np.array([*rates, 0.0, 0.0, 0.0])
+    s, c = _sin_cos(x[:3])
+    if len(x) == 3:
+        return np.array(_euler_rates(s, c, omega))
     f = np.zeros(x.shape)
-    f.T[0], f.T[1], f.T[2] = rates
+    f[:3] = _euler_rates(s, c, omega - x[3:])
     return f
 
 
@@ -96,13 +104,14 @@ def rk4_step(
 ) -> NDArray[np.float64]:
     """One classical RK4 step of x_dot = f(x); the attitude is re-wrapped after.
 
-    ``x`` is one (6,) state or an (N, 6) stack that ``f`` maps row by row.
-    ``k1``, when given, is f(x), which a caller may already hold.
+    ``x`` is one state or attitude, or a stack of them, that ``f`` maps
+    member by member.  ``k1``, when given, is f(x), which a caller may
+    already hold.
 
     Raises
     ------
     GimbalLockError
-        If a stage (through ``f``) or the result (of any row) enters the
+        If a stage (through ``f``) or the result (of any member) enters the
         gimbal guard band.
     NonFiniteState
         If the result is not finite.
@@ -116,22 +125,23 @@ def rk4_step(
 
 
 def checked_state(x: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Reject a non-finite new state (or stack), then wrap its attitude in
-    place, as :func:`~eh2marg.kinematics.wrap_angle` does, and check the pitch.
+    """Reject a non-finite new state, attitude or stack, then wrap its
+    attitude in place, as :func:`~eh2marg.kinematics.wrap_angle` does, and
+    check the pitch.
 
     Finiteness comes first, so a NaN or infinite entry is reported as it
     came out of the step, and no infinite angle is wrapped (that would warn
-    and turn it into NaN).
+    and turn it into NaN).  A stack is reported one member per line.
 
     Raises
     ------
     NonFiniteState
         If any entry is NaN or infinite.
     GimbalLockError
-        If the pitch (of any row) lies in the gimbal guard band.
+        If the pitch (of any member) lies in the gimbal guard band.
     """
     if not _finite(x):
-        raise NonFiniteState(f"state became non-finite: {x!r}")
-    x[..., :3] = np.pi - (np.pi - x[..., :3]) % (2.0 * np.pi)
+        raise NonFiniteState(f"state became non-finite: {x.T!r}")
+    x[:3] = np.pi - (np.pi - x[:3]) % (2.0 * np.pi)
     _check_gimbal(x)
     return x

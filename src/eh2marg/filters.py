@@ -16,7 +16,9 @@ The gain table is built once per distinct gain and world and cached
 read-only under the gain's bytes and the world, so an L0 changed in place
 between steps gets a table of its own.  The RK4 stages apply T(Phi) to
 vectors; only the EKF's A holds T as a matrix (Bw's gyro block is read off
-it), and the EKF takes its first RK4 stage from A.  Both filters consume one
+it), and the EKF takes its first RK4 stage from A.  The EKF forms the body
+rates u = omega - b once per step: b is constant over the step, so it
+integrates the attitude alone at u.  Both filters consume one
 :class:`~eh2marg.sensors.ImuSample` per step: step k takes sample k,
 measured at t_k, and returns the estimate at t_{k+1}.  The sample's gyro
 drives the propagation from t_k to t_{k+1}.  The extended-H2 filter holds
@@ -25,9 +27,12 @@ them with h at its prediction for t_{k+1}, so its measurement is one
 sample older than the state it corrects.
 
 :func:`eh2` and :func:`ekf` are the steps on plain arrays and the world:
-one ``(6,)`` state, or an ``(N, 6)`` stack of states (with ``(N, 6, 6)``
+one ``(6,)`` state, or a ``(6, N)`` component-major stack of states (with
+``(3, N)`` gyro and ``(6, N)`` accel/mag samples, and ``(N, 6, 6)``
 covariances) that the Monte-Carlo harness advances together, one call per
-time step.
+time step.  Every matrix-vector product runs through ``np.matvec`` on a
+C-contiguous (N, k) operand, the vectors of the stack as rows, which is the
+kernel one state runs, so each member of a stack gets its own run's bits.
 :func:`eh2_step` and :func:`ekf_step` wrap them for the validated state
 containers.
 """
@@ -44,10 +49,10 @@ from .kinematics import (
     EPS_GIMBAL,
     EulerAngles,
     _check_gimbal,
+    _columns,
     _euler_rates,
-    _matrix,
-    _matvec,
     _monomials,
+    _rows,
     _sin_cos,
     dcm_body_from_inertial,
     wrap_angle,
@@ -143,20 +148,21 @@ def eh2(
     m the trigonometric products of xhat; L C_h is cached under the bytes
     of L and the world, and L y is formed once per call.
     ``x``, ``omega`` and ``y`` are (6,), (3,), (6,) for one filter, or
-    (N, 6), (N, 3), (N, 6) for N filters that share L and dt.
+    (6, N), (3, N), (6, N) for N filters that share L and dt.
 
     Raises
     ------
     GimbalLockError
-        If the estimate (of any row) enters the gimbal guard band during the step.
+        If the estimate (of any member) enters the gimbal guard band during the step.
     NonFiniteState
         If the new estimate is not finite.
     """
 
     L = np.asarray(L, dtype=np.float64)
     gain_table = _gain_table(L.tobytes(), L.shape, world)
-    # y is held over the step, so L y is the same in all four stages.
-    Ly = _matvec(L, y)
+    # y is held over the step, so L y is the same in all four stages; it
+    # stays in the (N, 6) rows np.matvec gives.
+    Ly = np.matvec(L, _rows(y))
 
     def xdot(xs):
         # f(xs, omega) + L (h(xs) - y) from one gimbal check and one
@@ -164,14 +170,12 @@ def eh2(
         # runs four times per step, and per-step cost is what the filter is
         # compared on.
         _check_gimbal(xs)
-        s, c = _sin_cos(xs[..., :3])
-        out = _matvec(gain_table, _monomials(s, c)) - Ly
-        rates = _euler_rates(s, c, omega - xs[..., 3:])
-        if xs.ndim == 1:
-            out[:3] += _matrix(rates, s)
-        else:
-            for j, rate in enumerate(rates):
-                out[:, j] += rate
+        s, c = _sin_cos(xs[:3])
+        out = _columns(np.matvec(gain_table, _monomials(s, c)) - Ly)
+        r0, r1, r2 = _euler_rates(s, c, omega - xs[3:])
+        out[0] += r0
+        out[1] += r1
+        out[2] += r2
         return out
 
     return rk4_step(xdot, x, dt)
@@ -203,35 +207,36 @@ def ekf(
     and R = Dw Dw^T of the design model, the diagonal r of squared
     accelerometer and magnetometer standard deviations; then the Joseph form
     (I - K H) P- (I - K H)^T + (K r) K^T, symmetrized.  ``x``/``P`` are (6,)
-    and (6, 6) for one filter, or (N, 6) and (N, 6, 6) for N filters.
+    and (6, 6) for one filter, or (6, N) and (N, 6, 6) for N filters.  The
+    body rates u = omega - b are formed once: b stays constant over the
+    prediction, so RK4 integrates the attitude alone at u.
 
     Raises
     ------
     GimbalLockError
-        If the estimate (of any row) enters the gimbal guard band.
+        If the estimate (of any member) enters the gimbal guard band.
     InnovationCovSingular
-        If H P- H^T + R (of any row) is numerically singular.
+        If H P- H^T + R (of any member) is numerically singular.
     NonFiniteState
         If the new estimate is not finite.
     """
-    A, Bw = jacobians_process(x, omega, q)
+    u = omega - x[3:]
+    A, Bw = jacobians_process(x[:3], u, q)
     F = _EYE6 + dt * A
-    # RK4 stage 1 is f(x) = [T(x)(omega - b); 0], and A already holds -T(x).
-    k1 = np.zeros(x.shape)
-    k1[..., :3] = -_matvec(A[..., :3, 3:], omega - x[..., 3:])
-    xp = rk4_step(lambda xs: process_model(xs, omega), x, dt, k1)
+    # RK4 stage 1 is T(x) u, and A already holds -T(x).
+    k1 = _columns(-np.matvec(A[..., :3, 3:], _rows(u)))
+    xp = np.concatenate((rk4_step(lambda a: process_model(a, u), x[:3], dt, k1), x[3:]))
     Pp = F @ P @ F.mT + dt * (Bw @ Bw.mT)
     # The update holds the step's memory peak, and needs none of these.
-    del A, Bw, F, k1
-    h, H = jacobians_measurement(xp[..., :3], world)
+    del A, Bw, F, k1, u
+    h, H = jacobians_measurement(xp[:3], world)
     r, R = _measurement_variances(q)
-    S = H @ Pp @ H.mT + R
-    PHt = Pp @ H.mT
     try:
-        K = np.linalg.solve(S, PHt.mT).mT
+        # K = P- H^T S^-1 with S = H P- H^T + R, neither kept past the solve.
+        K = np.linalg.solve(H @ Pp @ H.mT + R, (Pp @ H.mT).mT).mT
     except np.linalg.LinAlgError as exc:
         raise InnovationCovSingular(f"innovation covariance solve failed: {exc}") from exc
-    x_new = checked_state(xp + _matvec(K, y - h))
+    x_new = checked_state(xp + _columns(np.matvec(K, _rows(y - h))))
     I_KH = _EYE6 - K @ H
     P_new = I_KH @ Pp @ I_KH.mT + (K * r) @ K.mT
     return x_new, 0.5 * (P_new + P_new.mT)

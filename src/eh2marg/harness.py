@@ -5,8 +5,9 @@ trajectories, simulates noisy sensor streams per trial, runs the extended-H2
 filter and the EKF side by side on identical data with interleaved per-step
 timing, and aggregates per-axis error metrics across trials.
 
-The trials of a run advance together: one loop over time steps an
-``(N, 6)`` stack of every live trial through each filter, so the per-call
+The trials of a run advance together: one loop over time steps a
+component-major ``(6, N)`` stack of every live trial (one column per trial,
+with ``(N, 6, 6)`` EKF covariances) through each filter, so the per-call
 overhead is paid once per time step rather than once per trial.  A trial's
 timing is therefore the stacked step time divided by the number of live
 trials (ms per trial-step).
@@ -60,8 +61,10 @@ GIMBAL_MARGIN = 0.05
 #: sensor stream, noise draws and estimates peak near 500 bytes per step, so
 #: this caps one trial near 250 MB; case I takes 5,000 steps, ``bench``
 #: 10,000 by default.  Trials advance in batches of at most
-#: ``MAX_STEPS // steps`` trials, whose stacked inputs and estimates (about
-#: 120 bytes per trial-step) stay inside the same cap.
+#: ``MAX_STEPS // steps`` trials, whose stacked inputs and estimates stay
+#: inside the same cap: 120 bytes per trial-step, 3 gyro and 6 accel/mag
+#: floats in the (n, 3, N) and (n, 6, N) input arrays and 2 x 3 attitude
+#: floats in the (2, n, N, 3) estimates.
 MAX_STEPS = 500_000
 
 #: Per-axis starting phases for the simultaneous (case II) sinusoids, chosen
@@ -516,31 +519,37 @@ class _TrialBatch(NamedTuple):
     failures: dict[int, _Failure]
 
 
+def _trials(a: NDArray[np.float64], i: "int | NDArray[np.bool_]") -> NDArray[np.float64]:
+    """Trial(s) ``i`` of a stack: columns of a (k, N) vector stack, matrices
+    of an (N, k, k) covariance stack."""
+    return a[:, i] if a.ndim == 2 else a[i]
+
+
 def _advance(
     step: Callable[..., tuple], arrays: tuple
 ) -> tuple[tuple | None, dict[int, Eh2MargError]]:
-    """Run one filter step on every row of ``arrays``; rows that raise drop out.
+    """Run one filter step on every trial of ``arrays``; trials that raise drop out.
 
-    Returns the new stacked state (None when no row is left) and the error
-    of every row that raised.  One row takes the (6,) path.  When a stacked
-    call raises, the step is re-run row by row, so that each failing row
-    gets the error its own run raises and the other rows carry on.
+    Returns the new stacked state (None when no trial is left) and the error
+    of every trial that raised.  One trial takes the (6,) path.  When a
+    stacked call raises, the step is re-run trial by trial, so that each
+    failing trial gets the error its own run raises and the others carry on.
     """
-    rows = len(arrays[0])
-    if rows > 1:
+    count = arrays[0].shape[-1]
+    if count > 1:
         try:
             return step(*arrays), {}
         except Eh2MargError:
             pass
     done, errors = [], {}
-    for i in range(rows):
+    for i in range(count):
         try:
-            done.append(step(*(a[i] for a in arrays)))
+            done.append(step(*(_trials(a, i) for a in arrays)))
         except Eh2MargError as exc:
             errors[i] = exc
     if not done:
         return None, errors
-    return tuple(np.stack(c) for c in zip(*done)), errors
+    return tuple(np.stack(c, axis=-1 if c[0].ndim == 1 else 0) for c in zip(*done)), errors
 
 
 def _run_trials(
@@ -554,8 +563,9 @@ def _run_trials(
     """Run both filters over ``num_trials`` streams on one time grid, all trials at once.
 
     Each stream is initialized, its gyro and accel/mag samples are copied
-    into (n, N, 3) and (n, N, 6) stacks, and the stream is dropped, so
-    ``streams`` may be a generator that builds one stream at a time.  Then
+    into column j of (n, 3, N) and (n, 6, N) stacks, and the stream is
+    dropped, so ``streams`` may be a generator that builds one stream at a
+    time.  Then
     one loop over time advances every live trial with one stacked call per
     filter; each call is timed.  A trial whose initialization raises
     :class:`~eh2marg.errors.Eh2MargError` or ``ValueError``, or whose step
@@ -568,14 +578,14 @@ def _run_trials(
         if j == 0:
             t = stream.t
             n = len(t)
-            omega = np.empty((n, num_trials, 3))
-            y = np.empty((n, num_trials, 6))
-            x0 = np.empty((num_trials, 6))
-        omega[:, j] = stream.omega_m
-        y[:, j, :3] = stream.a_m
-        y[:, j, 3:] = stream.m_m
+            omega = np.empty((n, 3, num_trials))
+            y = np.empty((n, 6, num_trials))
+            x0 = np.empty((6, num_trials))
+        omega[:, :, j] = stream.omega_m
+        y[:, :3, j] = stream.a_m
+        y[:, 3:, j] = stream.m_m
         try:
-            x0[j] = initialize_from_first_sample(stream.sample(0), world).as_vector()
+            x0[:, j] = initialize_from_first_sample(stream.sample(0), world).as_vector()
             ok.append(j)
         except (Eh2MargError, ValueError) as exc:  # e.g. a non-finite first sample
             failures[j] = _Failure(exc)
@@ -586,9 +596,9 @@ def _run_trials(
         ("ekf", lambda x, P, om, yk: ekf(x, P, om, yk, noise, world, dt)),
     )
     live = np.array(ok, dtype=np.intp)
-    states = [(x0[live],), (x0[live], np.repeat(DEFAULT_P0[None], len(live), axis=0))]
+    states = [(x0[:, live],), (x0[:, live], np.repeat(DEFAULT_P0[None], len(live), axis=0))]
     estimates = np.empty((2, n, num_trials, 3))
-    estimates[:, 0] = x0[:, :3]
+    estimates[:, 0] = x0[:3].T
     step_ns = np.zeros((2, n - 1))
     for k in range(n - 1):
         if not len(live):
@@ -596,7 +606,7 @@ def _run_trials(
         # While every trial is live, plain indexing reads and writes views
         # instead of copying through ``live``.
         rows = slice(None) if len(live) == num_trials else live
-        inputs = (omega[k, rows], y[k, rows])
+        inputs = (omega[k][:, rows], y[k][:, rows])
         for f, (name, step) in enumerate(steps):
             tic = perf_counter_ns()
             new, errors = _advance(step, states[f] + inputs)
@@ -604,17 +614,17 @@ def _run_trials(
             if errors:
                 for i, exc in errors.items():
                     failures[int(live[i])] = _Failure(
-                        exc, name, k, float(t[k]), states[f][0][i].tolist()
+                        exc, name, k, float(t[k]), states[f][0][:, i].tolist()
                     )
                 keep = np.ones(len(live), dtype=bool)
                 keep[list(errors)] = False
                 live = rows = live[keep]
-                inputs = tuple(a[keep] for a in inputs)
-                states = [tuple(a[keep] for a in state) for state in states]
+                inputs = tuple(a[:, keep] for a in inputs)
+                states = [tuple(_trials(a, keep) for a in state) for state in states]
                 if not len(live):
                     break
             states[f] = new
-            estimates[f, k + 1, rows] = new[0][:, :3]
+            estimates[f, k + 1, rows] = new[0][:3].T
     return _TrialBatch(estimates, step_ns, failures)
 
 

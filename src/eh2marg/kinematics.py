@@ -8,6 +8,14 @@ cosines from :func:`_sin_cos`; :func:`_euler_rates` applies T the same way.
 Only the EKF's Jacobian A holds T as a matrix
 (:func:`eh2marg.linearization._attitude_rows`).
 
+Attitudes and states are component-major: one is a (3,) or (6,) vector, and
+a stack of n is a (3, n) or (6, n) array whose row i holds component i of
+every member.  So ``x[1]`` is one pitch or a contiguous row of n pitches,
+and the same expressions run on the Python floats of one attitude and on
+the length-n rows of a stack.  The public time-series functions
+(:func:`dcm_body_from_inertial`, :func:`kinematic_matrix_inverse`) take an
+(n, 3) series and read it through its transpose.
+
 The filter steps read R(Phi) r off constant tables instead.  Every entry of
 R and of its first derivatives is a combination, with coefficients 0 or
 +/-1, of the 27 products of (1, sin, cos) of phi, theta and psi (22 of them
@@ -15,8 +23,9 @@ occur).  :func:`_rotation_coefficients` reads the coefficients off
 :func:`_rotate` once, :func:`_rotation_table` folds the reference rows
 [g; h] into them once per :class:`~eh2marg.sensors.WorldConstants`, and
 :func:`_monomials` evaluates the products; R r and d(R r)/dPhi for every
-row of a stack are then one matrix-vector product per row, in one numpy
-call, since a small stack costs per numpy call, not per element.
+member of a stack are then one matrix-vector product per member, in one
+``np.matvec`` call on the (n, 27) products, since a small stack costs per
+numpy call, not per element.
 
 T is singular at pitch +/- 90 degrees ("gimbal lock"); every caller that
 evaluates it first checks the pitch with :func:`_check_gimbal`, which fails
@@ -120,13 +129,14 @@ class EulerAngles:
 
 
 def _check_gimbal(x: NDArray[np.float64]) -> None:
-    """Raise GimbalLockError if the pitch ``x[..., 1]`` is in the guard band.
+    """Raise GimbalLockError if the pitch ``x[1]`` is in the guard band.
 
-    ``x`` is an attitude (3,) or a state (6,), or an (n, 3) / (n, 6) stack,
-    which is rejected when any of its rows is in the band.
+    ``x`` is an attitude (3,) or a state (6,), or a (3, n) / (6, n) stack,
+    which is rejected when any of its members is in the band; the message
+    lists the indices of those members as rows.
     """
     if x.ndim > 1:
-        theta = x[:, 1]
+        theta = x[1]
         # Wrapping moves a pitch inside (-pi, pi] by at most a few ulp, so a
         # stack whose every |pitch| is below the band by _GIMBAL_SLACK passes
         # without it; only a stack that could touch the band is wrapped.
@@ -143,17 +153,22 @@ def _check_gimbal(x: NDArray[np.float64]) -> None:
         raise GimbalLockError(f"pitch {theta!r} rad {_GIMBAL_BAND}")
 
 
-def _sin_cos(e: "EulerAngles | ArrayLike") -> tuple:
+def _sin_cos(a: NDArray[np.float64]) -> tuple:
     """Sines and cosines of (phi, theta, psi), unpackable in that order.
 
-    A single attitude yields Python floats, which keep the per-step scalar
-    arithmetic cheap; an (n, 3) stack yields one length-n array per angle,
-    so the same expressions evaluate the whole stack.
+    A single (3,) attitude yields Python floats, which keep the per-step
+    scalar arithmetic cheap; a (3, n) stack yields one length-n row per
+    angle, so the same expressions evaluate the whole stack.
     """
-    a = e.as_array() if isinstance(e, EulerAngles) else np.asarray(e, dtype=np.float64)
     if a.ndim == 1:
         return np.sin(a).tolist(), np.cos(a).tolist()
-    return np.sin(a).T, np.cos(a).T
+    return np.sin(a), np.cos(a)
+
+
+def _series(e: "EulerAngles | ArrayLike") -> NDArray[np.float64]:
+    """An attitude as a (3,) array, or an (n, 3) series as its (3, n) transpose."""
+    a = e.as_array() if isinstance(e, EulerAngles) else np.asarray(e, dtype=np.float64)
+    return a.T
 
 
 def _matrix(rows: "list | tuple", like: "list | NDArray[np.float64]") -> NDArray[np.float64]:
@@ -178,11 +193,11 @@ def _matrix(rows: "list | tuple", like: "list | NDArray[np.float64]") -> NDArray
 def _euler_rates(s: ArrayLike, c: ArrayLike, w: NDArray[np.float64]) -> tuple:
     """T(Phi) w: the Euler rates of the body rates w, component by component.
 
-    ``w`` is (3,) for the floats of one attitude or (n, 3) for a stack; the
+    ``w`` is (3,) for the floats of one attitude or (3, n) for a stack; the
     three components come back as floats or length-n arrays.
     """
     (sp, st, _), (cp, ct, _) = s, c
-    w0, w1, w2 = w.tolist() if w.ndim == 1 else w.T
+    w0, w1, w2 = w.tolist() if w.ndim == 1 else w
     u = sp * w1 + cp * w2
     psi_dot = u / ct
     return w0 + st * psi_dot, cp * w1 - sp * w2, psi_dot
@@ -252,11 +267,13 @@ def _monomials(s: ArrayLike, c: ArrayLike) -> NDArray[np.float64]:
     cosines of one attitude, (27,), or of a stack, (n, 27) C-contiguous.
 
     Every product is (phi factor * theta factor) * psi factor, for the floats
-    of one attitude and for a stack alike, and :func:`_matvec` then applies
-    a table to each row as to one attitude's products, so a stack's rows are
-    bit for bit those of its attitudes.  All 27 are kept: picking out the 22
-    that occur costs a stack one more numpy call than the 5 zero columns
-    cost the product.
+    of one attitude and for a stack alike, and ``np.matvec`` then applies a
+    table to each contiguous row of products as to one attitude's, so a
+    stack's results are bit for bit those of its attitudes.  A stack's
+    products are formed on its contiguous length-n rows, then copied once
+    into the (n, 27) rows ``np.matvec`` takes.  All 27 are kept: picking out
+    the 22 that occur costs a stack one more numpy call than the 5 zero
+    columns cost the product.
     """
     if isinstance(s, list):
         # Written out, as this runs in every RK4 stage of a one-state step; a
@@ -270,22 +287,33 @@ def _monomials(s: ArrayLike, c: ArrayLike) -> NDArray[np.float64]:
                 cp, cp * ss, cp * cs, cpst, cpst * ss, cpst * cs, cpct, cpct * ss, cpct * cs,
             ]
         )
-    f = np.empty((len(s[0]), 3, 3))  # [row, 1/sin/cos, angle]
+    f = np.empty((3, 3, len(s[0])))  # [angle, 1/sin/cos, member]
     f[:, 0] = 1.0
-    f[:, 1] = s.T
-    f[:, 2] = c.T
-    pairs = (f[:, :, 0, None] * f[:, None, :, 1]).reshape(-1, 9, 1)
-    return (pairs * f[:, None, :, 2]).reshape(-1, 27)
+    f[:, 1] = s
+    f[:, 2] = c
+    pairs = f[0, :, None] * f[1, None]
+    return np.ascontiguousarray((pairs[:, :, None] * f[2, None, None]).reshape(27, -1).T)
 
 
-def _matvec(A: NDArray[np.float64], v: NDArray[np.float64]) -> NDArray[np.float64]:
-    """``A @ v`` for one vector, or row by row for an (n, k) stack of vectors.
+def _rows(v: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The operand ``np.matvec`` takes: a (k, n) stack as the C-contiguous
+    (n, k) array of its members, one (k,) vector as a contiguous vector.
 
-    A is one matrix or an (n, m, k) stack.  Each row goes through the same
-    matrix-vector product as a single vector, so a stacked result equals the
-    row-wise results bit for bit.
+    A strided operand may take another kernel and round differently, so
+    every product runs on contiguous rows, as one state's does.
     """
-    return A @ v if v.ndim == 1 else (A @ v[..., None])[..., 0]
+    return np.ascontiguousarray(v if v.ndim == 1 else v.T)
+
+
+def _columns(a: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The (n, m) rows ``np.matvec`` gives for a stack as a C-contiguous
+    (m, n) component-major array; one (m,) vector as it is.
+
+    Every stack then has contiguous rows, and elementwise numpy calls on
+    small arrays whose layouts all match take the fast path: on a (6, 10)
+    stack, a C + F sum costs about 2.4 times a C + C one.
+    """
+    return a if a.ndim == 1 else np.ascontiguousarray(a.T)
 
 
 def kinematic_matrix_inverse(e: "EulerAngles | ArrayLike") -> NDArray[np.float64]:
@@ -294,7 +322,7 @@ def kinematic_matrix_inverse(e: "EulerAngles | ArrayLike") -> NDArray[np.float64
     Unlike ``T`` itself this map is defined for all attitudes; no gimbal
     guard is needed.  An (n, 3) angle array gives an (n, 3, 3) stack.
     """
-    s, c = _sin_cos(e)
+    s, c = _sin_cos(_series(e))
     (sp, st, _), (cp, ct, _) = s, c
     return _matrix(
         [
@@ -322,6 +350,6 @@ def dcm_body_from_inertial(e: "EulerAngles | ArrayLike") -> NDArray[np.float64]:
         Orthonormal rotation matrix (or stack) with determinant +1; column j
         is R e_j.
     """
-    s, c = _sin_cos(e)
+    s, c = _sin_cos(_series(e))
     columns = [_rotate(s, c, e_j) for e_j in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))]
     return _matrix([list(row) for row in zip(*columns)], s)

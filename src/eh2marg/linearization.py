@@ -11,10 +11,13 @@ unit-intensity white noise.  Each Jacobian function evaluates the
 attitude's sines and cosines once and fills its matrices in one pass.  A's
 attitude rows [d(T u)/dPhi | -T] are one fill (:func:`_attitude_rows`), and
 Bw's gyro block is read off them.  h = [R g; R h] and Cy are one product,
-per row of a stack, of the world's rotation table
+per member of a stack, of the world's rotation table
 (:meth:`~eh2marg.sensors.WorldConstants.rotation_table`) with the
 attitude's trigonometric products: the table holds the rows of d(R r)/dPhi,
-differentiated exactly when it is built, beside those of R r.
+differentiated exactly when it is built, beside those of R r.  States and
+attitudes are component-major, (6, N) and (3, N) for a stack of N, while
+the matrices stack along a leading axis, (N, 6, 6), for the batched
+products of the EKF.
 A central finite-difference oracle cross-checks the closed forms.
 """
 
@@ -27,8 +30,8 @@ from numpy.typing import ArrayLike, NDArray
 
 from .kinematics import (
     _check_gimbal,
+    _columns,
     _matrix,
-    _matvec,
     _monomials,
     _sin_cos,
 )
@@ -89,12 +92,12 @@ def _bias_walk_block(noise: NoiseParams) -> NDArray[np.float64]:
 def _attitude_rows(s: ArrayLike, c: ArrayLike, u: NDArray[np.float64]) -> NDArray[np.float64]:
     """A's attitude rows [d(T(Phi) u)/dPhi | -T(Phi)] at body rates u = omega - b.
 
-    Columns (phi, theta, psi, b); a (3,) u gives (3, 6), an (n, 3) stack
+    Columns (phi, theta, psi, b); a (3,) u gives (3, 6), a (3, n) stack
     (n, 3, 6).  The zeros of -T are -0.0, as negating T gives them.
     """
     (sp, st, _), (cp, ct, _) = s, c
     tt, sec = st / ct, 1.0 / ct
-    _, w1, w2 = u.tolist() if u.ndim == 1 else u.T
+    _, w1, w2 = u.tolist() if u.ndim == 1 else u
     du = cp * w1 - sp * w2
     v = sp * w1 + cp * w2
     # The 18 entries row by row, reshaped: no nested rows to hold at once.
@@ -106,7 +109,7 @@ def _attitude_rows(s: ArrayLike, c: ArrayLike, u: NDArray[np.float64]) -> NDArra
         ),
         s,
     )
-    return rows.reshape(u.shape[:-1] + (3, 6))
+    return rows.reshape(u.shape[1:] + (3, 6))
 
 
 def jacobians_process(
@@ -115,20 +118,23 @@ def jacobians_process(
     """A and Bw of the process model, linearized at the state x with gyro input omega.
 
     ``x`` and ``omega`` are (6,) and (3,), giving A (6, 6) and Bw (6, 12),
-    or (N, 6) and (N, 3) stacks, giving (N, 6, 6) and (N, 6, 12).  Bw maps
-    the unit-intensity channel w = [n_w; n_b; n_a; n_m] with the noise
-    standard deviations folded into its columns; its gyro block is
-    n_w (-T), read off A.  The measurement columns are zero.
+    or (6, N) and (3, N) stacks, giving (N, 6, 6) and (N, 6, 12).  For an
+    attitude x = Phi alone, (3,) or (3, N), omega is taken as the body rates
+    omega - b: A depends on the state only through Phi and omega - b, so
+    this is A at any state [Phi; b], and the EKF forms omega - b once per
+    step.  Bw maps the unit-intensity channel w = [n_w; n_b; n_a; n_m] with
+    the noise standard deviations folded into its columns; its gyro block
+    is n_w (-T), read off A.  The measurement columns are zero.
 
     Raises
     ------
     GimbalLockError
-        If the attitude (of any row) sits in the gimbal guard band.
+        If the attitude (of any member) sits in the gimbal guard band.
     """
     _check_gimbal(x)
-    A = np.zeros(x.shape[:-1] + (6, 6))
-    A[..., :3, :] = _attitude_rows(*_sin_cos(x[..., :3]), omega - x[..., 3:])
-    Bw = np.zeros(x.shape[:-1] + (6, 12))
+    A = np.zeros(x.shape[1:] + (6, 6))
+    A[..., :3, :] = _attitude_rows(*_sin_cos(x[:3]), omega if len(x) == 3 else omega - x[3:])
+    Bw = np.zeros(x.shape[1:] + (6, 12))
     Bw[..., :3, :3] = noise.n_w * A[..., :3, 3:]
     Bw[..., 3:, 3:6] = _bias_walk_block(noise)
     return A, Bw
@@ -139,17 +145,17 @@ def jacobians_measurement(
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """h and Cy of the measurement model at the attitude ``angles``.
 
-    (3,) angles give h (6,) and Cy (6, 6); (N, 3) angles give (N, 6) and
-    (N, 6, 6).  Both come from one product of the world's
+    (3,) angles give h (6,) and Cy (6, 6); (3, N) angles give h (6, N), a
+    view, and Cy (N, 6, 6).  Both come from one product of the world's
     :meth:`~eh2marg.sensors.WorldConstants.rotation_table` with the
     trigonometric products of the attitude: its first 6 rows are
     h = [R g; R h], the other 18 the angle columns of Cy, row by row.  The
     bias columns of Cy are zero (h does not depend on b).
     """
-    hc = _matvec(world.rotation_table(), _monomials(*_sin_cos(angles)))
-    Cy = np.zeros(angles.shape[:-1] + (6, 6))
+    hc = np.matvec(world.rotation_table(), _monomials(*_sin_cos(angles)))
+    Cy = np.zeros(angles.shape[1:] + (6, 6))
     Cy[..., :3] = hc[..., 6:].reshape(Cy.shape[:-1] + (3,))
-    return hc[..., :6], Cy
+    return _columns(hc[..., :6]), Cy
 
 
 def finite_difference_jacobian(

@@ -248,7 +248,7 @@ def simulate_imu_stream(
     bias[1:] = np.sqrt(dt) * p.n_b * np.cumsum(walk[:-1], axis=0)
 
     omega_m = body_rates + bias + p.n_w * gyro_white
-    s, c = _sin_cos(angles)
+    s, c = _sin_cos(angles.T)
     a_m = _matrix(_rotate(s, c, w.g_inertial.tolist()), s) + p.n_a * accel_white
     m_m = _matrix(_rotate(s, c, w.h_inertial.tolist()), s) + p.n_m * mag_white
     return ImuStream(t=t, omega_m=omega_m, a_m=a_m, m_m=m_m, bias_true=bias)

@@ -68,13 +68,13 @@ _state_and_rate_stacks = st.integers(min_value=1, max_value=20).flatmap(
 
 @given(_state_and_rate_stacks)
 def test_stacked_process_model_equals_row_by_row_exactly(cols):
-    """f of an (N, 6) stack equals, bit for bit, f of each (6,) row with its
-    own gyro rate; the stack is rejected exactly when one of its rows is."""
-    x, omega = cols[:, :6], cols[:, 6:]
+    """f of a (6, N) stack equals, bit for bit, f of each (6,) column with its
+    own gyro rate; the stack is rejected exactly when one of its columns is."""
+    x, omega = cols[:, :6].T, cols[:, 6:].T
     rows_in_band = []
-    for k in range(len(x)):
+    for k in range(x.shape[1]):
         try:
-            process_model(x[k], omega[k])
+            process_model(x[:, k], omega[:, k])
         except GimbalLockError:
             rows_in_band.append(k)
     if rows_in_band:
@@ -83,8 +83,8 @@ def test_stacked_process_model_equals_row_by_row_exactly(cols):
         return
     f_all = process_model(x, omega)
     assert f_all.shape == x.shape
-    for k in range(len(x)):
-        assert np.array_equal(f_all[k], process_model(x[k], omega[k]))
+    for k in range(x.shape[1]):
+        assert np.array_equal(f_all[:, k], process_model(x[:, k], omega[:, k]))
 
 
 class TestMeasurement:
@@ -119,9 +119,9 @@ class TestMeasurement:
         # vectors must not truncate the rotated values.
         angles = np.array([[0.3, -0.2, 1.1], [-1.0, 0.5, -2.0]])
         world = WorldConstants([0, 0, 10], [1, 0, 1])
-        h_all = jacobians_measurement(angles, world)[0]
+        h_all = jacobians_measurement(angles.T, world)[0]
         for k, row in enumerate(angles):
-            assert np.array_equal(h_all[k], jacobians_measurement(row, world)[0])
+            assert np.array_equal(h_all[:, k], jacobians_measurement(row, world)[0])
 
 
 class TestIntegrateStep:
@@ -141,9 +141,9 @@ class TestIntegrateStep:
     def test_given_first_stage_changes_nothing(self):
         # A caller that already holds f(x) hands it over as k1, bit for bit.
         rng = np.random.default_rng(12)
-        x = np.column_stack([rng.uniform(-1.2, 1.2, (5, 3)), rng.normal(0.0, 0.01, (5, 3))])
-        omega = rng.normal(0.0, 0.5, (5, 3))
-        for xs, om in ((x, omega), (x[2], omega[2])):
+        x = np.column_stack([rng.uniform(-1.2, 1.2, (5, 3)), rng.normal(0.0, 0.01, (5, 3))]).T
+        omega = rng.normal(0.0, 0.5, (5, 3)).T
+        for xs, om in ((x, omega), (x[:, 2], omega[:, 2])):
             f = lambda v, om=om: process_model(v, om)
             assert np.array_equal(rk4_step(f, xs, 0.01, f(xs)), rk4_step(f, xs, 0.01))
 
@@ -168,10 +168,10 @@ class TestIntegrateStep:
         x = np.array([0.1, -0.2, 0.3, 0.01, np.nan, 0.02])
         x[column] = angle
         if stacked:
-            x = np.stack([np.zeros(6), x])
+            x = np.stack([np.zeros(6), x], axis=1)
         with pytest.raises(NonFiniteState, match=rf"{angle!r},.*nan"):
             checked_state(x)
-        assert x.reshape(-1, 6)[-1, column] == angle
+        assert x.T.reshape(-1, 6)[-1, column] == angle
 
     def test_rk4_self_convergence_order(self):
         """Error vs a dt/8 reference must shrink ~16x when dt halves."""

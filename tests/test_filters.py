@@ -24,7 +24,6 @@ from eh2marg.harness import ScenarioConfig, generate_trajectory
 from eh2marg.kinematics import (
     EPS_GIMBAL,
     EulerAngles,
-    _matvec,
     _monomials,
     _sin_cos,
     wrap_angle,
@@ -353,7 +352,7 @@ class TestEkfStep:
 
 
 class TestStackedSteps:
-    """(N, 6) states advance as N independent filters, bit for bit."""
+    """(6, N) states advance as N independent filters, bit for bit."""
 
     @staticmethod
     def _inputs(world, n=6):
@@ -369,22 +368,24 @@ class TestStackedSteps:
         omega = rng.normal(scale=0.5, size=(n, 3))
         y = np.hstack([world.g_inertial, world.h_inertial]) + rng.normal(scale=0.05, size=(n, 6))
         P = DEFAULT_P0 * rng.uniform(0.5, 2.0, size=(n, 1, 1))
-        return x, omega, y, P
+        return x.T, omega.T, y.T, P
 
     def test_eh2_rows_match_single_steps(self, world, cert):
         x, omega, y, _ = self._inputs(world)
         out = eh2(x, omega, y, cert.L, world, DT)
         assert out.shape == x.shape
-        for k in range(len(x)):
-            assert np.array_equal(out[k], eh2(x[k], omega[k], y[k], cert.L, world, DT))
+        for k in range(x.shape[1]):
+            assert np.array_equal(
+                out[:, k], eh2(x[:, k], omega[:, k], y[:, k], cert.L, world, DT)
+            )
 
     def test_ekf_rows_match_single_steps(self, world, noise):
         x, omega, y, P = self._inputs(world)
         x_new, P_new = ekf(x, P, omega, y, noise, world, DT)
         assert P_new.shape == P.shape
-        for k in range(len(x)):
-            xk, Pk = ekf(x[k], P[k], omega[k], y[k], noise, world, DT)
-            assert np.array_equal(x_new[k], xk)
+        for k in range(x.shape[1]):
+            xk, Pk = ekf(x[:, k], P[k], omega[:, k], y[:, k], noise, world, DT)
+            assert np.array_equal(x_new[:, k], xk)
             assert np.array_equal(P_new[k], Pk)
 
     @given(
@@ -407,19 +408,23 @@ class TestStackedSteps:
                 rng.uniform(-np.pi, np.pi, n),
                 rng.normal(scale=0.01, size=(n, 3)),
             ]
-        )
-        omega = rng.normal(scale=0.5, size=(n, 3))
-        jac_all = jacobians_measurement(x[:, :3], world)
-        y = jac_all[0] + rng.normal(0.0, 0.01, (n, 6))
+        ).T
+        omega = rng.normal(scale=0.5, size=(n, 3)).T
+        jac_all = jacobians_measurement(x[:3], world)
+        y = jac_all[0] + rng.normal(0.0, 0.01, (n, 6)).T
         P = DEFAULT_P0 * rng.uniform(0.5, 2.0, size=(n, 1, 1))
         eh2_all = eh2(x, omega, y, cert.L, world, DT)
         ekf_all = ekf(x, P, omega, y, noise, world, DT)
         for k in range(n):
-            for stacked, row in zip(jac_all, jacobians_measurement(x[k, :3], world)):
-                assert np.array_equal(stacked[k], row)
-            assert np.array_equal(eh2_all[k], eh2(x[k], omega[k], y[k], cert.L, world, DT))
-            for stacked, row in zip(ekf_all, ekf(x[k], P[k], omega[k], y[k], noise, world, DT)):
-                assert np.array_equal(stacked[k], row)
+            h_row, Cy_row = jacobians_measurement(x[:3, k], world)
+            assert np.array_equal(jac_all[0][:, k], h_row)
+            assert np.array_equal(jac_all[1][k], Cy_row)
+            assert np.array_equal(
+                eh2_all[:, k], eh2(x[:, k], omega[:, k], y[:, k], cert.L, world, DT)
+            )
+            x_row, P_row = ekf(x[:, k], P[k], omega[:, k], y[:, k], noise, world, DT)
+            assert np.array_equal(ekf_all[0][:, k], x_row)
+            assert np.array_equal(ekf_all[1][k], P_row)
         # eh2 caches L C_h under the bytes of L and the world.  A gain
         # changed in place between two calls, and a second world, must each
         # give the bits of an RK4 with L C_h formed afresh as
@@ -432,22 +437,79 @@ class TestStackedSteps:
                 got = eh2(x, omega, y, L, w, DT)
                 table = L @ w.rotation_table()[:6]
                 xdot = lambda xs: process_model(xs, omega) + (
-                    _matvec(table, _monomials(*_sin_cos(xs[:, :3]))) - _matvec(L, y)
-                )
+                    np.matvec(table, _monomials(*_sin_cos(xs[:3])))
+                    - np.matvec(L, np.ascontiguousarray(y.T))
+                ).T
                 assert np.array_equal(got, rk4_step(xdot, x, DT))
-                xdot = lambda xs: process_model(xs, omega) + (
-                    jacobians_measurement(xs[:, :3], w)[0] - y
-                ) @ L.T
+                xdot = lambda xs: process_model(xs, omega) + L @ (
+                    jacobians_measurement(xs[:3], w)[0] - y
+                )
                 assert_allclose(got, rk4_step(xdot, x, DT), rtol=0.0, atol=1e-12)
                 twin = WorldConstants(w.g_inertial.copy(), w.h_inertial.copy())
                 assert np.array_equal(got, eh2(x, omega, y, L, twin, DT))
                 for k in range(n):
-                    assert np.array_equal(got[k], eh2(x[k], omega[k], y[k], L, w, DT))
+                    assert np.array_equal(
+                        got[:, k], eh2(x[:, k], omega[:, k], y[:, k], L, w, DT)
+                    )
                 L *= 1.5
+
+    @staticmethod
+    def _non_contiguous(a, layout):
+        """The values of ``a`` in a non-contiguous array: every other column
+        of a wider array (every other matrix of a covariance stack), or a
+        Fortran-ordered copy."""
+        if layout == "fortran":
+            return np.asfortranarray(a)
+        if a.ndim == 3:
+            view = np.full((2 * len(a),) + a.shape[1:], np.nan)[::2]
+        else:
+            view = np.full(a.shape[:-1] + (2 * a.shape[-1],), np.nan)[:, ::2]
+        view[...] = a
+        return view
+
+    @given(
+        st.integers(2, 12),
+        st.sampled_from(["every other column", "fortran"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_non_contiguous_stacks_equal_contiguous_rows(
+        self, world, noise, cert, n, layout, seed
+    ):
+        # Each stacked matrix-vector product must run on the same contiguous
+        # rows as one state's, whatever the layout of the stack it is given:
+        # a strided operand may round differently.
+        rng = np.random.default_rng(seed)
+        x = np.vstack(
+            [
+                rng.uniform(-np.pi, np.pi, n),
+                rng.uniform(-1.2, 1.2, n),
+                rng.uniform(-np.pi, np.pi, n),
+                rng.normal(scale=0.01, size=(3, n)),
+            ]
+        )
+        omega = rng.normal(scale=0.5, size=(3, n))
+        y = jacobians_measurement(x[:3], world)[0] + rng.normal(0.0, 0.01, (6, n))
+        P = DEFAULT_P0 * rng.uniform(0.5, 2.0, size=(n, 1, 1))
+        xv, omv, yv, Pv = (self._non_contiguous(a, layout) for a in (x, omega, y, P))
+        assert not any(a.flags.c_contiguous for a in (xv, omv, yv, Pv))
+        f_all = process_model(xv, omv)
+        h_all, Cy_all = jacobians_measurement(xv[:3], world)
+        eh2_all = eh2(xv, omv, yv, cert.L, world, DT)
+        x_all, P_all = ekf(xv, Pv, omv, yv, noise, world, DT)
+        for k in range(n):
+            xk, omk, yk, Pk = x[:, k].copy(), omega[:, k].copy(), y[:, k].copy(), P[k].copy()
+            assert np.array_equal(f_all[:, k], process_model(xk, omk))
+            h, Cy = jacobians_measurement(xk[:3], world)
+            assert np.array_equal(h_all[:, k], h)
+            assert np.array_equal(Cy_all[k], Cy)
+            assert np.array_equal(eh2_all[:, k], eh2(xk, omk, yk, cert.L, world, DT))
+            x_new, P_new = ekf(xk, Pk, omk, yk, noise, world, DT)
+            assert np.array_equal(x_all[:, k], x_new)
+            assert np.array_equal(P_all[k], P_new)
 
     def test_one_row_in_gimbal_band_fails_the_stack(self, world, cert):
         x, omega, y, _ = self._inputs(world)
-        x[3, 1] = np.pi / 2.0 - EPS_GIMBAL / 2.0
+        x[1, 3] = np.pi / 2.0 - EPS_GIMBAL / 2.0
         with pytest.raises(GimbalLockError, match=r"rows \[3\]"):
             eh2(x, omega, y, cert.L, world, DT)
 

@@ -186,16 +186,16 @@ class TestNominalModel:
 
 def test_stacked_jacobians_equal_row_by_row_exactly(world, noise):
     rng = np.random.default_rng(11)
-    states = np.array([_random_state(rng).as_vector() for _ in range(7)])
-    omega = rng.normal(scale=0.5, size=(7, 3))
+    states = np.array([_random_state(rng).as_vector() for _ in range(7)]).T
+    omega = rng.normal(scale=0.5, size=(7, 3)).T
     A_all, Bw_all = jacobians_process(states, omega, noise)
-    h_all, Cy_all = jacobians_measurement(states[:, :3], world)
+    h_all, Cy_all = jacobians_measurement(states[:3], world)
     assert A_all.shape == Cy_all.shape == (7, 6, 6)
     assert Bw_all.shape == (7, 6, 12)
     for k in range(7):
-        A, Bw = jacobians_process(states[k], omega[k], noise)
-        h, Cy = jacobians_measurement(states[k, :3], world)
-        assert np.array_equal(h_all[k], h)
+        A, Bw = jacobians_process(states[:, k], omega[:, k], noise)
+        h, Cy = jacobians_measurement(states[:3, k], world)
+        assert np.array_equal(h_all[:, k], h)
         # The attitude blocks d(T u)/dPhi and dh/dPhi, then the whole matrices.
         assert np.array_equal(A_all[k, :3, :3], A[:3, :3])
         assert np.array_equal(Cy_all[k, :, :3], Cy[:, :3])

@@ -278,16 +278,16 @@ EDGE_THETAS = [
 @pytest.mark.parametrize("theta", EDGE_THETAS)
 def test_stacked_gimbal_guard_equals_row_by_row(theta):
     thetas = [0.1, theta, -0.4]
-    states = np.zeros((3, 6))
-    states[:, 1] = thetas
+    states = np.zeros((6, 3))
+    states[1] = thetas
     expected = _rows_rejected_one_by_one(thetas)
     assert _rows_rejected_stacked(states) == expected
-    assert _rows_rejected_stacked(states[:, :3]) == expected
+    assert _rows_rejected_stacked(states[:3]) == expected
 
 
 def test_stacked_gimbal_guard_lists_every_rejected_row():
-    states = np.zeros((len(EDGE_THETAS), 3))
-    states[:, 1] = EDGE_THETAS
+    states = np.zeros((3, len(EDGE_THETAS)))
+    states[1] = EDGE_THETAS
     expected = _rows_rejected_one_by_one(EDGE_THETAS)
     assert expected  # the edge set holds rows on both sides of the band
     assert len(expected) < len(EDGE_THETAS)
@@ -295,7 +295,7 @@ def test_stacked_gimbal_guard_lists_every_rejected_row():
     with pytest.raises(GimbalLockError) as info:
         _check_gimbal(states)
     assert str(info.value) == (
-        f"pitch {states[expected, 1]!r} rad of rows {expected} does not wrap to "
+        f"pitch {states[1, expected]!r} rad of rows {expected} does not wrap to "
         f"inside (-pi/2 + {EPS_GIMBAL}, pi/2 - {EPS_GIMBAL}) rad"
     )
 
@@ -311,17 +311,17 @@ def test_gimbal_message_states_the_band_the_pitch_misses(theta):
         GimbalLockError,
         f"pitch {theta!r} rad {band}",
     )
-    states = np.zeros((2, 6))
+    states = np.zeros((6, 2))
     states[1, 1] = theta
     _raises(
         lambda: _check_gimbal(states),
         GimbalLockError,
-        f"pitch {states[[1], 1]!r} rad of rows [1] {band}",
+        f"pitch {states[1, [1]]!r} rad of rows [1] {band}",
     )
 
 
 def test_stacked_gimbal_guard_takes_empty_and_nan_stacks():
-    _check_gimbal(np.zeros((0, 6)))
-    states = np.zeros((2, 6))
+    _check_gimbal(np.zeros((6, 0)))
+    states = np.zeros((6, 2))
     states[1, 1] = np.nan
     assert _rows_rejected_stacked(states) == _rows_rejected_one_by_one([0.0, np.nan]) == []
