@@ -23,7 +23,10 @@ the extended-H2 filter with its gain folded in.  :func:`rk4_step` takes
 its first stage from a caller that already holds it, and ends in
 :func:`checked_state`, which rejects a non-finite result before it wraps
 the attitude and checks the pitch.  Both filters are built on these
-functions.
+functions.  A state that checked_state has passed holds everything
+:class:`EulerState` checks, so the public filter steps wrap it in one with
+``EulerState._from_checked``, which checks nothing again; every other
+construction runs the full checks.
 """
 
 from dataclasses import dataclass, field
@@ -38,6 +41,7 @@ from .kinematics import (
     _check_gimbal,
     _euler_rates,
     _sin_cos,
+    _wrapped,
 )
 from .sensors import _finite, _vector3
 
@@ -52,10 +56,11 @@ __all__ = [
 class EulerState:
     """Filter state: attitude plus gyro bias.
 
-    Every construction checks the state: the attitude through
+    Every public construction checks the state: the attitude through
     :class:`~eh2marg.kinematics.EulerAngles`, and a finite (3,) bias.  The
-    public filter steps build one per step, so the checks run on Python
-    floats rather than through one numpy call per value.
+    public filter steps build theirs with :meth:`_from_checked` from a
+    vector that :func:`checked_state` has just passed, which is not checked
+    a second time.
     """
 
     attitude: EulerAngles = field(default_factory=EulerAngles.zero)
@@ -69,6 +74,23 @@ class EulerState:
         arr = np.asarray(x, dtype=np.float64).reshape(6)
         phi, theta, psi, *_ = arr.tolist()
         return cls(attitude=EulerAngles(phi, theta, psi), bias=arr[3:])
+
+    @classmethod
+    def _from_checked(cls, x: NDArray[np.float64]) -> "EulerState":
+        """The state :meth:`from_vector` builds from a (6,) float64 ``x``
+        that :func:`checked_state` has just returned, without its checks:
+        checked_state has found every entry finite, wrapped roll and yaw
+        into (-pi, pi] and kept the pitch outside the gimbal band, which is
+        all they test.  Like from_vector, it keeps ``x[3:]`` as the bias."""
+        phi, theta, psi = x[:3].tolist()
+        attitude = object.__new__(EulerAngles)
+        object.__setattr__(attitude, "phi", phi)
+        object.__setattr__(attitude, "theta", theta)
+        object.__setattr__(attitude, "psi", psi)
+        state = object.__new__(cls)
+        object.__setattr__(state, "attitude", attitude)
+        object.__setattr__(state, "bias", x[3:])
+        return state
 
     def as_vector(self) -> NDArray[np.float64]:
         a = self.attitude
@@ -142,6 +164,6 @@ def checked_state(x: NDArray[np.float64]) -> NDArray[np.float64]:
     """
     if not _finite(x):
         raise NonFiniteState(f"state became non-finite: {x.T!r}")
-    x[:3] = np.pi - (np.pi - x[:3]) % (2.0 * np.pi)
+    x[:3] = _wrapped(x[:3])
     _check_gimbal(x)
     return x

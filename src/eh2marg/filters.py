@@ -34,7 +34,12 @@ time step.  Every matrix-vector product runs through ``np.matvec`` on a
 C-contiguous (N, k) operand, the vectors of the stack as rows, which is the
 kernel one state runs, so each member of a stack gets its own run's bits.
 :func:`eh2_step` and :func:`ekf_step` wrap them for the validated state
-containers.
+containers.  Each value is checked once on that path: the containers'
+constructors check what a caller builds, the steps check the new estimate
+(:func:`~eh2marg.dynamics.checked_state`) and, in :func:`ekf_step`, the
+finiteness of the new covariance, and the new containers are built from
+those values and the unchanged gain by private constructors that do not
+check them again.
 """
 
 from dataclasses import dataclass, field
@@ -80,6 +85,8 @@ _EYE6 = np.eye(6)
 #: Largest horizontal share of g (|g_xy| / |g|) that still counts as gravity along +z.
 _GRAVITY_AXIS_RTOL = 1e-12
 
+_BAD_P = "P must be a finite 6x6 matrix"
+
 
 @dataclass(frozen=True)
 class EH2FilterState:
@@ -98,6 +105,17 @@ class EH2FilterState:
             raise ValueError("L0 must be a finite 6x6 matrix")
         object.__setattr__(self, "L0", L0)
 
+    @classmethod
+    def _from_checked(cls, xhat: EulerState, L0: NDArray[np.float64]) -> "EH2FilterState":
+        """The state the constructor builds from ``xhat`` and the ``L0`` of
+        a state it built, without checking L0 again: :func:`eh2_step` calls
+        it with the gain it has just stepped with, and a non-finite gain
+        would have made :func:`eh2` raise NonFiniteState."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "xhat", xhat)
+        object.__setattr__(state, "L0", L0)
+        return state
+
 
 @dataclass(frozen=True)
 class EKFState:
@@ -109,8 +127,18 @@ class EKFState:
     def __post_init__(self) -> None:
         P = np.asarray(self.P, dtype=np.float64)
         if P.shape != (6, 6) or not _finite(P):
-            raise ValueError("P must be a finite 6x6 matrix")
+            raise ValueError(_BAD_P)
         object.__setattr__(self, "P", P)
+
+    @classmethod
+    def _from_checked(cls, xhat: EulerState, P: NDArray[np.float64]) -> "EKFState":
+        """The state the constructor builds from ``xhat`` and a float64
+        (6, 6) ``P`` that :func:`ekf_step` has just found finite, without
+        checking P again."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "xhat", xhat)
+        object.__setattr__(state, "P", P)
+        return state
 
 
 @lru_cache(maxsize=8)
@@ -247,6 +275,10 @@ def eh2_step(
 ) -> EH2FilterState:
     """Advance the extended-H2 filter one RK4 step (see :func:`eh2`).
 
+    The new estimate is checked once, by the :func:`~eh2marg.dynamics.checked_state`
+    that ends the step, and the gain not again: both go into the new state
+    as they are.
+
     Raises
     ------
     ValueError
@@ -260,7 +292,7 @@ def eh2_step(
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
     y = sample.stacked_measurement()
     x = eh2(s.xhat.as_vector(), sample.omega_m, y, s.L0, w, dt)
-    return EH2FilterState(xhat=EulerState.from_vector(x), L0=s.L0)
+    return EH2FilterState._from_checked(EulerState._from_checked(x), s.L0)
 
 
 def ekf_step(
@@ -272,10 +304,14 @@ def ekf_step(
 ) -> EKFState:
     """Advance the EKF one predict+update cycle (see :func:`ekf`).
 
+    The new estimate is checked once, by the :func:`~eh2marg.dynamics.checked_state`
+    that ends the update, and the new covariance once, for finiteness,
+    here; both then go into the new state as they are.
+
     Raises
     ------
     ValueError
-        If ``dt`` is not finite and > 0.
+        If ``dt`` is not finite and > 0, or the new covariance is not finite.
     GimbalLockError
         If the estimate enters the gimbal guard band.
     InnovationCovSingular
@@ -287,7 +323,9 @@ def ekf_step(
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
     y = sample.stacked_measurement()
     x, P = ekf(s.xhat.as_vector(), s.P, sample.omega_m, y, q, w, dt)
-    return EKFState(xhat=EulerState.from_vector(x), P=P)
+    if not _finite(P):
+        raise ValueError(_BAD_P)
+    return EKFState._from_checked(EulerState._from_checked(x), P)
 
 
 def check_gravity_along_z(w: WorldConstants) -> None:

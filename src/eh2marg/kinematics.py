@@ -59,6 +59,17 @@ _GIMBAL_BOUND = np.pi / 2.0 - EPS_GIMBAL
 _GIMBAL_SLACK = 1e-12
 #: The condition a rejected pitch fails, as GimbalLockError states it.
 _GIMBAL_BAND = f"does not wrap to inside (-pi/2 + {EPS_GIMBAL}, pi/2 - {EPS_GIMBAL}) rad"
+#: The largest float below 2 pi.  (pi - a) % (2 pi) rounds up to 2 pi for an
+#: angle a one ulp above pi, which would wrap it to -pi; clamped to this, the
+#: remainder wraps it to -pi + 2 ulp and leaves every other remainder as it is.
+#: A read-only 0-d array: np.minimum takes it with less conversion than a float.
+_BELOW_TWO_PI = np.array(np.nextafter(2.0 * np.pi, 0.0))
+_BELOW_TWO_PI.flags.writeable = False
+
+
+def _wrapped(a: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The float array ``a`` wrapped to (-pi, pi]: the one place the wrap is written."""
+    return np.pi - np.minimum((np.pi - a) % (2.0 * np.pi), _BELOW_TWO_PI)
 
 
 def wrap_angle(angle: ArrayLike) -> NDArray[np.float64] | float:
@@ -74,7 +85,7 @@ def wrap_angle(angle: ArrayLike) -> NDArray[np.float64] | float:
     numpy.ndarray or float
         Wrapped angle(s), same shape as the input.
     """
-    wrapped = np.pi - (np.pi - np.asarray(angle, dtype=np.float64)) % (2.0 * np.pi)
+    wrapped = _wrapped(np.asarray(angle, dtype=np.float64))
     if np.ndim(angle) == 0:
         return float(wrapped)
     return wrapped

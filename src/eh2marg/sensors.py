@@ -74,7 +74,9 @@ class WorldConstants:
     (2, 3) array, of which ``g_inertial`` and ``h_inertial`` are views, and
     checked once.  The measurement model's rotation table for them is built
     here too: :meth:`rotation_table` returns it to the filter steps.  Two
-    worlds are equal, and hash equal, when their vectors are.
+    worlds are equal, and hash equal, when their vectors are: both read the
+    tuple of the six floats taken at construction, so -0.0 equals 0.0 and
+    an equality test is one tuple comparison, not a numpy call.
     """
 
     g_inertial: NDArray[np.float64] = field(
@@ -92,7 +94,6 @@ class WorldConstants:
         g, h = rows
         object.__setattr__(self, "g_inertial", g)
         object.__setattr__(self, "h_inertial", h)
-        object.__setattr__(self, "_rows", rows)
         if np.linalg.norm(g) == 0.0:
             raise ValueError("g_inertial must be nonzero")
         if np.linalg.norm(h) == 0.0:
@@ -102,13 +103,17 @@ class WorldConstants:
             raise ValueError("h_inertial must not be parallel to g_inertial")
         object.__setattr__(self, "_table", _rotation_table(rows))
         # Over the floats, not the bytes: -0.0 == 0.0 for __eq__ and hash().
-        # Taken once, as eh2's gain-table cache hashes the world every step.
-        object.__setattr__(self, "_hash", hash(tuple(rows.ravel().tolist())))
+        # Taken once, as eh2's gain-table cache hashes the world every step
+        # and compares it with the cached one whenever they are not the
+        # same object.
+        key = tuple(rows.ravel().tolist())
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WorldConstants):
             return NotImplemented
-        return bool(np.array_equal(self._rows, other._rows))
+        return self._key == other._key
 
     def __hash__(self) -> int:
         return self._hash

@@ -159,6 +159,18 @@ class TestIntegrateStep:
         assert out[0] == pytest.approx(-np.pi + 0.009, abs=1e-12)
 
     @pytest.mark.parametrize("stacked", [False, True])
+    def test_wrap_one_ulp_above_pi_stays_in_interval(self, stacked):
+        # (pi - a) % (2 pi) rounds up to 2 pi for a = pi + 1 ulp; the wrap
+        # must still land in (-pi, pi], where EulerState accepts the state.
+        x = np.array([np.nextafter(np.pi, 4.0), 0.1, 0.0, 0.0, 0.0, 0.0])
+        if stacked:
+            x = np.stack([np.zeros(6), x], axis=1)
+        out = checked_state(x)
+        state = out[:, -1] if stacked else out
+        assert -np.pi < state[0] <= np.pi
+        assert EulerState.from_vector(state).attitude.phi == -np.pi + 2 * np.spacing(np.pi)
+
+    @pytest.mark.parametrize("stacked", [False, True])
     @pytest.mark.parametrize("column", [0, 1, 2])
     @pytest.mark.parametrize("angle", [np.inf, -np.inf])
     def test_non_finite_state_rejected_before_wrapping(self, angle, column, stacked):

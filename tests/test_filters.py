@@ -1,5 +1,6 @@
 """Tests for the extended-H2 filter, the EKF baseline, and initialization."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from eh2marg import filters, sensors
 from eh2marg.dynamics import EulerState, process_model, rk4_step
 from eh2marg.errors import DegenerateSample, GimbalLockError, InnovationCovSingular
 from eh2marg.filters import (
@@ -349,6 +351,104 @@ class TestEkfStep:
         s2 = ekf_step(EKFState(x), sample, world, noise, DT)
         assert np.array_equal(s1.xhat.as_vector(), s2.xhat.as_vector())
         assert np.array_equal(s1.P, s2.P)
+
+
+def _assert_same_container(got, want, matrix: str) -> None:
+    """Field by field, bit for bit and in type; ``matrix`` names L0 or P."""
+    assert type(got) is type(want)
+    assert type(got.xhat) is type(want.xhat) is EulerState
+    assert type(got.xhat.attitude) is type(want.xhat.attitude) is EulerAngles
+    for name in ("phi", "theta", "psi"):
+        a, b = getattr(got.xhat.attitude, name), getattr(want.xhat.attitude, name)
+        assert type(a) is type(b) is float
+        assert a.hex() == b.hex(), name
+    for a, b in ((got.xhat.bias, want.xhat.bias), (getattr(got, matrix), getattr(want, matrix))):
+        assert type(a) is type(b) is np.ndarray
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+
+
+_angle = st.floats(-np.pi, np.pi, exclude_min=True)
+
+
+class TestStepContainers:
+    """eh2_step/ekf_step build their results without the public constructors'
+    checks, from values a check inside the step has just passed; what they
+    build must be what those constructors build from the same arrays."""
+
+    @given(
+        st.tuples(_angle, st.floats(-1.4, 1.4), _angle),
+        st.lists(st.floats(-0.05, 0.05), min_size=3, max_size=3),
+        st.lists(st.floats(-0.5, 0.5), min_size=36, max_size=36),
+        st.floats(1e-3, 10.0),
+        st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+        st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+        st.booleans(),
+    )
+    def test_steps_build_what_the_constructors_build(
+        self, world, noise, cert, angles, bias, gain, p_scale, omega, y_noise, copy_world
+    ):
+        # Cached world or an equal copy: the copy makes the gain-table
+        # cache compare worlds by value.
+        x0 = EulerState(EulerAngles(*angles), np.array(bias))
+        L0 = cert.L + np.reshape(gain, (6, 6))
+        y = _h(x0, world) + np.array(y_noise)
+        sample = ImuSample(t=0.0, omega_m=np.array(omega), a_m=y[:3], m_m=y[3:])
+        x, P0 = x0.as_vector(), DEFAULT_P0 * p_scale
+        try:
+            x_eh2 = eh2(x, sample.omega_m, y, L0, world, DT)
+            x_ekf, P = ekf(x, P0, sample.omega_m, y, noise, world, DT)
+        except GimbalLockError:
+            assume(False)
+        want_eh2 = EH2FilterState(EulerState.from_vector(x_eh2), L0)
+        want_ekf = EKFState(EulerState.from_vector(x_ekf), P)
+        w = world
+        if copy_world:
+            w = WorldConstants(world.g_inertial.copy(), world.h_inertial.copy())
+        assert w == world
+        got_eh2 = eh2_step(EH2FilterState(x0, L0), sample, w, DT)
+        got_ekf = ekf_step(EKFState(x0, P0), sample, w, noise, DT)
+        _assert_same_container(got_eh2, want_eh2, "L0")
+        _assert_same_container(got_ekf, want_ekf, "P")
+        assert got_eh2.L0 is want_eh2.L0
+
+    def test_one_step_of_each_checks_each_value_once(self, world, noise, cert, monkeypatch):
+        # The design: every new state is checked once, by checked_state
+        # (eh2 ends in one; the EKF's prediction and its update each end in
+        # one), and the EKF's new P once, for finiteness; no EulerAngles
+        # check runs.  A step that re-checks a value shows up here.
+        x0 = EulerState(EulerAngles(0.1, -0.2, 0.3), np.array([0.001, -0.002, 0.003]))
+        s_eh2, s_ekf = EH2FilterState(x0, cert.L), EKFState(x0)
+        sample = _sample_at(x0, world, omega_m=[0.05, -0.02, 0.01])
+        calls = {"finite": 0, "angles": 0}
+        finite = sensors._finite
+        post_init = EulerAngles.__post_init__
+
+        def counted_finite(arr):
+            calls["finite"] += 1
+            return finite(arr)
+
+        def counted_post_init(self):
+            calls["angles"] += 1
+            post_init(self)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "eh2marg" and getattr(module, "_finite", None) is finite:
+                monkeypatch.setattr(module, "_finite", counted_finite)
+        monkeypatch.setattr(EulerAngles, "__post_init__", counted_post_init)
+        eh2_step(s_eh2, sample, world, DT)
+        ekf_step(s_ekf, sample, world, noise, DT)
+        assert calls == {"finite": 1 + 2 + 1, "angles": 0}
+
+    def test_non_finite_new_covariance_rejected(self, world, noise, monkeypatch):
+        # A finite estimate with a non-finite P is hard to reach through the
+        # arithmetic; the check in ekf_step is what keeps it out of EKFState.
+        P = DEFAULT_P0.copy()
+        P[4, 4] = np.inf
+        x = EulerState().as_vector()
+        monkeypatch.setattr(filters, "ekf", lambda *args: (x, P))
+        with pytest.raises(ValueError, match="P must be a finite 6x6 matrix"):
+            ekf_step(EKFState(EulerState()), _sample_at(EulerState(), world), world, noise, DT)
 
 
 class TestStackedSteps:

@@ -90,7 +90,10 @@ def test_wrap_angle_scalar(raw, expected):
 
 def test_wrap_angle_array_stays_in_interval():
     rng = np.random.default_rng(1)
-    a = rng.uniform(-50.0, 50.0, 1000)
+    # Each boundary input is one ulp past an odd multiple of pi, where
+    # (pi - a) % (2 pi) can round up to 2 pi.
+    boundary = [np.nextafter(np.pi, 4.0), np.nextafter(-np.pi, -4.0), np.nextafter(3 * np.pi, 10.0)]
+    a = np.concatenate([rng.uniform(-50.0, 50.0, 1000), boundary])
     w = wrap_angle(a)
     assert np.all(w > -np.pi) and np.all(w <= np.pi)
     assert_allclose(np.cos(w), np.cos(a), atol=1e-12)
