@@ -36,10 +36,10 @@ kernel one state runs, so each member of a stack gets its own run's bits.
 :func:`eh2_step` and :func:`ekf_step` wrap them for the validated state
 containers.  Each value is checked once on that path: the containers'
 constructors check what a caller builds, the steps check the new estimate
-(:func:`~eh2marg.dynamics.checked_state`) and, in :func:`ekf_step`, the
-finiteness of the new covariance, and the new containers are built from
-those values and the unchanged gain by private constructors that do not
-check them again.
+(:func:`~eh2marg.dynamics.checked_state`), and :class:`EKFState` checks
+the EKF's new covariance for finiteness.  The new estimate and the
+unchanged gain go into the new containers through private constructors
+that do not check them again.
 """
 
 from dataclasses import dataclass, field
@@ -85,9 +85,6 @@ _EYE6 = np.eye(6)
 #: Largest horizontal share of g (|g_xy| / |g|) that still counts as gravity along +z.
 _GRAVITY_AXIS_RTOL = 1e-12
 
-_BAD_P = "P must be a finite 6x6 matrix"
-
-
 @dataclass(frozen=True)
 class EH2FilterState:
     """Extended-H2 filter state: the estimate plus the fixed gain L0.
@@ -127,18 +124,8 @@ class EKFState:
     def __post_init__(self) -> None:
         P = np.asarray(self.P, dtype=np.float64)
         if P.shape != (6, 6) or not _finite(P):
-            raise ValueError(_BAD_P)
+            raise ValueError("P must be a finite 6x6 matrix")
         object.__setattr__(self, "P", P)
-
-    @classmethod
-    def _from_checked(cls, xhat: EulerState, P: NDArray[np.float64]) -> "EKFState":
-        """The state the constructor builds from ``xhat`` and a float64
-        (6, 6) ``P`` that :func:`ekf_step` has just found finite, without
-        checking P again."""
-        state = object.__new__(cls)
-        object.__setattr__(state, "xhat", xhat)
-        object.__setattr__(state, "P", P)
-        return state
 
 
 @lru_cache(maxsize=8)
@@ -305,8 +292,8 @@ def ekf_step(
     """Advance the EKF one predict+update cycle (see :func:`ekf`).
 
     The new estimate is checked once, by the :func:`~eh2marg.dynamics.checked_state`
-    that ends the update, and the new covariance once, for finiteness,
-    here; both then go into the new state as they are.
+    that ends the update, and goes into the new state as it is; the new
+    covariance is checked once, for finiteness, by :class:`EKFState`.
 
     Raises
     ------
@@ -323,9 +310,7 @@ def ekf_step(
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
     y = sample.stacked_measurement()
     x, P = ekf(s.xhat.as_vector(), s.P, sample.omega_m, y, q, w, dt)
-    if not _finite(P):
-        raise ValueError(_BAD_P)
-    return EKFState._from_checked(EulerState._from_checked(x), P)
+    return EKFState(EulerState._from_checked(x), P)
 
 
 def check_gravity_along_z(w: WorldConstants) -> None:

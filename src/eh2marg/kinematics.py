@@ -68,7 +68,14 @@ _BELOW_TWO_PI.flags.writeable = False
 
 
 def _wrapped(a: NDArray[np.float64]) -> NDArray[np.float64]:
-    """The float array ``a`` wrapped to (-pi, pi]: the one place the wrap is written."""
+    """The float array ``a`` wrapped to (-pi, pi]: the array wrap that
+    :func:`wrap_angle` and :func:`~eh2marg.dynamics.checked_state` use.
+
+    :func:`_check_gimbal` wraps a single pitch with its own Python-float
+    expression, without the clamp; at the boundary that one returns -pi
+    where this returns -pi + 2 ulp, and it rejects both alike, as pitches
+    in the exclusion band.
+    """
     return np.pi - np.minimum((np.pi - a) % (2.0 * np.pi), _BELOW_TWO_PI)
 
 
@@ -160,6 +167,7 @@ def _check_gimbal(x: NDArray[np.float64]) -> None:
             )
         return
     theta = float(x[1])
+    # The float wrap of _wrapped, unclamped: only |wrapped pitch| matters here.
     if abs(math.pi - (math.pi - theta) % (2.0 * math.pi)) >= _GIMBAL_BOUND:
         raise GimbalLockError(f"pitch {theta!r} rad {_GIMBAL_BAND}")
 

@@ -415,7 +415,7 @@ class TestStepContainers:
     def test_one_step_of_each_checks_each_value_once(self, world, noise, cert, monkeypatch):
         # The design: every new state is checked once, by checked_state
         # (eh2 ends in one; the EKF's prediction and its update each end in
-        # one), and the EKF's new P once, for finiteness; no EulerAngles
+        # one), and the EKF's new P once, by EKFState; no EulerAngles
         # check runs.  A step that re-checks a value shows up here.
         x0 = EulerState(EulerAngles(0.1, -0.2, 0.3), np.array([0.001, -0.002, 0.003]))
         s_eh2, s_ekf = EH2FilterState(x0, cert.L), EKFState(x0)
@@ -442,7 +442,7 @@ class TestStepContainers:
 
     def test_non_finite_new_covariance_rejected(self, world, noise, monkeypatch):
         # A finite estimate with a non-finite P is hard to reach through the
-        # arithmetic; the check in ekf_step is what keeps it out of EKFState.
+        # arithmetic; EKFState's check is what keeps it out of the new state.
         P = DEFAULT_P0.copy()
         P[4, 4] = np.inf
         x = EulerState().as_vector()

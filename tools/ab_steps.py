@@ -1,16 +1,16 @@
 """Interleaved A/B timer for the filter steps of two source trees.
 
-    python3 tools/ab_steps.py A_SRC B_SRC [--rounds 30] [--calls 200] [--seed 11]
+    python3 tools/ab_steps.py A_SRC B_SRC [--rounds 30]
 
 ``A_SRC`` and ``B_SRC`` are directories that each hold an ``eh2marg``
 package, such as the ``src`` of two checkouts.  Both are imported into one
 process, under the names ``eh2marg_a`` and ``eh2marg_b``, and each round
 times every layer on both sides, A first in even rounds and B first in odd
 ones, so both see the same host speed.  Every layer is timed over
-``--calls`` calls per round.  The layers:
+``CALLS`` (200) calls per round.  The layers:
 
 * ``eh2_step`` and ``ekf_step``: the public one-state steps, walking the
-  first ``--calls`` samples of a stream from its initial state.
+  first ``CALLS`` samples of a stream from its initial state.
 * ``stream.sample``: ``ImuStream.sample``, the sample container per step.
 * ``eh2 N=1``/``ekf N=1``: ``filters.eh2``/``filters.ekf`` on the arrays of
   one state, which the public steps wrap.
@@ -22,8 +22,8 @@ gain-table cache, as every repetition of a benchmark workload after its
 first does.
 
 The inputs are the ``stream`` workload's: a 20 deg three-axis sinusoid at
-0.5 rad/s and 100 Hz, its sensor stream for ``--seed``, and the synthesized
-gain, built by each side's own package.  Printed per layer: each side's min
+0.5 rad/s and 100 Hz, its sensor stream for seed ``SEED`` (11), and the
+synthesized gain, built by each side's own package.  Printed per layer: each side's min
 and median µs per call over the rounds and the median of the per-round
 ratios B/A; then the same figures as one JSON object on the last line.
 Run it on an otherwise idle host, one process, with one BLAS thread
@@ -41,6 +41,8 @@ from time import perf_counter_ns
 import numpy as np
 
 N_STACK = 10
+CALLS = 200
+SEED = 11
 
 
 def load(src: Path, name: str):
@@ -55,22 +57,22 @@ def load(src: Path, name: str):
     return module
 
 
-def layers(pkg, seed: int, calls: int) -> dict:
-    """One side's timed layers: name -> function that makes ``calls`` calls."""
+def layers(pkg) -> dict:
+    """One side's timed layers: name -> function that makes ``CALLS`` calls."""
     filters = pkg.filters
     cfg = pkg.ScenarioConfig(
-        case_id="custom", duration=(calls + 1) / 100.0, imu_rate=100.0,
-        angular_speed=0.5, amplitude_deg=20.0, seed=seed, num_trials=1,
+        case_id="custom", duration=(CALLS + 1) / 100.0, imu_rate=100.0,
+        angular_speed=0.5, amplitude_deg=20.0, seed=SEED, num_trials=1,
     )
     traj = pkg.generate_trajectory(cfg)
     stream = pkg.simulate_imu_stream(
         traj.t, traj.angles, traj.body_rates(), cfg.world, cfg.noise,
-        np.random.default_rng((seed, 0)),
+        np.random.default_rng((SEED, 0)),
     )
     world, q, dt = cfg.world, cfg.noise, 1.0 / cfg.imu_rate
     gain = pkg.synthesize_gain(pkg.nominal_model(q, world)).L
     x0 = pkg.initialize_from_first_sample(stream.sample(0), world)
-    samples = [stream.sample(k) for k in range(calls)]
+    samples = [stream.sample(k) for k in range(CALLS)]
     # Fill the gain-table cache with this world, then step with an equal copy.
     filters.eh2(x0.as_vector(), samples[0].omega_m, samples[0].stacked_measurement(),
                 gain, world, dt)
@@ -87,12 +89,12 @@ def layers(pkg, seed: int, calls: int) -> dict:
             s = pkg.ekf_step(s, smp, step_world, q, dt)
 
     def sample():
-        for k in range(calls):
+        for k in range(CALLS):
             stream.sample(k)
 
     x, P = x0.as_vector(), pkg.DEFAULT_P0
     omega, y = samples[0].omega_m, samples[0].stacked_measurement()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     xs = np.ascontiguousarray(x[:, None] + rng.normal(scale=0.01, size=(6, N_STACK)))
     omegas = np.ascontiguousarray(omega[:, None] + rng.normal(scale=0.01, size=(3, N_STACK)))
     ys = np.ascontiguousarray(y[:, None] + rng.normal(scale=0.01, size=(6, N_STACK)))
@@ -100,7 +102,7 @@ def layers(pkg, seed: int, calls: int) -> dict:
 
     def kernel(run, *args):
         def timed():
-            for _ in range(calls):
+            for _ in range(CALLS):
                 run(*args)
         return timed
 
@@ -120,13 +122,11 @@ def main(argv=None) -> None:
     parser.add_argument("a_src", type=Path)
     parser.add_argument("b_src", type=Path)
     parser.add_argument("--rounds", type=int, default=30)
-    parser.add_argument("--calls", type=int, default=200)
-    parser.add_argument("--seed", type=int, default=11)
     args = parser.parse_args(argv)
-    if args.rounds < 1 or args.calls < 1:
-        parser.error("--rounds and --calls must be >= 1")
+    if args.rounds < 1:
+        parser.error("--rounds must be >= 1")
     sides = {
-        side: layers(load(src, f"eh2marg_{side}"), args.seed, args.calls)
+        side: layers(load(src, f"eh2marg_{side}"))
         for side, src in (("a", args.a_src), ("b", args.b_src))
     }
     us = {name: {"a": [], "b": []} for name in sides["a"]}
@@ -138,7 +138,7 @@ def main(argv=None) -> None:
             for side in ("ab" if r % 2 == 0 else "ba"):
                 t0 = perf_counter_ns()
                 sides[side][name]()
-                us[name][side].append((perf_counter_ns() - t0) * 1e-3 / args.calls)
+                us[name][side].append((perf_counter_ns() - t0) * 1e-3 / CALLS)
     result = {}
     for name, t in us.items():
         ratio = statistics.median(b / a for a, b in zip(t["a"], t["b"]))
@@ -151,8 +151,7 @@ def main(argv=None) -> None:
             f"{name:14s} A {min(t['a']):8.2f} / {statistics.median(t['a']):8.2f} us   "
             f"B {min(t['b']):8.2f} / {statistics.median(t['b']):8.2f} us   B/A {ratio:.3f}"
         )
-    print(json.dumps({"rounds": args.rounds, "calls": args.calls, "seed": args.seed,
-                      "layers": result}))
+    print(json.dumps({"rounds": args.rounds, "calls": CALLS, "seed": SEED, "layers": result}))
 
 
 if __name__ == "__main__":
