@@ -43,7 +43,7 @@ from .kinematics import (
     _sin_cos,
     _wrapped,
 )
-from .sensors import _finite, _vector3
+from .sensors import _finite, _floats3, _frozen
 
 __all__ = [
     "EulerState",
@@ -57,17 +57,17 @@ class EulerState:
     """Filter state: attitude plus gyro bias.
 
     Every public construction checks the state: the attitude through
-    :class:`~eh2marg.kinematics.EulerAngles`, and a finite (3,) bias.  The
-    public filter steps build theirs with :meth:`_from_checked` from a
-    vector that :func:`checked_state` has just passed, which is not checked
-    a second time.
+    :class:`~eh2marg.kinematics.EulerAngles`, and a finite (3,) bias, which
+    it keeps as a read-only copy.  The public filter steps build theirs
+    with :meth:`_from_checked` from a vector that :func:`checked_state` has
+    just passed, which is not checked a second time.
     """
 
     attitude: EulerAngles = field(default_factory=EulerAngles.zero)
     bias: NDArray[np.float64] = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bias", _vector3(self.bias, "bias"))
+        object.__setattr__(self, "bias", _frozen(_floats3(self.bias, "bias")))
 
     @classmethod
     def from_vector(cls, x: ArrayLike) -> "EulerState":
@@ -81,7 +81,9 @@ class EulerState:
         that :func:`checked_state` has just returned, without its checks:
         checked_state has found every entry finite, wrapped roll and yaw
         into (-pi, pi] and kept the pitch outside the gimbal band, which is
-        all they test.  Like from_vector, it keeps ``x[3:]`` as the bias."""
+        all they test.  ``x`` is fresh, so it is marked read-only and
+        ``x[3:]`` kept as the bias, where from_vector keeps a copy."""
+        x.flags.writeable = False
         phi, theta, psi = x[:3].tolist()
         attitude = object.__new__(EulerAngles)
         object.__setattr__(attitude, "phi", phi)

@@ -14,9 +14,10 @@ The constant table is the world's
 (:meth:`~eh2marg.sensors.WorldConstants.rotation_table`), built with it.
 The gain table is built once per distinct gain and world and cached
 read-only under the gain's bytes and the world, so an L0 changed in place
-between steps gets a table of its own.  The RK4 stages apply T(Phi) to
-vectors; only the EKF's A holds T as a matrix (Bw's gyro block is read off
-it), and the EKF takes its first RK4 stage from A.  The EKF forms the body
+between steps gets a table of its own; it is the steps' one per-call
+cache.  The RK4 stages apply T(Phi) to vectors; only the EKF's A holds T
+as a matrix (Bw's gyro block is read off it), and the EKF takes its first
+RK4 stage from A.  The EKF forms the body
 rates u = omega - b once per step: b is constant over the step, so it
 integrates the attitude alone at u.  Both filters consume one
 :class:`~eh2marg.sensors.ImuSample` per step: step k takes sample k,
@@ -39,7 +40,8 @@ constructors check what a caller builds, the steps check the new estimate
 (:func:`~eh2marg.dynamics.checked_state`), and :class:`EKFState` checks
 the EKF's new covariance for finiteness.  The new estimate and the
 unchanged gain go into the new containers through private constructors
-that do not check them again.
+that do not check them again, and mark them read-only: every container
+keeps read-only arrays, which the public constructors copy.
 """
 
 from dataclasses import dataclass, field
@@ -63,7 +65,7 @@ from .kinematics import (
     wrap_angle,
 )
 from .linearization import jacobians_measurement, jacobians_process
-from .sensors import ImuSample, NoiseParams, WorldConstants, _finite
+from .sensors import ImuSample, NoiseParams, WorldConstants, _finite, _frozen
 
 __all__ = [
     "DEFAULT_P0",
@@ -77,8 +79,8 @@ __all__ = [
     "initialize_from_first_sample",
 ]
 
-#: Default initial EKF covariance: 0.1 rad attitude std, 0.01 rad/s bias std.
-DEFAULT_P0 = np.diag([0.1**2] * 3 + [0.01**2] * 3)
+#: Default initial EKF covariance: 0.1 rad attitude std, 0.01 rad/s bias std; read-only.
+DEFAULT_P0 = _frozen(np.diag([0.1**2] * 3 + [0.01**2] * 3))
 
 _EYE6 = np.eye(6)
 
@@ -90,14 +92,15 @@ class EH2FilterState:
     """Extended-H2 filter state: the estimate plus the fixed gain L0.
 
     L0 should come from a :class:`~eh2marg.synthesis.GainCertificate` with
-    ``lmi_feasible`` true (or from a gain file exported from one).
+    ``lmi_feasible`` true (or from a gain file exported from one); the
+    state keeps a read-only copy.
     """
 
     xhat: EulerState
     L0: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        L0 = np.asarray(self.L0, dtype=np.float64)
+        L0 = _frozen(self.L0)
         if L0.shape != (6, 6) or not _finite(L0):
             raise ValueError("L0 must be a finite 6x6 matrix")
         object.__setattr__(self, "L0", L0)
@@ -116,32 +119,27 @@ class EH2FilterState:
 
 @dataclass(frozen=True)
 class EKFState:
-    """EKF state: the estimate plus its covariance (symmetrized every step)."""
+    """EKF state: the estimate plus a read-only copy of its covariance (symmetrized every step)."""
 
     xhat: EulerState
-    P: NDArray[np.float64] = field(default_factory=lambda: DEFAULT_P0.copy())
+    P: NDArray[np.float64] = field(default_factory=lambda: DEFAULT_P0)
 
     def __post_init__(self) -> None:
-        P = np.asarray(self.P, dtype=np.float64)
+        P = _frozen(self.P)
         if P.shape != (6, 6) or not _finite(P):
             raise ValueError("P must be a finite 6x6 matrix")
         object.__setattr__(self, "P", P)
 
 
 @lru_cache(maxsize=8)
-def _measurement_variances(q: NoiseParams) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """r = (n_a^2, n_a^2, n_a^2, n_m^2, n_m^2, n_m^2) and diag(r), read-only."""
-    r = np.array([q.n_a] * 3 + [q.n_m] * 3) ** 2
-    R = np.diag(r)
-    r.flags.writeable = R.flags.writeable = False
-    return r, R
-
-
-@lru_cache(maxsize=8)
 def _gain_table(L: bytes, shape: tuple, world: WorldConstants) -> NDArray[np.float64]:
     """L C_h, read-only, with C_h the h rows of the world's rotation table:
     built once per distinct gain and world, and keyed on the gain's bytes,
-    so a gain changed in place is never read stale."""
+    so a gain changed in place is never read stale.
+
+    The steps' one per-call cache: no object that :func:`eh2_step` receives
+    holds both L0 and the world to build it once, and forming L C_h on every
+    call would add its 1,296 B to every eh2 step's memory peak."""
     table = np.frombuffer(L).reshape(shape) @ world.rotation_table()[:6]
     table.flags.writeable = False
     return table
@@ -220,11 +218,12 @@ def ekf(
     sample measured at the start of the step and h taken at the prediction
     for its end, one dt later; Kalman gain from S = H P- H^T + R with H = Cy
     and R = Dw Dw^T of the design model, the diagonal r of squared
-    accelerometer and magnetometer standard deviations; then the Joseph form
-    (I - K H) P- (I - K H)^T + (K r) K^T, symmetrized.  ``x``/``P`` are (6,)
-    and (6, 6) for one filter, or (6, N) and (N, 6, 6) for N filters.  The
-    body rates u = omega - b are formed once: b stays constant over the
-    prediction, so RK4 integrates the attitude alone at u.
+    accelerometer and magnetometer standard deviations, both built with
+    ``q``; then the Joseph form (I - K H) P- (I - K H)^T + (K r) K^T,
+    symmetrized.  ``x``/``P`` are (6,) and (6, 6) for one filter, or (6, N)
+    and (N, 6, 6) for N filters.  The body rates u = omega - b are formed
+    once: b stays constant over the prediction, so RK4 integrates the
+    attitude alone at u.
 
     Raises
     ------
@@ -245,7 +244,7 @@ def ekf(
     # The update holds the step's memory peak, and needs none of these.
     del A, Bw, F, k1, u
     h, H = jacobians_measurement(xp[:3], world)
-    r, R = _measurement_variances(q)
+    r, R = q.measurement_variances()
     try:
         # K = P- H^T S^-1 with S = H P- H^T + R, neither kept past the solve.
         K = np.linalg.solve(H @ Pp @ H.mT + R, (Pp @ H.mT).mT).mT

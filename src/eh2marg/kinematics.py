@@ -6,7 +6,7 @@ matrix ``R(Phi)`` of the 3-2-1 (yaw-pitch-roll) sequence; and angle
 wrapping.  R is written once, as the map :func:`_rotate` on the sines and
 cosines from :func:`_sin_cos`; :func:`_euler_rates` applies T the same way.
 Only the EKF's Jacobian A holds T as a matrix
-(:func:`eh2marg.linearization._attitude_rows`).
+(:func:`eh2marg.linearization.jacobians_process`).
 
 Attitudes and states are component-major: one is a (3,) or (6,) vector, and
 a stack of n is a (3, n) or (6, n) array whose row i holds component i of

@@ -6,11 +6,13 @@ them evaluated at the nominal operating point (zero attitude, zero bias,
 zero input; :func:`nominal_model`); the EKF baseline re-linearizes with the
 same two functions at every estimate.  The noise standard deviations are
 folded into the columns of Bw (:func:`jacobians_process`) and of the
-state-independent Dw (:func:`nominal_model`), so the model is driven by
-unit-intensity white noise.  Each Jacobian function evaluates the
-attitude's sines and cosines once and fills its matrices in one pass.  A's
-attitude rows [d(T u)/dPhi | -T] are one fill (:func:`_attitude_rows`), and
-Bw's gyro block is read off them.  h = [R g; R h] and Cy are one product,
+state-independent Dw (:func:`nominal_model`, from
+:meth:`~eh2marg.sensors.NoiseParams.measurement_std`), so the model is
+driven by unit-intensity white noise.  Each Jacobian function evaluates
+the attitude's sines and cosines once and fills its matrices in one pass.
+:func:`jacobians_process` writes A's attitude rows [d(T u)/dPhi | -T] and
+Bw's bias diagonal entry by entry into the zeroed matrices, and reads
+Bw's gyro block off A.  h = [R g; R h] and Cy are one product,
 per member of a stack, of the world's rotation table
 (:meth:`~eh2marg.sensors.WorldConstants.rotation_table`) with the
 attitude's trigonometric products: the table holds the rows of d(R r)/dPhi,
@@ -22,19 +24,12 @@ A central finite-difference oracle cross-checks the closed forms.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from numpy.typing import ArrayLike, NDArray
+from numpy.typing import NDArray
 
-from .kinematics import (
-    _check_gimbal,
-    _columns,
-    _matrix,
-    _monomials,
-    _sin_cos,
-)
+from .kinematics import _check_gimbal, _columns, _monomials, _sin_cos
 from .sensors import NoiseParams, WorldConstants
 
 __all__ = [
@@ -44,8 +39,6 @@ __all__ = [
     "jacobians_process",
     "nominal_model",
 ]
-
-_EYE3 = np.eye(3)
 
 
 @dataclass(frozen=True)
@@ -81,37 +74,6 @@ class LinearModel:
             raise ValueError("Cz is all zero: there is no H2 norm to bound")
 
 
-@lru_cache(maxsize=8)
-def _bias_walk_block(noise: NoiseParams) -> NDArray[np.float64]:
-    """n_b I, Bw's bias-walk block, read-only; built once per noise setting."""
-    block = noise.n_b * _EYE3
-    block.flags.writeable = False
-    return block
-
-
-def _attitude_rows(s: ArrayLike, c: ArrayLike, u: NDArray[np.float64]) -> NDArray[np.float64]:
-    """A's attitude rows [d(T(Phi) u)/dPhi | -T(Phi)] at body rates u = omega - b.
-
-    Columns (phi, theta, psi, b); a (3,) u gives (3, 6), a (3, n) stack
-    (n, 3, 6).  The zeros of -T are -0.0, as negating T gives them.
-    """
-    (sp, st, _), (cp, ct, _) = s, c
-    tt, sec = st / ct, 1.0 / ct
-    _, w1, w2 = u.tolist() if u.ndim == 1 else u
-    du = cp * w1 - sp * w2
-    v = sp * w1 + cp * w2
-    # The 18 entries row by row, reshaped: no nested rows to hold at once.
-    rows = _matrix(
-        (
-            tt * du, sec * sec * v, 0.0, -1.0, -tt * sp, -tt * cp,
-            -v, 0.0, 0.0, -0.0, -cp, sp,
-            sec * du, sec * tt * v, 0.0, -0.0, -sec * sp, -sec * cp,
-        ),
-        s,
-    )
-    return rows.reshape(u.shape[1:] + (3, 6))
-
-
 def jacobians_process(
     x: NDArray[np.float64], omega: NDArray[np.float64], noise: NoiseParams
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
@@ -124,7 +86,8 @@ def jacobians_process(
     this is A at any state [Phi; b], and the EKF forms omega - b once per
     step.  Bw maps the unit-intensity channel w = [n_w; n_b; n_a; n_m] with
     the noise standard deviations folded into its columns; its gyro block
-    is n_w (-T), read off A.  The measurement columns are zero.
+    is n_w (-T), read off A, and its bias block n_b I.  The measurement
+    columns are zero.
 
     Raises
     ------
@@ -132,11 +95,26 @@ def jacobians_process(
         If the attitude (of any member) sits in the gimbal guard band.
     """
     _check_gimbal(x)
+    (sp, st, _), (cp, ct, _) = _sin_cos(x[:3])
+    u = omega if len(x) == 3 else omega - x[3:]
+    _, w1, w2 = u.tolist() if u.ndim == 1 else u
+    tt, sec = st / ct, 1.0 / ct
+    du = cp * w1 - sp * w2
+    v = sp * w1 + cp * w2
+    # Entry (i, j) is row 6 i + j of A's flat view transposed (12 i + j of
+    # Bw's): a float for one state, a strided length-N row of a stack.  The
+    # entries not written keep the zeros of np.zeros; -T's two zeros are
+    # written as -0.0, as negating T gives them.
     A = np.zeros(x.shape[1:] + (6, 6))
-    A[..., :3, :] = _attitude_rows(*_sin_cos(x[:3]), omega if len(x) == 3 else omega - x[3:])
+    a = A.reshape(x.shape[1:] + (36,)).T
+    a[0], a[1], a[3], a[4], a[5] = tt * du, sec * sec * v, -1.0, -tt * sp, -tt * cp
+    a[6], a[9], a[10], a[11] = -v, -0.0, -cp, sp
+    a[12], a[13], a[15], a[16], a[17] = sec * du, sec * tt * v, -0.0, -sec * sp, -sec * cp
+    del a  # the n_w product below holds the call's memory peak
     Bw = np.zeros(x.shape[1:] + (6, 12))
     Bw[..., :3, :3] = noise.n_w * A[..., :3, 3:]
-    Bw[..., 3:, 3:6] = _bias_walk_block(noise)
+    b = Bw.reshape(x.shape[1:] + (72,)).T
+    b[39] = b[52] = b[65] = noise.n_b
     return A, Bw
 
 
@@ -188,5 +166,5 @@ def nominal_model(
     A, Bw = jacobians_process(np.zeros(6), np.zeros(3), noise)
     _, Cy = jacobians_measurement(np.zeros(3), world)
     Dw = np.zeros((6, 12))
-    Dw[:, 6:] = np.diag([noise.n_a] * 3 + [noise.n_m] * 3)
+    Dw[:, 6:] = np.diag(noise.measurement_std())
     return LinearModel(A=A, Bw=Bw, Cy=Cy, Dw=Dw, Cz=np.eye(3, 6))

@@ -29,16 +29,8 @@ def _finite(arr: NDArray[np.float64]) -> bool:
     return all(map(math.isfinite, arr.ravel().tolist()))
 
 
-def _vector3(values: ArrayLike, name: str) -> NDArray[np.float64]:
-    arr = np.asarray(values, dtype=np.float64).reshape(3)
-    if not _finite(arr):
-        raise ValueError(f"{name} must be finite, got {arr!r}")
-    return arr
-
-
 def _floats3(values: ArrayLike, name: str) -> list[float]:
-    """The entries of a finite 3-vector as Python floats, checked as
-    :func:`_vector3` checks them."""
+    """The entries of a finite 3-vector as Python floats."""
     arr = np.asarray(values, dtype=np.float64).reshape(3)
     floats = arr.tolist()
     if not all(map(math.isfinite, floats)):
@@ -46,11 +38,21 @@ def _floats3(values: ArrayLike, name: str) -> list[float]:
     return floats
 
 
+def _frozen(values: ArrayLike) -> NDArray[np.float64]:
+    """A new read-only float64 array of ``values``: what a frozen container
+    keeps, so that no caller's array can change it after its checks."""
+    arr = np.array(values, dtype=np.float64)
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class NoiseParams:
     """Per-axis sensor noise standard deviations.
 
-    Defaults are MPU-9250-like values; override via configuration.
+    Defaults are MPU-9250-like values; override via configuration.  Each
+    accel/mag channel is paired with its standard deviation here, once, in
+    read-only arrays, for the design model's Dw and the EKF's update.
     """
 
     n_w: float = 0.005  # gyro white noise, rad/s
@@ -64,6 +66,18 @@ class NoiseParams:
             object.__setattr__(self, name, value)
             if not np.isfinite(value) or value < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        std = _frozen([self.n_a] * 3 + [self.n_m] * 3)
+        r = _frozen(std**2)
+        object.__setattr__(self, "_std", std)
+        object.__setattr__(self, "_variances", (r, _frozen(np.diag(r))))
+
+    def measurement_std(self) -> NDArray[np.float64]:
+        """(n_a, n_a, n_a, n_m, n_m, n_m), read-only; the same array on every call."""
+        return self._std
+
+    def measurement_variances(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+        """r, the squares of :meth:`measurement_std`, and R = diag(r), read-only."""
+        return self._variances
 
 
 @dataclass(frozen=True)
@@ -87,10 +101,9 @@ class WorldConstants:
     )
 
     def __post_init__(self) -> None:
-        rows = np.stack(
-            [_vector3(self.g_inertial, "g_inertial"), _vector3(self.h_inertial, "h_inertial")]
+        rows = _frozen(
+            [_floats3(self.g_inertial, "g_inertial"), _floats3(self.h_inertial, "h_inertial")]
         )
-        rows.flags.writeable = False
         g, h = rows
         object.__setattr__(self, "g_inertial", g)
         object.__setattr__(self, "h_inertial", h)
@@ -130,9 +143,10 @@ class WorldConstants:
 class ImuSample:
     """One timestamped gyro/accel/mag measurement triple.
 
-    ``a_m`` and ``m_m`` are copied on construction into one read-only
-    6-vector, of which they are the halves: :meth:`stacked_measurement`
-    returns that vector, built once here rather than per filter step.
+    The three vectors are copied on construction into one read-only
+    9-vector [a_m; m_m; omega_m], of which they are views.  Its first six
+    entries are the vector :meth:`stacked_measurement` returns, built once
+    here rather than per filter step.
     """
 
     t: float
@@ -145,12 +159,12 @@ class ImuSample:
         if not math.isfinite(t):
             raise ValueError(f"t must be finite, got {t!r}")
         object.__setattr__(self, "t", t)
-        object.__setattr__(self, "omega_m", _vector3(self.omega_m, "omega_m"))
-        y = np.array(_floats3(self.a_m, "a_m") + _floats3(self.m_m, "m_m"))
-        y.setflags(write=False)
-        object.__setattr__(self, "a_m", y[:3])
-        object.__setattr__(self, "m_m", y[3:])
-        object.__setattr__(self, "_y", y)
+        omega_m = _floats3(self.omega_m, "omega_m")
+        values = _frozen(_floats3(self.a_m, "a_m") + _floats3(self.m_m, "m_m") + omega_m)
+        object.__setattr__(self, "omega_m", values[6:])
+        object.__setattr__(self, "a_m", values[:3])
+        object.__setattr__(self, "m_m", values[3:6])
+        object.__setattr__(self, "_y", values[:6])
 
     def stacked_measurement(self) -> NDArray[np.float64]:
         """Accel and mag stacked into the read-only 6-vector consumed by the
@@ -230,6 +244,8 @@ def simulate_imu_stream(
     ValueError
         If there are fewer than two samples, or ``t`` is not strictly
         increasing and evenly spaced (the bias walk scales with one dt).
+    LengthMismatch
+        If ``angles`` or ``body_rates`` is not (n, 3).
     """
     t = np.asarray(t, dtype=np.float64)
     angles = np.asarray(angles, dtype=np.float64)
@@ -237,6 +253,9 @@ def simulate_imu_stream(
     n = t.shape[0]
     if n < 2:
         raise ValueError("stream needs at least two samples")
+    if angles.shape != (n, 3) or body_rates.shape != (n, 3):
+        shapes = f"{angles.shape} and {body_rates.shape}"
+        raise LengthMismatch(f"angles/body_rates must have shape ({n}, 3), got {shapes}")
     steps = np.diff(t)
     dt = float(steps[0])
     if not np.all(steps > 0.0):

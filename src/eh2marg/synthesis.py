@@ -24,6 +24,7 @@ from numpy.typing import NDArray
 
 from .errors import NonConvergence, SynthesisFailure, UnstableClosedLoop
 from .linearization import LinearModel
+from .sensors import _frozen
 
 __all__ = [
     "GainCertificate",
@@ -43,7 +44,7 @@ LMI_EIG_TOL = -1e-9
 
 @dataclass(frozen=True)
 class GainCertificate:
-    """A synthesized estimator gain with its optimality and stability evidence."""
+    """A synthesized estimator gain, kept read-only, with its optimality and stability evidence."""
 
     L: NDArray[np.float64]
     gamma: float
@@ -52,7 +53,7 @@ class GainCertificate:
     h2_norm: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "L", np.asarray(self.L, dtype=np.float64))
+        object.__setattr__(self, "L", _frozen(self.L))
         if not np.all(np.isfinite(self.L)):
             raise ValueError("gain matrix contains non-finite entries")
         if not self.max_closedloop_real_eig < 0.0:

@@ -365,6 +365,7 @@ def _assert_same_container(got, want, matrix: str) -> None:
     for a, b in ((got.xhat.bias, want.xhat.bias), (getattr(got, matrix), getattr(want, matrix))):
         assert type(a) is type(b) is np.ndarray
         assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert not a.flags.writeable and not b.flags.writeable
         assert a.tobytes() == b.tobytes()
 
 
@@ -406,11 +407,12 @@ class TestStepContainers:
         if copy_world:
             w = WorldConstants(world.g_inertial.copy(), world.h_inertial.copy())
         assert w == world
-        got_eh2 = eh2_step(EH2FilterState(x0, L0), sample, w, DT)
+        s_eh2 = EH2FilterState(x0, L0)
+        got_eh2 = eh2_step(s_eh2, sample, w, DT)
         got_ekf = ekf_step(EKFState(x0, P0), sample, w, noise, DT)
         _assert_same_container(got_eh2, want_eh2, "L0")
         _assert_same_container(got_ekf, want_ekf, "P")
-        assert got_eh2.L0 is want_eh2.L0
+        assert got_eh2.L0 is s_eh2.L0
 
     def test_one_step_of_each_checks_each_value_once(self, world, noise, cert, monkeypatch):
         # The design: every new state is checked once, by checked_state

@@ -21,6 +21,18 @@ from eh2marg.sensors import NoiseParams, WorldConstants
 UNIT = NoiseParams(n_w=1.0, n_b=1.0, n_a=1.0, n_m=1.0)
 
 
+#: np.signbit of A and Bw at the nominal point, -0.0 included: those bits
+#: feed the CARE and so every shipped gain.  A's attitude rows are
+#: [d(T u)/dPhi | -T] with -T = -I, whose zeros are -0.0 but for the +0.0 of
+#: sin(phi) in row 1, and d(T u)/dPhi's -v = -0.0 at (1, 0); Bw's gyro block
+#: is n_w (-T).
+_NOMINAL_A_SIGNS = np.zeros((6, 6), dtype=bool)
+_NOMINAL_A_SIGNS[:3, 3:] = [[1, 1, 1], [1, 1, 0], [1, 1, 1]]
+_NOMINAL_A_SIGNS[1, 0] = True
+_NOMINAL_BW_SIGNS = np.zeros((6, 12), dtype=bool)
+_NOMINAL_BW_SIGNS[:3, :3] = _NOMINAL_A_SIGNS[:3, 3:]
+
+
 def _random_state(rng: np.random.Generator) -> EulerState:
     phi, psi = rng.uniform(-2.5, 2.5, size=2)
     theta = rng.uniform(-1.2, 1.2)
@@ -66,6 +78,8 @@ class TestProcessJacobians:
         assert_allclose(Bw[3:, :3], np.zeros((3, 3)), atol=0)
         assert_allclose(Bw[3:, 3:6], np.eye(3), atol=0)
         assert np.all(Bw[:, 6:] == 0.0)
+        assert np.array_equal(np.signbit(A), _NOMINAL_A_SIGNS)
+        assert np.array_equal(np.signbit(Bw), _NOMINAL_BW_SIGNS)
 
     def test_matches_finite_difference_at_nominal(self):
         A, _ = jacobians_process(np.zeros(6), np.zeros(3), UNIT)
@@ -157,6 +171,9 @@ class TestAssembleModel:
         assert np.all(m.Dw[:, :6] == 0.0)
         assert_allclose(m.Dw[:3, 6:9], 0.02 * np.eye(3), atol=0)
         assert_allclose(m.Dw[3:, 9:], 0.005 * np.eye(3), atol=0)
+        assert np.array_equal(np.signbit(m.A), _NOMINAL_A_SIGNS)
+        assert np.array_equal(np.signbit(m.Bw), _NOMINAL_BW_SIGNS)
+        assert not np.signbit(m.Dw).any()
 
     def test_default_performance_output(self):
         m = nominal_model()

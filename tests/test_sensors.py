@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,6 +12,7 @@ from eh2marg import (
     dcm_body_from_inertial,
     simulate_imu_stream,
 )
+from eh2marg.errors import LengthMismatch
 from eh2marg.kinematics import _rotate, _sin_cos
 
 SILENT = NoiseParams(0.0, 0.0, 0.0, 0.0)
@@ -83,6 +86,19 @@ def test_bias_walk_scaling_and_time_precondition():
     ):
         with pytest.raises(ValueError, match=message):
             simulate_imu_stream(bad, truth, truth, WorldConstants(), p, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("shape", [(3,), (6, 3), (5, 1)])
+@pytest.mark.parametrize("name", ["angles", "body_rates"])
+def test_simulate_rejects_series_not_n_by_3(name, shape):
+    # A (3,) series would broadcast into a constant one.
+    series = {"angles": np.zeros((5, 3)), "body_rates": np.zeros((5, 3))}
+    series[name] = np.zeros(shape)
+    with pytest.raises(LengthMismatch, match=re.escape("must have shape (5, 3)")):
+        simulate_imu_stream(
+            np.arange(5) * 0.01, series["angles"], series["body_rates"],
+            WorldConstants(), SILENT, np.random.default_rng(0),
+        )
 
 
 @pytest.mark.parametrize(

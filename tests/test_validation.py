@@ -14,9 +14,10 @@ import pytest
 
 from eh2marg.dynamics import EulerState
 from eh2marg.errors import GimbalLockError, LengthMismatch
-from eh2marg.filters import EH2FilterState, EKFState
+from eh2marg.filters import DEFAULT_P0, EH2FilterState, EKFState
 from eh2marg.kinematics import EPS_GIMBAL, EulerAngles, _check_gimbal, _rotation_table
 from eh2marg.sensors import ImuSample, ImuStream, WorldConstants
+from eh2marg.synthesis import GainCertificate
 
 NONFINITE = [np.nan, np.inf, -np.inf]
 HALF_PI = np.pi / 2.0
@@ -200,6 +201,40 @@ def test_world_does_not_freeze_or_alias_the_caller_array():
     assert g.flags.writeable
     assert w.g_inertial[2] == 9.81
     assert np.array_equal(w.rotation_table(), WorldConstants().rotation_table())
+
+
+def test_containers_keep_read_only_copies_of_their_arrays():
+    # Every source array is written after construction: a container that
+    # kept it, or a view of it, would change after its checks passed.
+    x = np.array([0.1, -0.2, 0.3, 0.01, -0.02, 0.03])
+    bias, omega, a, m = np.full(3, 0.01), np.full(3, 0.1), np.array([0.0, 0.0, 9.81]), np.ones(3)
+    L, P = np.eye(6), 2.0 * np.eye(6)
+    stream = ImuStream(np.arange(2) * 0.01, *(np.ones((2, 3)) for _ in range(4)))
+    sample = ImuSample(t=0.0, omega_m=omega, a_m=a, m_m=m)
+    cert = GainCertificate(L=L, gamma=1.0, max_closedloop_real_eig=-1.0, lmi_feasible=True,
+                           h2_norm=0.5)
+    kept = [
+        (EulerState.from_vector(x).bias, x),
+        (EulerState(bias=bias).bias, bias),
+        (sample.omega_m, omega),
+        (sample.a_m, a),
+        (sample.m_m, m),
+        (stream.sample(0).omega_m, stream.omega_m),
+        (EH2FilterState(EulerState(), L).L0, L),
+        (EKFState(EulerState(), P).P, P),
+        (cert.L, L),
+        (EKFState(EulerState()).P, None),
+        (DEFAULT_P0, None),
+    ]
+    before = [held.copy() for held, _ in kept]
+    for _, source in kept:
+        if source is not None:
+            source[...] = 7.0
+    for (held, _), want in zip(kept, before):
+        assert np.array_equal(held, want)
+        assert not held.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            held[...] = 0.0
 
 
 def test_world_equality_compares_values():

@@ -16,6 +16,9 @@ ones, so both see the same host speed.  Every layer is timed over
   one state, which the public steps wrap.
 * ``eh2 N=10``/``ekf N=10``: the same on a (6, 10) stack, as the Monte-Carlo
   harness calls them.
+* ``jac N=1``/``jac N=10``: ``linearization.jacobians_process`` on the
+  attitude and body rates of one state and of the stack, as ``filters.ekf``
+  calls it.
 
 Every layer steps with an equal copy of the world that filled the side's
 gain-table cache, as every repetition of a benchmark workload after its
@@ -99,6 +102,7 @@ def layers(pkg) -> dict:
     omegas = np.ascontiguousarray(omega[:, None] + rng.normal(scale=0.01, size=(3, N_STACK)))
     ys = np.ascontiguousarray(y[:, None] + rng.normal(scale=0.01, size=(6, N_STACK)))
     Ps = np.repeat(P[None], N_STACK, axis=0)
+    jac = pkg.linearization.jacobians_process
 
     def kernel(run, *args):
         def timed():
@@ -114,6 +118,8 @@ def layers(pkg) -> dict:
         "ekf N=1": kernel(filters.ekf, x, P, omega, y, q, step_world, dt),
         f"eh2 N={N_STACK}": kernel(filters.eh2, xs, omegas, ys, gain, step_world, dt),
         f"ekf N={N_STACK}": kernel(filters.ekf, xs, Ps, omegas, ys, q, step_world, dt),
+        "jac N=1": kernel(jac, x[:3], omega - x[3:], q),
+        f"jac N={N_STACK}": kernel(jac, xs[:3], omegas - xs[3:], q),
     }
 
 
