@@ -40,10 +40,11 @@ from .kinematics import (
     EulerAngles,
     _check_gimbal,
     _euler_rates,
+    _frozen,
     _sin_cos,
     _wrapped,
 )
-from .sensors import _finite, _floats3, _frozen
+from .sensors import _finite, _floats3
 
 __all__ = [
     "EulerState",
@@ -57,17 +58,20 @@ class EulerState:
     """Filter state: attitude plus gyro bias.
 
     Every public construction checks the state: the attitude through
-    :class:`~eh2marg.kinematics.EulerAngles`, and a finite (3,) bias, which
-    it keeps as a read-only copy.  The public filter steps build theirs
-    with :meth:`_from_checked` from a vector that :func:`checked_state` has
-    just passed, which is not checked a second time.
+    :class:`~eh2marg.kinematics.EulerAngles`, and a finite (3,) bias.  It
+    keeps [phi, theta, psi, b] as one read-only (6,) vector, of which
+    ``bias`` is a view; the public filter steps step from it, and build
+    the new state with :meth:`_from_checked` from a vector that
+    :func:`checked_state` has just passed, which is kept as it is.
     """
 
     attitude: EulerAngles = field(default_factory=EulerAngles.zero)
     bias: NDArray[np.float64] = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bias", _frozen(_floats3(self.bias, "bias")))
+        a = self.attitude
+        x = _frozen([a.phi, a.theta, a.psi, *_floats3(self.bias, "bias")])
+        self.__dict__.update(bias=x[3:], _vector=x)
 
     @classmethod
     def from_vector(cls, x: ArrayLike) -> "EulerState":
@@ -81,22 +85,25 @@ class EulerState:
         that :func:`checked_state` has just returned, without its checks:
         checked_state has found every entry finite, wrapped roll and yaw
         into (-pi, pi] and kept the pitch outside the gimbal band, which is
-        all they test.  ``x`` is fresh, so it is marked read-only and
-        ``x[3:]`` kept as the bias, where from_vector keeps a copy."""
+        all they test.  ``x`` is fresh, so it is marked read-only and kept
+        as the state's vector, where from_vector keeps a copy."""
         x.flags.writeable = False
         phi, theta, psi = x[:3].tolist()
+        # One __dict__ update costs less than object.__setattr__ per field.
         attitude = object.__new__(EulerAngles)
-        object.__setattr__(attitude, "phi", phi)
-        object.__setattr__(attitude, "theta", theta)
-        object.__setattr__(attitude, "psi", psi)
+        attitude.__dict__.update(phi=phi, theta=theta, psi=psi)
         state = object.__new__(cls)
-        object.__setattr__(state, "attitude", attitude)
-        object.__setattr__(state, "bias", x[3:])
+        state.__dict__.update(attitude=attitude, bias=x[3:], _vector=x)
         return state
 
+    def __reduce__(self):
+        # copy.deepcopy and pickle rebuild one read-only vector with bias
+        # as its view, as a construction does, not two separate arrays.
+        return (EulerState._from_checked, (self._vector.copy(),))
+
     def as_vector(self) -> NDArray[np.float64]:
-        a = self.attitude
-        return np.array([a.phi, a.theta, a.psi, *self.bias.tolist()])
+        """[phi, theta, psi, b], a new writable copy of the state's vector."""
+        return self._vector.copy()
 
 
 def process_model(x: NDArray[np.float64], omega: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -145,7 +152,7 @@ def rk4_step(
     k2 = f(x + 0.5 * dt * k1)
     k3 = f(x + 0.5 * dt * k2)
     k4 = f(x + dt * k3)
-    return checked_state(x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return checked_state(x + dt / 6.0 * (k1 + (k2 + k2) + (k3 + k3) + k4))
 
 
 def checked_state(x: NDArray[np.float64]) -> NDArray[np.float64]:

@@ -58,6 +58,7 @@ from .kinematics import (
     _check_gimbal,
     _columns,
     _euler_rates,
+    _frozen,
     _monomials,
     _rows,
     _sin_cos,
@@ -65,7 +66,7 @@ from .kinematics import (
     wrap_angle,
 )
 from .linearization import jacobians_measurement, jacobians_process
-from .sensors import ImuSample, NoiseParams, WorldConstants, _finite, _frozen
+from .sensors import ImuSample, NoiseParams, WorldConstants, _finite
 
 __all__ = [
     "DEFAULT_P0",
@@ -83,6 +84,8 @@ __all__ = [
 DEFAULT_P0 = _frozen(np.diag([0.1**2] * 3 + [0.01**2] * 3))
 
 _EYE6 = np.eye(6)
+#: The symmetrization's 1/2, as a 0-d operand (see :mod:`~eh2marg.kinematics`).
+_HALF = _frozen(0.5)
 
 #: Largest horizontal share of g (|g_xy| / |g|) that still counts as gravity along +z.
 _GRAVITY_AXIS_RTOL = 1e-12
@@ -112,8 +115,7 @@ class EH2FilterState:
         it with the gain it has just stepped with, and a non-finite gain
         would have made :func:`eh2` raise NonFiniteState."""
         state = object.__new__(cls)
-        object.__setattr__(state, "xhat", xhat)
-        object.__setattr__(state, "L0", L0)
+        state.__dict__.update(xhat=xhat, L0=L0)
         return state
 
 
@@ -253,7 +255,7 @@ def ekf(
     x_new = checked_state(xp + _columns(np.matvec(K, _rows(y - h))))
     I_KH = _EYE6 - K @ H
     P_new = I_KH @ Pp @ I_KH.mT + (K * r) @ K.mT
-    return x_new, 0.5 * (P_new + P_new.mT)
+    return x_new, _HALF * (P_new + P_new.mT)
 
 
 def eh2_step(
@@ -277,7 +279,7 @@ def eh2_step(
     if not 0.0 < dt < np.inf:
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
     y = sample.stacked_measurement()
-    x = eh2(s.xhat.as_vector(), sample.omega_m, y, s.L0, w, dt)
+    x = eh2(s.xhat._vector, sample.omega_m, y, s.L0, w, dt)
     return EH2FilterState._from_checked(EulerState._from_checked(x), s.L0)
 
 
@@ -308,7 +310,7 @@ def ekf_step(
     if not 0.0 < dt < np.inf:
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
     y = sample.stacked_measurement()
-    x, P = ekf(s.xhat.as_vector(), s.P, sample.omega_m, y, q, w, dt)
+    x, P = ekf(s.xhat._vector, s.P, sample.omega_m, y, q, w, dt)
     return EKFState(EulerState._from_checked(x), P)
 
 

@@ -32,7 +32,7 @@ from .filters import (
     ekf,
     initialize_from_first_sample,
 )
-from .kinematics import kinematic_matrix_inverse, wrap_angle
+from .kinematics import _frozen, kinematic_matrix_inverse, wrap_angle
 from .sensors import ImuStream, NoiseParams, WorldConstants, simulate_imu_stream
 from .synthesis import synthesize_gain
 from .linearization import nominal_model
@@ -251,16 +251,17 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled attitude truth: times, 3-2-1 Euler angles, and Euler-angle rates."""
+    """Sampled attitude truth: times, 3-2-1 Euler angles, and Euler-angle rates,
+    kept as read-only copies."""
 
     t: NDArray[np.float64]
     angles: NDArray[np.float64]
     rates: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.t, dtype=np.float64)
-        angles = np.asarray(self.angles, dtype=np.float64)
-        rates = np.asarray(self.rates, dtype=np.float64)
+        for name in ("t", "angles", "rates"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        t, angles, rates = self.t, self.angles, self.rates
         n = t.shape[0]
         if t.ndim != 1 or n < 2:
             raise ValueError("t must be a 1-D array with at least two samples")
@@ -270,9 +271,6 @@ class Trajectory:
             )
         if np.any(np.diff(t) <= 0.0):
             raise ValueError("t must be strictly increasing")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "angles", angles)
-        object.__setattr__(self, "rates", rates)
 
     def __len__(self) -> int:
         return self.t.shape[0]

@@ -27,6 +27,12 @@ member of a stack are then one matrix-vector product per member, in one
 ``np.matvec`` call on the (n, 27) products, since a small stack costs per
 numpy call, not per element.
 
+A constant operand of the filter steps that does not depend on dt, such as
+pi in :func:`_wrapped`, is a read-only 0-d float64 array (:func:`_frozen`):
+numpy 2 converts a Python float, a weak scalar, on every operation, so
+``np.pi - a`` on a (3,) array takes about 1.4 times as long (numpy 2.4,
+x86-64).  Results stay bit for bit, as with ``k + k`` for ``2.0 * k``.
+
 T is singular at pitch +/- 90 degrees ("gimbal lock"); every caller that
 evaluates it first checks the pitch with :func:`_check_gimbal`, which fails
 loudly inside a guard band of ``EPS_GIMBAL`` radians around the
@@ -59,16 +65,27 @@ _GIMBAL_BOUND = np.pi / 2.0 - EPS_GIMBAL
 _GIMBAL_SLACK = 1e-12
 #: The condition a rejected pitch fails, as GimbalLockError states it.
 _GIMBAL_BAND = f"does not wrap to inside (-pi/2 + {EPS_GIMBAL}, pi/2 - {EPS_GIMBAL}) rad"
+
+
+def _frozen(values: ArrayLike) -> NDArray[np.float64]:
+    """A new read-only float64 array of ``values``: what a frozen container
+    keeps, so that no caller's array can change it after its checks, and,
+    0-d, a constant operand of the filter steps."""
+    arr = np.array(values, dtype=np.float64)
+    arr.flags.writeable = False
+    return arr
+
+
+#: pi and 2 pi, the operands of _wrapped, as 0-d arrays.
+_PI, _TWO_PI = _frozen(np.pi), _frozen(2.0 * np.pi)
 #: The largest float below 2 pi.  (pi - a) % (2 pi) rounds up to 2 pi for an
 #: angle a one ulp above pi, which would wrap it to -pi; clamped to this, the
 #: remainder wraps it to -pi + 2 ulp and leaves every other remainder as it is.
-#: A read-only 0-d array: np.minimum takes it with less conversion than a float.
-_BELOW_TWO_PI = np.array(np.nextafter(2.0 * np.pi, 0.0))
-_BELOW_TWO_PI.flags.writeable = False
+_BELOW_TWO_PI = _frozen(np.nextafter(2.0 * np.pi, 0.0))
 
 
 def _wrapped(a: NDArray[np.float64]) -> NDArray[np.float64]:
-    """The float array ``a`` wrapped to (-pi, pi]: the array wrap that
+    """The float64 array ``a`` wrapped to (-pi, pi]: the array wrap that
     :func:`wrap_angle` and :func:`~eh2marg.dynamics.checked_state` use.
 
     :func:`_check_gimbal` wraps a single pitch with its own Python-float
@@ -76,7 +93,7 @@ def _wrapped(a: NDArray[np.float64]) -> NDArray[np.float64]:
     where this returns -pi + 2 ulp, and it rejects both alike, as pitches
     in the exclusion band.
     """
-    return np.pi - np.minimum((np.pi - a) % (2.0 * np.pi), _BELOW_TWO_PI)
+    return _PI - np.minimum((_PI - a) % _TWO_PI, _BELOW_TWO_PI)
 
 
 def wrap_angle(angle: ArrayLike) -> NDArray[np.float64] | float:

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .kinematics import _check_gimbal, _columns, _monomials, _sin_cos
+from .kinematics import _check_gimbal, _columns, _frozen, _monomials, _sin_cos
 from .sensors import NoiseParams, WorldConstants
 
 __all__ = [
@@ -49,6 +49,7 @@ class LinearModel:
     in R^12; process and measurement noise occupy disjoint column blocks of
     Bw and Dw.  z = Cz x is the output whose H2 error norm the synthesis
     minimizes, so an all-zero Cz, which leaves no norm to bound, is rejected.
+    The matrices are kept as read-only copies.
     """
 
     A: NDArray[np.float64]
@@ -58,14 +59,15 @@ class LinearModel:
     Cz: NDArray[np.float64]
 
     def __post_init__(self) -> None:
+        for name in ("A", "Bw", "Cy", "Dw", "Cz"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
         shapes = {"A": (6, 6), "Bw": (6, 12), "Cy": (6, 6), "Dw": (6, 12), "Cz": (3, 6)}
         for name, shape in shapes.items():
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            arr = getattr(self, name)
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
-            object.__setattr__(self, name, arr)
         if np.any(self.Bw[:, 6:] != 0.0) or np.any(self.Dw[:, :6] != 0.0):
             raise ValueError(
                 "noise channels must be disjoint: Bw = [Bw_process | 0], Dw = [0 | Dw_meas]"

@@ -3,7 +3,9 @@
 Measurements are truth plus zero-mean Gaussian noise; the gyro additionally
 carries a bias that evolves as a random walk.  All randomness flows through
 a caller-owned :class:`numpy.random.Generator` — the module never touches
-global RNG state.
+global RNG state.  :meth:`ImuStream.sample` copies a row of the stream into
+the read-only 9-vector an :class:`ImuSample` keeps, and checks it once,
+without the sample's constructor.
 """
 
 import math
@@ -13,7 +15,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .errors import LengthMismatch
-from .kinematics import _matrix, _rotate, _rotation_table, _sin_cos
+from .kinematics import _frozen, _matrix, _rotate, _rotation_table, _sin_cos
 
 __all__ = ["ImuSample", "ImuStream", "NoiseParams", "WorldConstants", "simulate_imu_stream"]
 
@@ -36,14 +38,6 @@ def _floats3(values: ArrayLike, name: str) -> list[float]:
     if not all(map(math.isfinite, floats)):
         raise ValueError(f"{name} must be finite, got {arr!r}")
     return floats
-
-
-def _frozen(values: ArrayLike) -> NDArray[np.float64]:
-    """A new read-only float64 array of ``values``: what a frozen container
-    keeps, so that no caller's array can change it after its checks."""
-    arr = np.array(values, dtype=np.float64)
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True)
@@ -158,13 +152,14 @@ class ImuSample:
         t = float(self.t)
         if not math.isfinite(t):
             raise ValueError(f"t must be finite, got {t!r}")
-        object.__setattr__(self, "t", t)
         omega_m = _floats3(self.omega_m, "omega_m")
-        values = _frozen(_floats3(self.a_m, "a_m") + _floats3(self.m_m, "m_m") + omega_m)
-        object.__setattr__(self, "omega_m", values[6:])
-        object.__setattr__(self, "a_m", values[:3])
-        object.__setattr__(self, "m_m", values[3:6])
-        object.__setattr__(self, "_y", values[:6])
+        self._keep(t, np.array(_floats3(self.a_m, "a_m") + _floats3(self.m_m, "m_m") + omega_m))
+
+    def _keep(self, t: float, row: NDArray[np.float64]) -> "ImuSample":
+        """Keep a finite float ``t`` and a fresh 9-vector [a_m; m_m; omega_m] of finite floats."""
+        row.flags.writeable = False
+        self.__dict__.update(t=t, omega_m=row[6:], a_m=row[:3], m_m=row[3:6], _y=row[:6])
+        return self
 
     def stacked_measurement(self) -> NDArray[np.float64]:
         """Accel and mag stacked into the read-only 6-vector consumed by the
@@ -178,7 +173,7 @@ class ImuStream:
 
     The shapes are checked once, here: ``t`` is (n,) with n >= 2 and the
     other four columns are (n, 3).  Finiteness is checked per sample, by
-    :class:`ImuSample`.
+    :meth:`sample`.
 
     Raises
     ------
@@ -205,12 +200,13 @@ class ImuStream:
         return self.t.shape[0]
 
     def sample(self, k: int) -> ImuSample:
-        return ImuSample(
-            t=float(self.t[k]),
-            omega_m=self.omega_m[k],
-            a_m=self.a_m[k],
-            m_m=self.m_m[k],
-        )
+        """Sample k, its row copied into the sample's 9-vector and checked
+        once; a row that is not finite raises the constructor's ValueError."""
+        t = float(self.t[k])
+        values = np.concatenate((self.a_m[k], self.m_m[k], self.omega_m[k]), dtype=np.float64)
+        if not (math.isfinite(t) and _finite(values)):
+            return ImuSample(t, self.omega_m[k], self.a_m[k], self.m_m[k])
+        return object.__new__(ImuSample)._keep(t, values)
 
 
 def simulate_imu_stream(
@@ -219,7 +215,7 @@ def simulate_imu_stream(
     body_rates: NDArray[np.float64],
     w: WorldConstants,
     p: NoiseParams,
-    rng: np.random.Generator,
+    rng: "np.random.Generator",
 ) -> ImuStream:
     """Simulate a full sensor stream along a true trajectory.
 

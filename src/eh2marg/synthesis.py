@@ -24,7 +24,7 @@ from numpy.typing import NDArray
 
 from .errors import NonConvergence, SynthesisFailure, UnstableClosedLoop
 from .linearization import LinearModel
-from .sensors import _frozen
+from .kinematics import _frozen
 
 __all__ = [
     "GainCertificate",

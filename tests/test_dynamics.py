@@ -1,6 +1,10 @@
 """Tests for the array-level process and measurement models and the RK4 step
 that both filters run."""
 
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -123,6 +127,49 @@ class TestMeasurement:
         for k, row in enumerate(angles):
             assert np.array_equal(h_all[:, k], jacobians_measurement(row, world)[0])
 
+
+@given(
+    st.floats(-3.14, 3.14),
+    st.floats(-1.5, 1.5),
+    st.floats(-3.14, 3.14),
+    arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)),
+    arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)),
+)
+def test_every_state_keeps_its_read_only_vector(phi, theta, psi, bias, other_bias):
+    # The steps step from the kept vector, so every way of building a state
+    # must keep [phi, theta, psi, b] in it, read-only, with bias as its tail.
+    x = np.array([phi, theta, psi, *bias])
+    built = EulerState(EulerAngles(phi, theta, psi), bias)
+    states = [
+        built,
+        EulerState.from_vector(x),
+        EulerState._from_checked(x.copy()),
+        dataclasses.replace(EulerState(), attitude=built.attitude, bias=bias),
+    ]
+    for state in states:
+        kept = state._vector
+        assert kept.tobytes() == x.tobytes() and not kept.flags.writeable
+        assert np.shares_memory(state.bias, kept) and np.array_equal(state.bias, bias)
+        v = state.as_vector()
+        assert v.tobytes() == x.tobytes() and v.flags.writeable
+        v[:] = 7.0
+        assert kept.tobytes() == x.tobytes()
+    moved = dataclasses.replace(states[2], bias=other_bias)
+    assert moved._vector.tobytes() == np.r_[x[:3], other_bias].tobytes()
+
+
+
+def test_copied_and_pickled_states_keep_one_read_only_vector():
+    # A copy must keep bias as a view of the vector the steps read, or a
+    # write into one would not reach the other.
+    x = np.array([0.3, -0.2, 1.1, 0.01, -0.02, 0.03])
+    for state in (EulerState.from_vector(x), EulerState._from_checked(x.copy())):
+        for copied in (copy.deepcopy(state), copy.copy(state), pickle.loads(pickle.dumps(state))):
+            kept = copied._vector
+            assert kept.tobytes() == x.tobytes()
+            assert np.shares_memory(copied.bias, kept) and copied.bias.base is kept
+            assert not kept.flags.writeable and not copied.bias.flags.writeable
+            assert copied.attitude == state.attitude
 
 class TestIntegrateStep:
     def test_zero_rate_fixed_point(self):

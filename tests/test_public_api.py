@@ -9,6 +9,9 @@ are parsed, never imported or run.
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -158,3 +161,14 @@ def test_every_private_helper_is_used_by_the_program():
         f"{path.stem}.{name}" for path in modules for name in _private_definitions(path) - used
     )
     assert not unused, f"private, but nothing in src/ uses: {unused}"
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy.random pulls in secrets and hmac; only a caller that builds a
+    # generator needs it.
+    src = Path(eh2marg.__file__).resolve().parent.parent
+    code = "import sys, eh2marg; print('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -2,11 +2,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from eh2marg import (
     EulerAngles,
     ImuSample,
+    ImuStream,
     NoiseParams,
     WorldConstants,
     dcm_body_from_inertial,
@@ -211,3 +215,33 @@ class TestImuStream:
         assert s.t == t[3]
         assert_allclose(s.omega_m, stream.omega_m[3])
         assert_allclose(s.stacked_measurement(), np.r_[stream.a_m[3], stream.m_m[3]])
+
+
+_finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(
+    st.integers(2, 5).flatmap(
+        lambda n: st.tuples(
+            arrays(np.float64, n, elements=_finite_floats),
+            *(arrays(np.float64, (n, 3), elements=_finite_floats) for _ in range(4)),
+            st.integers(-n, n - 1),
+        )
+    )
+)
+def test_stream_sample_is_the_constructors_sample(columns):
+    # sample(k) builds its sample without the constructor; field by field,
+    # bit for bit, it is the one the constructor builds from row k.
+    *arrays_, k = columns
+    stream = ImuStream(*arrays_)
+    got = stream.sample(k)
+    want = ImuSample(stream.t[k], stream.omega_m[k], stream.a_m[k], stream.m_m[k])
+    assert type(got.t) is float and got.t == want.t
+    for name in ("omega_m", "a_m", "m_m"):
+        held = getattr(got, name)
+        assert held.dtype == np.float64 and held.tobytes() == getattr(want, name).tobytes()
+        assert not held.flags.writeable
+    y = got.stacked_measurement()
+    assert y.tobytes() == want.stacked_measurement().tobytes() and not y.flags.writeable
+    assert np.shares_memory(got.a_m, y) and np.shares_memory(got.m_m, y)
+    assert not np.shares_memory(got.omega_m, stream.omega_m)

@@ -15,7 +15,9 @@ import pytest
 from eh2marg.dynamics import EulerState
 from eh2marg.errors import GimbalLockError, LengthMismatch
 from eh2marg.filters import DEFAULT_P0, EH2FilterState, EKFState
+from eh2marg.harness import ScenarioConfig, Trajectory, generate_trajectory
 from eh2marg.kinematics import EPS_GIMBAL, EulerAngles, _check_gimbal, _rotation_table
+from eh2marg.linearization import LinearModel, nominal_model
 from eh2marg.sensors import ImuSample, ImuStream, WorldConstants
 from eh2marg.synthesis import GainCertificate
 
@@ -52,6 +54,25 @@ def test_imu_sample_rejects_nonfinite_time(t):
         ValueError,
         f"t must be finite, got {float(t)!r}",
     )
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+@pytest.mark.parametrize("i", range(3))
+@pytest.mark.parametrize("name", ["omega_m", "a_m", "m_m"])
+def test_stream_sample_rejects_nonfinite_row_as_the_constructor(name, i, bad):
+    # ImuStream.sample checks a row once and builds the sample without the
+    # constructor; a row that fails goes through it, for its message.
+    stream = ImuStream(np.arange(3) * 0.01, *(np.ones((3, 3)) for _ in range(4)))
+    getattr(stream, name)[2] = _vec(i, bad)
+    stream.sample(1)
+    _raises(lambda: stream.sample(2), ValueError, f"{name} must be finite, got {_vec(i, bad)!r}")
+
+
+@pytest.mark.parametrize("t", NONFINITE)
+def test_stream_sample_rejects_nonfinite_time_as_the_constructor(t):
+    stream = ImuStream(np.array([0.0, t]), *(np.ones((2, 3)) for _ in range(4)))
+    stream.sample(0)
+    _raises(lambda: stream.sample(1), ValueError, f"t must be finite, got {t!r}")
 
 
 def test_imu_sample_takes_numpy_scalars_and_0d_time():
@@ -213,6 +234,11 @@ def test_containers_keep_read_only_copies_of_their_arrays():
     sample = ImuSample(t=0.0, omega_m=omega, a_m=a, m_m=m)
     cert = GainCertificate(L=L, gamma=1.0, max_closedloop_real_eig=-1.0, lmi_feasible=True,
                            h2_norm=0.5)
+    t, angles, rates = np.arange(3) * 0.01, np.zeros((3, 3)), np.ones((3, 3))
+    traj = Trajectory(t=t, angles=angles, rates=rates)
+    nominal = nominal_model()
+    matrices = {name: getattr(nominal, name).copy() for name in ("A", "Bw", "Cy", "Dw", "Cz")}
+    model = LinearModel(**matrices)
     kept = [
         (EulerState.from_vector(x).bias, x),
         (EulerState(bias=bias).bias, bias),
@@ -225,6 +251,10 @@ def test_containers_keep_read_only_copies_of_their_arrays():
         (cert.L, L),
         (EKFState(EulerState()).P, None),
         (DEFAULT_P0, None),
+        (traj.t, t),
+        (traj.angles, angles),
+        (traj.rates, rates),
+        *((getattr(model, name), source) for name, source in matrices.items()),
     ]
     before = [held.copy() for held, _ in kept]
     for _, source in kept:
@@ -235,6 +265,16 @@ def test_containers_keep_read_only_copies_of_their_arrays():
         assert not held.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             held[...] = 0.0
+
+
+def test_generated_containers_keep_read_only_arrays():
+    # generate_trajectory and nominal_model build their containers through
+    # the public constructors, which keep read-only copies of their own.
+    cfg = ScenarioConfig(case_id="custom", duration=0.05, amplitude_deg=(5.0, 5.0, 5.0),
+                         angular_speed=0.5)
+    traj, model = generate_trajectory(cfg), nominal_model()
+    for arr in (traj.t, traj.angles, traj.rates, model.A, model.Bw, model.Cy, model.Dw, model.Cz):
+        assert arr.flags.owndata and not arr.flags.writeable
 
 
 def test_world_equality_compares_values():

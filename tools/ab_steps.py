@@ -12,6 +12,10 @@ ones, so both see the same host speed.  Every layer is timed over
 * ``eh2_step`` and ``ekf_step``: the public one-state steps, walking the
   first ``CALLS`` samples of a stream from its initial state.
 * ``stream.sample``: ``ImuStream.sample``, the sample container per step.
+* ``stream loop``: ``sample(k)``, ``eh2_step`` and ``ekf_step`` for each of
+  the first ``CALLS`` samples, the per-step work of the ``stream``
+  benchmark workload (``benchmark/workloads.py::_public_filters``) without
+  its clock reads and estimate copies.
 * ``eh2 N=1``/``ekf N=1``: ``filters.eh2``/``filters.ekf`` on the arrays of
   one state, which the public steps wrap.
 * ``eh2 N=10``/``ekf N=10``: the same on a (6, 10) stack, as the Monte-Carlo
@@ -95,6 +99,13 @@ def layers(pkg) -> dict:
         for k in range(CALLS):
             stream.sample(k)
 
+    def stream_loop():
+        s1, s2 = pkg.EH2FilterState(x0, gain), pkg.EKFState(x0)
+        for k in range(CALLS):
+            smp = stream.sample(k)
+            s1 = pkg.eh2_step(s1, smp, step_world, dt)
+            s2 = pkg.ekf_step(s2, smp, step_world, q, dt)
+
     x, P = x0.as_vector(), pkg.DEFAULT_P0
     omega, y = samples[0].omega_m, samples[0].stacked_measurement()
     rng = np.random.default_rng(SEED)
@@ -114,6 +125,7 @@ def layers(pkg) -> dict:
         "eh2_step": eh2_step,
         "ekf_step": ekf_step,
         "stream.sample": sample,
+        "stream loop": stream_loop,
         "eh2 N=1": kernel(filters.eh2, x, omega, y, gain, step_world, dt),
         "ekf N=1": kernel(filters.ekf, x, P, omega, y, q, step_world, dt),
         f"eh2 N={N_STACK}": kernel(filters.eh2, xs, omegas, ys, gain, step_world, dt),
