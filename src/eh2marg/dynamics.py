@@ -38,6 +38,7 @@ from numpy.typing import ArrayLike, NDArray
 from .errors import NonFiniteState
 from .kinematics import (
     EulerAngles,
+    _Container,
     _check_gimbal,
     _euler_rates,
     _frozen,
@@ -54,7 +55,7 @@ __all__ = [
 ]
 
 @dataclass(frozen=True)
-class EulerState:
+class EulerState(_Container):
     """Filter state: attitude plus gyro bias.
 
     Every public construction checks the state: the attitude through
@@ -95,11 +96,6 @@ class EulerState:
         state = object.__new__(cls)
         state.__dict__.update(attitude=attitude, bias=x[3:], _vector=x)
         return state
-
-    def __reduce__(self):
-        # copy.deepcopy and pickle rebuild one read-only vector with bias
-        # as its view, as a construction does, not two separate arrays.
-        return (EulerState._from_checked, (self._vector.copy(),))
 
     def as_vector(self) -> NDArray[np.float64]:
         """[phi, theta, psi, b], a new writable copy of the state's vector."""

@@ -12,40 +12,39 @@ products of Phi, and the extended-H2 filter folds L0 into the table's h
 rows, so each RK4 stage gets L0 h(xhat) from one matrix-vector product.
 The constant table is the world's
 (:meth:`~eh2marg.sensors.WorldConstants.rotation_table`), built with it.
-The gain table is built once per distinct gain and world and cached
-read-only under the gain's bytes and the world, so an L0 changed in place
-between steps gets a table of its own; it is the steps' one per-call
-cache.  The RK4 stages apply T(Phi) to vectors; only the EKF's A holds T
-as a matrix (Bw's gyro block is read off it), and the EKF takes its first
-RK4 stage from A.  The EKF forms the body
-rates u = omega - b once per step: b is constant over the step, so it
-integrates the attitude alone at u.  Both filters consume one
-:class:`~eh2marg.sensors.ImuSample` per step: step k takes sample k,
+The gain table L0 C_h is built once per run, by the harness's eh2 plan
+(:func:`_paper_plans`), and online once per state and world, as each
+:class:`EH2FilterState` passes it on; nothing is cached per call.  The RK4
+stages apply T(Phi) to vectors; only the EKF's A holds T as a matrix (Bw's
+gyro block is read off it), and the EKF takes its first RK4 stage from A.
+The EKF forms the body rates u = omega - b once per step: b is constant over
+the step, so it integrates the attitude alone at u.  Both filters consume
+one :class:`~eh2marg.sensors.ImuSample` per step: step k takes sample k,
 measured at t_k, and returns the estimate at t_{k+1}.  The sample's gyro
 drives the propagation from t_k to t_{k+1}.  The extended-H2 filter holds
-the sample's accel/mag constant over [t_k, t_{k+1}].  The EKF compares
-them with h at its prediction for t_{k+1}, so its measurement is one
-sample older than the state it corrects.
+the sample's accel/mag constant over [t_k, t_{k+1}].  The EKF compares them
+with h at its prediction for t_{k+1}, so its measurement is one sample older
+than the state it corrects.
 
-:func:`eh2` and :func:`ekf` are the steps on plain arrays and the world:
-one ``(6,)`` state, or a ``(6, N)`` component-major stack of states (with
-``(3, N)`` gyro and ``(6, N)`` accel/mag samples, and ``(N, 6, 6)``
-covariances) that the Monte-Carlo harness advances together, one call per
-time step.  Every matrix-vector product runs through ``np.matvec`` on a
-C-contiguous (N, k) operand, the vectors of the stack as rows, which is the
-kernel one state runs, so each member of a stack gets its own run's bits.
-:func:`eh2_step` and :func:`ekf_step` wrap them for the validated state
-containers.  Each value is checked once on that path: the containers'
-constructors check what a caller builds, the steps check the new estimate
-(:func:`~eh2marg.dynamics.checked_state`), and :class:`EKFState` checks
-the EKF's new covariance for finiteness.  The new estimate and the
-unchanged gain go into the new containers through private constructors
-that do not check them again, and mark them read-only: every container
-keeps read-only arrays, which the public constructors copy.
+:func:`eh2` and :func:`ekf` are the steps on plain arrays and the gain table
+or the world: one ``(6,)`` state, or a ``(6, N)`` component-major stack of
+states (with ``(3, N)`` gyro and ``(6, N)`` accel/mag samples, and
+``(N, 6, 6)`` covariances) that the Monte-Carlo harness advances together,
+one call per time step.  Every matrix-vector product runs through
+``np.matvec`` on a C-contiguous (N, k) operand, the vectors of the stack as
+rows, which is the kernel one state runs, so each member of a stack gets its
+own run's bits.  :func:`eh2_step` and :func:`ekf_step` wrap them for the
+validated state containers.  Each value is checked once on that path: the
+containers' constructors check what a caller builds, the steps check the new
+estimate (:func:`~eh2marg.dynamics.checked_state`), and :class:`EKFState`
+checks the EKF's new covariance for finiteness.  The new estimate and the
+unchanged gain go into the new containers through private constructors that
+do not check them again, and mark them read-only: every container keeps
+read-only arrays, which the public constructors copy.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -55,6 +54,7 @@ from .errors import DegenerateSample, InnovationCovSingular
 from .kinematics import (
     EPS_GIMBAL,
     EulerAngles,
+    _Container,
     _check_gimbal,
     _columns,
     _euler_rates,
@@ -91,12 +91,13 @@ _HALF = _frozen(0.5)
 _GRAVITY_AXIS_RTOL = 1e-12
 
 @dataclass(frozen=True)
-class EH2FilterState:
+class EH2FilterState(_Container):
     """Extended-H2 filter state: the estimate plus the fixed gain L0.
 
     L0 should come from a :class:`~eh2marg.synthesis.GainCertificate` with
     ``lmi_feasible`` true (or from a gain file exported from one); the
-    state keeps a read-only copy.
+    state keeps a read-only copy, and the gain table L0 C_h of the world it
+    was last stepped in, which :func:`eh2_step` builds and passes on.
     """
 
     xhat: EulerState
@@ -106,21 +107,20 @@ class EH2FilterState:
         L0 = _frozen(self.L0)
         if L0.shape != (6, 6) or not _finite(L0):
             raise ValueError("L0 must be a finite 6x6 matrix")
-        object.__setattr__(self, "L0", L0)
+        self.__dict__.update(L0=L0, _world=None, _table=None)
 
     @classmethod
-    def _from_checked(cls, xhat: EulerState, L0: NDArray[np.float64]) -> "EH2FilterState":
-        """The state the constructor builds from ``xhat`` and the ``L0`` of
-        a state it built, without checking L0 again: :func:`eh2_step` calls
-        it with the gain it has just stepped with, and a non-finite gain
-        would have made :func:`eh2` raise NonFiniteState."""
+    def _from_checked(cls, xhat, L0, world, table) -> "EH2FilterState":
+        """The state the constructor builds, holding ``table`` = L0 C_h in
+        ``world``, from what :func:`eh2_step` has just stepped with: L0 is not
+        checked again, as a non-finite gain would have made :func:`eh2` raise."""
         state = object.__new__(cls)
-        state.__dict__.update(xhat=xhat, L0=L0)
+        state.__dict__.update(xhat=xhat, L0=L0, _world=world, _table=table)
         return state
 
 
 @dataclass(frozen=True)
-class EKFState:
+class EKFState(_Container):
     """EKF state: the estimate plus a read-only copy of its covariance (symmetrized every step)."""
 
     xhat: EulerState
@@ -133,18 +133,10 @@ class EKFState:
         object.__setattr__(self, "P", P)
 
 
-@lru_cache(maxsize=8)
-def _gain_table(L: bytes, shape: tuple, world: WorldConstants) -> NDArray[np.float64]:
-    """L C_h, read-only, with C_h the h rows of the world's rotation table:
-    built once per distinct gain and world, and keyed on the gain's bytes,
-    so a gain changed in place is never read stale.
-
-    The steps' one per-call cache: no object that :func:`eh2_step` receives
-    holds both L0 and the world to build it once, and forming L C_h on every
-    call would add its 1,296 B to every eh2 step's memory peak."""
-    table = np.frombuffer(L).reshape(shape) @ world.rotation_table()[:6]
-    table.flags.writeable = False
-    return table
+def _folded_gain(L: NDArray[np.float64], world: WorldConstants) -> NDArray[np.float64]:
+    """The gain table :func:`eh2` takes: L C_h, read-only, with C_h the h
+    rows of the world's rotation table."""
+    return _frozen(L @ world.rotation_table()[:6])
 
 
 def eh2(
@@ -152,16 +144,16 @@ def eh2(
     omega: NDArray[np.float64],
     y: NDArray[np.float64],
     L: NDArray[np.float64],
-    world: WorldConstants,
+    gain_table: NDArray[np.float64],
     dt: float,
 ) -> NDArray[np.float64]:
     """One RK4 step of the extended-H2 filter on arrays; y is held over the step.
 
     ``xhat_dot = f(xhat, omega) + L (h(xhat) - y)`` with h = [R g; R h] for
-    the reference vectors of ``world``.  L h(xhat) is taken as
-    (L C_h) m(xhat), with C_h the h rows of the world's rotation table and
-    m the trigonometric products of xhat; L C_h is cached under the bytes
-    of L and the world, and L y is formed once per call.
+    the reference vectors of a world.  L h(xhat) is ``gain_table`` m(xhat):
+    ``gain_table`` is L C_h, C_h the h rows of the world's rotation table,
+    built once per gain and world by the caller, and m the trigonometric
+    products of xhat.  L y is formed once per call.
     ``x``, ``omega`` and ``y`` are (6,), (3,), (6,) for one filter, or
     (6, N), (3, N), (6, N) for N filters that share L and dt.
 
@@ -173,8 +165,6 @@ def eh2(
         If the new estimate is not finite.
     """
 
-    L = np.asarray(L, dtype=np.float64)
-    gain_table = _gain_table(L.tobytes(), L.shape, world)
     # y is held over the step, so L y is the same in all four stages; it
     # stays in the (N, 6) rows np.matvec gives.
     Ly = np.matvec(L, _rows(y))
@@ -263,9 +253,9 @@ def eh2_step(
 ) -> EH2FilterState:
     """Advance the extended-H2 filter one RK4 step (see :func:`eh2`).
 
+    The gain table L0 C_h is the one ``s`` holds if it was stepped in ``w``, or built.
     The new estimate is checked once, by the :func:`~eh2marg.dynamics.checked_state`
-    that ends the step, and the gain not again: both go into the new state
-    as they are.
+    that ends the step, and the gain not again; both go into the new state with the table.
 
     Raises
     ------
@@ -278,9 +268,9 @@ def eh2_step(
     """
     if not 0.0 < dt < np.inf:
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
-    y = sample.stacked_measurement()
-    x = eh2(s.xhat._vector, sample.omega_m, y, s.L0, w, dt)
-    return EH2FilterState._from_checked(EulerState._from_checked(x), s.L0)
+    table = s._table if w is s._world else _folded_gain(s.L0, w)
+    x = eh2(s.xhat._vector, sample.omega_m, sample.stacked_measurement(), s.L0, table, dt)
+    return EH2FilterState._from_checked(EulerState._from_checked(x), s.L0, w, table)
 
 
 def ekf_step(
@@ -312,6 +302,30 @@ def ekf_step(
     y = sample.stacked_measurement()
     x, P = ekf(s.xhat._vector, s.P, sample.omega_m, y, q, w, dt)
     return EKFState(EulerState._from_checked(x), P)
+
+
+class _Plan(NamedTuple):
+    """One filter of a run's table: ``start`` maps N trials' (6, N) initial
+    estimates to its stacked state, estimate first, and ``step`` maps the state
+    and a time step's (3, N) gyro and (6, N) accel/mag to the next one."""
+
+    name: str
+    start: Callable[[NDArray[np.float64]], tuple]
+    step: Callable[..., tuple]
+
+
+def _paper_plans(L0, noise: NoiseParams, world: WorldConstants, dt) -> tuple[_Plan, ...]:
+    """The paper's pair, eh2 then the EKF, built once per run: eh2's gain
+    table L0 C_h is formed here, and the EKF starts from :data:`DEFAULT_P0`."""
+    table = _folded_gain(L0, world)
+    return (
+        _Plan("eh2", lambda x0: (x0,), lambda x, om, y: (eh2(x, om, y, L0, table, dt),)),
+        _Plan(
+            "ekf",
+            lambda x0: (x0, np.repeat(DEFAULT_P0[None], x0.shape[1], axis=0)),
+            lambda x, P, om, y: ekf(x, P, om, y, noise, world, dt),
+        ),
+    )
 
 
 def check_gravity_along_z(w: WorldConstants) -> None:

@@ -1,9 +1,9 @@
 """Scenario generation, Monte-Carlo experiment runner, metrics, and timing.
 
 The harness turns a :class:`ScenarioConfig` into deterministic truth
-trajectories, simulates noisy sensor streams per trial, runs the extended-H2
-filter and the EKF side by side on identical data with interleaved per-step
-timing, and aggregates per-axis error metrics across trials.
+trajectories, simulates noisy sensor streams per trial, runs the filter
+plans (extended-H2 and EKF, built once per run) side by side on identical
+data with interleaved per-step timing, and aggregates per-axis error metrics.
 
 The trials of a run advance together: one loop over time steps a
 component-major ``(6, N)`` stack of every live trial (one column per trial,
@@ -25,14 +25,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ConfigError, Eh2MargError, LengthMismatch
-from .filters import (
-    DEFAULT_P0,
-    check_gravity_along_z,
-    eh2,
-    ekf,
-    initialize_from_first_sample,
-)
-from .kinematics import _frozen, kinematic_matrix_inverse, wrap_angle
+from .filters import _paper_plans, _Plan, check_gravity_along_z, initialize_from_first_sample
+from .kinematics import _Container, _frozen, kinematic_matrix_inverse, wrap_angle
 from .sensors import ImuStream, NoiseParams, WorldConstants, simulate_imu_stream
 from .synthesis import synthesize_gain
 from .linearization import nominal_model
@@ -72,9 +66,6 @@ MAX_STEPS = 500_000
 _CASE_II_PHASES = (0.0, np.pi / 12.0, np.pi / 6.0)
 
 _VALID_CASES = ("I", "II", "custom")
-
-#: The two filters, in the order of ``_TrialBatch``'s leading axis.
-_FILTERS = ("eh2", "ekf")
 
 
 def _as_amplitude_tuple(amplitude_deg: Any) -> tuple[float, float, float] | None:
@@ -250,7 +241,7 @@ class ScenarioConfig:
 
 
 @dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Container):
     """Sampled attitude truth: times, 3-2-1 Euler angles, and Euler-angle rates,
     kept as read-only copies."""
 
@@ -505,9 +496,9 @@ class _Failure(NamedTuple):
 class _TrialBatch(NamedTuple):
     """What :func:`_run_trials` returns for N trials of n samples.
 
-    ``estimates[f, k, j]`` is the attitude of filter f (0 eh2, 1 EKF) for
-    trial j at sample k; rows of failed trials are unspecified.
-    ``step_ns[f, k]`` is the time of filter f's step k divided by the
+    ``estimates[f, k, j]`` is the attitude of plan f for trial j at
+    sample k; rows of failed trials are unspecified.
+    ``step_ns[f, k]`` is the time of plan f's step k divided by the
     number of trials it advanced.  ``failures`` maps a trial's row to why
     it stopped.
     """
@@ -553,19 +544,17 @@ def _advance(
 def _run_trials(
     num_trials: int,
     streams: Iterable[ImuStream],
-    L0: NDArray[np.float64],
     world: WorldConstants,
-    noise: NoiseParams,
-    dt: float,
+    plans: tuple[_Plan, ...],
 ) -> _TrialBatch:
-    """Run both filters over ``num_trials`` streams on one time grid, all trials at once.
+    """Run every plan over ``num_trials`` streams on one time grid, all trials at once.
 
     Each stream is initialized, its gyro and accel/mag samples are copied
     into column j of (n, 3, N) and (n, 6, N) stacks, and the stream is
     dropped, so ``streams`` may be a generator that builds one stream at a
-    time.  Then
-    one loop over time advances every live trial with one stacked call per
-    filter; each call is timed.  A trial whose initialization raises
+    time.  Then one loop over time advances every live trial with one
+    stacked call per plan, all from the same initial estimates; each call
+    is timed.  A trial whose initialization raises
     :class:`~eh2marg.errors.Eh2MargError` or ``ValueError``, or whose step
     raises :class:`~eh2marg.errors.Eh2MargError`, stops there and the others
     carry on.
@@ -589,15 +578,11 @@ def _run_trials(
             failures[j] = _Failure(exc)
     del stream
 
-    steps = (
-        ("eh2", lambda x, om, yk: (eh2(x, om, yk, L0, world, dt),)),
-        ("ekf", lambda x, P, om, yk: ekf(x, P, om, yk, noise, world, dt)),
-    )
     live = np.array(ok, dtype=np.intp)
-    states = [(x0[:, live],), (x0[:, live], np.repeat(DEFAULT_P0[None], len(live), axis=0))]
-    estimates = np.empty((2, n, num_trials, 3))
+    states = [plan.start(x0[:, live]) for plan in plans]
+    estimates = np.empty((len(plans), n, num_trials, 3))
     estimates[:, 0] = x0[:3].T
-    step_ns = np.zeros((2, n - 1))
+    step_ns = np.zeros((len(plans), n - 1))
     for k in range(n - 1):
         if not len(live):
             break
@@ -605,14 +590,14 @@ def _run_trials(
         # instead of copying through ``live``.
         rows = slice(None) if len(live) == num_trials else live
         inputs = (omega[k][:, rows], y[k][:, rows])
-        for f, (name, step) in enumerate(steps):
+        for f, plan in enumerate(plans):
             tic = perf_counter_ns()
-            new, errors = _advance(step, states[f] + inputs)
+            new, errors = _advance(plan.step, states[f] + inputs)
             step_ns[f, k] = (perf_counter_ns() - tic) / len(live)
             if errors:
                 for i, exc in errors.items():
                     failures[int(live[i])] = _Failure(
-                        exc, name, k, float(t[k]), states[f][0][:, i].tolist()
+                        exc, plan.name, k, float(t[k]), states[f][0][:, i].tolist()
                     )
                 keep = np.ones(len(live), dtype=bool)
                 keep[list(errors)] = False
@@ -636,9 +621,9 @@ def run_experiment(
     """Run the full Monte-Carlo comparison for one scenario.
 
     Synthesizes the extended-H2 gain for the config's noise/world unless one
-    is supplied, then per trial: simulate a sensor stream seeded by
-    (cfg.seed, trial), run both filters from the same static initialization,
-    and compute per-axis wrapped-error metrics after the exclusion window.
+    is supplied and the filter plans once, then per trial: simulate a sensor
+    stream seeded by (cfg.seed, trial), run both filters from the same static
+    initialization, and compute per-axis wrapped-error metrics after the exclusion window.
     The trials run in batches of at most ``MAX_STEPS // steps`` that advance
     together (see :func:`_run_trials`).  A failing trial is recorded with
     its error, filter, step and time, and does not stop the others.
@@ -673,7 +658,8 @@ def run_experiment(
     for key in ("h2_norm", "gamma", "max_closedloop_real_eig", "lmi_feasible"):
         gain_record[key] = None if cert is None else getattr(cert, key)
     body_rates = traj.body_rates()
-    dt = 1.0 / cfg.imu_rate
+    plans = _paper_plans(L0, cfg.noise, cfg.world, 1.0 / cfg.imu_rate)
+    names = [plan.name for plan in plans]
 
     out_path: Path | None = None
     if out_dir is not None:
@@ -692,7 +678,7 @@ def run_experiment(
             )
             for trial in members
         )
-        batch = _run_trials(len(members), streams, L0, cfg.world, cfg.noise, dt)
+        batch = _run_trials(len(members), streams, cfg.world, plans)
         timing = [_timing_block(ns * 1e-6) for ns in batch.step_ns]
         for row, trial in enumerate(members):
             if row in batch.failures:
@@ -700,9 +686,9 @@ def run_experiment(
                 continue
             estimates = batch.estimates[:, :, row]
             record: dict[str, Any] = {
-                "trial": trial, "ok": True, "timing": dict(zip(_FILTERS, map(dict, timing)))
+                "trial": trial, "ok": True, "timing": dict(zip(names, map(dict, timing)))
             }
-            for name, est in zip(_FILTERS, estimates):
+            for name, est in zip(names, estimates):
                 record[name] = compute_metrics(traj, est, exclude_initial).to_dict()
             trials.append(record)
             if out_path is not None:
@@ -715,7 +701,7 @@ def run_experiment(
         "exclude_initial": float(exclude_initial),
         "gain": gain_record,
         "trials": trials,
-        "aggregate": _aggregate(trials),
+        "aggregate": _aggregate(trials, names),
     }
     if out_path is not None:
         with open(out_path / "metrics.json", "w") as fh:
@@ -724,16 +710,16 @@ def run_experiment(
     return result
 
 
-def _aggregate(trials: list[dict[str, Any]]) -> dict[str, Any]:
-    """metrics.json's aggregate over the successful trial records: per filter
-    the mean RMS, least err_min and greatest err_max per axis, the eh2 yaw
-    wins, and the mean of each timing statistic with the eh2/EKF ratio."""
+def _aggregate(trials: list[dict[str, Any]], names: list[str]) -> dict[str, Any]:
+    """metrics.json's aggregate over the successful trial records: for each of
+    ``names`` the mean RMS, least err_min and greatest err_max per axis, the
+    eh2 yaw wins, and the mean of each timing statistic with the eh2/EKF ratio."""
     ok = [rec for rec in trials if rec["ok"]]
     aggregate: dict[str, Any] = {"num_ok": len(ok), "num_failed": len(trials) - len(ok)}
     if not ok:
         return aggregate
     reductions = {"rms_deg": np.mean, "err_min_deg": np.min, "err_max_deg": np.max}
-    for name in _FILTERS:
+    for name in names:
         aggregate[name] = {
             key: reduce([rec[name][key] for rec in ok], axis=0).tolist()
             for key, reduce in reductions.items()
@@ -743,7 +729,7 @@ def _aggregate(trials: list[dict[str, Any]]) -> dict[str, Any]:
     )
     timing = {
         f"{name}_{stat}": float(np.mean([rec["timing"][name][stat] for rec in ok]))
-        for name in _FILTERS
+        for name in names
         for stat in ("mean_ms", "p50_ms", "p95_ms")
     }
     mean_eh2, mean_ekf = timing["eh2_mean_ms"], timing["ekf_mean_ms"]

@@ -40,7 +40,7 @@ singularity instead of returning huge ``tan``/``sec`` values.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -74,6 +74,14 @@ def _frozen(values: ArrayLike) -> NDArray[np.float64]:
     arr = np.array(values, dtype=np.float64)
     arr.flags.writeable = False
     return arr
+
+
+class _Container:
+    """Base of the frozen containers: copy, deepcopy and pickle rebuild one
+    through its public constructor, with read-only arrays and views."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 #: pi and 2 pi, the operands of _wrapped, as 0-d arrays.

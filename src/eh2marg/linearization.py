@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .kinematics import _check_gimbal, _columns, _frozen, _monomials, _sin_cos
+from .kinematics import _Container, _check_gimbal, _columns, _frozen, _monomials, _sin_cos
 from .sensors import NoiseParams, WorldConstants
 
 __all__ = [
@@ -42,7 +42,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class LinearModel:
+class LinearModel(_Container):
     """Matrices of the linearized plant x_dot = A x + Bw w, y = Cy x + Dw w.
 
     Noise enters through a single stacked channel w = [n_w; n_b; n_a; n_m]

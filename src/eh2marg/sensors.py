@@ -15,7 +15,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .errors import LengthMismatch
-from .kinematics import _frozen, _matrix, _rotate, _rotation_table, _sin_cos
+from .kinematics import _Container, _frozen, _matrix, _rotate, _rotation_table, _sin_cos
 
 __all__ = ["ImuSample", "ImuStream", "NoiseParams", "WorldConstants", "simulate_imu_stream"]
 
@@ -41,7 +41,7 @@ def _floats3(values: ArrayLike, name: str) -> list[float]:
 
 
 @dataclass(frozen=True)
-class NoiseParams:
+class NoiseParams(_Container):
     """Per-axis sensor noise standard deviations.
 
     Defaults are MPU-9250-like values; override via configuration.  Each
@@ -75,7 +75,7 @@ class NoiseParams:
 
 
 @dataclass(frozen=True)
-class WorldConstants:
+class WorldConstants(_Container):
     """Inertial-frame reference vectors sensed by the accelerometer and magnetometer.
 
     The vectors are copied on construction into the rows of one read-only
@@ -101,21 +101,17 @@ class WorldConstants:
         g, h = rows
         object.__setattr__(self, "g_inertial", g)
         object.__setattr__(self, "h_inertial", h)
-        if np.linalg.norm(g) == 0.0:
+        if not g.any():
             raise ValueError("g_inertial must be nonzero")
-        if np.linalg.norm(h) == 0.0:
+        if not h.any():
             raise ValueError("h_inertial must be nonzero")
-        cross = np.linalg.norm(np.cross(g, h))
-        if cross <= 1e-10 * np.linalg.norm(g) * np.linalg.norm(h):
+        # Each row scaled by its largest |entry|: no norm under- or overflows.
+        g1, h1 = rows / np.abs(rows).max(axis=1, keepdims=True)
+        if np.linalg.norm(np.cross(g1, h1)) <= 1e-10 * np.linalg.norm(g1) * np.linalg.norm(h1):
             raise ValueError("h_inertial must not be parallel to g_inertial")
         object.__setattr__(self, "_table", _rotation_table(rows))
         # Over the floats, not the bytes: -0.0 == 0.0 for __eq__ and hash().
-        # Taken once, as eh2's gain-table cache hashes the world every step
-        # and compares it with the cached one whenever they are not the
-        # same object.
-        key = tuple(rows.ravel().tolist())
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+        object.__setattr__(self, "_key", tuple(rows.ravel().tolist()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WorldConstants):
@@ -123,7 +119,7 @@ class WorldConstants:
         return self._key == other._key
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self._key)
 
     def rotation_table(self) -> NDArray[np.float64]:
         """The read-only (24, 27) table of
@@ -134,7 +130,7 @@ class WorldConstants:
 
 
 @dataclass(frozen=True)
-class ImuSample:
+class ImuSample(_Container):
     """One timestamped gyro/accel/mag measurement triple.
 
     The three vectors are copied on construction into one read-only

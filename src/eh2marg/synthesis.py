@@ -24,7 +24,7 @@ from numpy.typing import NDArray
 
 from .errors import NonConvergence, SynthesisFailure, UnstableClosedLoop
 from .linearization import LinearModel
-from .kinematics import _frozen
+from .kinematics import _Container, _frozen
 
 __all__ = [
     "GainCertificate",
@@ -43,7 +43,7 @@ LMI_EIG_TOL = -1e-9
 
 
 @dataclass(frozen=True)
-class GainCertificate:
+class GainCertificate(_Container):
     """A synthesized estimator gain, kept read-only, with its optimality and stability evidence."""
 
     L: NDArray[np.float64]

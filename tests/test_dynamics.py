@@ -14,11 +14,17 @@ from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
 from eh2marg import (
+    EH2FilterState,
+    EKFState,
     EulerAngles,
     EulerState,
     GimbalLockError,
+    ImuSample,
+    NoiseParams,
     NonFiniteState,
+    Trajectory,
     WorldConstants,
+    eh2_step,
 )
 from eh2marg.dynamics import checked_state, process_model, rk4_step
 from eh2marg.linearization import jacobians_measurement
@@ -170,6 +176,54 @@ def test_copied_and_pickled_states_keep_one_read_only_vector():
             assert np.shares_memory(copied.bias, kept) and copied.bias.base is kept
             assert not kept.flags.writeable and not copied.bias.flags.writeable
             assert copied.attitude == state.attitude
+
+
+def _arrays(obj, name="obj"):
+    """Every array a container holds, with its path: fields, derived private
+    attributes, the arrays in tuples, and those of nested containers."""
+    if isinstance(obj, np.ndarray):
+        yield name, obj
+    elif isinstance(obj, tuple):
+        for i, v in enumerate(obj):
+            yield from _arrays(v, f"{name}[{i}]")
+    elif hasattr(obj, "__dict__"):
+        for key, v in vars(obj).items():
+            yield from _arrays(v, f"{name}.{key}")
+
+
+def _containers(cert, model):
+    traj = Trajectory(np.arange(3.0), np.zeros((3, 3)), np.ones((3, 3)))
+    x0 = EulerState(EulerAngles(0.1, -0.2, 0.3), np.array([0.01, -0.02, 0.03]))
+    sample = ImuSample(0.0, [0.1, 0.2, 0.3], [0.0, 0.0, 9.81], [0.48, 0.0, 0.58])
+    stepped = eh2_step(EH2FilterState(x0, cert.L), sample, WorldConstants(), 0.01)
+    return [
+        x0, EulerState._from_checked(x0.as_vector()), stepped, EKFState(x0), sample,
+        NoiseParams(), WorldConstants(), cert, traj, model,
+    ]
+
+
+def test_frozen_containers_keep_read_only_arrays_through_copies(cert, model):
+    copies = (copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c)))
+    for original in _containers(cert, model):
+        for copied in map(lambda f: f(original), copies):
+            assert type(copied) is type(original)
+            want = {name: a.tobytes() for name, a in _arrays(original)}
+            got = dict(_arrays(copied))
+            # A state's gain table and its world are rebuilt on the next
+            # step, not copied.
+            lost = set(want) - set(got)
+            assert all(n.startswith(("obj._table", "obj._world")) for n in lost), lost
+            for name, arr in got.items():
+                assert not arr.flags.writeable, name
+                if name in want:
+                    assert arr.tobytes() == want[name], name
+            if isinstance(copied, ImuSample):
+                assert np.shares_memory(copied.a_m, copied.stacked_measurement())
+                assert np.shares_memory(copied.m_m, copied.stacked_measurement())
+            for state in (copied, getattr(copied, "xhat", None)):
+                if isinstance(state, EulerState):
+                    assert np.shares_memory(state.bias, state._vector)
+
 
 class TestIntegrateStep:
     def test_zero_rate_fixed_point(self):

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -41,6 +41,11 @@ def _sample_at(x: EulerState, world, omega_m=None, t=0.0) -> ImuSample:
     y = _h(x, world)
     omega = x.bias.copy() if omega_m is None else np.asarray(omega_m, dtype=float)
     return ImuSample(t=t, omega_m=omega, a_m=y[:3], m_m=y[3:])
+
+
+def _table(L, world) -> np.ndarray:
+    """eh2's gain table L C_h, with C_h the h rows of the world's rotation table."""
+    return L @ world.rotation_table()[:6]
 
 
 def _h(x: EulerState, world) -> np.ndarray:
@@ -389,15 +394,14 @@ class TestStepContainers:
     def test_steps_build_what_the_constructors_build(
         self, world, noise, cert, angles, bias, gain, p_scale, omega, y_noise, copy_world
     ):
-        # Cached world or an equal copy: the copy makes the gain-table
-        # cache compare worlds by value.
+        # The world itself or an equal copy, built apart.
         x0 = EulerState(EulerAngles(*angles), np.array(bias))
         L0 = cert.L + np.reshape(gain, (6, 6))
         y = _h(x0, world) + np.array(y_noise)
         sample = ImuSample(t=0.0, omega_m=np.array(omega), a_m=y[:3], m_m=y[3:])
         x, P0 = x0.as_vector(), DEFAULT_P0 * p_scale
         try:
-            x_eh2 = eh2(x, sample.omega_m, y, L0, world, DT)
+            x_eh2 = eh2(x, sample.omega_m, y, L0, _table(L0, world), DT)
             x_ekf, P = ekf(x, P0, sample.omega_m, y, noise, world, DT)
         except GimbalLockError:
             assume(False)
@@ -413,6 +417,24 @@ class TestStepContainers:
         _assert_same_container(got_eh2, want_eh2, "L0")
         _assert_same_container(got_ekf, want_ekf, "P")
         assert got_eh2.L0 is s_eh2.L0
+
+    def test_state_steps_with_the_gain_table_of_each_world(self, world, cert):
+        # A state keeps the gain table of the world it was last stepped in;
+        # a step in another world, and in an equal copy of it, must take
+        # that world's L0 C_h, never the table the state brought along.
+        other = WorldConstants([0.0, 0.0, 9.81], [0.2, 0.3, 0.5])
+        twin = WorldConstants(other.g_inertial.copy(), other.h_inertial.copy())
+        x0 = EulerState(EulerAngles(0.1, -0.2, 0.3), np.array([0.001, -0.002, 0.003]))
+        sample = _sample_at(x0, world, omega_m=[0.05, -0.02, 0.01])
+        y = sample.stacked_measurement()
+        s = EH2FilterState(x0, cert.L)
+        for w in (world, world, other, other, twin, twin):
+            x = s.xhat.as_vector()
+            want = eh2(x, sample.omega_m, y, cert.L, _table(cert.L, w), DT)
+            stale = eh2(x, sample.omega_m, y, cert.L, _table(cert.L, world), DT)
+            s = eh2_step(s, sample, w, DT)
+            assert s.xhat.as_vector().tobytes() == want.tobytes()
+            assert w == world or not np.array_equal(want, stale)
 
     def test_one_step_of_each_checks_each_value_once(self, world, noise, cert, monkeypatch):
         # The design: every new state is checked once, by checked_state
@@ -474,11 +496,12 @@ class TestStackedSteps:
 
     def test_eh2_rows_match_single_steps(self, world, cert):
         x, omega, y, _ = self._inputs(world)
-        out = eh2(x, omega, y, cert.L, world, DT)
+        table = _table(cert.L, world)
+        out = eh2(x, omega, y, cert.L, table, DT)
         assert out.shape == x.shape
         for k in range(x.shape[1]):
             assert np.array_equal(
-                out[:, k], eh2(x[:, k], omega[:, k], y[:, k], cert.L, world, DT)
+                out[:, k], eh2(x[:, k], omega[:, k], y[:, k], cert.L, table, DT)
             )
 
     def test_ekf_rows_match_single_steps(self, world, noise):
@@ -495,6 +518,9 @@ class TestStackedSteps:
         st.lists(st.floats(-10.0, 10.0), min_size=6, max_size=6),
         st.integers(0, 2**32 - 1),
     )
+    # |h| = 2.35e-163: its norm underflows to 0, and so did WorldConstants'
+    # zero and parallel tests.
+    @example(n=1, refs=[0.0, 7.0, 0.0, 0.0, 0.0, 2.3548390273400154e-163], seed=0)
     def test_stacks_equal_rows_for_any_references(self, noise, cert, n, refs, seed):
         # h, Cy and eh2's L h are read off tables built per world; any pair
         # of non-parallel reference vectors must give each state's own
@@ -515,45 +541,34 @@ class TestStackedSteps:
         jac_all = jacobians_measurement(x[:3], world)
         y = jac_all[0] + rng.normal(0.0, 0.01, (n, 6)).T
         P = DEFAULT_P0 * rng.uniform(0.5, 2.0, size=(n, 1, 1))
-        eh2_all = eh2(x, omega, y, cert.L, world, DT)
         ekf_all = ekf(x, P, omega, y, noise, world, DT)
         for k in range(n):
             h_row, Cy_row = jacobians_measurement(x[:3, k], world)
             assert np.array_equal(jac_all[0][:, k], h_row)
             assert np.array_equal(jac_all[1][k], Cy_row)
-            assert np.array_equal(
-                eh2_all[:, k], eh2(x[:, k], omega[:, k], y[:, k], cert.L, world, DT)
-            )
             x_row, P_row = ekf(x[:, k], P[k], omega[:, k], y[:, k], noise, world, DT)
             assert np.array_equal(ekf_all[0][:, k], x_row)
             assert np.array_equal(ekf_all[1][k], P_row)
-        # eh2 caches L C_h under the bytes of L and the world.  A gain
-        # changed in place between two calls, and a second world, must each
-        # give the bits of an RK4 with L C_h formed afresh as
-        # L @ rotation_table()[:6], and what f(x) + L (h(x) - y) integrates
-        # to without any gain table; an equal world built separately must
-        # give the same bits.
-        L = cert.L.copy()
+        # In this world and a second one, eh2 with L C_h must give the bits
+        # of an RK4 of f(x) + (L C_h) m(x) - L y, each row its own state's,
+        # and what f(x) + L (h(x) - y) integrates to without a gain table.
+        L = cert.L
         for w in (world, WorldConstants(h, g)):
-            for _ in range(2):
-                got = eh2(x, omega, y, L, w, DT)
-                table = L @ w.rotation_table()[:6]
-                xdot = lambda xs: process_model(xs, omega) + (
-                    np.matvec(table, _monomials(*_sin_cos(xs[:3])))
-                    - np.matvec(L, np.ascontiguousarray(y.T))
-                ).T
-                assert np.array_equal(got, rk4_step(xdot, x, DT))
-                xdot = lambda xs: process_model(xs, omega) + L @ (
-                    jacobians_measurement(xs[:3], w)[0] - y
+            table = _table(L, w)
+            got = eh2(x, omega, y, L, table, DT)
+            xdot = lambda xs: process_model(xs, omega) + (
+                np.matvec(table, _monomials(*_sin_cos(xs[:3])))
+                - np.matvec(L, np.ascontiguousarray(y.T))
+            ).T
+            assert np.array_equal(got, rk4_step(xdot, x, DT))
+            xdot = lambda xs: process_model(xs, omega) + L @ (
+                jacobians_measurement(xs[:3], w)[0] - y
+            )
+            assert_allclose(got, rk4_step(xdot, x, DT), rtol=0.0, atol=1e-12)
+            for k in range(n):
+                assert np.array_equal(
+                    got[:, k], eh2(x[:, k], omega[:, k], y[:, k], L, table, DT)
                 )
-                assert_allclose(got, rk4_step(xdot, x, DT), rtol=0.0, atol=1e-12)
-                twin = WorldConstants(w.g_inertial.copy(), w.h_inertial.copy())
-                assert np.array_equal(got, eh2(x, omega, y, L, twin, DT))
-                for k in range(n):
-                    assert np.array_equal(
-                        got[:, k], eh2(x[:, k], omega[:, k], y[:, k], L, w, DT)
-                    )
-                L *= 1.5
 
     @staticmethod
     def _non_contiguous(a, layout):
@@ -596,7 +611,8 @@ class TestStackedSteps:
         assert not any(a.flags.c_contiguous for a in (xv, omv, yv, Pv))
         f_all = process_model(xv, omv)
         h_all, Cy_all = jacobians_measurement(xv[:3], world)
-        eh2_all = eh2(xv, omv, yv, cert.L, world, DT)
+        table = _table(cert.L, world)
+        eh2_all = eh2(xv, omv, yv, cert.L, table, DT)
         x_all, P_all = ekf(xv, Pv, omv, yv, noise, world, DT)
         for k in range(n):
             xk, omk, yk, Pk = x[:, k].copy(), omega[:, k].copy(), y[:, k].copy(), P[k].copy()
@@ -604,7 +620,7 @@ class TestStackedSteps:
             h, Cy = jacobians_measurement(xk[:3], world)
             assert np.array_equal(h_all[:, k], h)
             assert np.array_equal(Cy_all[k], Cy)
-            assert np.array_equal(eh2_all[:, k], eh2(xk, omk, yk, cert.L, world, DT))
+            assert np.array_equal(eh2_all[:, k], eh2(xk, omk, yk, cert.L, table, DT))
             x_new, P_new = ekf(xk, Pk, omk, yk, noise, world, DT)
             assert np.array_equal(x_all[:, k], x_new)
             assert np.array_equal(P_all[k], P_new)
@@ -613,7 +629,7 @@ class TestStackedSteps:
         x, omega, y, _ = self._inputs(world)
         x[1, 3] = np.pi / 2.0 - EPS_GIMBAL / 2.0
         with pytest.raises(GimbalLockError, match=r"rows \[3\]"):
-            eh2(x, omega, y, cert.L, world, DT)
+            eh2(x, omega, y, cert.L, _table(cert.L, world), DT)
 
 
 def _peak_bytes(call) -> int:
@@ -634,6 +650,7 @@ def test_one_state_eh2_step_allocates_well_under_the_ekf(world, noise, cert):
     x = np.array([0.1, -0.2, 0.3, 0.001, -0.002, 0.003])
     omega = np.array([0.05, -0.02, 0.01])
     y = _h(EulerState.from_vector(x), world) + 0.01
-    eh2_peak = _peak_bytes(lambda: eh2(x, omega, y, cert.L, world, DT))
+    table = _table(cert.L, world)
+    eh2_peak = _peak_bytes(lambda: eh2(x, omega, y, cert.L, table, DT))
     ekf_peak = _peak_bytes(lambda: ekf(x, DEFAULT_P0, omega, y, noise, world, DT))
     assert eh2_peak <= 0.4 * ekf_peak, (eh2_peak, ekf_peak)

@@ -15,6 +15,7 @@ from eh2marg.errors import ConfigError, LengthMismatch, NonFiniteState
 from eh2marg.filters import (
     EH2FilterState,
     EKFState,
+    _paper_plans,
     eh2,
     eh2_step,
     ekf_step,
@@ -712,6 +713,10 @@ class TestRunTimingBenchmark:
 
 class TestRunTrials:
     @staticmethod
+    def _plans(gain, cfg):
+        return _paper_plans(gain, cfg.noise, cfg.world, 1.0 / cfg.imu_rate)
+
+    @staticmethod
     def _streams(cfg, trials):
         traj = generate_trajectory(cfg)
         return traj, [
@@ -728,8 +733,9 @@ class TestRunTrials:
         traj, streams = self._streams(cfg, range(3))
         streams[1].a_m[50, 0] = np.nan
         _, (s0, s2) = self._streams(cfg, (0, 2))
-        batch = harness._run_trials(3, streams, cert.L, cfg.world, cfg.noise, dt)
-        ref = harness._run_trials(2, [s0, s2], cert.L, cfg.world, cfg.noise, dt)
+        plans = self._plans(cert.L, cfg)
+        batch = harness._run_trials(3, streams, cfg.world, plans)
+        ref = harness._run_trials(2, [s0, s2], cfg.world, plans)
 
         assert list(batch.failures) == [1]
         failure = batch.failures[1]
@@ -744,22 +750,21 @@ class TestRunTrials:
         # last_state is the state the failing eh2 step started from: the
         # state after 50 steps of trial 1 run alone, as six JSON floats.
         x = initialize_from_first_sample(streams[1].sample(0), cfg.world).as_vector()
+        table = cert.L @ cfg.world.rotation_table()[:6]
         for k in range(50):
             smp = streams[1].sample(k)
-            x = eh2(x, smp.omega_m, smp.stacked_measurement(), cert.L,
-                    cfg.world, dt)
+            x = eh2(x, smp.omega_m, smp.stacked_measurement(), cert.L, table, dt)
         assert record["last_state"] == failure.last_state == x.tolist()
         assert json.loads(json.dumps(record))["last_state"] == x.tolist()
         assert np.array_equal(batch.estimates[0, 50, 1], x[:3])
 
     def test_nonfinite_first_sample_fails_only_that_trial(self, cert):
         cfg = ScenarioConfig.case_ii(num_trials=2)
-        dt = 1.0 / cfg.imu_rate
         _, streams = self._streams(cfg, range(2))
         streams[1].a_m[0, 0] = np.nan
         _, clean = self._streams(cfg, range(2))
-        batch = harness._run_trials(2, streams, cert.L, cfg.world, cfg.noise, dt)
-        ref = harness._run_trials(2, clean, cert.L, cfg.world, cfg.noise, dt)
+        batch = harness._run_trials(2, streams, cfg.world, self._plans(cert.L, cfg))
+        ref = harness._run_trials(2, clean, cfg.world, self._plans(cert.L, cfg))
 
         assert list(batch.failures) == [1]
         record = batch.failures[1].record()
@@ -772,11 +777,10 @@ class TestRunTrials:
 
     def test_one_trial_matches_a_stack_row(self, cert):
         cfg = ScenarioConfig.case_ii(num_trials=4)
-        dt = 1.0 / cfg.imu_rate
         _, streams = self._streams(cfg, range(4))
         _, (s0,) = self._streams(cfg, (0,))
-        stacked = harness._run_trials(4, streams, cert.L, cfg.world, cfg.noise, dt)
-        single = harness._run_trials(1, [s0], cert.L, cfg.world, cfg.noise, dt)
+        stacked = harness._run_trials(4, streams, cfg.world, self._plans(cert.L, cfg))
+        single = harness._run_trials(1, [s0], cfg.world, self._plans(cert.L, cfg))
         assert np.array_equal(stacked.estimates[:, :, :1], single.estimates)
         assert np.all(stacked.step_ns > 0.0) and np.all(single.step_ns > 0.0)
 
@@ -784,8 +788,31 @@ class TestRunTrials:
         cfg = ScenarioConfig.case_ii(num_trials=2)
         _, streams = self._streams(cfg, range(2))
         batch = harness._run_trials(
-            2, streams, np.full((6, 6), 1e3), cfg.world, cfg.noise, 1.0 / cfg.imu_rate
+            2, streams, cfg.world, self._plans(np.full((6, 6), 1e3), cfg)
         )
         assert sorted(batch.failures) == [0, 1]
         last = max(f.step for f in batch.failures.values())
         assert np.all(batch.step_ns[:, last + 1:] == 0.0)
+
+    def test_one_plan_twice_runs_bit_identical_columns(self, cert):
+        # Plans in one table run on the same streams from the same initial
+        # estimates: the eh2 plan under two names gives two equal columns,
+        # and the failures and columns the eh2 plan gives alone.
+        cfg = ScenarioConfig.case_ii(num_trials=3)
+        traj, streams = self._streams(cfg, range(3))
+        streams[1].a_m[50, 0] = np.nan
+        eh2_plan = self._plans(cert.L, cfg)[0]
+        twice = (eh2_plan._replace(name="a"), eh2_plan._replace(name="b"))
+        batch = harness._run_trials(3, streams, cfg.world, twice)
+        alone = harness._run_trials(3, streams, cfg.world, (eh2_plan,))
+
+        assert batch.estimates.shape == (2, len(traj), 3, 3)
+        assert batch.step_ns.shape == (2, len(traj) - 1)
+        ok = [0, 2]
+        assert batch.estimates[0][:, ok].tobytes() == batch.estimates[1][:, ok].tobytes()
+        assert batch.estimates[0][:, ok].tobytes() == alone.estimates[0][:, ok].tobytes()
+        assert list(batch.failures) == list(alone.failures) == [1]
+        got, want = batch.failures[1], alone.failures[1]
+        assert (got.filter, want.filter) == ("a", "eh2")
+        assert (got.step, got.t, got.last_state) == (want.step, want.t, want.last_state)
+        assert type(got.error) is type(want.error) is NonFiniteState

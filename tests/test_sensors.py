@@ -57,6 +57,19 @@ class TestWorldConstants:
         with pytest.raises(ValueError):
             WorldConstants(h_inertial=[0.0, 0.0, -3.0])
 
+    @pytest.mark.parametrize("scale", [1e-170, 1.0, 1e170])
+    def test_checks_hold_at_any_scale(self, scale):
+        # A norm of a tiny vector underflows to 0 and one of a huge vector
+        # overflows; neither may decide whether a vector is zero or parallel.
+        g, h = np.array([0.0, 0.0, 9.81]), np.array([0.48, 0.0, 0.58])
+        WorldConstants(scale * g, scale * h)
+        WorldConstants(scale * g, h)
+        WorldConstants([scale, 0.0, 0.0], [0.0, scale, 0.0])
+        with pytest.raises(ValueError, match="parallel"):
+            WorldConstants(scale * g, -2.0 * scale * g)
+        with pytest.raises(ValueError, match="nonzero"):
+            WorldConstants(scale * g, 0.0 * h)
+
 
 def test_simulate_gyro_noise_free():
     stream = _stream(np.zeros((4, 3)), rates=[0.3, 0.0, -0.1])

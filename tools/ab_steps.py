@@ -16,17 +16,22 @@ ones, so both see the same host speed.  Every layer is timed over
   the first ``CALLS`` samples, the per-step work of the ``stream``
   benchmark workload (``benchmark/workloads.py::_public_filters``) without
   its clock reads and estimate copies.
-* ``eh2 N=1``/``ekf N=1``: ``filters.eh2``/``filters.ekf`` on the arrays of
-  one state, which the public steps wrap.
+* ``eh2 N=1``/``ekf N=1``: the steps of the side's filter plans
+  (``filters._paper_plans``, built once) on the arrays of one state, as
+  ``filters.eh2``/``filters.ekf`` run under the public steps.
 * ``eh2 N=10``/``ekf N=10``: the same on a (6, 10) stack, as the Monte-Carlo
   harness calls them.
 * ``jac N=1``/``jac N=10``: ``linearization.jacobians_process`` on the
   attitude and body rates of one state and of the stack, as ``filters.ekf``
   calls it.
 
-Every layer steps with an equal copy of the world that filled the side's
-gain-table cache, as every repetition of a benchmark workload after its
-first does.
+A tree without filter plans runs the N=1 and N=10 layers through step
+functions of the same form, around its ``filters.eh2(..., gain, world,
+dt)`` and ``filters.ekf``, so both sides pay the same call.  Every layer
+steps with an equal copy of the world the side was set up with, as every
+repetition of a benchmark workload after its first does; on a tree
+without plans, that copy finds the gain table its ``filters.eh2`` cached
+for the first world.
 
 The inputs are the ``stream`` workload's: a 20 deg three-axis sinusoid at
 0.5 rad/s and 100 Hz, its sensor stream for seed ``SEED`` (11), and the
@@ -80,10 +85,18 @@ def layers(pkg) -> dict:
     gain = pkg.synthesize_gain(pkg.nominal_model(q, world)).L
     x0 = pkg.initialize_from_first_sample(stream.sample(0), world)
     samples = [stream.sample(k) for k in range(CALLS)]
-    # Fill the gain-table cache with this world, then step with an equal copy.
-    filters.eh2(x0.as_vector(), samples[0].omega_m, samples[0].stacked_measurement(),
-                gain, world, dt)
     step_world = pkg.WorldConstants(world.g_inertial.copy(), world.h_inertial.copy())
+    if hasattr(filters, "_paper_plans"):
+        eh2_plan, ekf_plan = (p.step for p in filters._paper_plans(gain, q, step_world, dt))
+    else:  # filters.eh2 takes the world: fill its gain-table cache with the first one
+        filters.eh2(x0.as_vector(), samples[0].omega_m, samples[0].stacked_measurement(),
+                    gain, world, dt)
+
+        def eh2_plan(x, om, y):
+            return (filters.eh2(x, om, y, gain, step_world, dt),)
+
+        def ekf_plan(x, P, om, y):
+            return filters.ekf(x, P, om, y, q, step_world, dt)
 
     def eh2_step():
         s = pkg.EH2FilterState(x0, gain)
@@ -126,10 +139,10 @@ def layers(pkg) -> dict:
         "ekf_step": ekf_step,
         "stream.sample": sample,
         "stream loop": stream_loop,
-        "eh2 N=1": kernel(filters.eh2, x, omega, y, gain, step_world, dt),
-        "ekf N=1": kernel(filters.ekf, x, P, omega, y, q, step_world, dt),
-        f"eh2 N={N_STACK}": kernel(filters.eh2, xs, omegas, ys, gain, step_world, dt),
-        f"ekf N={N_STACK}": kernel(filters.ekf, xs, Ps, omegas, ys, q, step_world, dt),
+        "eh2 N=1": kernel(eh2_plan, x, omega, y),
+        "ekf N=1": kernel(ekf_plan, x, P, omega, y),
+        f"eh2 N={N_STACK}": kernel(eh2_plan, xs, omegas, ys),
+        f"ekf N={N_STACK}": kernel(ekf_plan, xs, Ps, omegas, ys),
         "jac N=1": kernel(jac, x[:3], omega - x[3:], q),
         f"jac N={N_STACK}": kernel(jac, xs[:3], omegas - xs[3:], q),
     }
