@@ -54,7 +54,7 @@ __all__ = [
     "rk4_step",
 ]
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EulerState(_Container):
     """Filter state: attitude plus gyro bias.
 

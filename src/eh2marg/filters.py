@@ -43,6 +43,7 @@ do not check them again, and mark them read-only: every container keeps
 read-only arrays, which the public constructors copy.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -90,7 +91,7 @@ _HALF = _frozen(0.5)
 #: Largest horizontal share of g (|g_xy| / |g|) that still counts as gravity along +z.
 _GRAVITY_AXIS_RTOL = 1e-12
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EH2FilterState(_Container):
     """Extended-H2 filter state: the estimate plus the fixed gain L0.
 
@@ -119,7 +120,7 @@ class EH2FilterState(_Container):
         return state
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EKFState(_Container):
     """EKF state: the estimate plus a read-only copy of its covariance (symmetrized every step)."""
 
@@ -340,11 +341,9 @@ def check_gravity_along_z(w: WorldConstants) -> None:
     ValueError
         If g_z <= 0 or |(g_x, g_y)| exceeds ``1e-12 |g|``.
     """
-    g = w.g_inertial
-    if g[2] <= 0.0 or np.hypot(g[0], g[1]) > _GRAVITY_AXIS_RTOL * np.linalg.norm(g):
-        raise ValueError(
-            f"initialization assumes gravity along +z, got g_inertial = {g.tolist()}"
-        )
+    g = w.g_inertial.tolist()
+    if g[2] <= 0.0 or math.hypot(g[0], g[1]) > _GRAVITY_AXIS_RTOL * math.hypot(*g):
+        raise ValueError(f"initialization assumes gravity along +z, got g_inertial = {g}")
 
 
 def initialize_from_first_sample(sample: ImuSample, w: WorldConstants) -> EulerState:
@@ -363,12 +362,11 @@ def initialize_from_first_sample(sample: ImuSample, w: WorldConstants) -> EulerS
         attitude unobservable from the accelerometer).
     """
     check_gravity_along_z(w)
-    g_norm = float(np.linalg.norm(w.g_inertial))
+    g_norm = math.hypot(*w.g_inertial.tolist())
     a = sample.a_m
-    if np.linalg.norm(a) < 0.5 * g_norm:
-        raise DegenerateSample(
-            f"|a_m| = {np.linalg.norm(a):.3g} < 0.5 |g| = {0.5 * g_norm:.3g}"
-        )
+    a_norm = math.hypot(*a.tolist())
+    if a_norm < 0.5 * g_norm:
+        raise DegenerateSample(f"|a_m| = {a_norm:.3g} < 0.5 |g| = {0.5 * g_norm:.3g}")
     phi = float(np.arctan2(a[1], a[2]))
     theta = float(-np.arcsin(np.clip(a[0] / g_norm, -1.0, 1.0)))
     # Saturate just inside the gimbal guard so a vertical sample still yields

@@ -240,7 +240,7 @@ class ScenarioConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory(_Container):
     """Sampled attitude truth: times, 3-2-1 Euler angles, and Euler-angle rates,
     kept as read-only copies."""

@@ -78,10 +78,21 @@ def _frozen(values: ArrayLike) -> NDArray[np.float64]:
 
 class _Container:
     """Base of the frozen containers: copy, deepcopy and pickle rebuild one
-    through its public constructor, with read-only arrays and views."""
+    through its public constructor, with read-only arrays and views.  A
+    container that holds arrays declares ``eq=False`` and compares by value
+    here: two of one type are equal when their constructor arguments are,
+    arrays by :func:`numpy.array_equal`."""
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in zip(self.__reduce__()[1], other.__reduce__()[1])
+        )
 
 
 #: pi and 2 pi, the operands of _wrapped, as 0-d arrays.
@@ -142,26 +153,17 @@ class EulerAngles:
     psi: float
 
     def __post_init__(self) -> None:
-        # One pass over local Python floats, tested with math: a filter step
-        # builds one of these.
-        phi = float(self.phi)
-        if not math.isfinite(phi):
-            raise ValueError(f"phi must be finite, got {phi!r}")
-        theta = float(self.theta)
-        if not math.isfinite(theta):
-            raise ValueError(f"theta must be finite, got {theta!r}")
-        psi = float(self.psi)
-        if not math.isfinite(psi):
-            raise ValueError(f"psi must be finite, got {psi!r}")
-        if not -math.pi < phi <= math.pi:
-            raise ValueError(f"phi must lie in (-pi, pi], got {phi!r}; use wrap_angle")
-        if not -math.pi < psi <= math.pi:
-            raise ValueError(f"psi must lie in (-pi, pi], got {psi!r}; use wrap_angle")
-        if not -math.pi / 2.0 < theta < math.pi / 2.0:
-            raise ValueError(f"theta must lie strictly inside (-pi/2, pi/2), got {theta!r}")
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "psi", psi)
+        for name in ("phi", "theta", "psi"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, value)
+        for name in ("phi", "psi"):
+            value = getattr(self, name)
+            if not -math.pi < value <= math.pi:
+                raise ValueError(f"{name} must lie in (-pi, pi], got {value!r}; use wrap_angle")
+        if not -math.pi / 2.0 < self.theta < math.pi / 2.0:
+            raise ValueError(f"theta must lie strictly inside (-pi/2, pi/2), got {self.theta!r}")
 
     @classmethod
     def zero(cls) -> "EulerAngles":
@@ -198,7 +200,8 @@ def _check_gimbal(x: NDArray[np.float64]) -> None:
 
 
 def _sin_cos(a: NDArray[np.float64]) -> tuple:
-    """Sines and cosines of (phi, theta, psi), unpackable in that order.
+    """Sines and cosines of (phi, theta, psi), or of its first rows, unpackable
+    in that order.
 
     A single (3,) attitude yields Python floats, which keep the per-step
     scalar arithmetic cheap; a (3, n) stack yields one length-n row per
@@ -215,23 +218,17 @@ def _series(e: "EulerAngles | ArrayLike") -> NDArray[np.float64]:
     return a.T
 
 
-def _matrix(rows: "list | tuple", like: "list | NDArray[np.float64]") -> NDArray[np.float64]:
-    """A vector or matrix from (nested) entries, or an (n, ...) stack of them.
-
-    ``like`` is a sine/cosine from :func:`_sin_cos`: a list means the entries
-    are Python floats and one array is built; an array means the entries
-    are length-n arrays (or constants) that fill an (n, ...) stack.
+def _matrix(rows: "list | tuple") -> NDArray[np.float64]:
+    """The matrix whose entry (i, j) is ``rows[i][j]``: (r, c) when the
+    entries are Python floats, as :func:`_sin_cos` gives for one attitude,
+    and an (n, r, c) stack when some are length-n arrays, constants mixed in.
     """
-    if isinstance(like, list):
-        return np.array(rows)
-    shape, entries = [len(rows)], rows
-    while isinstance(entries[0], list):
-        shape.append(len(entries[0]))
-        entries = [v for row in entries for v in row]
-    m = np.empty((len(like[0]), len(entries)))
-    for j, v in enumerate(entries):
-        m[:, j] = v
-    return m.reshape(-1, *shape)
+    shape = np.broadcast_shapes(*(np.shape(v) for row in rows for v in row))
+    m = np.empty(shape + (len(rows), len(rows[0])))
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            m[..., i, j] = v
+    return m
 
 
 def _euler_rates(s: ArrayLike, c: ArrayLike, w: NDArray[np.float64]) -> tuple:
@@ -278,7 +275,7 @@ def _rotation_coefficients() -> NDArray[np.float64]:
     eye = np.eye(3)
     corner = np.indices((3, 3, 3)).reshape(3, 27)
     s, c = (corner == 1).astype(np.float64), (corner == 2).astype(np.float64)
-    values = np.array([_rotate(s, c, e_j) for e_j in eye]).transpose(2, 1, 0)
+    values = _matrix(list(zip(*(_rotate(s, c, e_j) for e_j in eye))))
     R = reduce(np.kron, (from_points,) * 3) @ values.reshape(27, 9)
     per_angle = ((derivative, eye, eye), (eye, derivative, eye), (eye, eye, derivative))
     tables = [R] + [reduce(np.kron, ops) @ R for ops in per_angle]
@@ -366,15 +363,13 @@ def kinematic_matrix_inverse(e: "EulerAngles | ArrayLike") -> NDArray[np.float64
     Unlike ``T`` itself this map is defined for all attitudes; no gimbal
     guard is needed.  An (n, 3) angle array gives an (n, 3, 3) stack.
     """
-    s, c = _sin_cos(_series(e))
-    (sp, st, _), (cp, ct, _) = s, c
+    (sp, st), (cp, ct) = _sin_cos(_series(e)[:2])
     return _matrix(
         [
             [1.0, 0.0, -st],
             [0.0, cp, sp * ct],
             [0.0, -sp, cp * ct],
-        ],
-        s,
+        ]
     )
 
 
@@ -396,4 +391,4 @@ def dcm_body_from_inertial(e: "EulerAngles | ArrayLike") -> NDArray[np.float64]:
     """
     s, c = _sin_cos(_series(e))
     columns = [_rotate(s, c, e_j) for e_j in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))]
-    return _matrix([list(row) for row in zip(*columns)], s)
+    return _matrix(list(zip(*columns)))

@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearModel(_Container):
     """Matrices of the linearized plant x_dot = A x + Bw w, y = Cy x + Dw w.
 

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .errors import LengthMismatch
-from .kinematics import _Container, _frozen, _matrix, _rotate, _rotation_table, _sin_cos
+from .kinematics import _Container, _frozen, _rotate, _rotation_table, _sin_cos
 
 __all__ = ["ImuSample", "ImuStream", "NoiseParams", "WorldConstants", "simulate_imu_stream"]
 
@@ -74,7 +74,7 @@ class NoiseParams(_Container):
         return self._variances
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WorldConstants(_Container):
     """Inertial-frame reference vectors sensed by the accelerometer and magnetometer.
 
@@ -82,9 +82,9 @@ class WorldConstants(_Container):
     (2, 3) array, of which ``g_inertial`` and ``h_inertial`` are views, and
     checked once.  The measurement model's rotation table for them is built
     here too: :meth:`rotation_table` returns it to the filter steps.  Two
-    worlds are equal, and hash equal, when their vectors are: both read the
-    tuple of the six floats taken at construction, so -0.0 equals 0.0 and
-    an equality test is one tuple comparison, not a numpy call.
+    worlds are equal, and hash equal, when their vectors are: the hash reads
+    the tuple of the six floats taken at construction, so -0.0 and 0.0,
+    which compare equal, hash equal too.
     """
 
     g_inertial: NDArray[np.float64] = field(
@@ -110,13 +110,8 @@ class WorldConstants(_Container):
         if np.linalg.norm(np.cross(g1, h1)) <= 1e-10 * np.linalg.norm(g1) * np.linalg.norm(h1):
             raise ValueError("h_inertial must not be parallel to g_inertial")
         object.__setattr__(self, "_table", _rotation_table(rows))
-        # Over the floats, not the bytes: -0.0 == 0.0 for __eq__ and hash().
+        # Over the floats, not the bytes: hash(-0.0) == hash(0.0).
         object.__setattr__(self, "_key", tuple(rows.ravel().tolist()))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WorldConstants):
-            return NotImplemented
-        return self._key == other._key
 
     def __hash__(self) -> int:
         return hash(self._key)
@@ -129,7 +124,7 @@ class WorldConstants(_Container):
         return self._table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImuSample(_Container):
     """One timestamped gyro/accel/mag measurement triple.
 
@@ -265,6 +260,6 @@ def simulate_imu_stream(
 
     omega_m = body_rates + bias + p.n_w * gyro_white
     s, c = _sin_cos(angles.T)
-    a_m = _matrix(_rotate(s, c, w.g_inertial.tolist()), s) + p.n_a * accel_white
-    m_m = _matrix(_rotate(s, c, w.h_inertial.tolist()), s) + p.n_m * mag_white
+    a_m = np.stack(_rotate(s, c, w.g_inertial.tolist()), axis=-1) + p.n_a * accel_white
+    m_m = np.stack(_rotate(s, c, w.h_inertial.tolist()), axis=-1) + p.n_m * mag_white
     return ImuStream(t=t, omega_m=omega_m, a_m=a_m, m_m=m_m, bias_true=bias)

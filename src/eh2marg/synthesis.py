@@ -42,7 +42,7 @@ __all__ = [
 LMI_EIG_TOL = -1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GainCertificate(_Container):
     """A synthesized estimator gain, kept read-only, with its optimality and stability evidence."""
 

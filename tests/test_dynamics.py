@@ -225,6 +225,22 @@ def test_frozen_containers_keep_read_only_arrays_through_copies(cert, model):
                     assert np.shares_memory(state.bias, state._vector)
 
 
+def test_frozen_containers_compare_by_value(cert, model):
+    # Equal constructor arguments make equal containers, arrays compared entry
+    # by entry: a tuple of arrays has no truth value to compare by.
+    for original in _containers(cert, model):
+        cls, args = original.__reduce__()
+        k = next((i for i, a in enumerate(args) if isinstance(a, np.ndarray)), None)
+        if k is None:  # NoiseParams holds floats and keeps the dataclass __eq__
+            continue
+        changed = args[k].copy()
+        changed.flat[-1] += 1.0
+        other = cls(*args[:k], changed, *args[k + 1 :])
+        same, differ = original == copy.deepcopy(original), original == other
+        assert same is True and differ is False, cls.__name__
+        assert (original != other) is True
+
+
 class TestIntegrateStep:
     def test_zero_rate_fixed_point(self):
         x = EulerState(attitude=EulerAngles(0.2, 0.1, -0.4)).as_vector()

@@ -124,6 +124,15 @@ class TestInitializeFromFirstSample:
         x = initialize_from_first_sample(sample, w)
         assert_allclose(x.attitude.as_array(), 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("g_z", [1e-170, 1e170])
+    def test_gravity_at_any_scale(self, g_z):
+        # The norm of [0, 0, g_z] as a sum of squares underflows to 0 at
+        # 1e-170 and overflows at 1e170; neither may reach |g| or |a_m|.
+        w = WorldConstants(g_inertial=[0.0, 0.0, g_z])
+        sample = ImuSample(t=0.0, omega_m=np.zeros(3), a_m=[0.0, 0.0, g_z], m_m=w.h_inertial)
+        assert initialize_from_first_sample(sample, w).as_vector().tolist() == [0.0] * 6
+        assert ScenarioConfig(case_id="I", duration=3.0, world=w).world is w
+
     def test_vertical_sample_saturates_inside_guard(self, world):
         # Nose straight down: theta would hit +pi/2; the initializer must
         # return a valid state just inside the guard instead of raising.

@@ -25,13 +25,8 @@ ones, so both see the same host speed.  Every layer is timed over
   attitude and body rates of one state and of the stack, as ``filters.ekf``
   calls it.
 
-A tree without filter plans runs the N=1 and N=10 layers through step
-functions of the same form, around its ``filters.eh2(..., gain, world,
-dt)`` and ``filters.ekf``, so both sides pay the same call.  Every layer
-steps with an equal copy of the world the side was set up with, as every
-repetition of a benchmark workload after its first does; on a tree
-without plans, that copy finds the gain table its ``filters.eh2`` cached
-for the first world.
+Every layer steps with an equal copy of the world the side was set up
+with, as every repetition of a benchmark workload after its first does.
 
 The inputs are the ``stream`` workload's: a 20 deg three-axis sinusoid at
 0.5 rad/s and 100 Hz, its sensor stream for seed ``SEED`` (11), and the
@@ -71,7 +66,6 @@ def load(src: Path, name: str):
 
 def layers(pkg) -> dict:
     """One side's timed layers: name -> function that makes ``CALLS`` calls."""
-    filters = pkg.filters
     cfg = pkg.ScenarioConfig(
         case_id="custom", duration=(CALLS + 1) / 100.0, imu_rate=100.0,
         angular_speed=0.5, amplitude_deg=20.0, seed=SEED, num_trials=1,
@@ -86,17 +80,7 @@ def layers(pkg) -> dict:
     x0 = pkg.initialize_from_first_sample(stream.sample(0), world)
     samples = [stream.sample(k) for k in range(CALLS)]
     step_world = pkg.WorldConstants(world.g_inertial.copy(), world.h_inertial.copy())
-    if hasattr(filters, "_paper_plans"):
-        eh2_plan, ekf_plan = (p.step for p in filters._paper_plans(gain, q, step_world, dt))
-    else:  # filters.eh2 takes the world: fill its gain-table cache with the first one
-        filters.eh2(x0.as_vector(), samples[0].omega_m, samples[0].stacked_measurement(),
-                    gain, world, dt)
-
-        def eh2_plan(x, om, y):
-            return (filters.eh2(x, om, y, gain, step_world, dt),)
-
-        def ekf_plan(x, P, om, y):
-            return filters.ekf(x, P, om, y, q, step_world, dt)
+    eh2_plan, ekf_plan = (p.step for p in pkg.filters._paper_plans(gain, q, step_world, dt))
 
     def eh2_step():
         s = pkg.EH2FilterState(x0, gain)
