@@ -33,7 +33,16 @@ states (with ``(3, N)`` gyro and ``(6, N)`` accel/mag samples, and
 one call per time step.  Every matrix-vector product runs through
 ``np.matvec`` on a C-contiguous (N, k) operand, the vectors of the stack as
 rows, which is the kernel one state runs, so each member of a stack gets its
-own run's bits.  :func:`eh2_step` and :func:`ekf_step` wrap them for the
+own run's bits.  One state runs the rest on the Python floats of its state
+(:func:`_eh2_floats`, :func:`~eh2marg.dynamics._rk4_floats`): the RK4 stage
+sums, each stage's derivative arithmetic, the finiteness check, the wrap and
+the gimbal checks are the IEEE operations a stack's arrays run, so they give
+the same bits, without a numpy call on 3 or 6 entries each.  numpy stays
+where the bits come from a kernel: ``np.sin``/``np.cos`` on one (3,)
+attitude per stage (``math.sin`` is not promised to round as numpy does),
+the ``np.matvec`` products (L y, the gain table, A's -T block for the EKF's
+first stage, K times the innovation), and the EKF's covariance algebra and
+solve.  :func:`eh2_step` and :func:`ekf_step` wrap them for the
 validated state containers.  Each value is checked once on that path: the
 containers' constructors check what a caller builds, the steps check the new
 estimate (:func:`~eh2marg.dynamics.checked_state`), and :class:`EKFState`
@@ -50,13 +59,22 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamics import EulerState, checked_state, process_model, rk4_step
+from .dynamics import (
+    EulerState,
+    _checked_floats,
+    _held_rates,
+    _rk4_floats,
+    checked_state,
+    process_model,
+    rk4_step,
+)
 from .errors import DegenerateSample, InnovationCovSingular
 from .kinematics import (
     EPS_GIMBAL,
     EulerAngles,
     _Container,
     _check_gimbal,
+    _check_pitch,
     _columns,
     _euler_rates,
     _frozen,
@@ -169,6 +187,8 @@ def eh2(
     # y is held over the step, so L y is the same in all four stages; it
     # stays in the (N, 6) rows np.matvec gives.
     Ly = np.matvec(L, _rows(y))
+    if x.ndim == 1:
+        return np.array(_eh2_floats(x.tolist(), omega.tolist(), Ly.tolist(), gain_table, dt))
 
     def xdot(xs):
         # f(xs, omega) + L (h(xs) - y) from one gimbal check and one
@@ -185,6 +205,26 @@ def eh2(
         return out
 
     return rk4_step(xdot, x, dt)
+
+
+def _eh2_floats(
+    x: list[float], omega: list[float], Ly: list[float], gain_table: NDArray[np.float64], dt: float
+) -> list[float]:
+    """The step of :func:`eh2` for one state, on the Python floats of the
+    state, the gyro sample and L y: the same operations as a stack's, so the
+    same bits.  Each stage's sines and cosines and its product with the
+    gain table stay numpy calls on one attitude."""
+
+    def xdot(p0, p1, p2, b0, b1, b2):
+        _check_pitch(p1)
+        s, c = _sin_cos(np.array((p0, p1, p2)))
+        g0, g1, g2, g3, g4, g5 = np.matvec(gain_table, _monomials(s, c)).tolist()
+        w0, w1, w2 = omega
+        r0, r1, r2 = _euler_rates(s, c, (w0 - b0, w1 - b1, w2 - b2))
+        l0, l1, l2, l3, l4, l5 = Ly
+        return g0 - l0 + r0, g1 - l1 + r1, g2 - l2 + r2, g3 - l3, g4 - l4, g5 - l5
+
+    return _rk4_floats(xdot, x, float(dt), xdot(*x))
 
 
 def ekf(
@@ -227,23 +267,39 @@ def ekf(
     NonFiniteState
         If the new estimate is not finite.
     """
+    one = x.ndim == 1
     u = omega - x[3:]
     A, Bw = jacobians_process(x[:3], u, q)
     F = _EYE6 + dt * A
     # RK4 stage 1 is T(x) u, and A already holds -T(x).
-    k1 = _columns(-np.matvec(A[..., :3, 3:], _rows(u)))
-    xp = np.concatenate((rk4_step(lambda a: process_model(a, u), x[:3], dt, k1), x[3:]))
+    k1 = np.matvec(A[..., :3, 3:], _rows(u))
+    if one:
+        # One state runs on the Python floats of x and u (see _rk4_floats),
+        # with zero bias rates; b is kept as it was, as b + 0.0 would turn
+        # a -0.0 into 0.0.
+        xs = x.tolist()
+        t0, t1, t2 = k1.tolist()
+        xp = _rk4_floats(_held_rates(u.tolist()), xs, float(dt), (-t0, -t1, -t2, 0.0, 0.0, 0.0))
+        xp[3:] = xs[3:]
+    else:
+        k1 = _columns(-k1)
+        xp = np.concatenate((rk4_step(lambda a: process_model(a, u), x[:3], dt, k1), x[3:]))
     Pp = F @ P @ F.mT + dt * (Bw @ Bw.mT)
     # The update holds the step's memory peak, and needs none of these.
     del A, Bw, F, k1, u
-    h, H = jacobians_measurement(xp[:3], world)
+    h, H = jacobians_measurement(np.asarray(xp[:3]), world)
     r, R = q.measurement_variances()
     try:
         # K = P- H^T S^-1 with S = H P- H^T + R, neither kept past the solve.
         K = np.linalg.solve(H @ Pp @ H.mT + R, (Pp @ H.mT).mT).mT
     except np.linalg.LinAlgError as exc:
         raise InnovationCovSingular(f"innovation covariance solve failed: {exc}") from exc
-    x_new = checked_state(xp + _columns(np.matvec(K, _rows(y - h))))
+    dx = np.matvec(K, _rows(y - h))
+    if one:
+        x_new = np.array(_checked_floats([a + d for a, d in zip(xp, dx.tolist())]))
+    else:
+        x_new = checked_state(xp + _columns(dx))
+    del dx, xp  # as above: the covariance update needs neither
     I_KH = _EYE6 - K @ H
     P_new = I_KH @ Pp @ I_KH.mT + (K * r) @ K.mT
     return x_new, _HALF * (P_new + P_new.mT)

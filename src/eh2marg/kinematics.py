@@ -32,6 +32,11 @@ pi in :func:`_wrapped`, is a read-only 0-d float64 array (:func:`_frozen`):
 numpy 2 converts a Python float, a weak scalar, on every operation, so
 ``np.pi - a`` on a (3,) array takes about 1.4 times as long (numpy 2.4,
 x86-64).  Results stay bit for bit, as with ``k + k`` for ``2.0 * k``.
+One state's filter steps wrap and check their angles on Python floats
+(:func:`_wrapped_float`, :func:`_check_pitch`), the same IEEE operations,
+and keep numpy for ``np.sin``/``np.cos`` of the attitude (:func:`_sin_cos`),
+whose rounding is numpy's own, and for :func:`_monomials`' product with a
+table, which ``np.matvec`` sums.
 
 T is singular at pitch +/- 90 degrees ("gimbal lock"); every caller that
 evaluates it first checks the pitch with :func:`_check_gimbal`, which fails
@@ -107,12 +112,24 @@ def _wrapped(a: NDArray[np.float64]) -> NDArray[np.float64]:
     """The float64 array ``a`` wrapped to (-pi, pi]: the array wrap that
     :func:`wrap_angle` and :func:`~eh2marg.dynamics.checked_state` use.
 
-    :func:`_check_gimbal` wraps a single pitch with its own Python-float
+    :func:`_check_pitch` wraps a single pitch with its own Python-float
     expression, without the clamp; at the boundary that one returns -pi
     where this returns -pi + 2 ulp, and it rejects both alike, as pitches
     in the exclusion band.
     """
     return _PI - np.minimum((_PI - a) % _TWO_PI, _BELOW_TWO_PI)
+
+
+#: The same three constants as Python floats, for one state's angles.
+_PI_F, _TWO_PI_F, _BELOW_TWO_PI_F = float(_PI), float(_TWO_PI), float(_BELOW_TWO_PI)
+
+
+def _wrapped_float(a: float) -> float:
+    """:func:`_wrapped` of one finite Python float, bit for bit: Python's
+    ``%`` and numpy's remainder are both fmod with the sign of the divisor,
+    and ``min`` takes the clamp as ``np.minimum`` does (no remainder is
+    -0.0 or NaN here)."""
+    return _PI_F - min((_PI_F - a) % _TWO_PI_F, _BELOW_TWO_PI_F)
 
 
 def wrap_angle(angle: ArrayLike) -> NDArray[np.float64] | float:
@@ -193,9 +210,13 @@ def _check_gimbal(x: NDArray[np.float64]) -> None:
                 f"pitch {theta[bad]!r} rad of rows {np.flatnonzero(bad).tolist()} {_GIMBAL_BAND}"
             )
         return
-    theta = float(x[1])
+    _check_pitch(float(x[1]))
+
+
+def _check_pitch(theta: float) -> None:
+    """:func:`_check_gimbal` of one pitch, a Python float."""
     # The float wrap of _wrapped, unclamped: only |wrapped pitch| matters here.
-    if abs(math.pi - (math.pi - theta) % (2.0 * math.pi)) >= _GIMBAL_BOUND:
+    if abs(_PI_F - (_PI_F - theta) % _TWO_PI_F) >= _GIMBAL_BOUND:
         raise GimbalLockError(f"pitch {theta!r} rad {_GIMBAL_BAND}")
 
 
@@ -234,11 +255,11 @@ def _matrix(rows: "list | tuple") -> NDArray[np.float64]:
 def _euler_rates(s: ArrayLike, c: ArrayLike, w: NDArray[np.float64]) -> tuple:
     """T(Phi) w: the Euler rates of the body rates w, component by component.
 
-    ``w`` is (3,) for the floats of one attitude or (3, n) for a stack; the
-    three components come back as floats or length-n arrays.
+    ``w`` is three floats for the floats of one attitude, or a (3, n)
+    stack; the three components come back as floats or length-n arrays.
     """
     (sp, st, _), (cp, ct, _) = s, c
-    w0, w1, w2 = w.tolist() if w.ndim == 1 else w
+    w0, w1, w2 = w
     u = sp * w1 + cp * w2
     psi_dot = u / ct
     return w0 + st * psi_dot, cp * w1 - sp * w2, psi_dot

@@ -11,9 +11,10 @@ state-independent Dw (:func:`nominal_model`, from
 driven by unit-intensity white noise.  Each Jacobian function evaluates
 the attitude's sines and cosines once and fills its matrices in one pass.
 :func:`jacobians_process` writes A's attitude rows [d(T u)/dPhi | -T] and
-Bw's bias diagonal entry by entry into the zeroed matrices, and reads
-Bw's gyro block off A.  h = [R g; R h] and Cy are one product,
-per member of a stack, of the world's rotation table
+Bw's bias diagonal entry by entry into the zeroed matrices; Bw's gyro
+block n_w (-T) is written from the same Python floats for one state, and
+read off A, in one product, for a stack.  h = [R g; R h] and Cy are one
+product, per member of a stack, of the world's rotation table
 (:meth:`~eh2marg.sensors.WorldConstants.rotation_table`) with the
 attitude's trigonometric products: the table holds the rows of d(R r)/dPhi,
 differentiated exactly when it is built, beside those of R r.  States and
@@ -88,8 +89,8 @@ def jacobians_process(
     this is A at any state [Phi; b], and the EKF forms omega - b once per
     step.  Bw maps the unit-intensity channel w = [n_w; n_b; n_a; n_m] with
     the noise standard deviations folded into its columns; its gyro block
-    is n_w (-T), read off A, and its bias block n_b I.  The measurement
-    columns are zero.
+    is n_w (-T), from the entries of A's -T block, and its bias block
+    n_b I.  The measurement columns are zero.
 
     Raises
     ------
@@ -103,19 +104,26 @@ def jacobians_process(
     tt, sec = st / ct, 1.0 / ct
     du = cp * w1 - sp * w2
     v = sp * w1 + cp * w2
+    # -T, entry (i, j) as t_ij; its two zeros are -0.0, as negating T gives them.
+    t00, t01, t02, t11, t12, t21, t22 = -1.0, -tt * sp, -tt * cp, -cp, sp, -sec * sp, -sec * cp
     # Entry (i, j) is row 6 i + j of A's flat view transposed (12 i + j of
     # Bw's): a float for one state, a strided length-N row of a stack.  The
-    # entries not written keep the zeros of np.zeros; -T's two zeros are
-    # written as -0.0, as negating T gives them.
+    # entries not written keep the zeros of np.zeros.
     A = np.zeros(x.shape[1:] + (6, 6))
     a = A.reshape(x.shape[1:] + (36,)).T
-    a[0], a[1], a[3], a[4], a[5] = tt * du, sec * sec * v, -1.0, -tt * sp, -tt * cp
-    a[6], a[9], a[10], a[11] = -v, -0.0, -cp, sp
-    a[12], a[13], a[15], a[16], a[17] = sec * du, sec * tt * v, -0.0, -sec * sp, -sec * cp
-    del a  # the n_w product below holds the call's memory peak
+    a[0], a[1], a[3], a[4], a[5] = tt * du, sec * sec * v, t00, t01, t02
+    a[6], a[9], a[10], a[11] = -v, -0.0, t11, t12
+    a[12], a[13], a[15], a[16], a[17] = sec * du, sec * tt * v, -0.0, t21, t22
+    del a  # a stack's n_w product below holds the call's memory peak
     Bw = np.zeros(x.shape[1:] + (6, 12))
-    Bw[..., :3, :3] = noise.n_w * A[..., :3, 3:]
     b = Bw.reshape(x.shape[1:] + (72,)).T
+    if x.ndim == 1:
+        # n_w (-T) on the floats of one state; a stack's as one product.
+        n = noise.n_w
+        b[0], b[1], b[2], b[12], b[13] = n * t00, n * t01, n * t02, n * -0.0, n * t11
+        b[14], b[24], b[25], b[26] = n * t12, n * -0.0, n * t21, n * t22
+    else:
+        Bw[..., :3, :3] = noise.n_w * A[..., :3, 3:]
     b[39] = b[52] = b[65] = noise.n_b
     return A, Bw
 

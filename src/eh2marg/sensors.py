@@ -24,11 +24,14 @@ __all__ = ["ImuSample", "ImuStream", "NoiseParams", "WorldConstants", "simulate_
 _SPACING_RTOL = 1e-6
 
 
-def _finite(arr: NDArray[np.float64]) -> bool:
-    """Whether every entry is finite, tested on Python floats: the filter
-    steps check a few small arrays per call, and np.all(np.isfinite(arr))
-    costs more there than the tests themselves."""
-    return all(map(math.isfinite, arr.ravel().tolist()))
+def _finite(values: "NDArray[np.float64] | list[float]") -> bool:
+    """Whether every entry of an array, or of a list of floats, is finite,
+    tested on Python floats: the filter steps check a few small arrays or
+    the floats of one state per call, and np.all(np.isfinite(arr)) costs
+    more there than the tests themselves."""
+    if isinstance(values, np.ndarray):
+        values = values.ravel().tolist()
+    return all(map(math.isfinite, values))
 
 
 def _floats3(values: ArrayLike, name: str) -> list[float]:
@@ -212,7 +215,8 @@ def simulate_imu_stream(
 
     Noise is drawn in four contiguous blocks (gyro white, bias-walk
     increments, accel white, mag white) so streams are reproducible for a
-    given generator state.  The gyro sample at index k carries the bias
+    given generator state; each block is scaled in place and dropped once
+    used.  The gyro sample at index k carries the bias
     accumulated over the preceding k steps (zero at the first sample).
 
     Parameters
@@ -250,16 +254,23 @@ def simulate_imu_stream(
     if np.max(np.abs(steps - dt)) > _SPACING_RTOL * dt:
         raise ValueError("t must be evenly spaced")
 
-    gyro_white = rng.standard_normal((n, 3))
+    # Each block is drawn in that order, scaled in place (x * s is s * x
+    # bit for bit), added in place and dropped, so at most one is alive.
+    gyro_noise = rng.standard_normal((n, 3))
+    gyro_noise *= p.n_w
     walk = rng.standard_normal((n, 3))
-    accel_white = rng.standard_normal((n, 3))
-    mag_white = rng.standard_normal((n, 3))
-
     bias = np.zeros((n, 3))
     bias[1:] = np.sqrt(dt) * p.n_b * np.cumsum(walk[:-1], axis=0)
+    del walk
+    omega_m = body_rates + bias
+    omega_m += gyro_noise
+    del gyro_noise
 
-    omega_m = body_rates + bias + p.n_w * gyro_white
     s, c = _sin_cos(angles.T)
-    a_m = np.stack(_rotate(s, c, w.g_inertial.tolist()), axis=-1) + p.n_a * accel_white
-    m_m = np.stack(_rotate(s, c, w.h_inertial.tolist()), axis=-1) + p.n_m * mag_white
+    a_m, m_m = (np.stack(_rotate(s, c, r.tolist()), axis=-1) for r in (w.g_inertial, w.h_inertial))
+    for measured, std in ((a_m, p.n_a), (m_m, p.n_m)):
+        noise = rng.standard_normal((n, 3))
+        noise *= std
+        measured += noise
+        del noise
     return ImuStream(t=t, omega_m=omega_m, a_m=a_m, m_m=m_m, bias_true=bias)

@@ -26,7 +26,7 @@ from eh2marg import (
     WorldConstants,
     eh2_step,
 )
-from eh2marg.dynamics import checked_state, process_model, rk4_step
+from eh2marg.dynamics import _rk4_floats, checked_state, process_model, rk4_step
 from eh2marg.linearization import jacobians_measurement
 
 
@@ -301,6 +301,37 @@ class TestIntegrateStep:
         with pytest.raises(NonFiniteState, match=rf"{angle!r},.*nan"):
             checked_state(x)
         assert x.T.reshape(-1, 6)[-1, column] == angle
+
+    @given(
+        st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6),
+        st.lists(st.floats(-50.0, 50.0), min_size=6, max_size=6),
+        st.floats(1e-3, 1.0),
+    )
+    def test_float_rk4_is_the_array_rk4_bit_for_bit(self, x, gains, dt):
+        # One state's steps run RK4 on Python floats.  With f(x) = g x + 1,
+        # written once per kind, the stage sums weigh as much as x itself,
+        # so a sum taken in another order shows in the result's last bits.
+        g = np.array(gains)
+
+        def run(step):
+            try:
+                return step()
+            except (GimbalLockError, NonFiniteState) as exc:
+                return type(exc)
+
+        got = run(
+            lambda: np.array(
+                _rk4_floats(
+                    lambda *v: tuple(gi * vi + 1.0 for gi, vi in zip(gains, v)),
+                    list(x), dt, [gi * xi + 1.0 for gi, xi in zip(gains, x)],
+                )
+            )
+        )
+        want = run(lambda: rk4_step(lambda v: g * v + 1.0, np.array(x), dt))
+        if isinstance(want, np.ndarray):
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert got is want
 
     def test_rk4_self_convergence_order(self):
         """Error vs a dt/8 reference must shrink ~16x when dt halves."""

@@ -2,6 +2,7 @@
 
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,9 +10,14 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from eh2marg import filters, sensors
+from eh2marg import filters, harness, sensors
 from eh2marg.dynamics import EulerState, process_model, rk4_step
-from eh2marg.errors import DegenerateSample, GimbalLockError, InnovationCovSingular
+from eh2marg.errors import (
+    DegenerateSample,
+    GimbalLockError,
+    InnovationCovSingular,
+    NonFiniteState,
+)
 from eh2marg.filters import (
     DEFAULT_P0,
     EH2FilterState,
@@ -482,6 +488,61 @@ class TestStepContainers:
         monkeypatch.setattr(filters, "ekf", lambda *args: (x, P))
         with pytest.raises(ValueError, match="P must be a finite 6x6 matrix"):
             ekf_step(EKFState(EulerState()), _sample_at(EulerState(), world), world, noise, DT)
+
+
+def test_huge_gyro_sample_raises_non_finite_state_without_a_warning(world, noise, cert):
+    # A gyro sample of 1e308 overflows the RK4 stage sums of one state; the
+    # step must report it as NonFiniteState, with no overflow warning first.
+    x0 = EulerState()
+    sample = ImuSample(0.0, np.array([1e308, 0.0, 0.0]), world.g_inertial, world.h_inertial)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteState):
+            eh2_step(EH2FilterState(x0, cert.L), sample, world, DT)
+        with pytest.raises(NonFiniteState):
+            ekf_step(EKFState(x0), sample, world, noise, DT)
+
+
+def test_public_steps_equal_their_column_of_a_harness_stack(cert):
+    # One state's steps run on Python floats, a stack's on arrays: 500
+    # public steps of each filter on each of two streams must give the bits
+    # of that stream's column of the harness's 2-trial stack, P included.
+    cfg = ScenarioConfig(
+        case_id="custom", duration=5.0, imu_rate=100.0, angular_speed=0.5,
+        amplitude_deg=20.0, seed=11, num_trials=2,
+    )
+    world, q, dt = cfg.world, cfg.noise, 1.0 / cfg.imu_rate
+    traj = generate_trajectory(cfg)
+    streams = [
+        simulate_imu_stream(
+            traj.t, traj.angles, traj.body_rates(), world, q, np.random.default_rng((11, j))
+        )
+        for j in range(2)
+    ]
+    seen = {}
+
+    def recorded(plan):
+        def step(*args):
+            out = plan.step(*args)
+            seen.setdefault(plan.name, []).append(out)
+            return out
+
+        return plan._replace(step=step)
+
+    plans = filters._paper_plans(cert.L, q, world, dt)
+    batch = harness._run_trials(2, streams, world, tuple(map(recorded, plans)))
+    assert not batch.failures and len(seen["eh2"]) == len(seen["ekf"]) == 500
+    for j, stream in enumerate(streams):
+        x0 = initialize_from_first_sample(stream.sample(0), world)
+        s_eh2, s_ekf = EH2FilterState(x0, cert.L), EKFState(x0)
+        for k in range(500):
+            sample = stream.sample(k)
+            s_eh2 = eh2_step(s_eh2, sample, world, dt)
+            s_ekf = ekf_step(s_ekf, sample, world, q, dt)
+            (x_eh2,), (x_ekf, P) = seen["eh2"][k], seen["ekf"][k]
+            assert s_eh2.xhat.as_vector().tobytes() == x_eh2[:, j].tobytes(), (j, k)
+            assert s_ekf.xhat.as_vector().tobytes() == x_ekf[:, j].tobytes(), (j, k)
+            assert s_ekf.P.tobytes() == P[j].tobytes(), (j, k)
 
 
 class TestStackedSteps:

@@ -1,6 +1,8 @@
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
@@ -25,6 +27,8 @@ from eh2marg.kinematics import (
     _rotation_table,
     _series,
     _sin_cos,
+    _wrapped,
+    _wrapped_float,
 )
 from eh2marg.linearization import finite_difference_jacobian, jacobians_process
 
@@ -86,6 +90,23 @@ def random_angles(rng, n, theta_max=1.4):
 def test_wrap_angle_scalar(raw, expected):
     assert wrap_angle(raw) == pytest.approx(expected, abs=1e-15)
     assert isinstance(wrap_angle(raw), float)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(np.pi)
+@example(np.nextafter(np.pi, 4.0))  # (pi - a) % (2 pi) rounds up to 2 pi: the clamp
+@example(-np.pi)
+@example(2.0 * np.pi)
+@example(-2.0 * np.pi)
+@example(0.0)
+@example(-0.0)
+@example(1e6)
+def test_float_wrap_equals_the_array_wrap_bit_for_bit(a):
+    # One state's step wraps its attitude on Python floats, a stack's on
+    # arrays; both must give the same bits, signed zeros included.
+    got = _wrapped_float(a)
+    assert type(got) is float
+    assert struct.pack("d", got) == _wrapped(np.array([a])).tobytes()
 
 
 def test_wrap_angle_array_stays_in_interval():
