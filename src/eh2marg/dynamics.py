@@ -20,9 +20,12 @@ its own: it is the world's constant table
 trigonometric products of Phi, which
 :func:`~eh2marg.linearization.jacobians_measurement` evaluates with Cy and
 the extended-H2 filter with its gain folded in.  :func:`rk4_step` takes
-its first stage from a caller that already holds it, and ends in
-:func:`checked_state`, which rejects a non-finite result before it wraps
-the attitude and checks the pitch.  Both filters are built on these
+its first stage from a caller that already holds it, runs its stage and
+final sums with numpy's overflow and invalid-value warnings off, and ends
+in :func:`checked_state`, which rejects a non-finite result, with one
+``np.isfinite`` count over the array, before it wraps the attitude and
+checks the pitch: a stack whose sums overflow raises NonFiniteState, not a
+RuntimeWarning.  Both filters are built on these
 functions.  One state's filter steps run them on the six Python floats of
 the state instead: :func:`_rk4_floats` and :func:`_checked_floats` are
 :func:`rk4_step` and :func:`checked_state` operation for operation, so bit
@@ -130,6 +133,9 @@ def process_model(x: NDArray[np.float64], omega: NDArray[np.float64]) -> NDArray
     return f
 
 
+# The decorator sets the error state per call: about 0.6 us against 1.4 us
+# for a ``with np.errstate`` block (numpy 2.4, x86-64).
+@np.errstate(over="ignore", invalid="ignore")
 def rk4_step(
     f: Callable[[NDArray[np.float64]], NDArray[np.float64]],
     x: NDArray[np.float64],
@@ -140,7 +146,9 @@ def rk4_step(
 
     ``x`` is one state or attitude, or a stack of them, that ``f`` maps
     member by member.  ``k1``, when given, is f(x), which a caller may
-    already hold.
+    already hold.  The stages and the final sum run with numpy's overflow
+    and invalid-value warnings off: a result they make infinite or NaN
+    raises NonFiniteState from :func:`checked_state` instead.
 
     Raises
     ------
@@ -174,7 +182,7 @@ def checked_state(x: NDArray[np.float64]) -> NDArray[np.float64]:
     GimbalLockError
         If the pitch (of any member) lies in the gimbal guard band.
     """
-    if not _finite(x):
+    if np.count_nonzero(np.isfinite(x)) != x.size:
         raise NonFiniteState(f"state became non-finite: {x.T!r}")
     x[:3] = _wrapped(x[:3])
     _check_gimbal(x)

@@ -41,7 +41,9 @@ table, which ``np.matvec`` sums.
 T is singular at pitch +/- 90 degrees ("gimbal lock"); every caller that
 evaluates it first checks the pitch with :func:`_check_gimbal`, which fails
 loudly inside a guard band of ``EPS_GIMBAL`` radians around the
-singularity instead of returning huge ``tan``/``sec`` values.
+singularity instead of returning huge ``tan``/``sec`` values.  On a stack
+it compares the largest |pitch|, read at its ``argmax``, with the band, and
+wraps the pitches only when that one could touch it.
 """
 
 import math
@@ -202,7 +204,11 @@ def _check_gimbal(x: NDArray[np.float64]) -> None:
         # Wrapping moves a pitch inside (-pi, pi] by at most a few ulp, so a
         # stack whose every |pitch| is below the band by _GIMBAL_SLACK passes
         # without it; only a stack that could touch the band is wrapped.
-        if np.abs(theta).max(initial=0.0) < _GIMBAL_BOUND - _GIMBAL_SLACK:
+        # The largest |pitch| is read at its argmax, which costs less than a
+        # max reduction on a short row; argmax stops at the first NaN, which
+        # fails the comparison, so a NaN pitch takes the wrap as before.
+        a = np.abs(theta)
+        if not a.size or a[a.argmax()] < _GIMBAL_BOUND - _GIMBAL_SLACK:
             return
         bad = np.abs(wrap_angle(theta)) >= _GIMBAL_BOUND
         if bad.any():

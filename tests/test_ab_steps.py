@@ -13,7 +13,7 @@ import eh2marg
 ROOT = Path(__file__).resolve().parents[1]
 LAYERS = {
     "eh2_step", "ekf_step", "stream.sample", "stream loop", "eh2 N=1", "ekf N=1",
-    "eh2 N=10", "ekf N=10", "jac N=1", "jac N=10",
+    "eh2 N=10", "ekf N=10", "jac N=1", "jac N=10", "checks N=10",
 }
 
 

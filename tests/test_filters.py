@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from numpy.linalg import LinAlgError
 from numpy.testing import assert_allclose
 
 from eh2marg import filters, harness, sensors
@@ -454,8 +456,8 @@ class TestStepContainers:
     def test_one_step_of_each_checks_each_value_once(self, world, noise, cert, monkeypatch):
         # The design: every new state is checked once, by checked_state
         # (eh2 ends in one; the EKF's prediction and its update each end in
-        # one), and the EKF's new P once, by EKFState; no EulerAngles
-        # check runs.  A step that re-checks a value shows up here.
+        # one), and the EKF's new P once, by EKFState._from_checked; no
+        # EulerAngles check runs.  A step that re-checks a value shows up here.
         x0 = EulerState(EulerAngles(0.1, -0.2, 0.3), np.array([0.001, -0.002, 0.003]))
         s_eh2, s_ekf = EH2FilterState(x0, cert.L), EKFState(x0)
         sample = _sample_at(x0, world, omega_m=[0.05, -0.02, 0.01])
@@ -482,12 +484,13 @@ class TestStepContainers:
     def test_non_finite_new_covariance_rejected(self, world, noise, monkeypatch):
         # A finite estimate with a non-finite P is hard to reach through the
         # arithmetic; EKFState's check is what keeps it out of the new state.
-        P = DEFAULT_P0.copy()
-        P[4, 4] = np.inf
         x = EulerState().as_vector()
-        monkeypatch.setattr(filters, "ekf", lambda *args: (x, P))
-        with pytest.raises(ValueError, match="P must be a finite 6x6 matrix"):
-            ekf_step(EKFState(EulerState()), _sample_at(EulerState(), world), world, noise, DT)
+        for bad in (np.inf, -np.inf, np.nan):
+            P = DEFAULT_P0.copy()
+            P[4, 4] = bad
+            monkeypatch.setattr(filters, "ekf", lambda *args: (x, P))
+            with pytest.raises(ValueError, match="^P must be a finite 6x6 matrix$"):
+                ekf_step(EKFState(EulerState()), _sample_at(EulerState(), world), world, noise, DT)
 
 
 def test_huge_gyro_sample_raises_non_finite_state_without_a_warning(world, noise, cert):
@@ -501,6 +504,99 @@ def test_huge_gyro_sample_raises_non_finite_state_without_a_warning(world, noise
             eh2_step(EH2FilterState(x0, cert.L), sample, world, DT)
         with pytest.raises(NonFiniteState):
             ekf_step(EKFState(x0), sample, world, noise, DT)
+
+
+def test_huge_gyro_sample_fails_a_stack_with_non_finite_state_without_a_warning(
+    world, noise, cert
+):
+    # The stacked half: 1e308 in one column of a (3, 2) gyro stack overflows
+    # the stack's RK4 sums, which must not warn before checked_state raises.
+    x = np.zeros((6, 2))
+    x[1] = 0.1
+    omega = np.zeros((3, 2))
+    omega[0, 1] = 1e308
+    y = np.repeat(np.concatenate((world.g_inertial, world.h_inertial))[:, None], 2, axis=1)
+    P = np.repeat(DEFAULT_P0[None], 2, axis=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteState):
+            eh2(x.copy(), omega, y, cert.L, _table(cert.L, world), DT)
+        with pytest.raises(NonFiniteState):
+            ekf(x.copy(), P, omega, y, noise, world, DT)
+
+
+_spd = st.tuples(
+    arrays(np.float64, (10, 6, 6), elements=st.floats(-1.0, 1.0)),
+    arrays(np.float64, (10, 6, 6), elements=st.floats(-10.0, 10.0)),
+    st.floats(1e-6, 10.0),
+)
+
+
+class TestSolve:
+    """The EKF's K comes from LAPACK's gesv gufunc, called without
+    ``np.linalg.solve``'s wrapper; it must give that function's bits and
+    errors."""
+
+    @given(_spd)
+    def test_gain_equals_numpy_solve_bit_for_bit(self, operands):
+        M, B, eps = operands
+        S = M @ M.mT + eps * np.eye(6)
+        # A transposed right-hand side, as ekf passes (P- H^T)^T.
+        for a, b in ((S[0], B[0]), (S[0], B[0].T), (S, B), (S, B.mT)):
+            got, want = filters._solve(a, b), np.linalg.solve(a, b)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+
+    def test_exactly_singular_matrix_raises_linalg_error_without_a_warning(self):
+        S = np.stack((np.eye(6), np.zeros((6, 6))))
+        B = np.ones((2, 6, 6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a, b in ((S[1], B[1]), (S, B)):
+                with pytest.raises(LinAlgError, match="^Singular matrix$"):
+                    np.linalg.solve(a, b)
+                with pytest.raises(LinAlgError, match="^Singular matrix$"):
+                    filters._solve(a, b)
+
+    def test_singular_innovation_covariance_one_state_and_through_a_stack(self, world):
+        # Zero noise and a zero P make S = 0.  One state raises
+        # InnovationCovSingular; a stack of two raises it too, and the
+        # harness's member-by-member re-run gives each member that error.
+        q = NoiseParams(n_w=0.0, n_b=0.0, n_a=0.0, n_m=0.0)
+        sample = _sample_at(EulerState(), world)
+        message = "innovation covariance solve failed: Singular matrix"
+        step = filters._paper_plans(np.zeros((6, 6)), q, world, DT)[1].step
+        omega = np.repeat(sample.omega_m[:, None], 2, axis=1)
+        y = np.repeat(sample.stacked_measurement()[:, None], 2, axis=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InnovationCovSingular, match=f"^{message}$"):
+                ekf_step(EKFState(EulerState(), np.zeros((6, 6))), sample, world, q, DT)
+            with pytest.raises(InnovationCovSingular, match=f"^{message}$"):
+                step(np.zeros((6, 2)), np.zeros((2, 6, 6)), omega, y)
+            new, errors = harness._advance(step, (np.zeros((6, 2)), np.zeros((2, 6, 6)), omega, y))
+        assert new is None and sorted(errors) == [0, 1]
+        for exc in errors.values():
+            assert type(exc) is InnovationCovSingular and str(exc) == message
+
+    def test_ekf_step_keeps_the_new_covariance_read_only_without_a_copy(
+        self, world, noise, monkeypatch
+    ):
+        x0 = EulerState(EulerAngles(0.1, -0.2, 0.3), np.array([0.001, -0.002, 0.003]))
+        sample = _sample_at(x0, world, omega_m=[0.05, -0.02, 0.01])
+        s = EKFState(x0)
+        y = sample.stacked_measurement()
+        x, P = ekf(x0.as_vector(), s.P, sample.omega_m, y, noise, world, DT)
+        got = ekf_step(s, sample, world, noise, DT)
+        assert not got.P.flags.writeable
+        assert got.P.tobytes() == P.tobytes()
+        fresh = P.copy()
+        monkeypatch.setattr(filters, "ekf", lambda *args: (x, fresh))
+        assert ekf_step(s, sample, world, noise, DT).P is fresh
+        assert not fresh.flags.writeable
+        # The public constructor still keeps a copy of what a caller passes.
+        mine = P.copy()
+        assert EKFState(x0, mine).P is not mine and mine.flags.writeable
 
 
 def test_public_steps_equal_their_column_of_a_harness_stack(cert):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -757,6 +758,27 @@ class TestRunTrials:
         assert record["last_state"] == failure.last_state == x.tolist()
         assert json.loads(json.dumps(record))["last_state"] == x.tolist()
         assert np.array_equal(batch.estimates[0, 50, 1], x[:3])
+
+    def test_overflowing_gyro_sample_fails_only_that_trial(self, cert):
+        # 1e308 overflows the stacked RK4 sums of eh2 at step 50; the stack
+        # raises NonFiniteState, not an overflow warning, and the re-run
+        # member by member drops trial 1 alone.
+        cfg = ScenarioConfig.case_ii(num_trials=3)
+        traj, streams = self._streams(cfg, range(3))
+        streams[1].omega_m[50, 0] = 1e308
+        _, (s0, s2) = self._streams(cfg, (0, 2))
+        plans = self._plans(cert.L, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = harness._run_trials(3, streams, cfg.world, plans)
+        ref = harness._run_trials(2, [s0, s2], cfg.world, plans)
+
+        assert list(batch.failures) == [1]
+        failure = batch.failures[1]
+        assert type(failure.error) is NonFiniteState
+        assert (failure.filter, failure.step, failure.t) == ("eh2", 50, traj.t[50])
+        assert not ref.failures
+        assert batch.estimates[:, :, [0, 2]].tobytes() == ref.estimates.tobytes()
 
     def test_nonfinite_first_sample_fails_only_that_trial(self, cert):
         cfg = ScenarioConfig.case_ii(num_trials=2)

@@ -8,15 +8,27 @@ same words.
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from eh2marg.dynamics import EulerState
-from eh2marg.errors import GimbalLockError, LengthMismatch
+from eh2marg import kinematics
+from eh2marg.dynamics import EulerState, checked_state
+from eh2marg.errors import GimbalLockError, LengthMismatch, NonFiniteState
 from eh2marg.filters import DEFAULT_P0, EH2FilterState, EKFState
 from eh2marg.harness import ScenarioConfig, Trajectory, generate_trajectory
-from eh2marg.kinematics import EPS_GIMBAL, EulerAngles, _check_gimbal, _rotation_table
+from eh2marg.kinematics import (
+    _GIMBAL_BOUND,
+    _GIMBAL_SLACK,
+    EPS_GIMBAL,
+    EulerAngles,
+    _check_gimbal,
+    _rotation_table,
+    wrap_angle,
+)
 from eh2marg.linearization import LinearModel, nominal_model
 from eh2marg.sensors import ImuSample, ImuStream, WorldConstants
 from eh2marg.synthesis import GainCertificate
@@ -400,3 +412,56 @@ def test_stacked_gimbal_guard_takes_empty_and_nan_stacks():
     states = np.zeros((6, 2))
     states[1, 1] = np.nan
     assert _rows_rejected_stacked(states) == _rows_rejected_one_by_one([0.0, np.nan]) == []
+
+
+_FAST = _GIMBAL_BOUND - _GIMBAL_SLACK
+_EDGE_PITCHES = [
+    v
+    for edge in (_FAST, _GIMBAL_BOUND)
+    for v in (edge, np.nextafter(edge, 0.0), np.nextafter(edge, 4.0))
+] + [np.nan, np.inf, 0.0, -0.0, math.pi, np.nextafter(math.pi, 4.0)]
+_pitch = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-4.0, 4.0),
+    st.sampled_from(_EDGE_PITCHES + [-v for v in _EDGE_PITCHES]),
+)
+
+
+@given(st.lists(_pitch, max_size=12), st.sampled_from([3, 6]))
+@example([], 3)
+@example([np.nan, 0.1], 6)
+@example([np.nextafter(_FAST, 0.0), -np.nextafter(_FAST, 4.0)], 3)
+def test_stacked_gimbal_guard_wraps_exactly_when_the_max_reduction_did(pitches, rows):
+    # The stack's cheap test reads the largest |pitch| at its argmax; it
+    # must send a stack to the wrap exactly when np.abs(theta).max(initial=0)
+    # did, and reject the rows and message that wrapping every pitch gives.
+    states = np.zeros((rows, len(pitches)))
+    states[1] = pitches
+    theta = states[1]
+    wrapped_before = not np.abs(theta).max(initial=0.0) < _FAST
+    with np.errstate(invalid="ignore"):  # the wrap of an infinite pitch is NaN
+        bad = np.flatnonzero(np.abs(wrap_angle(theta)) >= _GIMBAL_BOUND)
+        with mock.patch.object(kinematics, "wrap_angle", wraps=kinematics.wrap_angle) as wrap:
+            if len(bad):
+                _raises(
+                    lambda: _check_gimbal(states),
+                    GimbalLockError,
+                    f"pitch {theta[bad]!r} rad of rows {bad.tolist()} does not wrap to "
+                    f"inside (-pi/2 + {EPS_GIMBAL}, pi/2 - {EPS_GIMBAL}) rad",
+                )
+            else:
+                _check_gimbal(states)
+    assert wrap.called == wrapped_before
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+def test_checked_state_rejects_a_non_finite_entry_anywhere_in_a_stack(bad):
+    for i in range(6):
+        for j in range(3):
+            x = np.zeros((6, 3))
+            x[1] = 0.1
+            x[i, j] = bad
+            before = x.copy()
+            message = f"state became non-finite: {x.T!r}"
+            _raises(lambda: checked_state(x), NonFiniteState, message)
+            assert np.array_equal(x, before, equal_nan=True)  # raised before the wrap

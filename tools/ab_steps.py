@@ -24,6 +24,9 @@ ones, so both see the same host speed.  Every layer is timed over
 * ``jac N=1``/``jac N=10``: ``linearization.jacobians_process`` on the
   attitude and body rates of one state and of the stack, as ``filters.ekf``
   calls it.
+* ``checks N=10``: the stack's checks, ``kinematics._check_gimbal`` and
+  ``dynamics.checked_state``, on a copy of the (6, 10) stack (checked_state
+  wraps it in place), as each stacked step runs them.
 
 Every layer steps with an equal copy of the world the side was set up
 with, as every repetition of a benchmark workload after its first does.
@@ -111,12 +114,18 @@ def layers(pkg) -> dict:
     ys = np.ascontiguousarray(y[:, None] + rng.normal(scale=0.01, size=(6, N_STACK)))
     Ps = np.repeat(P[None], N_STACK, axis=0)
     jac = pkg.linearization.jacobians_process
+    check_gimbal, checked_state = pkg.kinematics._check_gimbal, pkg.dynamics.checked_state
 
     def kernel(run, *args):
         def timed():
             for _ in range(CALLS):
                 run(*args)
         return timed
+
+    def checks():
+        for _ in range(CALLS):
+            check_gimbal(xs)
+            checked_state(xs.copy())
 
     return {
         "eh2_step": eh2_step,
@@ -129,6 +138,7 @@ def layers(pkg) -> dict:
         f"ekf N={N_STACK}": kernel(ekf_plan, xs, Ps, omegas, ys),
         "jac N=1": kernel(jac, x[:3], omega - x[3:], q),
         f"jac N={N_STACK}": kernel(jac, xs[:3], omegas - xs[3:], q),
+        f"checks N={N_STACK}": checks,
     }
 
 
