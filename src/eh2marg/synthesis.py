@@ -3,13 +3,15 @@
 The gain is computed through the Riccati dual of the H2 estimation problem
 (a filter CARE driven by the noise intensities in Bw/Dw, solved by Potter's
 eigenvector method) and then certified against the synthesis LMI, evaluated
-constructively: a Lyapunov certificate is built from the closed-loop error
-system's controllability Gramian Y (one Kronecker-sum linear solve) plus a
-small inflation that turns the non-strict numerical inequalities into strict
-ones, and the LMI blocks are checked in the coordinates of Y's Cholesky
-factor, where the certificate X = Y^-1 cancels and is never formed.  The LMI
-check is therefore an independent route to the same feasibility statement
-and the acceptance oracle for the CARE result.
+constructively: a Lyapunov certificate Y is built from the closed-loop error
+system's controllability Gramian Y0 plus a small inflation along P_I, the
+Gramian of the identity, that turns the non-strict numerical inequalities
+into strict ones (each one Kronecker-sum linear solve; a synthesis solves Y0
+once, for both the achieved H2 norm and the certificate), and the LMI blocks
+are checked in the coordinates of Y's Cholesky factor, where the certificate
+X = Y^-1 cancels and is never formed.  The LMI check is therefore an
+independent route to the same feasibility statement and the acceptance
+oracle for the CARE result.
 
 The gain matrix can be exported to and loaded from a plain-text format
 (row-major, whitespace-delimited, 17 significant digits) so a precomputed
@@ -147,17 +149,35 @@ def h2_norm_of_error_system(m: LinearModel, L: NDArray[np.float64]) -> float:
     ------
     UnstableClosedLoop
         If A + L Cy is not Hurwitz.
+    NonConvergence
+        If the Lyapunov solve for the error system's Gramian fails.
     """
+    return _h2_norm(m, *_error_system(m, L))[0]
+
+
+def _error_system(m: LinearModel, L: NDArray[np.float64]) -> tuple[NDArray, float, NDArray]:
+    """Gain L's error system: F = A + L Cy, the largest real part of eig(F)
+    and G = Bw + L Dw."""
     L = np.asarray(L, dtype=np.float64)
     F = m.A + L @ m.Cy
-    max_real = float(np.max(np.real(np.linalg.eigvals(F))))
+    return F, float(np.max(np.real(np.linalg.eigvals(F)))), m.Bw + L @ m.Dw
+
+
+def _h2_norm(m: LinearModel, F: NDArray, max_real: float, G: NDArray) -> tuple[float, NDArray]:
+    """H2 norm of the error system (F, G, Cz) and its controllability Gramian
+    Y0, F Y0 + Y0 F^T + G G^T = 0.
+
+    Raises
+    ------
+    UnstableClosedLoop
+        If F is not Hurwitz.
+    NonConvergence
+        If the Gramian's Lyapunov solve fails.
+    """
     if not max_real < 0.0:
-        raise UnstableClosedLoop(
-            f"A + L Cy has max real eigenvalue {max_real:.3e} >= 0"
-        )
-    G = m.Bw + L @ m.Dw
-    P = solve_lyapunov(F, G @ G.T)
-    return float(np.sqrt(max(np.trace(m.Cz @ P @ m.Cz.T), 0.0)))
+        raise UnstableClosedLoop(f"A + L Cy has max real eigenvalue {max_real:.3e} >= 0")
+    Y0 = solve_lyapunov(F, G @ G.T)
+    return float(np.sqrt(max(np.trace(m.Cz @ Y0 @ m.Cz.T), 0.0))), Y0
 
 
 def _pbh_detectable(A: NDArray[np.float64], Cy: NDArray[np.float64]) -> tuple[bool, complex]:
@@ -179,13 +199,14 @@ def synthesize_gain(m: LinearModel) -> GainCertificate:
     Solves the filter CARE for the stationary error covariance, recovers the
     gain, re-computes the achieved H2 norm through the independent Lyapunov
     route, and certifies the result against the LMI at a relative slack of
-    1e-6.
+    1e-6, handing the check the Gramian that the norm was computed from.
 
     Raises
     ------
     SynthesisFailure
         If (A, Cy) is not detectable, Dw Dw^T is singular, the Riccati
-        solve does not converge or its gain leaves A + L Cy not Hurwitz.
+        solve does not converge, its gain leaves A + L Cy not Hurwitz or
+        the Lyapunov solve for the error system's Gramian does not converge.
     """
     V = m.Dw @ m.Dw.T
     v_min = float(np.min(np.linalg.eigvalsh(V)))
@@ -205,12 +226,15 @@ def synthesize_gain(m: LinearModel) -> GainCertificate:
         raise SynthesisFailure(f"filter CARE did not converge: {exc}") from exc
     L = -np.linalg.solve(V.T, (P @ m.Cy.T).T).T
 
+    F, max_real, G = _error_system(m, L)
     try:
-        h2 = h2_norm_of_error_system(m, L)
+        h2, Y0 = _h2_norm(m, F, max_real, G)
     except UnstableClosedLoop as exc:
         raise SynthesisFailure(f"synthesized closed loop is not Hurwitz: {exc}") from exc
+    except NonConvergence as exc:
+        raise SynthesisFailure(f"closed-loop Gramian did not converge: {exc}") from exc
     gamma = h2 * (1.0 + 1e-9)
-    report = verify_lmi(m, L, gamma * (1.0 + 1e-6))
+    report = _lmi_report(m, F, max_real, G, gamma * (1.0 + 1e-6), Y0)
     return GainCertificate(
         L=L,
         gamma=gamma,
@@ -238,9 +262,14 @@ def verify_lmi(m: LinearModel, L: NDArray[np.float64], gamma: float) -> LmiRepor
 
     Returns an :class:`LmiReport`; never raises for an infeasible pair.
     """
-    L = np.asarray(L, dtype=np.float64)
-    F = m.A + L @ m.Cy
-    max_real = float(np.max(np.real(np.linalg.eigvals(F))))
+    return _lmi_report(m, *_error_system(m, L), gamma)
+
+
+def _lmi_report(
+    m: LinearModel, F: NDArray, max_real: float, G: NDArray, gamma: float, Y0: NDArray | None = None
+) -> LmiReport:
+    """:func:`verify_lmi` on the error system (F, max Re eig(F), G), with
+    its Gramian Y0 when the caller has solved it already."""
     gamma_sq = float(gamma) ** 2
 
     def infeasible(reason: str, trace_q: float = np.inf) -> LmiReport:
@@ -248,9 +277,9 @@ def verify_lmi(m: LinearModel, L: NDArray[np.float64], gamma: float) -> LmiRepor
 
     if not max_real < 0.0:
         return infeasible(f"closed loop not Hurwitz: max real eigenvalue {max_real:.3e}")
-    G = m.Bw + L @ m.Dw
     try:
-        Y0 = solve_lyapunov(F, G @ G.T)
+        if Y0 is None:
+            Y0 = solve_lyapunov(F, G @ G.T)
         P_I = solve_lyapunov(F, np.eye(F.shape[0]))
     except NonConvergence as exc:
         return infeasible(str(exc))

@@ -1,5 +1,5 @@
 """Runs ``tools/ab_steps.py``, the interleaved A/B timer of the filter
-steps, end to end on one source tree against itself."""
+steps and gain synthesis, end to end on one source tree against itself."""
 
 import json
 import math
@@ -13,7 +13,7 @@ import eh2marg
 ROOT = Path(__file__).resolve().parents[1]
 LAYERS = {
     "eh2_step", "ekf_step", "stream.sample", "stream loop", "eh2 N=1", "ekf N=1",
-    "eh2 N=10", "ekf N=10", "jac N=1", "jac N=10", "checks N=10",
+    "eh2 N=10", "ekf N=10", "jac N=1", "jac N=10", "checks N=10", "synthesize",
 }
 
 

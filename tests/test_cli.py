@@ -78,6 +78,13 @@ class TestSynthesize:
         assert rc == 2
         assert "synthesis failure" in capsys.readouterr().err
 
+    def test_gramian_failure_exits_2(self, tmp_path, capsys):
+        noise = {"n_w": 5e-9, "n_b": 1e-10, "n_a": 200.0, "n_m": 5e-9}
+        cfg = _write_config(tmp_path, {"case_id": "I", "noise": noise})
+        rc = main(["synthesize", "--config", str(cfg)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("synthesis failure: ")
+
 
 class TestRun:
     def test_case_ii_single_trial(self, tmp_path, capsys):

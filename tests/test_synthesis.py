@@ -225,6 +225,38 @@ class TestSynthesizeGainNominal:
         with pytest.raises(SynthesisFailure, match="noise"):
             synthesize_gain(m)
 
+    def test_gramian_nonconvergence_is_synthesis_failure(self, world):
+        # The error system's Gramian solve misses its residual bound here.
+        m = nominal_model(NoiseParams(n_w=5e-9, n_b=1e-10, n_a=200.0, n_m=5e-9), world)
+        with pytest.raises(SynthesisFailure, match="Gramian did not converge"):
+            synthesize_gain(m)
+
+    def test_one_gramian_and_one_closed_loop_eig_per_synthesis(self, model, monkeypatch):
+        calls = {"solve_lyapunov": 0, "eigvals": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(
+            "eh2marg.synthesis.solve_lyapunov", counted("solve_lyapunov", solve_lyapunov)
+        )
+        monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
+        synthesize_gain(model)
+        # Y0 and P_I; eig(A) for detectability and eig(A + L Cy).
+        assert calls == {"solve_lyapunov": 2, "eigvals": 2}
+
+    def test_certificate_matches_the_public_norm_and_lmi_check(self):
+        for noise in NOISE_GRID:
+            m = nominal_model(noise, WorldConstants())
+            cert = synthesize_gain(m)
+            report = verify_lmi(m, cert.L, cert.gamma * (1.0 + 1e-6))
+            assert cert.h2_norm == h2_norm_of_error_system(m, cert.L), noise
+            assert cert.max_closedloop_real_eig == report.max_closedloop_real_eig, noise
+            assert cert.lmi_feasible == report.feasible, noise
+
 
 class TestVerifyLmi:
     def test_feasible_above_achieved_norm(self, model, cert):

@@ -1,4 +1,4 @@
-"""Interleaved A/B timer for the filter steps of two source trees.
+"""Interleaved A/B timer for the filter steps and gain synthesis of two source trees.
 
     python3 tools/ab_steps.py A_SRC B_SRC [--rounds 30]
 
@@ -27,6 +27,9 @@ ones, so both see the same host speed.  Every layer is timed over
 * ``checks N=10``: the stack's checks, ``kinematics._check_gimbal`` and
   ``dynamics.checked_state``, on a copy of the (6, 10) stack (checked_state
   wraps it in place), as each stacked step runs them.
+* ``synthesize``: ``synthesize_gain`` on the nominal model of the stream's
+  noise and world (built once), the gain synthesis and LMI certificate
+  that every run's set-up makes.
 
 Every layer steps with an equal copy of the world the side was set up
 with, as every repetition of a benchmark workload after its first does.
@@ -79,7 +82,8 @@ def layers(pkg) -> dict:
         np.random.default_rng((SEED, 0)),
     )
     world, q, dt = cfg.world, cfg.noise, 1.0 / cfg.imu_rate
-    gain = pkg.synthesize_gain(pkg.nominal_model(q, world)).L
+    model = pkg.nominal_model(q, world)
+    gain = pkg.synthesize_gain(model).L
     x0 = pkg.initialize_from_first_sample(stream.sample(0), world)
     samples = [stream.sample(k) for k in range(CALLS)]
     step_world = pkg.WorldConstants(world.g_inertial.copy(), world.h_inertial.copy())
@@ -139,6 +143,7 @@ def layers(pkg) -> dict:
         "jac N=1": kernel(jac, x[:3], omega - x[3:], q),
         f"jac N={N_STACK}": kernel(jac, xs[:3], omegas - xs[3:], q),
         f"checks N={N_STACK}": checks,
+        "synthesize": kernel(pkg.synthesize_gain, model),
     }
 
 
