@@ -6,8 +6,7 @@ eigenvector method) and then certified against the synthesis LMI, evaluated
 constructively: a Lyapunov certificate Y is built from the closed-loop error
 system's controllability Gramian Y0 plus a small inflation along P_I, the
 Gramian of the identity, that turns the non-strict numerical inequalities
-into strict ones (each one Kronecker-sum linear solve; a synthesis solves Y0
-once, for both the achieved H2 norm and the certificate), and the LMI blocks
+into strict ones (each one Kronecker-sum linear solve), and the LMI blocks
 are checked in the coordinates of Y's Cholesky factor, where the certificate
 X = Y^-1 cancels and is never formed.  The LMI check is therefore an
 independent route to the same feasibility statement and the acceptance
@@ -152,7 +151,11 @@ def h2_norm_of_error_system(m: LinearModel, L: NDArray[np.float64]) -> float:
     NonConvergence
         If the Lyapunov solve for the error system's Gramian fails.
     """
-    return _h2_norm(m, *_error_system(m, L))[0]
+    F, max_real, G = _error_system(m, L)
+    if not max_real < 0.0:
+        raise UnstableClosedLoop(f"A + L Cy has max real eigenvalue {max_real:.3e} >= 0")
+    P = solve_lyapunov(F, G @ G.T)
+    return float(np.sqrt(max(np.trace(m.Cz @ P @ m.Cz.T), 0.0)))
 
 
 def _error_system(m: LinearModel, L: NDArray[np.float64]) -> tuple[NDArray, float, NDArray]:
@@ -161,23 +164,6 @@ def _error_system(m: LinearModel, L: NDArray[np.float64]) -> tuple[NDArray, floa
     L = np.asarray(L, dtype=np.float64)
     F = m.A + L @ m.Cy
     return F, float(np.max(np.real(np.linalg.eigvals(F)))), m.Bw + L @ m.Dw
-
-
-def _h2_norm(m: LinearModel, F: NDArray, max_real: float, G: NDArray) -> tuple[float, NDArray]:
-    """H2 norm of the error system (F, G, Cz) and its controllability Gramian
-    Y0, F Y0 + Y0 F^T + G G^T = 0.
-
-    Raises
-    ------
-    UnstableClosedLoop
-        If F is not Hurwitz.
-    NonConvergence
-        If the Gramian's Lyapunov solve fails.
-    """
-    if not max_real < 0.0:
-        raise UnstableClosedLoop(f"A + L Cy has max real eigenvalue {max_real:.3e} >= 0")
-    Y0 = solve_lyapunov(F, G @ G.T)
-    return float(np.sqrt(max(np.trace(m.Cz @ Y0 @ m.Cz.T), 0.0))), Y0
 
 
 def _pbh_detectable(A: NDArray[np.float64], Cy: NDArray[np.float64]) -> tuple[bool, complex]:
@@ -199,7 +185,7 @@ def synthesize_gain(m: LinearModel) -> GainCertificate:
     Solves the filter CARE for the stationary error covariance, recovers the
     gain, re-computes the achieved H2 norm through the independent Lyapunov
     route, and certifies the result against the LMI at a relative slack of
-    1e-6, handing the check the Gramian that the norm was computed from.
+    1e-6.
 
     Raises
     ------
@@ -226,15 +212,14 @@ def synthesize_gain(m: LinearModel) -> GainCertificate:
         raise SynthesisFailure(f"filter CARE did not converge: {exc}") from exc
     L = -np.linalg.solve(V.T, (P @ m.Cy.T).T).T
 
-    F, max_real, G = _error_system(m, L)
     try:
-        h2, Y0 = _h2_norm(m, F, max_real, G)
+        h2 = h2_norm_of_error_system(m, L)
     except UnstableClosedLoop as exc:
         raise SynthesisFailure(f"synthesized closed loop is not Hurwitz: {exc}") from exc
     except NonConvergence as exc:
         raise SynthesisFailure(f"closed-loop Gramian did not converge: {exc}") from exc
     gamma = h2 * (1.0 + 1e-9)
-    report = _lmi_report(m, F, max_real, G, gamma * (1.0 + 1e-6), Y0)
+    report = verify_lmi(m, L, gamma * (1.0 + 1e-6))
     return GainCertificate(
         L=L,
         gamma=gamma,
@@ -262,14 +247,7 @@ def verify_lmi(m: LinearModel, L: NDArray[np.float64], gamma: float) -> LmiRepor
 
     Returns an :class:`LmiReport`; never raises for an infeasible pair.
     """
-    return _lmi_report(m, *_error_system(m, L), gamma)
-
-
-def _lmi_report(
-    m: LinearModel, F: NDArray, max_real: float, G: NDArray, gamma: float, Y0: NDArray | None = None
-) -> LmiReport:
-    """:func:`verify_lmi` on the error system (F, max Re eig(F), G), with
-    its Gramian Y0 when the caller has solved it already."""
+    F, max_real, G = _error_system(m, L)
     gamma_sq = float(gamma) ** 2
 
     def infeasible(reason: str, trace_q: float = np.inf) -> LmiReport:
@@ -278,8 +256,7 @@ def _lmi_report(
     if not max_real < 0.0:
         return infeasible(f"closed loop not Hurwitz: max real eigenvalue {max_real:.3e}")
     try:
-        if Y0 is None:
-            Y0 = solve_lyapunov(F, G @ G.T)
+        Y0 = solve_lyapunov(F, G @ G.T)
         P_I = solve_lyapunov(F, np.eye(F.shape[0]))
     except NonConvergence as exc:
         return infeasible(str(exc))

@@ -87,12 +87,8 @@ def test_nominal_model_accepts_noise_and_world():
 
 
 #: Exported for callers outside the program: the tests' Jacobian oracle,
-#: the package version, and the H2 norm and LMI check of a given gain, whose
-#: private path (``synthesis._error_system``, ``_h2_norm``, ``_lmi_report``)
-#: ``synthesize_gain`` runs without the wrappers.
-_EXPORTED_FOR_CALLERS = {
-    "finite_difference_jacobian", "__version__", "h2_norm_of_error_system", "verify_lmi"
-}
+#: and the package version.
+_EXPORTED_FOR_CALLERS = {"finite_difference_jacobian", "__version__"}
 SOURCE_DIR = Path(eh2marg.__file__).resolve().parent
 
 

@@ -231,23 +231,6 @@ class TestSynthesizeGainNominal:
         with pytest.raises(SynthesisFailure, match="Gramian did not converge"):
             synthesize_gain(m)
 
-    def test_one_gramian_and_one_closed_loop_eig_per_synthesis(self, model, monkeypatch):
-        calls = {"solve_lyapunov": 0, "eigvals": 0}
-
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
-
-        monkeypatch.setattr(
-            "eh2marg.synthesis.solve_lyapunov", counted("solve_lyapunov", solve_lyapunov)
-        )
-        monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
-        synthesize_gain(model)
-        # Y0 and P_I; eig(A) for detectability and eig(A + L Cy).
-        assert calls == {"solve_lyapunov": 2, "eigvals": 2}
-
     def test_certificate_matches_the_public_norm_and_lmi_check(self):
         for noise in NOISE_GRID:
             m = nominal_model(noise, WorldConstants())
