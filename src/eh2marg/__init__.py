@@ -19,7 +19,6 @@ from .errors import (
     NonConvergence,
     NonFiniteState,
     SynthesisFailure,
-    UnstableClosedLoop,
 )
 from .kinematics import (
     EPS_GIMBAL,
@@ -40,13 +39,11 @@ from .linearization import (
 from .synthesis import (
     GainCertificate,
     LmiReport,
-    h2_norm_of_error_system,
     load_gain_text,
     save_gain_text,
     solve_care,
     solve_lyapunov,
     synthesize_gain,
-    verify_lmi,
 )
 from .filters import (
     DEFAULT_P0,
@@ -100,7 +97,6 @@ __all__ = [
     "ScenarioConfig",
     "SynthesisFailure",
     "Trajectory",
-    "UnstableClosedLoop",
     "WorldConstants",
     "compute_metrics",
     "dcm_body_from_inertial",
@@ -108,7 +104,6 @@ __all__ = [
     "ekf_step",
     "finite_difference_jacobian",
     "generate_trajectory",
-    "h2_norm_of_error_system",
     "initialize_from_first_sample",
     "jacobians_measurement",
     "jacobians_process",
@@ -123,7 +118,6 @@ __all__ = [
     "solve_care",
     "solve_lyapunov",
     "synthesize_gain",
-    "verify_lmi",
     "wrap_angle",
     "__version__",
 ]

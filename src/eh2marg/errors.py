@@ -21,10 +21,6 @@ class SynthesisFailure(Eh2MargError):
     """Gain synthesis preconditions failed or the Riccati solve broke down."""
 
 
-class UnstableClosedLoop(Eh2MargError):
-    """A + L Cy is not Hurwitz; the error-system H2 norm is unbounded."""
-
-
 class NonConvergence(Eh2MargError):
     """A matrix-equation solve did not meet its residual tolerance."""
 

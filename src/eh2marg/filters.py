@@ -75,9 +75,9 @@ from .dynamics import (
 )
 from .errors import DegenerateSample, InnovationCovSingular
 from .kinematics import (
-    EPS_GIMBAL,
     EulerAngles,
     _Container,
+    _GIMBAL_BOUND,
     _check_gimbal,
     _check_pitch,
     _columns,
@@ -449,7 +449,10 @@ def initialize_from_first_sample(sample: ImuSample, w: WorldConstants) -> EulerS
         If ``w.g_inertial`` is not along +z (see :func:`check_gravity_along_z`).
     DegenerateSample
         If the accelerometer magnitude is below half of |g| (free-fall-like,
-        attitude unobservable from the accelerometer).
+        attitude unobservable from the accelerometer), or the levelled
+        magnetometer's horizontal magnitude is below half of the world's
+        horizontal field hypot(h_x, h_y) (a dead or vertical magnetometer,
+        heading unobservable).
     """
     check_gravity_along_z(w)
     g_norm = math.hypot(*w.g_inertial.tolist())
@@ -461,11 +464,13 @@ def initialize_from_first_sample(sample: ImuSample, w: WorldConstants) -> EulerS
     theta = float(-np.arcsin(np.clip(a[0] / g_norm, -1.0, 1.0)))
     # Saturate just inside the gimbal guard so a vertical sample still yields
     # a usable (if degraded) initial state instead of an invalid one.
-    theta_max = np.pi / 2.0 - EPS_GIMBAL
-    theta = float(np.clip(theta, -theta_max, theta_max))
+    theta = float(np.clip(theta, -_GIMBAL_BOUND, _GIMBAL_BOUND))
     tilt = dcm_body_from_inertial(EulerAngles(wrap_angle(phi), theta, 0.0))
     m_level = tilt.T @ sample.m_m
     h = w.h_inertial
+    m_xy, h_xy = math.hypot(*m_level[:2].tolist()), math.hypot(*h[:2].tolist())
+    if m_xy < 0.5 * h_xy:
+        raise DegenerateSample(f"horizontal |m_m| = {m_xy:.3g} < 0.5 |h_xy| = {0.5 * h_xy:.3g}")
     psi = float(np.arctan2(h[1], h[0]) - np.arctan2(m_level[1], m_level[0]))
     return EulerState(
         attitude=EulerAngles(wrap_angle(phi), theta, wrap_angle(psi)),

@@ -45,17 +45,31 @@ def _floats3(values: ArrayLike, name: str) -> list[float]:
 
 @dataclass(frozen=True)
 class NoiseParams(_Container):
-    """Per-axis sensor noise standard deviations.
+    """Per-axis sensor noise levels, one per sensor.
 
     Defaults are MPU-9250-like values; override via configuration.  Each
     accel/mag channel is paired with its standard deviation here, once, in
     read-only arrays, for the design model's Dw and the EKF's update.
+
+    The three consumers read the fields in different units; nothing
+    converts between them (ROADMAP item 1 proposes one convention):
+
+    * :func:`simulate_imu_stream` draws ``n_w``, ``n_a`` and ``n_m`` as
+      per-sample standard deviations at the IMU rate.  It draws ``n_b`` as a
+      random-walk intensity: the bias moves by n_b * sqrt(dt) * N(0, 1) per
+      step, so ``n_b`` is in rad/s/sqrt(s).
+    * :func:`~eh2marg.linearization.nominal_model`, the gain design, reads
+      every field as a white-noise intensity: each scales a unit-intensity
+      channel of Bw or Dw.
+    * The EKF reads ``n_w`` and ``n_b`` as intensities, through Qd =
+      dt Bw Bw^T, and ``n_a`` and ``n_m`` as per-sample standard
+      deviations, through R = diag(n_a^2, n_a^2, n_a^2, n_m^2, n_m^2, n_m^2).
     """
 
-    n_w: float = 0.005  # gyro white noise, rad/s
-    n_b: float = 1e-4  # bias random walk, rad/s^2
-    n_a: float = 0.02  # accelerometer noise, m/s^2
-    n_m: float = 0.005  # magnetometer noise, normalized units
+    n_w: float = 0.005  # gyro white noise; per sample: rad/s
+    n_b: float = 1e-4  # gyro bias random walk; rad/s/sqrt(s)
+    n_a: float = 0.02  # accelerometer white noise; per sample: m/s^2
+    n_m: float = 0.005  # magnetometer white noise; per sample: normalized units
 
     def __post_init__(self) -> None:
         for name in ("n_w", "n_b", "n_a", "n_m"):

@@ -10,7 +10,8 @@ into strict ones (each one Kronecker-sum linear solve), and the LMI blocks
 are checked in the coordinates of Y's Cholesky factor, where the certificate
 X = Y^-1 cancels and is never formed.  The LMI check is therefore an
 independent route to the same feasibility statement and the acceptance
-oracle for the CARE result.
+oracle for the CARE result.  Y0 is solved once per synthesis: the achieved
+H2 norm and the LMI check both read it.
 
 The gain matrix can be exported to and loaded from a plain-text format
 (row-major, whitespace-delimited, 17 significant digits) so a precomputed
@@ -23,20 +24,18 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import NonConvergence, SynthesisFailure, UnstableClosedLoop
+from .errors import NonConvergence, SynthesisFailure
 from .linearization import LinearModel
 from .kinematics import _Container, _frozen
 
 __all__ = [
     "GainCertificate",
     "LmiReport",
-    "h2_norm_of_error_system",
     "load_gain_text",
     "save_gain_text",
     "solve_care",
     "solve_lyapunov",
     "synthesize_gain",
-    "verify_lmi",
 ]
 
 #: Strictness margin for the "< 0" LMI blocks, applied to the equilibrated blocks.
@@ -141,23 +140,6 @@ def solve_care(
     return P
 
 
-def h2_norm_of_error_system(m: LinearModel, L: NDArray[np.float64]) -> float:
-    """H2 norm of the error system Cz [sI - (A + L Cy)]^-1 (Bw + L Dw).
-
-    Raises
-    ------
-    UnstableClosedLoop
-        If A + L Cy is not Hurwitz.
-    NonConvergence
-        If the Lyapunov solve for the error system's Gramian fails.
-    """
-    F, max_real, G = _error_system(m, L)
-    if not max_real < 0.0:
-        raise UnstableClosedLoop(f"A + L Cy has max real eigenvalue {max_real:.3e} >= 0")
-    P = solve_lyapunov(F, G @ G.T)
-    return float(np.sqrt(max(np.trace(m.Cz @ P @ m.Cz.T), 0.0)))
-
-
 def _error_system(m: LinearModel, L: NDArray[np.float64]) -> tuple[NDArray, float, NDArray]:
     """Gain L's error system: F = A + L Cy, the largest real part of eig(F)
     and G = Bw + L Dw."""
@@ -183,9 +165,10 @@ def synthesize_gain(m: LinearModel) -> GainCertificate:
     """Compute the H2-optimal estimator gain for the linearized plant.
 
     Solves the filter CARE for the stationary error covariance, recovers the
-    gain, re-computes the achieved H2 norm through the independent Lyapunov
-    route, and certifies the result against the LMI at a relative slack of
-    1e-6.
+    gain, re-computes the achieved H2 norm of the error system
+    Cz [sI - (A + L Cy)]^-1 (Bw + L Dw) through the independent Lyapunov
+    route, from its controllability Gramian Y0, and certifies the result
+    against the LMI at a relative slack of 1e-6 with the same Y0.
 
     Raises
     ------
@@ -212,25 +195,34 @@ def synthesize_gain(m: LinearModel) -> GainCertificate:
         raise SynthesisFailure(f"filter CARE did not converge: {exc}") from exc
     L = -np.linalg.solve(V.T, (P @ m.Cy.T).T).T
 
+    F, max_real, G = _error_system(m, L)
+    if not max_real < 0.0:
+        raise SynthesisFailure(
+            "synthesized closed loop is not Hurwitz: "
+            f"A + L Cy has max real eigenvalue {max_real:.3e} >= 0"
+        )
     try:
-        h2 = h2_norm_of_error_system(m, L)
-    except UnstableClosedLoop as exc:
-        raise SynthesisFailure(f"synthesized closed loop is not Hurwitz: {exc}") from exc
+        Y0 = solve_lyapunov(F, G @ G.T)
     except NonConvergence as exc:
         raise SynthesisFailure(f"closed-loop Gramian did not converge: {exc}") from exc
+    h2 = float(np.sqrt(max(np.trace(m.Cz @ Y0 @ m.Cz.T), 0.0)))
     gamma = h2 * (1.0 + 1e-9)
-    report = verify_lmi(m, L, gamma * (1.0 + 1e-6))
+    report = _lmi_report(m, F, max_real, G, Y0, gamma * (1.0 + 1e-6))
     return GainCertificate(
         L=L,
         gamma=gamma,
-        max_closedloop_real_eig=report.max_closedloop_real_eig,
+        max_closedloop_real_eig=max_real,
         lmi_feasible=report.feasible,
         h2_norm=h2,
     )
 
 
-def verify_lmi(m: LinearModel, L: NDArray[np.float64], gamma: float) -> LmiReport:
-    """Check the synthesis LMI for a given gain and H2 bound gamma.
+def _lmi_report(
+    m: LinearModel, F: NDArray, max_real: float, G: NDArray, Y0: NDArray, gamma: float
+) -> LmiReport:
+    """Check the synthesis LMI for a gain L and an H2 bound gamma, given L's
+    Hurwitz error system F = A + L Cy, G = Bw + L Dw, the largest real part
+    max_real of eig(F) and the controllability Gramian Y0 of (F, G).
 
     The LMI asks for X > 0, W = X L and a slack Q with block 1 =
     [X A + W Cy + (.)^T, X Bw + W Dw; *, -I] < 0, block 2 = [-Q, Cz; Cz^T, -X]
@@ -247,16 +239,12 @@ def verify_lmi(m: LinearModel, L: NDArray[np.float64], gamma: float) -> LmiRepor
 
     Returns an :class:`LmiReport`; never raises for an infeasible pair.
     """
-    F, max_real, G = _error_system(m, L)
     gamma_sq = float(gamma) ** 2
 
     def infeasible(reason: str, trace_q: float = np.inf) -> LmiReport:
         return LmiReport(False, np.inf, np.inf, trace_q, gamma_sq, max_real, reason)
 
-    if not max_real < 0.0:
-        return infeasible(f"closed loop not Hurwitz: max real eigenvalue {max_real:.3e}")
     try:
-        Y0 = solve_lyapunov(F, G @ G.T)
         P_I = solve_lyapunov(F, np.eye(F.shape[0]))
     except NonConvergence as exc:
         return infeasible(str(exc))
@@ -293,15 +281,9 @@ def verify_lmi(m: LinearModel, L: NDArray[np.float64], gamma: float) -> LmiRepor
         (eig2 < LMI_EIG_TOL, f"block2 max eigenvalue {eig2:.3e}"),
         (trace_q < gamma_sq, f"trace(Q) {trace_q:.6e} >= gamma^2 {gamma_sq:.6e}"),
     )
-    return LmiReport(
-        feasible=all(holds for holds, _ in checks),
-        block1_max_eig=eig1,
-        block2_max_eig=eig2,
-        trace_q=trace_q,
-        gamma_sq=gamma_sq,
-        max_closedloop_real_eig=max_real,
-        reason="; ".join(violation for holds, violation in checks if not holds),
-    )
+    feasible = all(holds for holds, _ in checks)
+    reason = "; ".join(violation for holds, violation in checks if not holds)
+    return LmiReport(feasible, eig1, eig2, trace_q, gamma_sq, max_real, reason)
 
 
 def save_gain_text(L: NDArray[np.float64], path: str | os.PathLike) -> None:

@@ -14,6 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
 LAYERS = {
     "eh2_step", "ekf_step", "stream.sample", "stream loop", "eh2 N=1", "ekf N=1",
     "eh2 N=10", "ekf N=10", "jac N=1", "jac N=10", "checks N=10", "synthesize",
+    "trajectory", "sensor stream", "metrics", "csv",
 }
 
 

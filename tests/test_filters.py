@@ -141,6 +141,18 @@ class TestInitializeFromFirstSample:
         assert initialize_from_first_sample(sample, w).as_vector().tolist() == [0.0] * 6
         assert ScenarioConfig(case_id="I", duration=3.0, world=w).world is w
 
+    @pytest.mark.parametrize("m_m", [[0.0, 0.0, 0.0], [0.0, 0.0, 0.58], [0.23, 0.0, 0.58]])
+    def test_dead_or_vertical_magnetometer_degenerate(self, world, m_m):
+        # The heading needs a levelled horizontal field of at least half the
+        # world's: hypot(0.48, 0.0) / 2 = 0.24 here.
+        sample = ImuSample(t=0.0, omega_m=np.zeros(3), a_m=[0.0, 0.0, 9.81], m_m=m_m)
+        with pytest.raises(DegenerateSample, match="horizontal"):
+            initialize_from_first_sample(sample, world)
+
+    def test_half_horizontal_field_accepted(self, world):
+        sample = ImuSample(t=0.0, omega_m=np.zeros(3), a_m=[0.0, 0.0, 9.81], m_m=[0.25, 0.0, 0.58])
+        assert initialize_from_first_sample(sample, world).as_vector().tolist() == [0.0] * 6
+
     def test_vertical_sample_saturates_inside_guard(self, world):
         # Nose straight down: theta would hit +pi/2; the initializer must
         # return a valid state just inside the guard instead of raising.

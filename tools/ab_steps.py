@@ -1,4 +1,4 @@
-"""Interleaved A/B timer for the filter steps and gain synthesis of two source trees.
+"""Interleaved A/B timer for every layer of a run, for two source trees.
 
     python3 tools/ab_steps.py A_SRC B_SRC [--rounds 30]
 
@@ -7,7 +7,8 @@ package, such as the ``src`` of two checkouts.  Both are imported into one
 process, under the names ``eh2marg_a`` and ``eh2marg_b``, and each round
 times every layer on both sides, A first in even rounds and B first in odd
 ones, so both see the same host speed.  Every layer is timed over
-``CALLS`` (200) calls per round.  The layers:
+``CALLS`` (200) calls per round, except the four layers of a run's
+per-trial work, which take milliseconds a call.  The layers:
 
 * ``eh2_step`` and ``ekf_step``: the public one-state steps, walking the
   first ``CALLS`` samples of a stream from its initial state.
@@ -30,15 +31,29 @@ ones, so both see the same host speed.  Every layer is timed over
 * ``synthesize``: ``synthesize_gain`` on the nominal model of the stream's
   noise and world (built once), the gain synthesis and LMI certificate
   that every run's set-up makes.
+* ``trajectory``: ``generate_trajectory`` and ``Trajectory.body_rates`` for
+  case I (5,001 samples), as each run starts; ``TRAJ_CALLS`` (20) calls.
+* ``sensor stream``: ``simulate_imu_stream`` along that trajectory, one
+  trial's stream; ``TRAJ_CALLS`` calls.
+* ``metrics``: ``compute_metrics`` of one filter's estimates along that
+  trajectory after case I's 5 s exclusion window; ``TRAJ_CALLS`` calls.
+* ``csv``: ``harness._write_trial_csv`` of one trial's truth and both
+  filters' estimates (5,001 rows) into a temporary directory;
+  ``CSV_CALLS`` (2) calls.  The estimates are the truth plus fixed noise.
+
+Together the layers cover a whole ``run``: gain synthesis, trajectory,
+sensor stream, both filters' steps, metrics and CSV writing.
 
 Every layer steps with an equal copy of the world the side was set up
 with, as every repetition of a benchmark workload after its first does.
 
-The inputs are the ``stream`` workload's: a 20 deg three-axis sinusoid at
-0.5 rad/s and 100 Hz, its sensor stream for seed ``SEED`` (11), and the
-synthesized gain, built by each side's own package.  Printed per layer: each side's min
-and median µs per call over the rounds and the median of the per-round
-ratios B/A; then the same figures as one JSON object on the last line.
+The inputs of the step and synthesis layers are the ``stream`` workload's:
+a 20 deg three-axis sinusoid at 0.5 rad/s and 100 Hz, its sensor stream for
+seed ``SEED`` (11), and the synthesized gain, built by each side's own
+package.  The last four layers run on case I at seed ``SEED``.  Printed per
+layer: each side's min and median µs per call over the rounds and the
+median of the per-round ratios B/A; then the same figures, with each
+layer's calls per round, as one JSON object on the last line.
 Run it on an otherwise idle host, one process, with one BLAS thread
 (``OPENBLAS_NUM_THREADS=1``).
 """
@@ -48,6 +63,7 @@ import importlib.util
 import json
 import statistics
 import sys
+import tempfile
 from pathlib import Path
 from time import perf_counter_ns
 
@@ -55,6 +71,8 @@ import numpy as np
 
 N_STACK = 10
 CALLS = 200
+TRAJ_CALLS = 20
+CSV_CALLS = 2
 SEED = 11
 
 
@@ -70,8 +88,9 @@ def load(src: Path, name: str):
     return module
 
 
-def layers(pkg) -> dict:
-    """One side's timed layers: name -> function that makes ``CALLS`` calls."""
+def layers(pkg, tmp: Path) -> dict:
+    """One side's timed layers: name -> (number of calls, function that
+    makes them).  ``csv`` writes into the directory ``tmp``."""
     cfg = pkg.ScenarioConfig(
         case_id="custom", duration=(CALLS + 1) / 100.0, imu_rate=100.0,
         angular_speed=0.5, amplitude_deg=20.0, seed=SEED, num_trials=1,
@@ -120,30 +139,52 @@ def layers(pkg) -> dict:
     jac = pkg.linearization.jacobians_process
     check_gimbal, checked_state = pkg.kinematics._check_gimbal, pkg.dynamics.checked_state
 
-    def kernel(run, *args):
+    def kernel(run, *args, calls=CALLS):
         def timed():
-            for _ in range(CALLS):
+            for _ in range(calls):
                 run(*args)
-        return timed
+        return calls, timed
 
     def checks():
         for _ in range(CALLS):
             check_gimbal(xs)
             checked_state(xs.copy())
 
+    case_i = pkg.ScenarioConfig.case_i(num_trials=1, seed=SEED)
+    truth = pkg.generate_trajectory(case_i)
+    truth_rates = truth.body_rates()
+    truth_est = truth.angles + rng.normal(scale=1e-3, size=(2, *truth.angles.shape))
+    truth_cells = pkg.harness._truth_cells(truth.t, truth.angles)
+
+    def trajectory():
+        pkg.generate_trajectory(case_i).body_rates()
+
+    def sensor_stream():
+        pkg.simulate_imu_stream(
+            truth.t, truth.angles, truth_rates, case_i.world, case_i.noise,
+            np.random.default_rng((SEED, 0)),
+        )
+
     return {
-        "eh2_step": eh2_step,
-        "ekf_step": ekf_step,
-        "stream.sample": sample,
-        "stream loop": stream_loop,
+        "eh2_step": (CALLS, eh2_step),
+        "ekf_step": (CALLS, ekf_step),
+        "stream.sample": (CALLS, sample),
+        "stream loop": (CALLS, stream_loop),
         "eh2 N=1": kernel(eh2_plan, x, omega, y),
         "ekf N=1": kernel(ekf_plan, x, P, omega, y),
         f"eh2 N={N_STACK}": kernel(eh2_plan, xs, omegas, ys),
         f"ekf N={N_STACK}": kernel(ekf_plan, xs, Ps, omegas, ys),
         "jac N=1": kernel(jac, x[:3], omega - x[3:], q),
         f"jac N={N_STACK}": kernel(jac, xs[:3], omegas - xs[3:], q),
-        f"checks N={N_STACK}": checks,
+        f"checks N={N_STACK}": (CALLS, checks),
         "synthesize": kernel(pkg.synthesize_gain, model),
+        "trajectory": kernel(trajectory, calls=TRAJ_CALLS),
+        "sensor stream": kernel(sensor_stream, calls=TRAJ_CALLS),
+        "metrics": kernel(pkg.compute_metrics, truth, truth_est[0], 5.0, calls=TRAJ_CALLS),
+        "csv": kernel(
+            pkg.harness._write_trial_csv, tmp / "trial_000.csv", truth_cells, truth_est,
+            calls=CSV_CALLS,
+        ),
     }
 
 
@@ -155,24 +196,27 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be >= 1")
-    sides = {
-        side: layers(load(src, f"eh2marg_{side}"))
-        for side, src in (("a", args.a_src), ("b", args.b_src))
-    }
-    us = {name: {"a": [], "b": []} for name in sides["a"]}
-    for name, run in sides["a"].items():  # warm caches and lazy set-up on both sides
-        run()
-        sides["b"][name]()
-    for r in range(args.rounds):
-        for name in us:
-            for side in ("ab" if r % 2 == 0 else "ba"):
-                t0 = perf_counter_ns()
-                sides[side][name]()
-                us[name][side].append((perf_counter_ns() - t0) * 1e-3 / CALLS)
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = {
+            side: layers(load(src, f"eh2marg_{side}"), Path(tempfile.mkdtemp(dir=tmp)))
+            for side, src in (("a", args.a_src), ("b", args.b_src))
+        }
+        us = {name: {"a": [], "b": []} for name in sides["a"]}
+        for name, (_, run) in sides["a"].items():  # warm caches and lazy set-up on both sides
+            run()
+            sides["b"][name][1]()
+        for r in range(args.rounds):
+            for name in us:
+                for side in ("ab" if r % 2 == 0 else "ba"):
+                    calls, run = sides[side][name]
+                    t0 = perf_counter_ns()
+                    run()
+                    us[name][side].append((perf_counter_ns() - t0) * 1e-3 / calls)
     result = {}
     for name, t in us.items():
         ratio = statistics.median(b / a for a, b in zip(t["a"], t["b"]))
         result[name] = {
+            "calls": sides["a"][name][0],
             "a_min": min(t["a"]), "a_median": statistics.median(t["a"]),
             "b_min": min(t["b"]), "b_median": statistics.median(t["b"]),
             "ratio_b_over_a": ratio,
@@ -181,7 +225,7 @@ def main(argv=None) -> None:
             f"{name:14s} A {min(t['a']):8.2f} / {statistics.median(t['a']):8.2f} us   "
             f"B {min(t['b']):8.2f} / {statistics.median(t['b']):8.2f} us   B/A {ratio:.3f}"
         )
-    print(json.dumps({"rounds": args.rounds, "calls": CALLS, "seed": SEED, "layers": result}))
+    print(json.dumps({"rounds": args.rounds, "seed": SEED, "layers": result}))
 
 
 if __name__ == "__main__":
