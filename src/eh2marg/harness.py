@@ -10,7 +10,8 @@ component-major ``(6, N)`` stack of every live trial (one column per trial,
 with ``(N, 6, 6)`` EKF covariances) through each filter, so the per-call
 overhead is paid once per time step rather than once per trial.  A trial's
 timing is therefore the stacked step time divided by the number of live
-trials (ms per trial-step).
+trials (ms per trial-step).  One buffer per batch holds the sensor samples,
+and each time step's estimates overwrite the samples it has consumed.
 """
 
 import dataclasses
@@ -55,10 +56,10 @@ GIMBAL_MARGIN = 0.05
 #: sensor stream, noise draws and estimates peak near 500 bytes per step, so
 #: this caps one trial near 250 MB; case I takes 5,000 steps, ``bench``
 #: 10,000 by default.  Trials advance in batches of at most
-#: ``MAX_STEPS // steps`` trials, whose stacked inputs and estimates stay
-#: inside the same cap: 120 bytes per trial-step, 3 gyro and 6 accel/mag
-#: floats in the (n, 3, N) and (n, 6, N) input arrays and 2 x 3 attitude
-#: floats in the (2, n, N, 3) estimates.
+#: ``MAX_STEPS // steps`` trials, whose one buffer of inputs and estimates
+#: stays inside the same cap: max(9, 3P) floats per trial-step for P plans,
+#: 72 bytes for the paper's pair, whose 2 x 3 attitude floats overwrite a
+#: sample's 3 gyro and 6 accel/mag floats once the step has consumed them.
 MAX_STEPS = 500_000
 
 #: Per-axis starting phases for the simultaneous (case II) sinusoids, chosen
@@ -497,7 +498,9 @@ class _TrialBatch(NamedTuple):
     """What :func:`_run_trials` returns for N trials of n samples.
 
     ``estimates[f, k, j]`` is the attitude of plan f for trial j at
-    sample k; rows of failed trials are unspecified.
+    sample k, a (P, n, N, 3) strided view of the batch's one buffer (see
+    :func:`_run_trials`); rows of a failed trial past its failing step are
+    unspecified.
     ``step_ns[f, k]`` is the time of plan f's step k divided by the
     number of trials it advanced.  ``failures`` maps a trial's row to why
     it stopped.
@@ -549,38 +552,47 @@ def _run_trials(
 ) -> _TrialBatch:
     """Run every plan over ``num_trials`` streams on one time grid, all trials at once.
 
-    Each stream is initialized, its gyro and accel/mag samples are copied
-    into column j of (n, 3, N) and (n, 6, N) stacks, and the stream is
-    dropped, so ``streams`` may be a generator that builds one stream at a
-    time.  Then one loop over time advances every live trial with one
-    stacked call per plan, all from the same initial estimates; each call
-    is timed.  A trial whose initialization raises
+    One float64 buffer of shape (n + 1, max(9, 3P), N) holds the batch's
+    inputs and estimates, for P plans and N trials of n samples.  Each
+    stream is initialized and its samples are copied into column j: row
+    k + 1 holds sample k's gyro in entries 0-2 and accel/mag in 3-8.  The
+    stream is then dropped, so ``streams`` may be a generator that builds
+    one stream at a time.  Row 0 holds every plan's initial estimates.  One
+    loop over time advances every live trial with one stacked call per
+    plan, all from the same initial estimates, reading row k + 1's (3, N)
+    and (6, N) views; each call is timed.  Once every plan has stepped k,
+    the plans' new attitudes overwrite entries 0 to 3P - 1 of row k + 1,
+    whose inputs are then spent.  A trial whose initialization raises
     :class:`~eh2marg.errors.Eh2MargError` or ``ValueError``, or whose step
     raises :class:`~eh2marg.errors.Eh2MargError`, stops there and the others
     carry on.
     """
     failures: dict[int, _Failure] = {}
     ok = []
-    for j, stream in enumerate(streams):
+    width = 3 * len(plans)
+    streams = iter(streams)
+    for j in range(num_trials):
+        # Each stream is dropped before the next is built: next(), not
+        # enumerate(), whose cached (j, stream) tuple would keep it alive.
+        stream = next(streams)
         if j == 0:
             t = stream.t
             n = len(t)
-            omega = np.empty((n, 3, num_trials))
-            y = np.empty((n, 6, num_trials))
+            buf = np.empty((n + 1, max(9, width), num_trials))
+            estimates = buf[:n, :width].reshape(n, len(plans), 3, num_trials).transpose(1, 0, 3, 2)
             x0 = np.empty((6, num_trials))
-        omega[:, :, j] = stream.omega_m
-        y[:, :3, j] = stream.a_m
-        y[:, 3:, j] = stream.m_m
+        buf[1:, :3, j] = stream.omega_m
+        buf[1:, 3:6, j] = stream.a_m
+        buf[1:, 6:9, j] = stream.m_m
         try:
             x0[:, j] = initialize_from_first_sample(stream.sample(0), world).as_vector()
             ok.append(j)
         except (Eh2MargError, ValueError) as exc:  # e.g. a non-finite first sample
             failures[j] = _Failure(exc)
-    del stream
+        del stream
 
     live = np.array(ok, dtype=np.intp)
     states = [plan.start(x0[:, live]) for plan in plans]
-    estimates = np.empty((len(plans), n, num_trials, 3))
     estimates[:, 0] = x0[:3].T
     step_ns = np.zeros((len(plans), n - 1))
     for k in range(n - 1):
@@ -589,7 +601,7 @@ def _run_trials(
         # While every trial is live, plain indexing reads and writes views
         # instead of copying through ``live``.
         rows = slice(None) if len(live) == num_trials else live
-        inputs = (omega[k][:, rows], y[k][:, rows])
+        inputs = (buf[k + 1][:3, rows], buf[k + 1][3:9, rows])
         for f, plan in enumerate(plans):
             tic = perf_counter_ns()
             new, errors = _advance(plan.step, states[f] + inputs)
@@ -607,7 +619,9 @@ def _run_trials(
                 if not len(live):
                     break
             states[f] = new
-            estimates[f, k + 1, rows] = new[0][:3].T
+        # Only now are row k + 1's inputs spent: a later plan reads them.
+        for f, state in enumerate(states):
+            estimates[f, k + 1, rows] = state[0][:3].T
     return _TrialBatch(estimates, step_ns, failures)
 
 

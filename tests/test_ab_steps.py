@@ -1,5 +1,6 @@
-"""Runs ``tools/ab_steps.py``, the interleaved A/B timer of the filter
-steps and gain synthesis, end to end on one source tree against itself."""
+"""Runs ``tools/ab_steps.py``, the interleaved A/B timer of every layer of a
+run with each side's run-level memory peak, end to end on one source tree
+against itself."""
 
 import json
 import math
@@ -28,8 +29,14 @@ def test_ab_steps_times_every_layer_of_a_tree_against_itself():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    layers = json.loads(proc.stdout.splitlines()[-1])["layers"]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    layers = result["layers"]
     assert set(layers) == LAYERS
     for name, figures in layers.items():
         ratio = figures["ratio_b_over_a"]
         assert math.isfinite(ratio) and ratio > 0.0, (name, ratio)
+    # One case I run holds its batch buffer of 3.6 MB at the least.
+    peaks = result["run_peak_mb"]
+    assert set(peaks) == {"a", "b"}
+    for side, peak in peaks.items():
+        assert 3.6 < peak < 50.0, (side, peak)

@@ -838,3 +838,43 @@ class TestRunTrials:
         assert (got.filter, want.filter) == ("a", "eh2")
         assert (got.step, got.t, got.last_state) == (want.step, want.t, want.last_state)
         assert type(got.error) is type(want.error) is NonFiniteState
+
+    def test_four_plans_give_each_pair_the_bytes_of_the_pair_alone(self, cert):
+        # 4 plans write 12 estimate floats per sample, more than the 9 input
+        # floats they overwrite: the paper's pair run twice, under two more
+        # names, gives each copy the columns and failures of the pair alone,
+        # the failing trial's up to its failing step too.
+        cfg = ScenarioConfig.case_ii(num_trials=3)
+        traj, streams = self._streams(cfg, range(3))
+        streams[1].a_m[50, 0] = np.nan
+        pair = self._plans(cert.L, cfg)
+        four = pair + tuple(plan._replace(name=plan.name + "_again") for plan in pair)
+        batch = harness._run_trials(3, streams, cfg.world, four)
+        alone = harness._run_trials(3, streams, cfg.world, pair)
+
+        assert batch.estimates.shape == (4, len(traj), 3, 3)
+        for f in range(4):
+            got, want = batch.estimates[f], alone.estimates[f % 2]
+            assert got[:, [0, 2]].tobytes() == want[:, [0, 2]].tobytes(), f
+            assert got[:51, 1].tobytes() == want[:51, 1].tobytes(), f
+        assert list(batch.failures) == list(alone.failures) == [1]
+        got, want = batch.failures[1], alone.failures[1]
+        assert (got.filter, got.step, got.last_state) == (want.filter, 50, want.last_state)
+
+    def test_case_i_batch_allocates_about_one_buffer(self, cert):
+        # Case I's batch, 10 trials x 5,001 samples, from streams built
+        # beforehand: one (5,002, 9, 10) float64 buffer of 3.6 MB holds the
+        # inputs and, as they are spent, the estimates.  Separate inputs and
+        # estimates would take 6.0 MB.
+        cfg = ScenarioConfig.case_i()
+        traj, streams = self._streams(cfg, range(cfg.num_trials))
+        plans = self._plans(cert.L, cfg)
+        buffer_bytes = (len(traj) + 1) * 9 * cfg.num_trials * 8
+        tracemalloc.start()
+        try:
+            batch = harness._run_trials(cfg.num_trials, streams, cfg.world, plans)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not batch.failures
+        assert peak <= 1.25 * buffer_bytes, (peak, buffer_bytes)

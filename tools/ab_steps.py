@@ -44,6 +44,12 @@ per-trial work, which take milliseconds a call.  The layers:
 Together the layers cover a whole ``run``: gain synthesis, trajectory,
 sensor stream, both filters' steps, metrics and CSV writing.
 
+Beside the layers, ``run peak`` is each side's memory figure: the
+tracemalloc peak (MB) of one case I ``run_experiment`` at seed ``SEED``
+with an output directory, taken after one untraced warm-up run, so that
+lazy set-up is not counted.  It is the run-level figure under the
+benchmark's ``peak_rss_mb``, without the interpreter and libraries.
+
 Every layer steps with an equal copy of the world the side was set up
 with, as every repetition of a benchmark workload after its first does.
 
@@ -52,8 +58,9 @@ a 20 deg three-axis sinusoid at 0.5 rad/s and 100 Hz, its sensor stream for
 seed ``SEED`` (11), and the synthesized gain, built by each side's own
 package.  The last four layers run on case I at seed ``SEED``.  Printed per
 layer: each side's min and median µs per call over the rounds and the
-median of the per-round ratios B/A; then the same figures, with each
-layer's calls per round, as one JSON object on the last line.
+median of the per-round ratios B/A, and each side's run peak; then the
+same figures, with each layer's calls per round, as one JSON object on the
+last line (the run peaks under ``run_peak_mb``).
 Run it on an otherwise idle host, one process, with one BLAS thread
 (``OPENBLAS_NUM_THREADS=1``).
 """
@@ -64,6 +71,7 @@ import json
 import statistics
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from time import perf_counter_ns
 
@@ -188,6 +196,19 @@ def layers(pkg, tmp: Path) -> dict:
     }
 
 
+def run_peak_mb(pkg, out_dir: Path) -> float:
+    """Tracemalloc peak (MB) of one case I run writing into ``out_dir``,
+    after one warm-up run."""
+    cfg = pkg.ScenarioConfig.case_i(seed=SEED)
+    pkg.run_experiment(cfg, out_dir=out_dir)
+    tracemalloc.start()
+    try:
+        pkg.run_experiment(cfg, out_dir=out_dir)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("a_src", type=Path)
@@ -197,9 +218,10 @@ def main(argv=None) -> None:
     if args.rounds < 1:
         parser.error("--rounds must be >= 1")
     with tempfile.TemporaryDirectory() as tmp:
-        sides = {
-            side: layers(load(src, f"eh2marg_{side}"), Path(tempfile.mkdtemp(dir=tmp)))
-            for side, src in (("a", args.a_src), ("b", args.b_src))
+        pkgs = {"a": load(args.a_src, "eh2marg_a"), "b": load(args.b_src, "eh2marg_b")}
+        sides = {side: layers(pkg, Path(tempfile.mkdtemp(dir=tmp))) for side, pkg in pkgs.items()}
+        peaks = {
+            side: run_peak_mb(pkg, Path(tempfile.mkdtemp(dir=tmp))) for side, pkg in pkgs.items()
         }
         us = {name: {"a": [], "b": []} for name in sides["a"]}
         for name, (_, run) in sides["a"].items():  # warm caches and lazy set-up on both sides
@@ -225,7 +247,10 @@ def main(argv=None) -> None:
             f"{name:14s} A {min(t['a']):8.2f} / {statistics.median(t['a']):8.2f} us   "
             f"B {min(t['b']):8.2f} / {statistics.median(t['b']):8.2f} us   B/A {ratio:.3f}"
         )
-    print(json.dumps({"rounds": args.rounds, "seed": SEED, "layers": result}))
+    print(f"{'run peak':14s} A {peaks['a']:8.3f} MB   B {peaks['b']:8.3f} MB")
+    print(json.dumps(
+        {"rounds": args.rounds, "seed": SEED, "layers": result, "run_peak_mb": peaks}
+    ))
 
 
 if __name__ == "__main__":
