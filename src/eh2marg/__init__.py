@@ -24,7 +24,6 @@ from .kinematics import (
     EPS_GIMBAL,
     EulerAngles,
     dcm_body_from_inertial,
-    kinematic_matrix_inverse,
     wrap_angle,
 )
 from .sensors import ImuSample, ImuStream, NoiseParams, WorldConstants, simulate_imu_stream
@@ -107,7 +106,6 @@ __all__ = [
     "initialize_from_first_sample",
     "jacobians_measurement",
     "jacobians_process",
-    "kinematic_matrix_inverse",
     "load_gain_text",
     "metrics_without_timing",
     "nominal_model",

@@ -114,11 +114,7 @@ def _load_scenario(args: argparse.Namespace, *, required: bool = True) -> Scenar
 
 def _cmd_synthesize(args: argparse.Namespace) -> int:
     cfg = _load_scenario(args, required=False)
-    if cfg is None:
-        model = nominal_model()
-    else:
-        model = nominal_model(cfg.noise, cfg.world)
-    cert = synthesize_gain(model)
+    cert = synthesize_gain(nominal_model() if cfg is None else nominal_model(cfg.noise, cfg.world))
     print(f"achieved H2 norm : {cert.h2_norm:.12g}")
     print(f"certified gamma  : {cert.gamma:.12g}")
     print(f"max Re(eig(A+LC)): {cert.max_closedloop_real_eig:.12g}")

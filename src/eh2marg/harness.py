@@ -27,7 +27,7 @@ from numpy.typing import NDArray
 
 from .errors import ConfigError, Eh2MargError, LengthMismatch
 from .filters import _paper_plans, _Plan, check_gravity_along_z, initialize_from_first_sample
-from .kinematics import _Container, _frozen, kinematic_matrix_inverse, wrap_angle
+from .kinematics import _Container, _body_rates, _frozen, _sin_cos, wrap_angle
 from .sensors import ImuStream, NoiseParams, WorldConstants, simulate_imu_stream
 from .synthesis import synthesize_gain
 from .linearization import nominal_model
@@ -151,18 +151,15 @@ class ScenarioConfig:
             check_gravity_along_z(self.world)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if not 0 <= int(self.seed) < 2**64:
+        for name in ("seed", "num_trials"):
+            v = getattr(self, name)
+            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
+                raise ConfigError(f"{name} must be an integer, got {v!r}")
+            object.__setattr__(self, name, int(v))
+        if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must fit in u64, got {self.seed!r}")
-        if not isinstance(self.num_trials, (int, np.integer)) or isinstance(
-            self.num_trials, bool
-        ):
-            raise ConfigError(f"num_trials must be an integer, got {self.num_trials!r}")
         if self.num_trials < 1:
             raise ConfigError(f"num_trials must be >= 1, got {self.num_trials}")
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "num_trials", int(self.num_trials))
 
     @classmethod
     def case_i(cls, **overrides: Any) -> "ScenarioConfig":
@@ -172,14 +169,8 @@ class ScenarioConfig:
         peak excursion near 19 deg — comfortably inside the small-angle
         regime the fixed-gain design is tuned for.
         """
-        base = dict(
-            case_id="I",
-            duration=50.0,
-            imu_rate=100.0,
-            angular_speed=np.pi / 50.0,
-        )
-        base.update(overrides)
-        return cls(**base)
+        base = dict(case_id="I", duration=50.0, angular_speed=np.pi / 50.0)
+        return cls(**{**base, **overrides})
 
     @classmethod
     def case_ii(cls, **overrides: Any) -> "ScenarioConfig":
@@ -187,15 +178,8 @@ class ScenarioConfig:
 
         10 s at 100 Hz with peak rate pi/3 rad/s on each axis.
         """
-        base = dict(
-            case_id="II",
-            duration=10.0,
-            imu_rate=100.0,
-            angular_speed=np.pi / 3.0,
-            amplitude_deg=60.0,
-        )
-        base.update(overrides)
-        return cls(**base)
+        base = dict(case_id="II", duration=10.0, angular_speed=np.pi / 3.0, amplitude_deg=60.0)
+        return cls(**{**base, **overrides})
 
     def amplitude_rad(self) -> NDArray[np.float64] | None:
         if self.amplitude_deg is None:
@@ -268,8 +252,9 @@ class Trajectory(_Container):
         return self.t.shape[0]
 
     def body_rates(self) -> NDArray[np.float64]:
-        """True body angular velocity at every sample, omega = T^-1 Phi_dot."""
-        return np.einsum("nij,nj->ni", kinematic_matrix_inverse(self.angles), self.rates)
+        """True body angular velocity at every sample, omega = T^-1 Phi_dot, (n, 3):
+        the T^-1 map on the (3, n) transposes of the angles and rates."""
+        return np.stack(_body_rates(*_sin_cos(self.angles.T[:2]), self.rates.T), axis=1)
 
 
 def generate_trajectory(cfg: ScenarioConfig) -> Trajectory:
@@ -362,19 +347,15 @@ class RunMetrics:
     err_max: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        rms = np.asarray(self.rms, dtype=np.float64)
-        err_min = np.asarray(self.err_min, dtype=np.float64)
-        err_max = np.asarray(self.err_max, dtype=np.float64)
-        for name, arr in (("rms", rms), ("err_min", err_min), ("err_max", err_max)):
+        for name in ("rms", "err_min", "err_max"):
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
             if arr.shape != (3,) or not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be a finite length-3 array")
-        if np.any(rms < 0.0):
+            object.__setattr__(self, name, arr)
+        if np.any(self.rms < 0.0):
             raise ValueError("rms must be >= 0")
-        if np.any(err_min > err_max):
+        if np.any(self.err_min > self.err_max):
             raise ValueError("err_min must be <= err_max per axis")
-        object.__setattr__(self, "rms", rms)
-        object.__setattr__(self, "err_min", err_min)
-        object.__setattr__(self, "err_max", err_max)
 
     def to_dict(self) -> dict[str, list[float]]:
         return {
@@ -519,29 +500,36 @@ def _trials(a: NDArray[np.float64], i: "int | NDArray[np.bool_]") -> NDArray[np.
 
 def _advance(
     step: Callable[..., tuple], arrays: tuple
-) -> tuple[tuple | None, dict[int, Eh2MargError]]:
+) -> tuple[tuple | None, dict[int, Eh2MargError], int]:
     """Run one filter step on every trial of ``arrays``; trials that raise drop out.
 
-    Returns the new stacked state (None when no trial is left) and the error
-    of every trial that raised.  One trial takes the (6,) path.  When a
-    stacked call raises, the step is re-run trial by trial, so that each
-    failing trial gets the error its own run raises and the others carry on.
+    Returns the new stacked state (None when no trial is left), the error
+    of every trial that raised, and the nanoseconds the step calls took:
+    slicing out one trial and stacking the results are not timed.  One
+    trial takes the (6,) path.  When a stacked call raises, the step is
+    re-run trial by trial, so that each failing trial gets the error its own
+    run raises and the others carry on.
     """
     count = arrays[0].shape[-1]
+    ns = 0
     if count > 1:
+        tic = perf_counter_ns()
         try:
-            return step(*arrays), {}
+            return step(*arrays), {}, perf_counter_ns() - tic
         except Eh2MargError:
-            pass
+            ns = perf_counter_ns() - tic
     done, errors = [], {}
     for i in range(count):
+        trial = tuple(_trials(a, i) for a in arrays)
+        tic = perf_counter_ns()
         try:
-            done.append(step(*(_trials(a, i) for a in arrays)))
+            done.append(step(*trial))
         except Eh2MargError as exc:
             errors[i] = exc
+        ns += perf_counter_ns() - tic
     if not done:
-        return None, errors
-    return tuple(np.stack(c, axis=-1 if c[0].ndim == 1 else 0) for c in zip(*done)), errors
+        return None, errors, ns
+    return tuple(np.stack(c, axis=-1 if c[0].ndim == 1 else 0) for c in zip(*done)), errors, ns
 
 
 def _run_trials(
@@ -560,7 +548,7 @@ def _run_trials(
     one stream at a time.  Row 0 holds every plan's initial estimates.  One
     loop over time advances every live trial with one stacked call per
     plan, all from the same initial estimates, reading row k + 1's (3, N)
-    and (6, N) views; each call is timed.  Once every plan has stepped k,
+    and (6, N) views; each step call is timed.  Once every plan has stepped k,
     the plans' new attitudes overwrite entries 0 to 3P - 1 of row k + 1,
     whose inputs are then spent.  A trial whose initialization raises
     :class:`~eh2marg.errors.Eh2MargError` or ``ValueError``, or whose step
@@ -603,9 +591,8 @@ def _run_trials(
         rows = slice(None) if len(live) == num_trials else live
         inputs = (buf[k + 1][:3, rows], buf[k + 1][3:9, rows])
         for f, plan in enumerate(plans):
-            tic = perf_counter_ns()
-            new, errors = _advance(plan.step, states[f] + inputs)
-            step_ns[f, k] = (perf_counter_ns() - tic) / len(live)
+            new, errors, ns = _advance(plan.step, states[f] + inputs)
+            step_ns[f, k] = ns / len(live)
             if errors:
                 for i, exc in errors.items():
                     failures[int(live[i])] = _Failure(
@@ -623,6 +610,31 @@ def _run_trials(
         for f, state in enumerate(states):
             estimates[f, k + 1, rows] = state[0][:3].T
     return _TrialBatch(estimates, step_ns, failures)
+
+
+def _batch_records(
+    batch: _TrialBatch, members: range, traj: Trajectory, names: list[str],
+    exclude_initial: float, csv: tuple[Path, NDArray[np.object_]] | None,
+) -> list[dict[str, Any]]:
+    """metrics.json's records of the batch's trials ``members``, writing each
+    successful trial's CSV when ``csv`` gives a directory and the
+    :func:`_truth_cells`.  Once it returns, nothing holds the batch's buffer."""
+    timing = [_timing_block(ns * 1e-6) for ns in batch.step_ns]
+    records: list[dict[str, Any]] = []
+    for row, trial in enumerate(members):
+        if row in batch.failures:
+            records.append({"trial": trial, "ok": False, **batch.failures[row].record()})
+            continue
+        estimates = batch.estimates[:, :, row]
+        record: dict[str, Any] = {
+            "trial": trial, "ok": True, "timing": dict(zip(names, map(dict, timing)))
+        }
+        for name, est in zip(names, estimates):
+            record[name] = compute_metrics(traj, est, exclude_initial).to_dict()
+        records.append(record)
+        if csv is not None:
+            _write_trial_csv(csv[0] / f"trial_{trial:03d}.csv", csv[1], estimates)
+    return records
 
 
 def run_experiment(
@@ -675,11 +687,11 @@ def run_experiment(
     plans = _paper_plans(L0, cfg.noise, cfg.world, 1.0 / cfg.imu_rate)
     names = [plan.name for plan in plans]
 
-    out_path: Path | None = None
-    if out_dir is not None:
-        out_path = Path(out_dir)
+    out_path = None if out_dir is None else Path(out_dir)
+    csv = None
+    if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
-        truth_cells = _truth_cells(traj.t, traj.angles)
+        csv = out_path, _truth_cells(traj.t, traj.angles)
 
     trials: list[dict[str, Any]] = []
     batch_size = MAX_STEPS // (len(traj) - 1)
@@ -692,21 +704,12 @@ def run_experiment(
             )
             for trial in members
         )
-        batch = _run_trials(len(members), streams, cfg.world, plans)
-        timing = [_timing_block(ns * 1e-6) for ns in batch.step_ns]
-        for row, trial in enumerate(members):
-            if row in batch.failures:
-                trials.append({"trial": trial, "ok": False, **batch.failures[row].record()})
-                continue
-            estimates = batch.estimates[:, :, row]
-            record: dict[str, Any] = {
-                "trial": trial, "ok": True, "timing": dict(zip(names, map(dict, timing)))
-            }
-            for name, est in zip(names, estimates):
-                record[name] = compute_metrics(traj, est, exclude_initial).to_dict()
-            trials.append(record)
-            if out_path is not None:
-                _write_trial_csv(out_path / f"trial_{trial:03d}.csv", truth_cells, estimates)
+        # The batch goes straight to _batch_records, so that its buffer is
+        # freed before the next batch builds its own.
+        trials += _batch_records(
+            _run_trials(len(members), streams, cfg.world, plans), members, traj, names,
+            exclude_initial, csv,
+        )
 
     result: dict[str, Any] = {
         "config": cfg.to_dict(),

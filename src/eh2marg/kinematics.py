@@ -3,18 +3,20 @@
 Provides the rate transformation ``T(Phi)``, mapping body angular rates to
 Euler-angle rates, and its inverse; the body-from-inertial direction cosine
 matrix ``R(Phi)`` of the 3-2-1 (yaw-pitch-roll) sequence; and angle
-wrapping.  R is written once, as the map :func:`_rotate` on the sines and
-cosines from :func:`_sin_cos`; :func:`_euler_rates` applies T the same way.
-Only the EKF's Jacobian A holds T as a matrix
+wrapping.  Each of the three is written once, as a map on vectors and the
+sines and cosines from :func:`_sin_cos`: R as :func:`_rotate`, T as
+:func:`_euler_rates` and T^-1 as :func:`_body_rates`.  R is the only one
+the public API gives as a matrix (:func:`dcm_body_from_inertial`); only the
+EKF's Jacobian A holds T as a matrix
 (:func:`eh2marg.linearization.jacobians_process`).
 
 Attitudes and states are component-major: one is a (3,) or (6,) vector, and
 a stack of n is a (3, n) or (6, n) array whose row i holds component i of
 every member.  So ``x[1]`` is one pitch or a contiguous row of n pitches,
 and the same expressions run on the Python floats of one attitude and on
-the length-n rows of a stack.  The public time-series functions
-(:func:`dcm_body_from_inertial`, :func:`kinematic_matrix_inverse`) take an
-(n, 3) series and read it through its transpose.
+the length-n rows of a stack.  The public time-series function
+:func:`dcm_body_from_inertial` takes an (n, 3) series and reads it through
+its transpose.
 
 The filter steps read R(Phi) r off constant tables instead.  Every entry of
 R and of its first derivatives is a combination, with coefficients 0 or
@@ -59,7 +61,6 @@ __all__ = [
     "EPS_GIMBAL",
     "EulerAngles",
     "dcm_body_from_inertial",
-    "kinematic_matrix_inverse",
     "wrap_angle",
 ]
 
@@ -248,10 +249,9 @@ def _series(e: "EulerAngles | ArrayLike") -> NDArray[np.float64]:
 def _matrix(rows: "list | tuple") -> NDArray[np.float64]:
     """The matrix whose entry (i, j) is ``rows[i][j]``: (r, c) when the
     entries are Python floats, as :func:`_sin_cos` gives for one attitude,
-    and an (n, r, c) stack when some are length-n arrays, constants mixed in.
+    and an (n, r, c) stack when they are all length-n arrays.
     """
-    shape = np.broadcast_shapes(*(np.shape(v) for row in rows for v in row))
-    m = np.empty(shape + (len(rows), len(rows[0])))
+    m = np.empty(np.shape(rows[0][0]) + (len(rows), len(rows[0])))
     for i, row in enumerate(rows):
         for j, v in enumerate(row):
             m[..., i, j] = v
@@ -269,6 +269,19 @@ def _euler_rates(s: ArrayLike, c: ArrayLike, w: NDArray[np.float64]) -> tuple:
     u = sp * w1 + cp * w2
     psi_dot = u / ct
     return w0 + st * psi_dot, cp * w1 - sp * w2, psi_dot
+
+
+def _body_rates(s: ArrayLike, c: ArrayLike, r: NDArray[np.float64]) -> tuple:
+    """T(Phi)^-1 r: the body rates of the Euler rates r, component by component.
+
+    ``s`` and ``c`` are the sines and cosines of (phi, theta), and ``r``
+    three floats for the floats of one attitude or a (3, n) stack.  Unlike
+    T itself this map is defined for all attitudes; no gimbal guard is
+    needed.
+    """
+    (sp, st), (cp, ct) = s, c
+    r0, r1, r2 = r
+    return r0 - st * r2, cp * r1 + sp * ct * r2, cp * ct * r2 - sp * r1
 
 
 def _rotate(s: ArrayLike, c: ArrayLike, r: "list | tuple") -> tuple:
@@ -382,22 +395,6 @@ def _columns(a: NDArray[np.float64]) -> NDArray[np.float64]:
     stack, a C + F sum costs about 2.4 times a C + C one.
     """
     return a if a.ndim == 1 else np.ascontiguousarray(a.T)
-
-
-def kinematic_matrix_inverse(e: "EulerAngles | ArrayLike") -> NDArray[np.float64]:
-    """Inverse of the rate transformation T, mapping Euler rates to body rates.
-
-    Unlike ``T`` itself this map is defined for all attitudes; no gimbal
-    guard is needed.  An (n, 3) angle array gives an (n, 3, 3) stack.
-    """
-    (sp, st), (cp, ct) = _sin_cos(_series(e)[:2])
-    return _matrix(
-        [
-            [1.0, 0.0, -st],
-            [0.0, cp, sp * ct],
-            [0.0, -sp, cp * ct],
-        ]
-    )
 
 
 def dcm_body_from_inertial(e: "EulerAngles | ArrayLike") -> NDArray[np.float64]:

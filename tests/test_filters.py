@@ -586,7 +586,8 @@ class TestSolve:
                 ekf_step(EKFState(EulerState(), np.zeros((6, 6))), sample, world, q, DT)
             with pytest.raises(InnovationCovSingular, match=f"^{message}$"):
                 step(np.zeros((6, 2)), np.zeros((2, 6, 6)), omega, y)
-            new, errors = harness._advance(step, (np.zeros((6, 2)), np.zeros((2, 6, 6)), omega, y))
+            stack = (np.zeros((6, 2)), np.zeros((2, 6, 6)), omega, y)
+            new, errors, _ = harness._advance(step, stack)
         assert new is None and sorted(errors) == [0, 1]
         for exc in errors.values():
             assert type(exc) is InnovationCovSingular and str(exc) == message

@@ -304,6 +304,32 @@ class TestGenerateTrajectory:
             rates = _euler_rates(*_sin_cos(traj.angles[k]), omega[k])
             assert_allclose(rates, traj.rates[k], atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ScenarioConfig.case_i(),
+            ScenarioConfig.case_ii(),
+            # run_timing_benchmark's scenario at its default 10,000 steps.
+            ScenarioConfig(
+                case_id="custom", duration=100.0, angular_speed=0.5, amplitude_deg=20.0,
+                seed=42, num_trials=1,
+            ),
+        ],
+        ids=["case_i", "case_ii", "bench"],
+    )
+    def test_body_rates_equal_the_inverse_matrix_product_bit_for_bit(self, cfg):
+        # T^-1 written out as an (n, 3, 3) stack and applied with einsum.
+        traj = generate_trajectory(cfg)
+        s, c = np.sin(traj.angles.T[:2]), np.cos(traj.angles.T[:2])
+        (sp, st), (cp, ct) = s, c
+        zero, one = np.zeros_like(sp), np.ones_like(sp)
+        rows = [[one, zero, -st], [zero, cp, sp * ct], [zero, -sp, cp * ct]]
+        inverse = np.moveaxis(np.array(rows), (0, 1), (-2, -1))
+        expected = np.einsum("nij,nj->ni", inverse, traj.rates)
+        got = traj.body_rates()
+        assert got.shape == (len(traj), 3)
+        assert got.tobytes() == expected.tobytes()
+
     def test_trajectory_validation(self):
         t = np.linspace(0.0, 1.0, 11)
         with pytest.raises(LengthMismatch):
@@ -860,6 +886,55 @@ class TestRunTrials:
         assert list(batch.failures) == list(alone.failures) == [1]
         got, want = batch.failures[1], alone.failures[1]
         assert (got.filter, got.step, got.last_state) == (want.filter, 50, want.last_state)
+
+    def test_one_trial_times_only_its_step_calls(self, cert, monkeypatch):
+        # A clock that each step call moves by 7 ns and each trial slice by
+        # 1 ms: a one-trial batch's step times read the step calls alone,
+        # and a stacked batch's their share of the stacked call.
+        clock = [0]
+        trials = harness._trials
+
+        def slow_trials(a, i):
+            clock[0] += 1_000_000
+            return trials(a, i)
+
+        def ticking(plan):
+            def step(*args):
+                clock[0] += 7
+                return plan.step(*args)
+
+            return plan._replace(step=step)
+
+        monkeypatch.setattr(harness, "perf_counter_ns", lambda: clock[0])
+        monkeypatch.setattr(harness, "_trials", slow_trials)
+        cfg = ScenarioConfig.case_ii(num_trials=2, duration=1.0)
+        _, streams = self._streams(cfg, range(2))
+        plans = tuple(map(ticking, self._plans(cert.L, cfg)))
+        single = harness._run_trials(1, streams[:1], cfg.world, plans)
+        stacked = harness._run_trials(2, streams, cfg.world, plans)
+        assert not single.failures and not stacked.failures
+        assert np.all(single.step_ns == 7.0)
+        assert np.all(stacked.step_ns == 3.5)
+
+    def test_a_run_holds_one_batch_buffer_at_a_time(self, cert, monkeypatch):
+        # A 10 s case I run at 10 trials per batch: each batch's buffer is
+        # (1,001, 9, 10) float64, 0.72 MB.  A second batch frees the first
+        # batch's buffer before it builds its own.
+        monkeypatch.setattr(harness, "MAX_STEPS", 10_000)
+        buffer_bytes = 1_001 * 9 * 10 * 8
+
+        def peak(num_trials):
+            cfg = ScenarioConfig.case_i(duration=10.0, num_trials=num_trials)
+            tracemalloc.start()
+            try:
+                run_experiment(cfg, gain=cert.L)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # warm-up: first-use caches stay out of the comparison
+        one_batch, two_batches = peak(10), peak(20)
+        assert two_batches < one_batch + buffer_bytes / 2, (one_batch, two_batches)
 
     def test_case_i_batch_allocates_about_one_buffer(self, cert):
         # Case I's batch, 10 trials x 5,001 samples, from streams built
