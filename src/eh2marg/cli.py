@@ -103,10 +103,8 @@ def _read_json(path: Path) -> Any:
 def _load_scenario(args: argparse.Namespace, *, required: bool = True) -> ScenarioConfig | None:
     if args.config is not None:
         return ScenarioConfig.from_dict(_read_json(args.config))
-    if args.case == "I":
-        return ScenarioConfig.case_i()
-    if args.case == "II":
-        return ScenarioConfig.case_ii()
+    if args.case is not None:
+        return ScenarioConfig.from_dict({"case_id": args.case})
     if required:
         raise ConfigError("provide --config or --case")
     return None

@@ -407,7 +407,13 @@ class _Plan(NamedTuple):
 
 def _paper_plans(L0, noise: NoiseParams, world: WorldConstants, dt) -> tuple[_Plan, ...]:
     """The paper's pair, eh2 then the EKF, built once per run: eh2's gain
-    table L0 C_h is formed here, and the EKF starts from :data:`DEFAULT_P0`."""
+    table L0 C_h is formed here, and the EKF starts from :data:`DEFAULT_P0`.
+
+    This is the one place the pair is named.  A plan table's contract, which
+    the harness reads: plans come in (filter, baseline) pairs, in order.  A
+    run's CSV holds one ``phi_/theta_/psi_<name>`` triple per plan, in table
+    order, and its aggregate compares each filter with the baseline after
+    it, as ``yaw_wins_<filter>`` and ``ratio_<filter>_over_<baseline>``."""
     table = _folded_gain(L0, world)
     return (
         _Plan("eh2", lambda x0: (x0,), lambda x, om, y: (eh2(x, om, y, L0, table, dt),)),

@@ -228,7 +228,8 @@ class ScenarioConfig:
 @dataclass(frozen=True, eq=False)
 class Trajectory(_Container):
     """Sampled attitude truth: times, 3-2-1 Euler angles, and Euler-angle rates,
-    kept as read-only copies."""
+    kept as read-only copies.  Every entry must be finite: a NaN time passes
+    the strictly-increasing check, since NaN compares false."""
 
     t: NDArray[np.float64]
     angles: NDArray[np.float64]
@@ -245,6 +246,9 @@ class Trajectory(_Container):
             raise LengthMismatch(
                 f"angles/rates must have shape ({n}, 3), got {angles.shape} and {rates.shape}"
             )
+        for name in ("t", "angles", "rates"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if np.any(np.diff(t) <= 0.0):
             raise ValueError("t must be strictly increasing")
 
@@ -338,9 +342,10 @@ def generate_trajectory(cfg: ScenarioConfig) -> Trajectory:
     return Trajectory(t=t, angles=angles, rates=rates)
 
 
-@dataclass(frozen=True)
-class RunMetrics:
-    """Per-axis error statistics of one filter on one trial, in degrees."""
+@dataclass(frozen=True, eq=False)
+class RunMetrics(_Container):
+    """Per-axis error statistics of one filter on one trial, in degrees,
+    kept as read-only copies."""
 
     rms: NDArray[np.float64]
     err_min: NDArray[np.float64]
@@ -348,7 +353,7 @@ class RunMetrics:
 
     def __post_init__(self) -> None:
         for name in ("rms", "err_min", "err_max"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            arr = _frozen(getattr(self, name))
             if arr.shape != (3,) or not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be a finite length-3 array")
             object.__setattr__(self, name, arr)
@@ -421,10 +426,7 @@ def _timing_block(per_step_times_ms: NDArray[np.float64]) -> dict[str, float]:
 #: small (about 0.6 MB) where a whole case I trial would take about 3 MB.
 _CSV_BLOCK_ROWS = 1000
 
-_CSV_HEADER = (
-    "t,phi_true,theta_true,psi_true,phi_eh2,theta_eh2,psi_eh2,"
-    "phi_ekf,theta_ekf,psi_ekf"
-)
+_AXES = ("phi", "theta", "psi")
 
 
 def _truth_cells(t: NDArray[np.float64], truth: NDArray[np.float64]) -> NDArray[np.object_]:
@@ -435,18 +437,23 @@ def _truth_cells(t: NDArray[np.float64], truth: NDArray[np.float64]) -> NDArray[
 
 
 def _write_trial_csv(
-    path: Path, truth_cells: NDArray[np.object_], estimates: NDArray[np.float64]
+    path: Path, truth_cells: NDArray[np.object_], estimates: NDArray[np.float64],
+    names: list[str],
 ) -> None:
-    """Write the truth cells beside the (2, n, 3) eh2 and EKF attitudes."""
+    """Write the truth cells beside the (P, n, 3) attitudes of the P plans
+    ``names``: one ``phi_/theta_/psi_<name>`` triple per plan, in table order."""
     estimates = np.hstack(estimates)
-    cells = np.empty((_CSV_BLOCK_ROWS, 7), dtype=object)
+    width = estimates.shape[1]
+    cells = np.empty((_CSV_BLOCK_ROWS, 1 + width), dtype=object)
+    header = ",".join(["t", *(f"{axis}_{name}" for name in ("true", *names) for axis in _AXES)])
+    row = "%s" + ",%.17g" * width + "\n"
     with open(path, "w", newline="\n") as fh:
-        fh.write(_CSV_HEADER + "\n")
+        fh.write(header + "\n")
         for first in range(0, len(estimates), _CSV_BLOCK_ROWS):
             block = cells[: len(estimates) - first]
             block[:, 0] = truth_cells[first : first + len(block)]
             block[:, 1:] = estimates[first : first + len(block)]
-            fh.write(("%s" + ",%.17g" * 6 + "\n") * len(block) % tuple(block.ravel().tolist()))
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 class _Failure(NamedTuple):
@@ -633,7 +640,7 @@ def _batch_records(
             record[name] = compute_metrics(traj, est, exclude_initial).to_dict()
         records.append(record)
         if csv is not None:
-            _write_trial_csv(csv[0] / f"trial_{trial:03d}.csv", csv[1], estimates)
+            _write_trial_csv(csv[0] / f"trial_{trial:03d}.csv", csv[1], estimates, names)
     return records
 
 
@@ -727,10 +734,17 @@ def run_experiment(
     return result
 
 
+def _pairs(names: list[str]) -> list[tuple[str, str, str]]:
+    """Each (filter, baseline) pair of a plan table's names, consecutive and
+    in order, with the key of the pair's timing ratio."""
+    return [(f, b, f"ratio_{f}_over_{b}") for f, b in zip(names[::2], names[1::2])]
+
+
 def _aggregate(trials: list[dict[str, Any]], names: list[str]) -> dict[str, Any]:
     """metrics.json's aggregate over the successful trial records: for each of
-    ``names`` the mean RMS, least err_min and greatest err_max per axis, the
-    eh2 yaw wins, and the mean of each timing statistic with the eh2/EKF ratio."""
+    ``names`` the mean RMS, least err_min and greatest err_max per axis and the
+    mean of each timing statistic, and for each (filter, baseline) pair of
+    :func:`_pairs` the filter's yaw wins and its mean-time ratio."""
     ok = [rec for rec in trials if rec["ok"]]
     aggregate: dict[str, Any] = {"num_ok": len(ok), "num_failed": len(trials) - len(ok)}
     if not ok:
@@ -741,16 +755,17 @@ def _aggregate(trials: list[dict[str, Any]], names: list[str]) -> dict[str, Any]
             key: reduce([rec[name][key] for rec in ok], axis=0).tolist()
             for key, reduce in reductions.items()
         }
-    aggregate["yaw_wins_eh2"] = sum(
-        rec["eh2"]["rms_deg"][2] < rec["ekf"]["rms_deg"][2] for rec in ok
-    )
     timing = {
         f"{name}_{stat}": float(np.mean([rec["timing"][name][stat] for rec in ok]))
         for name in names
         for stat in ("mean_ms", "p50_ms", "p95_ms")
     }
-    mean_eh2, mean_ekf = timing["eh2_mean_ms"], timing["ekf_mean_ms"]
-    timing["ratio_eh2_over_ekf"] = mean_eh2 / mean_ekf if mean_ekf > 0.0 else float("nan")
+    for filt, base, ratio in _pairs(names):
+        aggregate[f"yaw_wins_{filt}"] = sum(
+            rec[filt]["rms_deg"][2] < rec[base]["rms_deg"][2] for rec in ok
+        )
+        mean_f, mean_b = timing[f"{filt}_mean_ms"], timing[f"{base}_mean_ms"]
+        timing[ratio] = mean_f / mean_b if mean_b > 0.0 else float("nan")
     aggregate["timing"] = timing
     return aggregate
 
@@ -773,9 +788,10 @@ def run_timing_benchmark(steps: int = 10_000, *, seed: int = 42) -> dict[str, An
 
     Runs one trial through :func:`run_experiment`, whose time loop times one
     extended-H2 step and one EKF step on the same sample in turn, so
-    scheduler and thermal drift hit both filters equally.  The scenario is a
-    smooth 20 deg three-axis sinusoid that supplies exactly the requested
-    number of steps.  Raises ConfigError for fewer than 200 steps, and
+    scheduler and thermal drift hit both filters equally; their timing
+    ratio is read under the trial's plan names, as :func:`_aggregate` keys it.
+    The scenario is a smooth 20 deg three-axis sinusoid that supplies
+    exactly the requested number of steps.  Raises ConfigError for fewer than 200 steps, and
     Eh2MargError carrying the recorded error if the trial fails.
     """
     if steps < 200:
@@ -793,9 +809,10 @@ def run_timing_benchmark(steps: int = 10_000, *, seed: int = 42) -> dict[str, An
     trial = result["trials"][0]
     if not trial["ok"]:
         raise Eh2MargError(f"benchmark trial failed: {trial['error']}")
+    timing = result["aggregate"]["timing"]
     return {
         "backend": BACKEND,
         "steps": int(steps),
         **trial["timing"],
-        "ratio_eh2_over_ekf": result["aggregate"]["timing"]["ratio_eh2_over_ekf"],
+        **{ratio: timing[ratio] for _, _, ratio in _pairs(list(trial["timing"]))},
     }

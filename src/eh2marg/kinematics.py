@@ -86,10 +86,11 @@ def _frozen(values: ArrayLike) -> NDArray[np.float64]:
 
 class _Container:
     """Base of the frozen containers: copy, deepcopy and pickle rebuild one
-    through its public constructor, with read-only arrays and views.  A
-    container that holds arrays declares ``eq=False`` and compares by value
-    here: two of one type are equal when their constructor arguments are,
-    arrays by :func:`numpy.array_equal`."""
+    through its public constructor, with read-only arrays and views (but
+    for :class:`~eh2marg.sensors.ImuStream`, which keeps its columns as
+    given).  A container that holds arrays declares ``eq=False`` and
+    compares by value here: two of one type are equal when their
+    constructor arguments are, arrays by :func:`numpy.array_equal`."""
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f.name) for f in fields(self))

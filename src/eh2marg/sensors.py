@@ -175,13 +175,14 @@ class ImuSample(_Container):
         return self._y
 
 
-@dataclass(frozen=True)
-class ImuStream:
+@dataclass(frozen=True, eq=False)
+class ImuStream(_Container):
     """A dense IMU sample stream as column arrays (one row per sample).
 
     The shapes are checked once, here: ``t`` is (n,) with n >= 2 and the
     other four columns are (n, 3).  Finiteness is checked per sample, by
-    :meth:`sample`.
+    :meth:`sample`.  Unlike the other containers it keeps its columns as
+    given, not as read-only copies, to save memory.
 
     Raises
     ------

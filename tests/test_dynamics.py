@@ -20,8 +20,10 @@ from eh2marg import (
     EulerState,
     GimbalLockError,
     ImuSample,
+    ImuStream,
     NoiseParams,
     NonFiniteState,
+    RunMetrics,
     Trajectory,
     WorldConstants,
     eh2_step,
@@ -196,9 +198,10 @@ def _containers(cert, model):
     x0 = EulerState(EulerAngles(0.1, -0.2, 0.3), np.array([0.01, -0.02, 0.03]))
     sample = ImuSample(0.0, [0.1, 0.2, 0.3], [0.0, 0.0, 9.81], [0.48, 0.0, 0.58])
     stepped = eh2_step(EH2FilterState(x0, cert.L), sample, WorldConstants(), 0.01)
+    metrics = RunMetrics([0.1, 0.2, 0.3], [-0.4, -0.5, -0.6], [0.4, 0.5, 0.6])
     return [
         x0, EulerState._from_checked(x0.as_vector()), stepped, EKFState(x0), sample,
-        NoiseParams(), WorldConstants(), cert, traj, model,
+        NoiseParams(), WorldConstants(), cert, traj, model, metrics,
     ]
 
 
@@ -227,8 +230,10 @@ def test_frozen_containers_keep_read_only_arrays_through_copies(cert, model):
 
 def test_frozen_containers_compare_by_value(cert, model):
     # Equal constructor arguments make equal containers, arrays compared entry
-    # by entry: a tuple of arrays has no truth value to compare by.
-    for original in _containers(cert, model):
+    # by entry: a tuple of arrays has no truth value to compare by.  An
+    # ImuStream keeps writable columns, so it is compared here only.
+    stream = ImuStream(np.arange(3) * 0.01, *(np.full((3, 3), v) for v in range(4)))
+    for original in _containers(cert, model) + [stream]:
         cls, args = original.__reduce__()
         k = next((i for i, a in enumerate(args) if isinstance(a, np.ndarray)), None)
         if k is None:  # NoiseParams holds floats and keeps the dataclass __eq__

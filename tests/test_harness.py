@@ -865,11 +865,13 @@ class TestRunTrials:
         assert (got.step, got.t, got.last_state) == (want.step, want.t, want.last_state)
         assert type(got.error) is type(want.error) is NonFiniteState
 
-    def test_four_plans_give_each_pair_the_bytes_of_the_pair_alone(self, cert):
+    def test_four_plans_give_each_pair_the_bytes_of_the_pair_alone(self, cert, tmp_path):
         # 4 plans write 12 estimate floats per sample, more than the 9 input
         # floats they overwrite: the paper's pair run twice, under two more
         # names, gives each copy the columns and failures of the pair alone,
-        # the failing trial's up to its failing step too.
+        # the failing trial's up to its failing step too.  Through the trial
+        # records and the aggregate, each plan gets a CSV triple in table
+        # order and each (filter, baseline) pair its own comparison.
         cfg = ScenarioConfig.case_ii(num_trials=3)
         traj, streams = self._streams(cfg, range(3))
         streams[1].a_m[50, 0] = np.nan
@@ -886,6 +888,45 @@ class TestRunTrials:
         assert list(batch.failures) == list(alone.failures) == [1]
         got, want = batch.failures[1], alone.failures[1]
         assert (got.filter, got.step, got.last_state) == (want.filter, 50, want.last_state)
+
+        truth_cells = harness._truth_cells(traj.t, traj.angles)
+        aggregates, tables = [], []
+        for plans, b in ((four, batch), (pair, alone)):
+            names = [plan.name for plan in plans]
+            out = tmp_path / str(len(names))
+            out.mkdir()
+            records = harness._batch_records(b, range(3), traj, names, 1.0, (out, truth_cells))
+            aggregates.append(harness._aggregate(records, names))
+            assert sorted(p.name for p in out.iterdir()) == ["trial_000.csv", "trial_002.csv"]
+            tables.append([
+                [line.split(",") for line in (out / name).read_text().splitlines()]
+                for name in ("trial_000.csv", "trial_002.csv")
+            ])
+        agg4, agg2 = aggregates
+        assert tables[0][0][0] == [
+            "t", "phi_true", "theta_true", "psi_true",
+            "phi_eh2", "theta_eh2", "psi_eh2", "phi_ekf", "theta_ekf", "psi_ekf",
+            "phi_eh2_again", "theta_eh2_again", "psi_eh2_again",
+            "phi_ekf_again", "theta_ekf_again", "psi_ekf_again",
+        ]
+        assert tables[1][0][0] == tables[0][0][0][:10]
+        for rows4, rows2 in zip(*tables):
+            assert len(rows4) == len(rows2) == len(traj) + 1
+            for row4, row2 in zip(rows4[1:], rows2[1:]):
+                assert len(row4) == 16
+                assert row4[:10] == row2
+                assert row4[:4] + row4[10:] == row2
+
+        assert (agg4["num_ok"], agg4["num_failed"]) == (agg2["num_ok"], agg2["num_failed"]) == (2, 1)
+        for suffix in ("", "_again"):
+            for name in ("eh2", "ekf"):
+                assert agg4[name + suffix] == agg2[name]
+            assert agg4["yaw_wins_eh2" + suffix] == agg2["yaw_wins_eh2"]
+        assert "yaw_wins_ekf" not in agg4 and "yaw_wins_ekf_again" not in agg4
+        ratios = sorted(key for key in agg4["timing"] if key.startswith("ratio_"))
+        assert ratios == ["ratio_eh2_again_over_ekf_again", "ratio_eh2_over_ekf"]
+        assert all(agg4["timing"][key] > 0.0 for key in ratios)
+        assert [key for key in agg2["timing"] if key.startswith("ratio_")] == ["ratio_eh2_over_ekf"]
 
     def test_one_trial_times_only_its_step_calls(self, cert, monkeypatch):
         # A clock that each step call moves by 7 ns and each trial slice by

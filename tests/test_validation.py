@@ -87,6 +87,16 @@ def test_stream_sample_rejects_nonfinite_time_as_the_constructor(t):
     _raises(lambda: stream.sample(1), ValueError, f"t must be finite, got {t!r}")
 
 
+@pytest.mark.parametrize("bad", NONFINITE)
+@pytest.mark.parametrize("name", ["t", "angles", "rates"])
+def test_trajectory_rejects_nonfinite(name, bad):
+    # A NaN time passes the strictly-increasing check, since NaN compares
+    # false, and compute_metrics would drop its sample without a word.
+    arrays = dict(t=np.arange(3) * 0.01, angles=np.zeros((3, 3)), rates=np.ones((3, 3)))
+    arrays[name][1] = bad
+    _raises(lambda: Trajectory(**arrays), ValueError, f"{name} must be finite")
+
+
 def test_imu_sample_takes_numpy_scalars_and_0d_time():
     for t in (np.float64(0.25), np.array(0.25), np.float32(0.25)):
         s = ImuSample(t=t, omega_m=np.zeros(3), a_m=np.zeros(3), m_m=np.zeros(3))

@@ -37,9 +37,10 @@ per-trial work, which take milliseconds a call.  The layers:
   trial's stream; ``TRAJ_CALLS`` calls.
 * ``metrics``: ``compute_metrics`` of one filter's estimates along that
   trajectory after case I's 5 s exclusion window; ``TRAJ_CALLS`` calls.
-* ``csv``: ``harness._write_trial_csv`` of one trial's truth and both
-  filters' estimates (5,001 rows) into a temporary directory;
-  ``CSV_CALLS`` (2) calls.  The estimates are the truth plus fixed noise.
+* ``csv``: ``harness._write_trial_csv`` of one trial's truth and one
+  estimate per plan of the side's table (5,001 rows), under the plans'
+  names, into a temporary directory; ``CSV_CALLS`` (2) calls.  The
+  estimates are the truth plus fixed noise.
 
 Together the layers cover a whole ``run``: gain synthesis, trajectory,
 sensor stream, both filters' steps, metrics and CSV writing.
@@ -114,7 +115,8 @@ def layers(pkg, tmp: Path) -> dict:
     x0 = pkg.initialize_from_first_sample(stream.sample(0), world)
     samples = [stream.sample(k) for k in range(CALLS)]
     step_world = pkg.WorldConstants(world.g_inertial.copy(), world.h_inertial.copy())
-    eh2_plan, ekf_plan = (p.step for p in pkg.filters._paper_plans(gain, q, step_world, dt))
+    plans = pkg.filters._paper_plans(gain, q, step_world, dt)
+    eh2_plan, ekf_plan = (p.step for p in plans)
 
     def eh2_step():
         s = pkg.EH2FilterState(x0, gain)
@@ -161,7 +163,7 @@ def layers(pkg, tmp: Path) -> dict:
     case_i = pkg.ScenarioConfig.case_i(num_trials=1, seed=SEED)
     truth = pkg.generate_trajectory(case_i)
     truth_rates = truth.body_rates()
-    truth_est = truth.angles + rng.normal(scale=1e-3, size=(2, *truth.angles.shape))
+    truth_est = truth.angles + rng.normal(scale=1e-3, size=(len(plans), *truth.angles.shape))
     truth_cells = pkg.harness._truth_cells(truth.t, truth.angles)
 
     def trajectory():
@@ -191,7 +193,7 @@ def layers(pkg, tmp: Path) -> dict:
         "metrics": kernel(pkg.compute_metrics, truth, truth_est[0], 5.0, calls=TRAJ_CALLS),
         "csv": kernel(
             pkg.harness._write_trial_csv, tmp / "trial_000.csv", truth_cells, truth_est,
-            calls=CSV_CALLS,
+            [p.name for p in plans], calls=CSV_CALLS,
         ),
     }
 
