@@ -3,10 +3,13 @@
 Subcommands: ``synthesize`` (emit a gain file), ``run`` (execute a scenario
 and write CSV + metrics), ``bench`` (interleaved timing comparison), and
 ``report`` (pretty-print a metrics.json; a document in any other shape than
-``run`` writes is a config error).  Exit codes: 0 success, 1 config error,
-an output path that cannot be written, or a reader that closed stdout
-before the output was written, 2 synthesis failure, 3 filter failure in
-every trial.
+``run`` writes is a config error).  No filter is named here: ``run``,
+``bench`` and ``report`` print one entry per name in the result's ``plans``
+(the run's plan table, in order) and, per pair of ``harness._pairs``, the
+filter's yaw wins and the timing ratio.  Exit codes: 0 success, 1 config
+error, an output path that cannot be written, or a reader that closed
+stdout before the output was written, 2 synthesis failure, 3 filter
+failure in every trial.
 """
 
 import argparse
@@ -18,7 +21,7 @@ from pathlib import Path
 from typing import Any
 
 from .errors import ConfigError, Eh2MargError, SynthesisFailure
-from .harness import ScenarioConfig, run_experiment, run_timing_benchmark
+from .harness import ScenarioConfig, _pairs, run_experiment, run_timing_benchmark
 from .linearization import nominal_model
 from .synthesis import load_gain_text, save_gain_text, synthesize_gain
 
@@ -143,24 +146,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
             raise ConfigError(f"cannot read gain {args.gain}: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(f"invalid gain file {args.gain}: {exc}") from exc
-    result = run_experiment(
-        cfg, gain=gain, out_dir=args.out, exclude_initial=args.exclude_initial
-    )
+    result = run_experiment(cfg, gain=gain, out_dir=args.out, exclude_initial=args.exclude_initial)
+    names = result["plans"]
     for rec in result["trials"]:
         if rec["ok"]:
-            rms1 = rec["eh2"]["rms_deg"]
-            rms2 = rec["ekf"]["rms_deg"]
-            print(
-                f"trial {rec['trial']:3d}: eh2 rms [{rms1[0]:.4f} {rms1[1]:.4f} {rms1[2]:.4f}] deg, "
-                f"ekf rms [{rms2[0]:.4f} {rms2[1]:.4f} {rms2[2]:.4f}] deg"
-            )
+            rms = ("%s rms [%.4f %.4f %.4f] deg" % (name, *rec[name]["rms_deg"]) for name in names)
+            print(f"trial {rec['trial']:3d}: " + ", ".join(rms))
         else:
             print(f"trial {rec['trial']:3d}: FAILED ({rec['error']})")
     agg = result["aggregate"]
     if agg["num_ok"] == 0:
         print("all trials failed", file=sys.stderr)
         return 3
-    print(f"ok {agg['num_ok']}/{cfg.num_trials}, eh2 yaw wins {agg['yaw_wins_eh2']}/{agg['num_ok']}")
+    wins = (f", {f} yaw wins {agg[key]}/{agg['num_ok']}" for f, _, key, _ in _pairs(names))
+    print(f"ok {agg['num_ok']}/{cfg.num_trials}" + "".join(wins))
     print(f"outputs in {args.out}")
     return 0
 
@@ -168,13 +167,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     res = run_timing_benchmark(steps=args.steps, seed=args.seed)
     print(f"backend {res['backend']}: {res['steps']} interleaved steps")
-    for name in ("eh2", "ekf"):
+    for name in res["plans"]:
         s = res[name]
         print(
             f"  {name}: {s['mean_ms']:.6f} ms/step (std {s['std_ms']:.6f}, "
             f"p50 {s['p50_ms']:.6f}, p95 {s['p95_ms']:.6f})"
         )
-    print(f"  ratio eh2/ekf: {res['ratio_eh2_over_ekf']:.4f}")
+    for f, b, _, ratio in _pairs(res["plans"]):
+        print(f"  ratio {f}/{b}: {res[ratio]:.4f}")
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
         with open(args.out / "bench.json", "w") as fh:
@@ -185,7 +185,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _report_lines(doc: Any) -> list[str]:
     """The lines ``report`` prints for a metrics.json written by ``run``."""
-    cfg, agg, gain = doc["config"], doc["aggregate"], doc["gain"]
+    cfg, agg, gain, names = doc["config"], doc["aggregate"], doc["gain"], doc["plans"]
     gain_keys = ("source", "sha256", "h2_norm", "gamma", "max_closedloop_real_eig", "lmi_feasible")
     lines = [
         f"scenario case {cfg['case_id']}  seed {cfg['seed']}  trials {len(doc['trials'])} "
@@ -194,18 +194,18 @@ def _report_lines(doc: Any) -> list[str]:
     ]
     if agg["num_ok"] == 0:
         return lines + ["no successful trials to report"]
-    lines.append(f"{'axis':<7}{'eh2 rms [deg]':>16}{'ekf rms [deg]':>16}")
+    cols = [(name, max(16, len(name) + 12)) for name in names]  # a space between headings
+    lines.append(f"{'axis':<7}" + "".join(f"{name + ' rms [deg]':>{w}}" for name, w in cols))
     for i, axis in enumerate(_AXES):
-        lines.append(f"{axis:<7}{agg['eh2']['rms_deg'][i]:>16.6f}{agg['ekf']['rms_deg'][i]:>16.6f}")
-    lines.append(f"eh2 yaw wins: {agg['yaw_wins_eh2']}/{agg['num_ok']}")
+        lines.append(f"{axis:<7}" + "".join(f"{agg[n]['rms_deg'][i]:>{w}.6f}" for n, w in cols))
+    pairs = _pairs(names)
+    lines += [f"{f} yaw wins: {agg[wins]}/{agg['num_ok']}" for f, _, wins, _ in pairs]
     timing = agg["timing"]
     lines.append("timing in ms per trial-step (trials stacked; criterion 7 uses eh2marg bench):")
-    for name in ("eh2", "ekf"):
-        stats = ", ".join(
-            f"{stat} {timing[f'{name}_{stat}_ms']:.6f}" for stat in ("mean", "p50", "p95")
-        )
-        lines.append(f"  {name}: {stats}")
-    lines.append(f"  ratio per trial-step {timing['ratio_eh2_over_ekf']:.4f}")
+    for name in names:
+        stats = (f"{stat} {timing[f'{name}_{stat}_ms']:.6f}" for stat in ("mean", "p50", "p95"))
+        lines.append(f"  {name}: " + ", ".join(stats))
+    lines += [f"  ratio per trial-step {timing[ratio]:.4f}" for *_, ratio in pairs]
     return lines
 
 

@@ -402,6 +402,18 @@ def compute_metrics(
 _WARMUP_STEPS = 100
 
 
+def _percentile(ordered: NDArray[np.float64], q: float) -> float:
+    """The ``q`` quantile (0 <= q <= 1) of the sorted samples ``ordered``,
+    bit for bit as ``np.percentile``'s default linear method gives it, but
+    without that call, whose first use imports ``numpy.ma``."""
+    h = (len(ordered) - 1) * q
+    if h >= len(ordered) - 1:
+        return float(ordered[-1])
+    i = int(h)
+    a, b, t = ordered[i], ordered[i + 1], h - i
+    return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+
+
 def _timing_block(per_step_times_ms: NDArray[np.float64]) -> dict[str, float]:
     """One filter's timing in metrics.json and bench.json, in ms: mean,
     sample standard deviation, median and 95th percentile of the per-step
@@ -412,12 +424,12 @@ def _timing_block(per_step_times_ms: NDArray[np.float64]) -> dict[str, float]:
         raise ValueError("need at least one timing sample")
     if times.size > _WARMUP_STEPS:
         times = times[_WARMUP_STEPS:]
-    p50, p95 = np.percentile(times, [50.0, 95.0]).tolist()
+    ordered = np.sort(times)
     return {
         "mean_ms": float(np.mean(times)),
         "std_ms": float(np.std(times, ddof=1)) if times.size > 1 else 0.0,
-        "p50_ms": p50,
-        "p95_ms": p95,
+        "p50_ms": _percentile(ordered, 0.5),
+        "p95_ms": _percentile(ordered, 0.95),
     }
 
 
@@ -661,8 +673,11 @@ def run_experiment(
     together (see :func:`_run_trials`).  A failing trial is recorded with
     its error, filter, step and time, and does not stop the others.
 
-    When ``out_dir`` is given, writes ``trial_<k>.csv`` per successful trial
-    and ``metrics.json`` with everything this function returns.
+    The result's ``plans`` lists the plan table's names in table order,
+    which the sorted keys of metrics.json would otherwise lose; every
+    per-plan and per-pair entry is keyed by these names.  When ``out_dir``
+    is given, writes ``trial_<k>.csv`` per successful trial and
+    ``metrics.json`` with everything this function returns.
 
     Raises
     ------
@@ -724,6 +739,7 @@ def run_experiment(
         "backend": BACKEND,
         "exclude_initial": float(exclude_initial),
         "gain": gain_record,
+        "plans": names,
         "trials": trials,
         "aggregate": _aggregate(trials, names),
     }
@@ -734,10 +750,13 @@ def run_experiment(
     return result
 
 
-def _pairs(names: list[str]) -> list[tuple[str, str, str]]:
+def _pairs(names: list[str]) -> list[tuple[str, str, str, str]]:
     """Each (filter, baseline) pair of a plan table's names, consecutive and
-    in order, with the key of the pair's timing ratio."""
-    return [(f, b, f"ratio_{f}_over_{b}") for f, b in zip(names[::2], names[1::2])]
+    in order, with the keys of the filter's yaw wins in the aggregate and of
+    the pair's timing ratio."""
+    return [
+        (f, b, f"yaw_wins_{f}", f"ratio_{f}_over_{b}") for f, b in zip(names[::2], names[1::2])
+    ]
 
 
 def _aggregate(trials: list[dict[str, Any]], names: list[str]) -> dict[str, Any]:
@@ -760,8 +779,8 @@ def _aggregate(trials: list[dict[str, Any]], names: list[str]) -> dict[str, Any]
         for name in names
         for stat in ("mean_ms", "p50_ms", "p95_ms")
     }
-    for filt, base, ratio in _pairs(names):
-        aggregate[f"yaw_wins_{filt}"] = sum(
+    for filt, base, wins, ratio in _pairs(names):
+        aggregate[wins] = sum(
             rec[filt]["rms_deg"][2] < rec[base]["rms_deg"][2] for rec in ok
         )
         mean_f, mean_b = timing[f"{filt}_mean_ms"], timing[f"{base}_mean_ms"]
@@ -789,7 +808,8 @@ def run_timing_benchmark(steps: int = 10_000, *, seed: int = 42) -> dict[str, An
     Runs one trial through :func:`run_experiment`, whose time loop times one
     extended-H2 step and one EKF step on the same sample in turn, so
     scheduler and thermal drift hit both filters equally; their timing
-    ratio is read under the trial's plan names, as :func:`_aggregate` keys it.
+    ratio is read under the run's ``plans``, as :func:`_aggregate` keys it,
+    and ``plans`` is returned beside them.
     The scenario is a smooth 20 deg three-axis sinusoid that supplies
     exactly the requested number of steps.  Raises ConfigError for fewer than 200 steps, and
     Eh2MargError carrying the recorded error if the trial fails.
@@ -813,6 +833,7 @@ def run_timing_benchmark(steps: int = 10_000, *, seed: int = 42) -> dict[str, An
     return {
         "backend": BACKEND,
         "steps": int(steps),
+        "plans": result["plans"],
         **trial["timing"],
-        **{ratio: timing[ratio] for _, _, ratio in _pairs(list(trial["timing"]))},
+        **{ratio: timing[ratio] for *_, ratio in _pairs(result["plans"])},
     }

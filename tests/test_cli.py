@@ -4,13 +4,16 @@ import copy
 import errno
 import json
 import os
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from eh2marg import harness
-from eh2marg.cli import main
+from eh2marg.cli import _report_lines, main
+from eh2marg.filters import _paper_plans
+from eh2marg.sensors import simulate_imu_stream
 from eh2marg.synthesis import load_gain_text, save_gain_text
 
 CSV_HEADER = (
@@ -286,7 +289,7 @@ class TestReport:
         assert main(["report", "--out", str(tmp_path)]) == 1
         _assert_config_error_only(capsys)
 
-    @pytest.mark.parametrize("block", ["gain", "aggregate.eh2", "aggregate.timing"])
+    @pytest.mark.parametrize("block", ["gain", "plans", "aggregate.eh2", "aggregate.timing"])
     def test_metrics_missing_block_exits_1(self, block, tmp_path, capsys, metrics_doc):
         doc = copy.deepcopy(metrics_doc)
         *parents, key = block.split(".")
@@ -413,6 +416,104 @@ def test_out_naming_a_file_exits_1(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "File exists" in err
     assert err.count("\n") == 1  # one line, no traceback
+
+
+#: What ``run --case II --trials 2 --seed 77``, then ``report``, and ``bench
+#: --steps 200`` print for the paper's plan table, as :func:`_masked` shows
+#: it.  ``run`` ends with the ``outputs in`` line.
+PAPER_RUN = [
+    "trial   0: eh2 rms [0.2350 0.2131 0.2389] deg, ekf rms [0.4522 0.4510 0.4877] deg",
+    "trial   1: eh2 rms [0.2193 0.2399 0.2630] deg, ekf rms [0.4620 0.4652 0.4882] deg",
+    "ok 2/2, eh2 yaw wins 2/2",
+]
+PAPER_REPORT = [
+    "scenario case II  seed 77  trials 2 (ok 2, failed 0)  backend numpy",
+    'gain: source "synthesized", '
+    'sha256 "d31f5a907631d32e790ffb90f30ade639e865ae1dfb2bb5ba3a9d58c4fb13147", '
+    "h2_norm 0.008696613353238672, gamma 0.008696613361935286, "
+    "max_closedloop_real_eig -0.02000060782364235, lmi_feasible true",
+    "axis      eh2 rms [deg]   ekf rms [deg]",
+    "roll           0.227164        0.457090",
+    "pitch          0.226480        0.458132",
+    "yaw            0.250956        0.487997",
+    "eh2 yaw wins: 2/2",
+    "timing in ms per trial-step (trials stacked; criterion 7 uses eh2marg bench):",
+    "  eh2: mean #, p50 #, p95 #",
+    "  ekf: mean #, p50 #, p95 #",
+    "  ratio per trial-step #",
+]
+PAPER_BENCH = [
+    "backend numpy: 200 interleaved steps",
+    "  eh2: # ms/step (std #, p50 #, p95 #)",
+    "  ekf: # ms/step (std #, p50 #, p95 #)",
+    "  ratio eh2/ekf: #",
+]
+
+
+def _masked(text):
+    """The lines of ``text``, with each number on an indented line, where
+    every timing figure is printed, as ``#``."""
+    lines = text.splitlines()
+    return [re.sub(r"\d+\.\d+", "#", ln) if ln.startswith("  ") else ln for ln in lines]
+
+
+class TestPlanTable:
+    """``run``, ``report`` and ``bench`` print what the run's ``plans`` name."""
+
+    def test_paper_table_prints_its_pair(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["run", "--case", "II", "--trials", "2", "--seed", "77", "--out", str(out)]
+        assert main(argv) == 0
+        assert _masked(capsys.readouterr().out) == PAPER_RUN + [f"outputs in {out}"]
+        with open(out / "metrics.json") as fh:
+            assert json.load(fh)["plans"] == ["eh2", "ekf"]
+        assert main(["report", "--out", str(out)]) == 0
+        assert _masked(capsys.readouterr().out) == PAPER_REPORT
+        assert main(["bench", "--steps", "200", "--out", str(tmp_path)]) == 0
+        assert _masked(capsys.readouterr().out) == PAPER_BENCH
+        with open(tmp_path / "bench.json") as fh:
+            assert json.load(fh)["plans"] == ["eh2", "ekf"]
+
+    def test_four_plans_report_a_column_per_plan_and_lines_per_pair(self, cert, metrics_doc):
+        # The four-plan batch of test_harness.py's
+        # test_four_plans_give_each_pair_the_bytes_of_the_pair_alone: the
+        # paper's pair, then the same pair under two more names, with trial 1
+        # failing at step 50.
+        cfg = harness.ScenarioConfig.case_ii(num_trials=3)
+        traj = harness.generate_trajectory(cfg)
+        streams = [
+            simulate_imu_stream(
+                traj.t, traj.angles, traj.body_rates(), cfg.world, cfg.noise,
+                np.random.default_rng((cfg.seed, trial)),
+            )
+            for trial in range(3)
+        ]
+        streams[1].a_m[50, 0] = np.nan
+        pair = _paper_plans(cert.L, cfg.noise, cfg.world, 1.0 / cfg.imu_rate)
+        four = pair + tuple(plan._replace(name=plan.name + "_again") for plan in pair)
+        names = [plan.name for plan in four]
+        batch = harness._run_trials(3, streams, cfg.world, four)
+        trials = harness._batch_records(batch, range(3), traj, names, 1.0, None)
+        agg = harness._aggregate(trials, names)
+        lines = _report_lines({**metrics_doc, "plans": names, "trials": trials, "aggregate": agg})
+
+        assert len(lines) == 15
+        assert lines[2] == (
+            "axis      eh2 rms [deg]   ekf rms [deg]  eh2_again rms [deg]  ekf_again rms [deg]"
+        )
+        for i, axis in enumerate(("roll", "pitch", "yaw")):
+            row = lines[3 + i]
+            assert len(row) == len(lines[2])
+            assert row.split() == [axis, *(f"{agg[name]['rms_deg'][i]:.6f}" for name in names)]
+        wins = agg["yaw_wins_eh2"]
+        assert agg["yaw_wins_eh2_again"] == wins
+        assert lines[6:8] == [f"eh2 yaw wins: {wins}/2", f"eh2_again yaw wins: {wins}/2"]
+        assert lines[8].startswith("timing in ms per trial-step")
+        assert [line.split(":")[0] for line in lines[9:13]] == [f"  {name}" for name in names]
+        assert lines[13:] == [
+            f"  ratio per trial-step {agg['timing'][key]:.4f}"
+            for key in ("ratio_eh2_over_ekf", "ratio_eh2_again_over_ekf_again")
+        ]
 
 
 class TestParser:

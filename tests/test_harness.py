@@ -2,8 +2,12 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -453,6 +457,29 @@ class TestTimingStats:
         assert block["p95_ms"] == pytest.approx(95.05)
         short = harness._timing_block(np.array([4.0, 1.0, 2.0]))
         assert (short["p50_ms"], short["mean_ms"]) == (2.0, pytest.approx(7.0 / 3.0))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 100, 101, 102, 5000])
+    def test_percentiles_are_numpys_bit_for_bit(self, n):
+        times = np.random.default_rng(n).exponential(0.05, size=n)
+        block = harness._timing_block(times)
+        kept = times[100:] if n > 100 else times
+        want = np.percentile(kept, [50.0, 95.0]).tolist()
+        assert [block["p50_ms"], block["p95_ms"]] == want
+
+    def test_timing_leaves_numpy_ma_unloaded(self):
+        # np.percentile's first call imports numpy.ma; a run or bench has
+        # no other use for it.
+        src = Path(harness.__file__).resolve().parent.parent
+        code = (
+            "import sys, eh2marg; eh2marg.run_timing_benchmark(200); "
+            "print('numpy.ma' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestRunExperiment:

@@ -62,19 +62,26 @@ layer: each side's min and median µs per call over the rounds and the
 median of the per-round ratios B/A, and each side's run peak; then the
 same figures, with each layer's calls per round, as one JSON object on the
 last line (the run peaks under ``run_peak_mb``).
-Run it on an otherwise idle host, one process, with one BLAS thread
-(``OPENBLAS_NUM_THREADS=1``).
+Run it on an otherwise idle host, one process.  Unless the caller sets
+them, ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` are 1 before numpy
+loads, so BLAS runs on one thread, as in ``benchmark/run.py``'s
+``BENCH_ENV``.
 """
 
 import argparse
 import importlib.util
 import json
+import os
 import statistics
 import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
 from time import perf_counter_ns
+
+# BLAS reads its thread count once, when numpy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 
