@@ -205,7 +205,9 @@ def _report_lines(doc: Any) -> list[str]:
     for name in names:
         stats = (f"{stat} {timing[f'{name}_{stat}_ms']:.6f}" for stat in ("mean", "p50", "p95"))
         lines.append(f"  {name}: " + ", ".join(stats))
-    lines += [f"  ratio per trial-step {timing[ratio]:.4f}" for *_, ratio in pairs]
+    for f, b, _, ratio in pairs:
+        pair = f" {f}/{b}:" if len(pairs) > 1 else ""  # the paper's one pair needs no name
+        lines.append(f"  ratio per trial-step{pair} {timing[ratio]:.4f}")
     return lines
 
 

@@ -3,8 +3,10 @@
 State ``x = [Phi; b]`` stacks the 3-2-1 Euler angles and the gyro bias.  The
 noise-free process model is ``Phi_dot = T(Phi) (omega_m - b)``, ``b_dot = 0``;
 the measurement model maps gravity and the Earth magnetic vector into the
-body frame.  Integration is fixed-step classical RK4 with the gyro sample
-held constant across the step.
+body frame.  Integration is fixed-step classical RK4 on inputs sampled at
+both ends of the step: stage 1 reads the start's, stages 2 and 3 their
+midpoint, stage 4 the end's.  The caller chooses the samples; one that
+holds an input over the step passes the same ones as both ends.
 
 The array-level functions (:func:`process_model`, :func:`rk4_step`,
 :func:`checked_state`) take a plain ``(6,)`` state array or a ``(6, N)``
@@ -29,8 +31,8 @@ RuntimeWarning.  Both filters are built on these
 functions.  One state's filter steps run them on the six Python floats of
 the state instead: :func:`_rk4_floats` and :func:`_checked_floats` are
 :func:`rk4_step` and :func:`checked_state` operation for operation, so bit
-for bit, and :func:`_held_rates` is the process model at body rates held
-over the step; only each stage's sines and cosines stay numpy calls.  A
+for bit, and :func:`_process_floats` is the process model at a stage's
+body rates; only each stage's sines and cosines stay numpy calls.  A
 state that checked_state has passed holds everything
 :class:`EulerState` checks, so the public filter steps wrap it in one with
 ``EulerState._from_checked``, which checks nothing again; every other
@@ -141,14 +143,19 @@ def rk4_step(
     x: NDArray[np.float64],
     dt: float,
     k1: NDArray[np.float64] | None = None,
+    u0: tuple = (),
+    u1: tuple = (),
 ) -> NDArray[np.float64]:
-    """One classical RK4 step of x_dot = f(x); the attitude is re-wrapped after.
+    """One classical RK4 step of x_dot = f(x, *u); the attitude is re-wrapped after.
 
     ``x`` is one state or attitude, or a stack of them, that ``f`` maps
-    member by member.  ``k1``, when given, is f(x), which a caller may
-    already hold.  The stages and the final sum run with numpy's overflow
-    and invalid-value warnings off: a result they make infinite or NaN
-    raises NonFiniteState from :func:`checked_state` instead.
+    member by member.  ``u0`` and ``u1`` hold the inputs, which ``f`` takes
+    after x, sampled at the step's start and end: stage 1 reads u0, stages
+    2 and 3 their midpoint, and stage 4 u1.  When ``u1`` is ``u0``, the
+    inputs are held and no midpoint is formed.  ``k1``, when given, is f(x, *u0), which a caller
+    may already hold.  The midpoint, the stages and the final sum run with
+    numpy's overflow and invalid-value warnings off: a result they make
+    infinite or NaN raises NonFiniteState from :func:`checked_state` instead.
 
     Raises
     ------
@@ -158,11 +165,12 @@ def rk4_step(
     NonFiniteState
         If the result is not finite.
     """
+    um = u0 if u1 is u0 else [0.5 * (a + b) for a, b in zip(u0, u1)]
     if k1 is None:
-        k1 = f(x)
-    k2 = f(x + 0.5 * dt * k1)
-    k3 = f(x + 0.5 * dt * k2)
-    k4 = f(x + dt * k3)
+        k1 = f(x, *u0)
+    k2 = f(x + 0.5 * dt * k1, *um)
+    k3 = f(x + 0.5 * dt * k2, *um)
+    k4 = f(x + dt * k3, *u1)
     return checked_state(x + dt / 6.0 * (k1 + (k2 + k2) + (k3 + k3) + k4))
 
 
@@ -189,42 +197,43 @@ def checked_state(x: NDArray[np.float64]) -> NDArray[np.float64]:
     return x
 
 
-def _held_rates(u: list[float]) -> Callable[..., tuple]:
-    """f(x) = [T(Phi) u; 0] on the six floats of one state, for body rates u
-    (three floats) held over a step: :func:`process_model`'s attitude rows of
-    Phi at u, bit for bit, and zero bias rates."""
-
-    def f(p0: float, p1: float, p2: float, *bias: float) -> tuple:
-        _check_pitch(p1)
-        s, c = _sin_cos(np.array((p0, p1, p2)))
-        r0, r1, r2 = _euler_rates(s, c, u)
-        return r0, r1, r2, 0.0, 0.0, 0.0
-
-    return f
+def _process_floats(p0: float, p1: float, p2: float, b0: float, b1: float, b2: float, u) -> tuple:
+    """f(x, u) = [T(Phi) u; 0] on the six floats of one state, for body
+    rates u (three floats): :func:`process_model`'s attitude rows of Phi at
+    u, bit for bit, and zero bias rates."""
+    _check_pitch(p1)
+    s, c = _sin_cos(np.array((p0, p1, p2)))
+    r0, r1, r2 = _euler_rates(s, c, u)
+    return r0, r1, r2, 0.0, 0.0, 0.0
 
 
 def _rk4_floats(
-    f: Callable[..., tuple], x: list[float], dt: float, k1: "list[float] | tuple"
+    f: Callable[..., tuple], x: list[float], dt: float, k1: "list[float] | tuple",
+    u0: "list[float] | tuple" = (), u1: "list[float] | tuple" = (),
 ) -> list[float]:
     """:func:`rk4_step` on the six Python floats of one state, given
-    k1 = f(x), ending in :func:`_checked_floats`: the same stage sums,
-    operation for operation, so the same bits.  ``f`` takes a stage's six
-    floats as arguments and returns six; ``dt`` is a Python float.  The sums
-    are written out: a comprehension per stage costs about twice as much
-    at six entries (Python 3.11)."""
+    k1 = f(x, u0), ending in :func:`_checked_floats`: the same midpoint and
+    stage sums, operation for operation, so the same bits.  ``f`` takes a
+    stage's six floats and its input, a list of floats, as arguments and
+    returns six; ``dt`` is a Python float.  The sums are written out: a
+    comprehension per stage costs about twice as much at six entries, and
+    spreading the input into arguments 2.5 times as much as passing it
+    (Python 3.11)."""
     half, sixth = 0.5 * dt, dt / 6.0
+    um = u0 if u1 is u0 else [0.5 * (a + b) for a, b in zip(u0, u1)]
     x0, x1, x2, x3, x4, x5 = x
     a0, a1, a2, a3, a4, a5 = k1
     b0, b1, b2, b3, b4, b5 = f(
         x0 + half * a0, x1 + half * a1, x2 + half * a2,
-        x3 + half * a3, x4 + half * a4, x5 + half * a5,
+        x3 + half * a3, x4 + half * a4, x5 + half * a5, um,
     )
     c0, c1, c2, c3, c4, c5 = f(
         x0 + half * b0, x1 + half * b1, x2 + half * b2,
-        x3 + half * b3, x4 + half * b4, x5 + half * b5,
+        x3 + half * b3, x4 + half * b4, x5 + half * b5, um,
     )
     d0, d1, d2, d3, d4, d5 = f(
-        x0 + dt * c0, x1 + dt * c1, x2 + dt * c2, x3 + dt * c3, x4 + dt * c4, x5 + dt * c5
+        x0 + dt * c0, x1 + dt * c1, x2 + dt * c2,
+        x3 + dt * c3, x4 + dt * c4, x5 + dt * c5, u1,
     )
     return _checked_floats(
         [

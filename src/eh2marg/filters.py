@@ -17,14 +17,17 @@ The gain table L0 C_h is built once per run, by the harness's eh2 plan
 :class:`EH2FilterState` passes it on; nothing is cached per call.  The RK4
 stages apply T(Phi) to vectors; only the EKF's A holds T as a matrix (Bw's
 gyro block is read off it), and the EKF takes its first RK4 stage from A.
-The EKF forms the body rates u = omega - b once per step: b is constant over
-the step, so it integrates the attitude alone at u.  Both filters consume
-one :class:`~eh2marg.sensors.ImuSample` per step: step k takes sample k,
-measured at t_k, and returns the estimate at t_{k+1}.  The sample's gyro
-drives the propagation from t_k to t_{k+1}.  The extended-H2 filter holds
-the sample's accel/mag constant over [t_k, t_{k+1}].  The EKF compares them
-with h at its prediction for t_{k+1}, so its measurement is one sample older
-than the state it corrects.
+The EKF forms the body rates u = omega - b once per sample: b is constant
+over the step, so it integrates the attitude alone at u.  Step k returns the
+estimate at t_{k+1} and reads the samples at both ends of [t_k, t_{k+1}]:
+RK4 stage 1 the gyro (and, for the extended-H2 filter, the accel/mag) at
+t_k, stages 2 and 3 their midpoint, stage 4 those at t_{k+1}.  The EKF's
+update compares its own measurement argument with h at its prediction for
+t_{k+1}.  The caller chooses the samples.  The paper's plans
+(:func:`_paper_plans`) and the one-sample :func:`eh2_step` and
+:func:`ekf_step` hold sample k over the step: they pass it as both ends,
+and to the EKF's update, so its measurement is one sample older than the
+state it corrects.  Ends that are the same arrays form no midpoint.
 
 :func:`eh2` and :func:`ekf` are the steps on plain arrays and the gain table
 or the world: one ``(6,)`` state, or a ``(6, N)`` component-major stack of
@@ -34,10 +37,11 @@ one call per time step.  Every matrix-vector product runs through
 ``np.matvec`` on a C-contiguous (N, k) operand, the vectors of the stack as
 rows, which is the kernel one state runs, so each member of a stack gets its
 own run's bits.  One state runs the rest on the Python floats of its state
-(:func:`_eh2_floats`, :func:`~eh2marg.dynamics._rk4_floats`): the RK4 stage
-sums, each stage's derivative arithmetic, the finiteness check, the wrap and
-the gimbal checks are the IEEE operations a stack's arrays run, so they give
-the same bits, without a numpy call on 3 or 6 entries each.  numpy stays
+(:func:`_eh2_floats`, :func:`~eh2marg.dynamics._rk4_floats`): the inputs'
+midpoint, the RK4 stage sums, each stage's derivative arithmetic, the
+finiteness check, the wrap and the gimbal checks are the IEEE operations a
+stack's arrays run, so they give the same bits, without a numpy call on 3
+or 6 entries each.  numpy stays
 where the bits come from a kernel: ``np.sin``/``np.cos`` on one (3,)
 attitude per stage (``math.sin`` is not promised to round as numpy does),
 the ``np.matvec`` products (L y, the gain table, A's -T block for the EKF's
@@ -67,7 +71,7 @@ from numpy.typing import NDArray
 from .dynamics import (
     EulerState,
     _checked_floats,
-    _held_rates,
+    _process_floats,
     _rk4_floats,
     checked_state,
     process_model,
@@ -199,14 +203,20 @@ def eh2(
     L: NDArray[np.float64],
     gain_table: NDArray[np.float64],
     dt: float,
+    omega1: NDArray[np.float64] | None = None,
+    y1: NDArray[np.float64] | None = None,
 ) -> NDArray[np.float64]:
-    """One RK4 step of the extended-H2 filter on arrays; y is held over the step.
+    """One RK4 step of the extended-H2 filter on arrays, from the samples
+    ``omega``, ``y`` at the step's start to ``omega1``, ``y1`` at its end.
 
     ``xhat_dot = f(xhat, omega) + L (h(xhat) - y)`` with h = [R g; R h] for
     the reference vectors of a world.  L h(xhat) is ``gain_table`` m(xhat):
     ``gain_table`` is L C_h, C_h the h rows of the world's rotation table,
     built once per gain and world by the caller, and m the trigonometric
-    products of xhat.  L y is formed once per call.
+    products of xhat.  L y is formed once per sample, and RK4 stages 2 and 3
+    read the midpoint of the two ends' gyro and L y.  ``omega1`` and ``y1``
+    default to ``omega`` and ``y``, held over the step; ends that are the
+    same arrays form no second L y and no midpoint.
     ``x``, ``omega`` and ``y`` are (6,), (3,), (6,) for one filter, or
     (6, N), (3, N), (6, N) for N filters that share L and dt.
 
@@ -218,13 +228,18 @@ def eh2(
         If the new estimate is not finite.
     """
 
-    # y is held over the step, so L y is the same in all four stages; it
-    # stays in the (N, 6) rows np.matvec gives.
+    omega1 = omega if omega1 is None else omega1
+    y1 = y if y1 is None else y1
+    held = omega1 is omega and y1 is y
+    # Each L y stays in the (N, 6) rows np.matvec gives.
     Ly = np.matvec(L, _rows(y))
+    Ly1 = Ly if y1 is y else np.matvec(L, _rows(y1))
     if x.ndim == 1:
-        return np.array(_eh2_floats(x.tolist(), omega.tolist(), Ly.tolist(), gain_table, dt))
+        u0 = omega.tolist() + Ly.tolist()
+        u1 = u0 if held else omega1.tolist() + Ly1.tolist()
+        return np.array(_eh2_floats(x.tolist(), u0, u1, gain_table, dt))
 
-    def xdot(xs):
+    def xdot(xs, omega, Ly):
         # f(xs, omega) + L (h(xs) - y) from one gimbal check and one
         # sine/cosine evaluation, with T and R never built: the derivative
         # runs four times per step, and per-step cost is what the filter is
@@ -238,27 +253,28 @@ def eh2(
         out[2] += r2
         return out
 
-    return rk4_step(xdot, x, dt)
+    u0 = (omega, Ly)
+    return rk4_step(xdot, x, dt, None, u0, u0 if held else (omega1, Ly1))
 
 
 def _eh2_floats(
-    x: list[float], omega: list[float], Ly: list[float], gain_table: NDArray[np.float64], dt: float
+    x: list[float], u0: list[float], u1: list[float], gain_table: NDArray[np.float64], dt: float
 ) -> list[float]:
     """The step of :func:`eh2` for one state, on the Python floats of the
-    state, the gyro sample and L y: the same operations as a stack's, so the
-    same bits.  Each stage's sines and cosines and its product with the
-    gain table stay numpy calls on one attitude."""
+    state and of each end's gyro sample and L y, nine floats per end: the
+    same operations as a stack's, so the same bits.  Each stage's sines and
+    cosines and its product with the gain table stay numpy calls on one
+    attitude."""
 
-    def xdot(p0, p1, p2, b0, b1, b2):
+    def xdot(p0, p1, p2, b0, b1, b2, u):
         _check_pitch(p1)
         s, c = _sin_cos(np.array((p0, p1, p2)))
         g0, g1, g2, g3, g4, g5 = np.matvec(gain_table, _monomials(s, c)).tolist()
-        w0, w1, w2 = omega
+        w0, w1, w2, l0, l1, l2, l3, l4, l5 = u
         r0, r1, r2 = _euler_rates(s, c, (w0 - b0, w1 - b1, w2 - b2))
-        l0, l1, l2, l3, l4, l5 = Ly
         return g0 - l0 + r0, g1 - l1 + r1, g2 - l2 + r2, g3 - l3, g4 - l4, g5 - l5
 
-    return _rk4_floats(xdot, x, float(dt), xdot(*x))
+    return _rk4_floats(xdot, x, float(dt), xdot(*x, u0), u0, u1)
 
 
 def ekf(
@@ -269,6 +285,7 @@ def ekf(
     q: NoiseParams,
     world: WorldConstants,
     dt: float,
+    omega1: NDArray[np.float64] | None = None,
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """One EKF predict+update cycle on arrays; returns the new (x, P).
 
@@ -280,17 +297,20 @@ def ekf(
     sine and cosine five times: once in each Jacobian function and once in
     each of RK4 stages 2-4; stage 1, T(x)(omega - b), comes from the -T
     block of A.
-    Predict: RK4 mean propagation with the gyro sample, covariance through
-    F = I + A dt and Qd = Bw Bw^T dt.  Update: innovation y - h, with y the
-    sample measured at the start of the step and h taken at the prediction
-    for its end, one dt later; Kalman gain from S = H P- H^T + R with H = Cy
-    and R = Dw Dw^T of the design model, the diagonal r of squared
-    accelerometer and magnetometer standard deviations, both built with
-    ``q``, solved by LAPACK's gesv as in ``np.linalg.solve``; then the Joseph
-    form (I - K H) P- (I - K H)^T + (K r) K^T, symmetrized.  ``x``/``P``
-    are (6,) and (6, 6) for one filter, or (6, N) and (N, 6, 6) for N
-    filters.  The body rates u = omega - b are formed once: b stays constant
-    over the prediction, so RK4 integrates the attitude alone at u.
+    Predict: RK4 mean propagation from the gyro sample ``omega`` at the
+    step's start to ``omega1`` at its end (stages 2 and 3 read their
+    midpoint; ``omega1`` defaults to ``omega``, held, and the same array
+    forms no midpoint), covariance through F = I + A dt at ``omega`` and
+    Qd = Bw Bw^T dt.  Update: innovation y - h, with y the update's own
+    measurement and h taken at the prediction for the step's end; Kalman
+    gain from S = H P- H^T + R with H = Cy and R = Dw Dw^T of the design
+    model, the diagonal r of squared accelerometer and magnetometer standard
+    deviations, both built with ``q``, solved by LAPACK's gesv as in
+    ``np.linalg.solve``; then the Joseph form (I - K H) P- (I - K H)^T +
+    (K r) K^T, symmetrized.  ``x``/``P`` are (6,) and (6, 6) for one
+    filter, or (6, N) and (N, 6, 6) for N filters.  The body rates
+    u = omega - b are formed once per gyro sample: b stays constant over
+    the prediction, so RK4 integrates the attitude alone.
 
     Raises
     ------
@@ -302,6 +322,7 @@ def ekf(
         If the new estimate is not finite.
     """
     one = x.ndim == 1
+    omega1 = omega if omega1 is None else omega1
     u = omega - x[3:]
     A, Bw = jacobians_process(x[:3], u, q)
     F = _EYE6 + dt * A
@@ -313,14 +334,18 @@ def ekf(
         # a -0.0 into 0.0.
         xs = x.tolist()
         t0, t1, t2 = k1.tolist()
-        xp = _rk4_floats(_held_rates(u.tolist()), xs, float(dt), (-t0, -t1, -t2, 0.0, 0.0, 0.0))
+        u0 = u.tolist()
+        u1 = u0 if omega1 is omega else [w - b for w, b in zip(omega1.tolist(), xs[3:])]
+        k1 = (-t0, -t1, -t2, 0.0, 0.0, 0.0)
+        xp = _rk4_floats(_process_floats, xs, float(dt), k1, u0, u1)
         xp[3:] = xs[3:]
     else:
-        k1 = _columns(-k1)
-        xp = np.concatenate((rk4_step(lambda a: process_model(a, u), x[:3], dt, k1), x[3:]))
+        u0 = (u,)
+        u1 = u0 if omega1 is omega else (omega1 - x[3:],)
+        xp = np.concatenate((rk4_step(process_model, x[:3], dt, _columns(-k1), u0, u1), x[3:]))
     Pp = F @ P @ F.mT + dt * (Bw @ Bw.mT)
     # The update holds the step's memory peak, and needs none of these.
-    del A, Bw, F, k1, u
+    del A, Bw, F, k1, u, u0, u1
     h, H = jacobians_measurement(np.asarray(xp[:3]), world)
     r, R = q.measurement_variances()
     try:
@@ -360,7 +385,8 @@ def eh2_step(
     if not 0.0 < dt < np.inf:
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
     table = s._table if w is s._world else _folded_gain(s.L0, w)
-    x = eh2(s.xhat._vector, sample.omega_m, sample.stacked_measurement(), s.L0, table, dt)
+    omega, y = sample.omega_m, sample.stacked_measurement()
+    x = eh2(s.xhat._vector, omega, y, s.L0, table, dt, omega, y)
     return EH2FilterState._from_checked(EulerState._from_checked(x), s.L0, w, table)
 
 
@@ -390,15 +416,16 @@ def ekf_step(
     """
     if not 0.0 < dt < np.inf:
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
-    y = sample.stacked_measurement()
-    x, P = ekf(s.xhat._vector, s.P, sample.omega_m, y, q, w, dt)
+    omega = sample.omega_m
+    x, P = ekf(s.xhat._vector, s.P, omega, sample.stacked_measurement(), q, w, dt, omega)
     return EKFState._from_checked(EulerState._from_checked(x), P)
 
 
 class _Plan(NamedTuple):
     """One filter of a run's table: ``start`` maps N trials' (6, N) initial
     estimates to its stacked state, estimate first, and ``step`` maps the state
-    and a time step's (3, N) gyro and (6, N) accel/mag to the next one."""
+    and the (3, N) gyro and (6, N) accel/mag of samples k and k + 1 to the
+    state at t_{k+1}; which of them it reads is the plan's choice."""
 
     name: str
     start: Callable[[NDArray[np.float64]], tuple]
@@ -413,14 +440,19 @@ def _paper_plans(L0, noise: NoiseParams, world: WorldConstants, dt) -> tuple[_Pl
     the harness reads: plans come in (filter, baseline) pairs, in order.  A
     run's CSV holds one ``phi_/theta_/psi_<name>`` triple per plan, in table
     order, and its aggregate compares each filter with the baseline after
-    it, as ``yaw_wins_<filter>`` and ``ratio_<filter>_over_<baseline>``."""
+    it, as ``yaw_wins_<filter>`` and ``ratio_<filter>_over_<baseline>``.
+
+    A plan's step takes samples k and k + 1 (see :class:`_Plan`).  The
+    paper's filters hold sample k over the step and leave sample k + 1
+    unread: eh2 gets sample k as both ends, and the EKF its gyro as both
+    ends of the prediction and its accel/mag, y_k, in the update."""
     table = _folded_gain(L0, world)
     return (
-        _Plan("eh2", lambda x0: (x0,), lambda x, om, y: (eh2(x, om, y, L0, table, dt),)),
+        _Plan("eh2", lambda x0: (x0,), lambda x, om, y, *_: (eh2(x, om, y, L0, table, dt, om, y),)),
         _Plan(
             "ekf",
             lambda x0: (x0, np.repeat(DEFAULT_P0[None], x0.shape[1], axis=0)),
-            lambda x, P, om, y: ekf(x, P, om, y, noise, world, dt),
+            lambda x, P, om, y, *_: ekf(x, P, om, y, noise, world, dt, om),
         ),
     )
 

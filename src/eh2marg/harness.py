@@ -566,10 +566,12 @@ def _run_trials(
     stream is then dropped, so ``streams`` may be a generator that builds
     one stream at a time.  Row 0 holds every plan's initial estimates.  One
     loop over time advances every live trial with one stacked call per
-    plan, all from the same initial estimates, reading row k + 1's (3, N)
-    and (6, N) views; each step call is timed.  Once every plan has stepped k,
-    the plans' new attitudes overwrite entries 0 to 3P - 1 of row k + 1,
-    whose inputs are then spent.  A trial whose initialization raises
+    plan, all from the same initial estimates.  Step k hands each plan the
+    (3, N) and (6, N) views of rows k + 1 and k + 2, samples k and k + 1;
+    the last step reads row n.  Each step call is timed.  Once every plan
+    has stepped k, the plans' new attitudes overwrite entries 0 to 3P - 1
+    of row k + 1, whose inputs are then spent; row k + 2 is kept for step
+    k + 1.  A trial whose initialization raises
     :class:`~eh2marg.errors.Eh2MargError` or ``ValueError``, or whose step
     raises :class:`~eh2marg.errors.Eh2MargError`, stops there and the others
     carry on.
@@ -608,7 +610,8 @@ def _run_trials(
         # While every trial is live, plain indexing reads and writes views
         # instead of copying through ``live``.
         rows = slice(None) if len(live) == num_trials else live
-        inputs = (buf[k + 1][:3, rows], buf[k + 1][3:9, rows])
+        now, nxt = buf[k + 1], buf[k + 2]
+        inputs = (now[:3, rows], now[3:9, rows], nxt[:3, rows], nxt[3:9, rows])
         for f, plan in enumerate(plans):
             new, errors, ns = _advance(plan.step, states[f] + inputs)
             step_ns[f, k] = ns / len(live)

@@ -52,7 +52,7 @@ class NoiseParams(_Container):
     read-only arrays, for the design model's Dw and the EKF's update.
 
     The three consumers read the fields in different units; nothing
-    converts between them (ROADMAP item 1 proposes one convention):
+    converts between them (ROADMAP item 2 proposes one convention):
 
     * :func:`simulate_imu_stream` draws ``n_w``, ``n_a`` and ``n_m`` as
       per-sample standard deviations at the IMU rate.  It draws ``n_b`` as a

@@ -510,9 +510,13 @@ class TestPlanTable:
         assert lines[6:8] == [f"eh2 yaw wins: {wins}/2", f"eh2_again yaw wins: {wins}/2"]
         assert lines[8].startswith("timing in ms per trial-step")
         assert [line.split(":")[0] for line in lines[9:13]] == [f"  {name}" for name in names]
+        # With two pairs, each ratio line names its pair, as bench does.
         assert lines[13:] == [
-            f"  ratio per trial-step {agg['timing'][key]:.4f}"
-            for key in ("ratio_eh2_over_ekf", "ratio_eh2_again_over_ekf_again")
+            f"  ratio per trial-step {pair}: {agg['timing'][key]:.4f}"
+            for pair, key in (
+                ("eh2/ekf", "ratio_eh2_over_ekf"),
+                ("eh2_again/ekf_again", "ratio_eh2_again_over_ekf_again"),
+            )
         ]
 
 

@@ -327,7 +327,8 @@ class TestIntegrateStep:
         got = run(
             lambda: np.array(
                 _rk4_floats(
-                    lambda *v: tuple(gi * vi + 1.0 for gi, vi in zip(gains, v)),
+                    # v: the stage's six floats, then its (empty) input
+                    lambda *v: tuple(gi * vi + 1.0 for gi, vi in zip(gains, v[:6])),
                     list(x), dt, [gi * xi + 1.0 for gi, xi in zip(gains, x)],
                 )
             )

@@ -811,6 +811,118 @@ class TestStackedSteps:
             eh2(x, omega, y, cert.L, _table(cert.L, world), DT)
 
 
+class TestTwoEndedSteps:
+    """Steps that read distinct samples at the two ends of their interval."""
+
+    @staticmethod
+    def _ends(world, n=6):
+        """A stack's state, covariance and samples at the step's start, then
+        samples at its end, (3, N) and (6, N), drawn apart from the start's."""
+        x, omega, y, P = TestStackedSteps._inputs(world, n)
+        rng = np.random.default_rng(8)
+        omega1 = omega + rng.normal(scale=0.5, size=omega.shape)
+        return x, P, omega, y, omega1, y + rng.normal(scale=0.05, size=y.shape)
+
+    def test_one_state_equals_its_column_of_a_stack(self, world, noise, cert):
+        # One state's two-ended steps run on Python floats, a stack's on
+        # arrays; each column of the stack must get its own state's bits.
+        x, P, omega, y, omega1, y1 = self._ends(world)
+        table = _table(cert.L, world)
+        stack = eh2(x, omega, y, cert.L, table, DT, omega1, y1)
+        x_ekf, P_ekf = ekf(x, P, omega, y1, noise, world, DT, omega1)
+        assert not np.array_equal(stack, eh2(x, omega, y, cert.L, table, DT))
+        assert not np.array_equal(x_ekf, ekf(x, P, omega, y1, noise, world, DT)[0])
+        for j in range(x.shape[1]):
+            got = eh2(x[:, j], omega[:, j], y[:, j], cert.L, table, DT, omega1[:, j], y1[:, j])
+            assert got.tobytes() == stack[:, j].tobytes(), j
+            xj, Pj = ekf(x[:, j], P[j], omega[:, j], y1[:, j], noise, world, DT, omega1[:, j])
+            assert xj.tobytes() == x_ekf[:, j].tobytes(), j
+            assert Pj.tobytes() == P_ekf[j].tobytes(), j
+
+    def test_equal_ends_give_the_held_step(self, world, noise, cert):
+        # For finite a, 0.5 (a + a) is a, and L y formed twice from equal y
+        # has the same bits: ends that are equal copies give the held step.
+        x, P, omega, y, _, _ = self._ends(world)
+        table = _table(cert.L, world)
+        for j in (slice(None), 2):
+            xs, Ps, om, yy = x[:, j], P[j], omega[:, j], y[:, j]
+            held = eh2(xs, om, yy, cert.L, table, DT)
+            got = eh2(xs, om, yy, cert.L, table, DT, om.copy(), yy.copy())
+            assert got.tobytes() == held.tobytes()
+            held = ekf(xs, Ps, om, yy, noise, world, DT)
+            got = ekf(xs, Ps, om, yy, noise, world, DT, om.copy())
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, held))
+
+    @staticmethod
+    def _rk4_gap(got, f, x, start, end):
+        """Largest difference between ``got`` and a classical RK4 step of
+        x_dot = f(x, *u) over DT written out here: stage 1 at the inputs
+        ``start``, stages 2-3 at their midpoint, stage 4 at ``end``."""
+        mid = [0.5 * (a + b) for a, b in zip(start, end)]
+        k1 = f(x, *start)
+        k2 = f(x + 0.5 * DT * k1, *mid)
+        k3 = f(x + 0.5 * DT * k2, *mid)
+        k4 = f(x + DT * k3, *end)
+        diff = got - (x + DT / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        diff[:3] = wrap_angle(diff[:3])
+        return np.max(np.abs(diff))
+
+    def test_stages_read_the_start_the_midpoint_and_the_end(self, world, noise, cert):
+        # eh2 integrates f(x, omega) + L (h(x) - y) with RK4 stage 1 at the
+        # start's samples, stages 2-3 at their midpoint and stage 4 at the
+        # end's; the EKF's prediction does the same with the gyro.  With a
+        # zero covariance and no process noise, the EKF's update keeps it.
+        x, P, omega, y, omega1, y1 = self._ends(world)
+        L = cert.L
+
+        def f(xs, om, yy):
+            return process_model(xs, om) + L @ (jacobians_measurement(xs[:3], world)[0] - yy)
+
+        got = eh2(x, omega, y, L, _table(L, world), DT, omega1, y1)
+        assert self._rk4_gap(got, f, x, (omega, y), (omega1, y1)) < 1e-12
+        assert self._rk4_gap(got, f, x, (omega1, y1), (omega, y)) > 1e-6
+        q = NoiseParams(0.0, 0.0, noise.n_a, noise.n_m)
+        got, _ = ekf(x, np.zeros_like(P), omega, y1, q, world, DT, omega1)
+        assert self._rk4_gap(got, process_model, x, (omega,), (omega1,)) < 1e-12
+        assert self._rk4_gap(got, process_model, x, (omega1,), (omega,)) > 1e-6
+
+    def test_huge_gyro_sample_at_the_end_fails_that_state_alone_without_a_warning(
+        self, world, noise, cert
+    ):
+        # 1e308 in the gyro sample at the step's end only: stage 4 reads it
+        # and stages 2-3 half of it, so the stage sums overflow.  One state
+        # raises NonFiniteState with no overflow warning first; a stack of
+        # two raises it too, and the member-by-member re-run fails that
+        # member alone and gives the other its own step.
+        x = np.zeros((6, 2))
+        x[1] = 0.1
+        omega = np.zeros((3, 2))
+        omega1 = omega.copy()
+        omega1[0, 1] = 1e308
+        y = np.repeat(np.concatenate((world.g_inertial, world.h_inertial))[:, None], 2, axis=1)
+        table = _table(cert.L, world)
+        plans = (
+            ((x,), lambda x, om, y, om1, y1: (eh2(x, om, y, cert.L, table, DT, om1, y1),)),
+            (
+                (x, np.repeat(DEFAULT_P0[None], 2, axis=0)),
+                lambda x, P, om, y, om1, y1: ekf(x, P, om, y1, noise, world, DT, om1),
+            ),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for state, step in plans:
+                arrays = state + (omega, y, omega1, y)
+                with pytest.raises(NonFiniteState):
+                    step(*(harness._trials(a, 1) for a in arrays))
+                with pytest.raises(NonFiniteState):
+                    step(*arrays)
+                new, errors, _ = harness._advance(step, arrays)
+                assert list(errors) == [1] and type(errors[1]) is NonFiniteState
+                want = step(*(harness._trials(a, 0) for a in arrays))
+                for got, w in zip(new, want):
+                    assert harness._trials(got, 0).tobytes() == w.tobytes()
+
+
 def _peak_bytes(call) -> int:
     """tracemalloc peak of one call, after two warm-up calls."""
     call()

@@ -21,6 +21,7 @@ from eh2marg.filters import (
     EH2FilterState,
     EKFState,
     _paper_plans,
+    _Plan,
     eh2,
     eh2_step,
     ekf_step,
@@ -832,6 +833,36 @@ class TestRunTrials:
         assert (failure.filter, failure.step, failure.t) == ("eh2", 50, traj.t[50])
         assert not ref.failures
         assert batch.estimates[:, :, [0, 2]].tobytes() == ref.estimates.tobytes()
+
+    def test_each_step_is_handed_samples_k_and_k_plus_1(self, cert):
+        # A plan that records what it is handed and keeps its state sees
+        # samples k and k + 1 at every step k, the last step (k = n - 2)
+        # reading sample n - 1.  It runs beside the eh2 plan in the setup of
+        # test_overflowing_gyro_sample_fails_only_that_trial, so from step 50
+        # on it sees only the trials that survive trial 1's failure.
+        cfg = ScenarioConfig.case_ii(num_trials=3)
+        traj, streams = self._streams(cfg, range(3))
+        streams[1].omega_m[50, 0] = 1e308
+        seen = []
+
+        def record(x, *samples):
+            seen.append([a.copy() for a in samples])
+            return (x,)
+
+        recorder = _Plan("recorder", lambda x0: (x0,), record)
+        plans = (self._plans(cert.L, cfg)[0], recorder)
+        batch = harness._run_trials(3, streams, cfg.world, plans)
+
+        assert list(batch.failures) == [1] and batch.failures[1].step == 50
+        gyro = np.stack([s.omega_m for s in streams], axis=-1)
+        accel_mag = np.stack([np.hstack((s.a_m, s.m_m)) for s in streams], axis=-1)
+        assert len(seen) == len(traj) - 1
+        for k, got in enumerate(seen):
+            live = [0, 1, 2] if k < 50 else [0, 2]
+            want = (gyro[k], accel_mag[k], gyro[k + 1], accel_mag[k + 1])
+            for a, b in zip(got, want):
+                assert a.tobytes() == b[:, live].tobytes(), k
+        assert seen[-1][2].tobytes() == gyro[len(traj) - 1][:, [0, 2]].tobytes()
 
     def test_nonfinite_first_sample_fails_only_that_trial(self, cert):
         cfg = ScenarioConfig.case_ii(num_trials=2)

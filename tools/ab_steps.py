@@ -19,9 +19,16 @@ per-trial work, which take milliseconds a call.  The layers:
   its clock reads and estimate copies.
 * ``eh2 N=1``/``ekf N=1``: the steps of the side's filter plans
   (``filters._paper_plans``, built once) on the arrays of one state, as
-  ``filters.eh2``/``filters.ekf`` run under the public steps.
+  ``filters.eh2``/``filters.ekf`` run under the public steps.  A plan step
+  takes samples k and k + 1; these layers pass one sample's arrays as both,
+  and the paper's plans hand ``filters.eh2``/``filters.ekf`` sample k as
+  both ends.
 * ``eh2 N=10``/``ekf N=10``: the same on a (6, 10) stack, as the Monte-Carlo
   harness calls them.
+* ``eh2 N=10 k,k+1``/``ekf N=10 k,k+1``: ``filters.eh2``/``filters.ekf`` on
+  that stack with distinct samples at the step's two ends (the EKF's update
+  reads the end's accel/mag), so that RK4 reads a midpoint: the cost of a
+  plan that interpolates its inputs over the step.
 * ``jac N=1``/``jac N=10``: ``linearization.jacobians_process`` on the
   attitude and body rates of one state and of the stack, as ``filters.ekf``
   calls it.
@@ -62,6 +69,9 @@ layer: each side's min and median µs per call over the rounds and the
 median of the per-round ratios B/A, and each side's run peak; then the
 same figures, with each layer's calls per round, as one JSON object on the
 last line (the run peaks under ``run_peak_mb``).
+A tree whose steps take one sample, from before steps read both ends of
+their interval, runs every step layer on sample k alone, so the ``k,k+1``
+layers' B/A against such a tree reads the cost of interpolating.
 Run it on an otherwise idle host, one process.  Unless the caller sets
 them, ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` are 1 before numpy
 loads, so BLAS runs on one thread, as in ``benchmark/run.py``'s
@@ -70,6 +80,7 @@ loads, so BLAS runs on one thread, as in ``benchmark/run.py``'s
 
 import argparse
 import importlib.util
+import inspect
 import json
 import os
 import statistics
@@ -124,6 +135,12 @@ def layers(pkg, tmp: Path) -> dict:
     step_world = pkg.WorldConstants(world.g_inertial.copy(), world.h_inertial.copy())
     plans = pkg.filters._paper_plans(gain, q, step_world, dt)
     eh2_plan, ekf_plan = (p.step for p in plans)
+    two_ended = "omega1" in inspect.signature(pkg.filters.eh2).parameters
+
+    def held(*args):
+        """A plan step's arguments, the state then the sample, with the
+        sample passed again as the step's end where steps take both ends."""
+        return args + args[-2:] if two_ended else args
 
     def eh2_step():
         s = pkg.EH2FilterState(x0, gain)
@@ -173,6 +190,11 @@ def layers(pkg, tmp: Path) -> dict:
     truth_est = truth.angles + rng.normal(scale=1e-3, size=(len(plans), *truth.angles.shape))
     truth_cells = pkg.harness._truth_cells(truth.t, truth.angles)
 
+    omegas1 = omegas + rng.normal(scale=0.01, size=(3, N_STACK))
+    ys1 = ys + rng.normal(scale=0.01, size=(6, N_STACK))
+    ends = (omegas1, ys1) if two_ended else ()
+    table = pkg.filters._folded_gain(gain, step_world)
+
     def trajectory():
         pkg.generate_trajectory(case_i).body_rates()
 
@@ -187,10 +209,16 @@ def layers(pkg, tmp: Path) -> dict:
         "ekf_step": (CALLS, ekf_step),
         "stream.sample": (CALLS, sample),
         "stream loop": (CALLS, stream_loop),
-        "eh2 N=1": kernel(eh2_plan, x, omega, y),
-        "ekf N=1": kernel(ekf_plan, x, P, omega, y),
-        f"eh2 N={N_STACK}": kernel(eh2_plan, xs, omegas, ys),
-        f"ekf N={N_STACK}": kernel(ekf_plan, xs, Ps, omegas, ys),
+        "eh2 N=1": kernel(eh2_plan, *held(x, omega, y)),
+        "ekf N=1": kernel(ekf_plan, *held(x, P, omega, y)),
+        f"eh2 N={N_STACK}": kernel(eh2_plan, *held(xs, omegas, ys)),
+        f"ekf N={N_STACK}": kernel(ekf_plan, *held(xs, Ps, omegas, ys)),
+        f"eh2 N={N_STACK} k,k+1": kernel(
+            pkg.filters.eh2, xs, omegas, ys, gain, table, dt, *ends
+        ),
+        f"ekf N={N_STACK} k,k+1": kernel(
+            pkg.filters.ekf, xs, Ps, omegas, ys1, q, step_world, dt, *ends[:1]
+        ),
         "jac N=1": kernel(jac, x[:3], omega - x[3:], q),
         f"jac N={N_STACK}": kernel(jac, xs[:3], omegas - xs[3:], q),
         f"checks N={N_STACK}": (CALLS, checks),
