@@ -32,7 +32,8 @@ functions.  One state's filter steps run them on the six Python floats of
 the state instead: :func:`_rk4_floats` and :func:`_checked_floats` are
 :func:`rk4_step` and :func:`checked_state` operation for operation, so bit
 for bit, and :func:`_process_floats` is the process model at a stage's
-body rates; only each stage's sines and cosines stay numpy calls.  A
+body rates, with each stage's sines and cosines from ``math``
+(:func:`~eh2marg.kinematics._sin_cos`).  A
 state that checked_state has passed holds everything
 :class:`EulerState` checks, so the public filter steps wrap it in one with
 ``EulerState._from_checked``, which checks nothing again; every other
@@ -202,7 +203,7 @@ def _process_floats(p0: float, p1: float, p2: float, b0: float, b1: float, b2: f
     rates u (three floats): :func:`process_model`'s attitude rows of Phi at
     u, bit for bit, and zero bias rates."""
     _check_pitch(p1)
-    s, c = _sin_cos(np.array((p0, p1, p2)))
+    s, c = _sin_cos((p0, p1, p2))
     r0, r1, r2 = _euler_rates(s, c, u)
     return r0, r1, r2, 0.0, 0.0, 0.0
 

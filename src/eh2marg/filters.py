@@ -41,13 +41,15 @@ own run's bits.  One state runs the rest on the Python floats of its state
 midpoint, the RK4 stage sums, each stage's derivative arithmetic, the
 finiteness check, the wrap and the gimbal checks are the IEEE operations a
 stack's arrays run, so they give the same bits, without a numpy call on 3
-or 6 entries each.  numpy stays
-where the bits come from a kernel: ``np.sin``/``np.cos`` on one (3,)
-attitude per stage (``math.sin`` is not promised to round as numpy does),
-the ``np.matvec`` products (L y, the gain table, A's -T block for the EKF's
-first stage, K times the innovation), and the EKF's covariance algebra and
-solve.  The solve calls LAPACK's gesv gufunc, the one ``np.linalg.solve``
-runs, under the same error state but without its wrapper (:func:`_solve`).
+or 6 entries each.  Each stage's sines and cosines come from
+``math.sin``/``math.cos``, which give the bits of a stack's
+``np.sin``/``np.cos`` (see :func:`~eh2marg.kinematics._sin_cos`), and an
+infinite stage angle raises NonFiniteState there.  numpy stays where the
+bits come from a kernel: the ``np.matvec`` products (L y, the gain table,
+A's -T block for the EKF's first stage, K times the innovation), and the
+EKF's covariance algebra and solve.  The solve calls LAPACK's gesv gufunc,
+the one ``np.linalg.solve`` runs, under the same error state but without
+its wrapper (:func:`_solve`).
 :func:`eh2_step` and :func:`ekf_step` wrap the steps for the validated
 state containers.  Each value is checked once on that path: the
 containers' constructors check what a caller builds, the steps check the new
@@ -262,13 +264,12 @@ def _eh2_floats(
 ) -> list[float]:
     """The step of :func:`eh2` for one state, on the Python floats of the
     state and of each end's gyro sample and L y, nine floats per end: the
-    same operations as a stack's, so the same bits.  Each stage's sines and
-    cosines and its product with the gain table stay numpy calls on one
-    attitude."""
+    same operations as a stack's, so the same bits.  Each stage's product
+    with the gain table stays a numpy call on one attitude."""
 
     def xdot(p0, p1, p2, b0, b1, b2, u):
         _check_pitch(p1)
-        s, c = _sin_cos(np.array((p0, p1, p2)))
+        s, c = _sin_cos((p0, p1, p2))
         g0, g1, g2, g3, g4, g5 = np.matvec(gain_table, _monomials(s, c)).tolist()
         w0, w1, w2, l0, l1, l2, l3, l4, l5 = u
         r0, r1, r2 = _euler_rates(s, c, (w0 - b0, w1 - b1, w2 - b2))
@@ -321,14 +322,38 @@ def ekf(
     NonFiniteState
         If the new estimate is not finite.
     """
-    one = x.ndim == 1
-    omega1 = omega if omega1 is None else omega1
+    xp, Pp = _predict(x, P, omega, omega if omega1 is None else omega1, q, dt)
+    h, H = jacobians_measurement(np.asarray(xp[:3]), world)
+    r, R = q.measurement_variances()
+    try:
+        # K = P- H^T S^-1 with S = H P- H^T + R, neither kept past the solve.
+        K = _solve(H @ Pp @ H.mT + R, (Pp @ H.mT).mT).mT
+    except LinAlgError as exc:
+        raise InnovationCovSingular(f"innovation covariance solve failed: {exc}") from exc
+    dx = np.matvec(K, _rows(y - h))
+    if x.ndim == 1:
+        x_new = np.array(_checked_floats([a + d for a, d in zip(xp, dx.tolist())]))
+    else:
+        x_new = checked_state(xp + _columns(dx))
+    del dx, xp  # the covariance update, the step's memory peak, needs neither
+    I_KH = _EYE6 - K @ H
+    P_new = I_KH @ Pp @ I_KH.mT + (K * r) @ K.mT
+    return x_new, _HALF * (P_new + P_new.mT)
+
+
+# Under rk4_step's error state, set per call as there: a gyro sample huge
+# enough to overflow A or the stage k1 read off it ends in the NonFiniteState
+# that the RK4 raises, with no overflow warning first.
+@np.errstate(over="ignore", invalid="ignore")
+def _predict(x, P, omega, omega1, q, dt) -> tuple:
+    """The EKF's prediction (see :func:`ekf`): the RK4 mean, a list of six
+    floats for one state or a (6, N) stack, and P- = F P F^T + Qd."""
     u = omega - x[3:]
     A, Bw = jacobians_process(x[:3], u, q)
     F = _EYE6 + dt * A
     # RK4 stage 1 is T(x) u, and A already holds -T(x).
     k1 = np.matvec(A[..., :3, 3:], _rows(u))
-    if one:
+    if x.ndim == 1:
         # One state runs on the Python floats of x and u (see _rk4_floats),
         # with zero bias rates; b is kept as it was, as b + 0.0 would turn
         # a -0.0 into 0.0.
@@ -343,25 +368,7 @@ def ekf(
         u0 = (u,)
         u1 = u0 if omega1 is omega else (omega1 - x[3:],)
         xp = np.concatenate((rk4_step(process_model, x[:3], dt, _columns(-k1), u0, u1), x[3:]))
-    Pp = F @ P @ F.mT + dt * (Bw @ Bw.mT)
-    # The update holds the step's memory peak, and needs none of these.
-    del A, Bw, F, k1, u, u0, u1
-    h, H = jacobians_measurement(np.asarray(xp[:3]), world)
-    r, R = q.measurement_variances()
-    try:
-        # K = P- H^T S^-1 with S = H P- H^T + R, neither kept past the solve.
-        K = _solve(H @ Pp @ H.mT + R, (Pp @ H.mT).mT).mT
-    except LinAlgError as exc:
-        raise InnovationCovSingular(f"innovation covariance solve failed: {exc}") from exc
-    dx = np.matvec(K, _rows(y - h))
-    if one:
-        x_new = np.array(_checked_floats([a + d for a, d in zip(xp, dx.tolist())]))
-    else:
-        x_new = checked_state(xp + _columns(dx))
-    del dx, xp  # as above: the covariance update needs neither
-    I_KH = _EYE6 - K @ H
-    P_new = I_KH @ Pp @ I_KH.mT + (K * r) @ K.mT
-    return x_new, _HALF * (P_new + P_new.mT)
+    return xp, F @ P @ F.mT + dt * (Bw @ Bw.mT)
 
 
 def eh2_step(

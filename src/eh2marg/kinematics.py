@@ -36,9 +36,10 @@ numpy 2 converts a Python float, a weak scalar, on every operation, so
 x86-64).  Results stay bit for bit, as with ``k + k`` for ``2.0 * k``.
 One state's filter steps wrap and check their angles on Python floats
 (:func:`_wrapped_float`, :func:`_check_pitch`), the same IEEE operations,
-and keep numpy for ``np.sin``/``np.cos`` of the attitude (:func:`_sin_cos`),
-whose rounding is numpy's own, and for :func:`_monomials`' product with a
-table, which ``np.matvec`` sums.
+and take the attitude's sines and cosines from ``math.sin``/``math.cos``
+(:func:`_sin_cos`), which give the bits of ``np.sin``/``np.cos`` (a test
+in test_kinematics.py pins this); they keep numpy for :func:`_monomials`'
+product with a table, which ``np.matvec`` sums.
 
 T is singular at pitch +/- 90 degrees ("gimbal lock"); every caller that
 evaluates it first checks the pitch with :func:`_check_gimbal`, which fails
@@ -51,11 +52,12 @@ wraps the pitches only when that one could touch it.
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache, reduce
+from math import cos, sin
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .errors import GimbalLockError
+from .errors import GimbalLockError, NonFiniteState
 
 __all__ = [
     "EPS_GIMBAL",
@@ -228,17 +230,34 @@ def _check_pitch(theta: float) -> None:
         raise GimbalLockError(f"pitch {theta!r} rad {_GIMBAL_BAND}")
 
 
-def _sin_cos(a: NDArray[np.float64]) -> tuple:
+def _sin_cos(a: "NDArray[np.float64] | tuple") -> tuple:
     """Sines and cosines of (phi, theta, psi), or of its first rows, unpackable
     in that order.
 
-    A single (3,) attitude yields Python floats, which keep the per-step
-    scalar arithmetic cheap; a (3, n) stack yields one length-n row per
-    angle, so the same expressions evaluate the whole stack.
+    A (3, n) stack yields one length-n row per angle from ``np.sin`` and
+    ``np.cos``, so the same expressions evaluate the whole stack.  One
+    attitude, a 1-d array or the tuple of three Python floats a filter
+    stage holds, yields two lists of Python floats from ``math.sin`` and
+    ``math.cos``, which keep the per-step scalar arithmetic cheap and round
+    as numpy does, so one state keeps a stack column's bits
+    (``test_math_sin_cos_equal_numpy_bit_for_bit`` in test_kinematics.py
+    pins this).  math raises ValueError for an infinite angle, for which
+    numpy gives NaN and warns: a stage's tuple raises NonFiniteState, as the
+    step has overflowed, and an array takes numpy's NaN and warning.
     """
-    if a.ndim == 1:
+    if isinstance(a, tuple):
+        p0, p1, p2 = a
+        try:
+            return [sin(p0), sin(p1), sin(p2)], [cos(p0), cos(p1), cos(p2)]
+        except ValueError:
+            raise NonFiniteState(f"state became non-finite in a stage: angles {a!r}") from None
+    if a.ndim > 1:
+        return np.sin(a), np.cos(a)
+    v = a.tolist()
+    try:
+        return [sin(p) for p in v], [cos(p) for p in v]
+    except ValueError:
         return np.sin(a).tolist(), np.cos(a).tolist()
-    return np.sin(a), np.cos(a)
 
 
 def _series(e: "EulerAngles | ArrayLike") -> NDArray[np.float64]:

@@ -35,6 +35,8 @@ def test_ab_steps_times_every_layer_of_a_tree_against_itself():
     for name, figures in layers.items():
         ratio = figures["ratio_b_over_a"]
         assert math.isfinite(ratio) and ratio > 0.0, (name, ratio)
+        wins = figures["b_wins"]
+        assert type(wins) is int and 0 <= wins <= result["rounds"], (name, wins)
     # One case I run holds its batch buffer of 3.6 MB at the least.
     peaks = result["run_peak_mb"]
     assert set(peaks) == {"a", "b"}

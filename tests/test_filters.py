@@ -537,6 +537,40 @@ def test_huge_gyro_sample_fails_a_stack_with_non_finite_state_without_a_warning(
             ekf(x.copy(), P, omega, y, noise, world, DT)
 
 
+def test_pitched_huge_yaw_rate_raises_non_finite_state_without_a_warning(world, noise, cert):
+    # At pitch 0.5, psi_dot = omega_z / cos 0.5 overflows for omega_z =
+    # 1.7e308, so RK4 stage 2's yaw is infinite.  One state's sines and
+    # cosines raise NonFiniteState for it, and the EKF's stage 1, read off
+    # A's -T block, overflows without a warning.
+    x0 = EulerState.from_vector([0.0, 0.5, 0.0, 0.0, 0.0, 0.0])
+    sample = ImuSample(0.0, np.array([0.0, 0.0, 1.7e308]), world.g_inertial, world.h_inertial)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteState):
+            eh2_step(EH2FilterState(x0, cert.L), sample, world, DT)
+        with pytest.raises(NonFiniteState):
+            ekf_step(EKFState(x0), sample, world, noise, DT)
+
+
+def test_pitched_huge_yaw_rate_fails_a_stack_with_non_finite_state_without_a_warning(
+    world, noise, cert
+):
+    # The stacked half: the EKF's Jacobians and stage 1 overflow on the
+    # column of 1.7e308 and must not warn before checked_state raises.
+    x = np.zeros((6, 2))
+    x[1] = 0.5
+    omega = np.zeros((3, 2))
+    omega[2, 1] = 1.7e308
+    y = np.repeat(np.concatenate((world.g_inertial, world.h_inertial))[:, None], 2, axis=1)
+    P = np.repeat(DEFAULT_P0[None], 2, axis=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteState):
+            eh2(x.copy(), omega, y, cert.L, _table(cert.L, world), DT)
+        with pytest.raises(NonFiniteState):
+            ekf(x.copy(), P, omega, y, noise, world, DT)
+
+
 _spd = st.tuples(
     arrays(np.float64, (10, 6, 6), elements=st.floats(-1.0, 1.0)),
     arrays(np.float64, (10, 6, 6), elements=st.floats(-10.0, 10.0)),

@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -16,7 +17,8 @@ from eh2marg import (
     dcm_body_from_inertial,
     wrap_angle,
 )
-from eh2marg.dynamics import process_model
+from eh2marg.dynamics import EulerState, process_model
+from eh2marg.filters import EH2FilterState, EKFState, eh2_step, ekf_step
 from eh2marg.kinematics import (
     _body_rates,
     _check_gimbal,
@@ -31,6 +33,7 @@ from eh2marg.kinematics import (
     _wrapped_float,
 )
 from eh2marg.linearization import finite_difference_jacobian, jacobians_process
+from eh2marg.sensors import ImuSample
 
 
 def kinematic_matrix(e):
@@ -297,6 +300,60 @@ def test_stacked_rate_matrix_equals_row_by_row_exactly(angles):
         assert np.array_equal(T_all[k], program_rate_matrix(row)[0])
         assert np.array_equal(R_all[k], dcm_body_from_inertial(row))
         process_model(states[:, k], np.zeros(3))
+
+
+def _trig_angles() -> np.ndarray:
+    """About 200,000 float64 angles, fixed: magnitudes log-uniform from
+    1e-310 to 1e308 of both signs, and the extremes of argument reduction."""
+    rng = np.random.default_rng(2003)
+    drawn = rng.choice((-1.0, 1.0), 200_000) * 10.0 ** rng.uniform(-310.0, 308.0, 200_000)
+    edges = [0.0, 5e-324, np.pi / 2.0, np.pi, 1e22, 2.0**1023, np.finfo(np.float64).max]
+    return np.concatenate([drawn, edges, np.negative(edges)])
+
+
+def test_math_sin_cos_equal_numpy_bit_for_bit():
+    """One state's filter steps take their sines and cosines from math, a
+    stack's from numpy (_sin_cos), and one state equals its stack column
+    bit for bit only while the two agree in every bit: on long arrays and
+    on the (3,) attitudes of one state alike."""
+    a = _trig_angles()
+    cause = (
+        "on this platform numpy's {} differs from math's, so one state's "
+        "estimate would not equal its stack column's; angles {!r}"
+    )
+    for np_f, math_f in ((np.sin, math.sin), (np.cos, math.cos)):
+        got = np.array([math_f(v) for v in a.tolist()])
+        bad = got.view(np.int64) != np_f(a).view(np.int64)
+        assert not bad.any(), cause.format(np_f.__name__, a[bad][:5])
+    for attitude in a[:30_000].reshape(-1, 3):
+        s, c = _sin_cos(attitude)
+        for got, want in ((s, np.sin(attitude)), (c, np.cos(attitude))):
+            bad = np.array(got).view(np.int64) != want.view(np.int64)
+            assert not bad.any(), cause.format("sin/cos on (3,)", attitude)
+
+
+def test_one_attitude_with_an_infinite_angle_keeps_numpy_nan():
+    # math raises for an infinite angle; one attitude's array takes numpy's
+    # NaN and warning, as a stack's row does.
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        one = dcm_body_from_inertial([np.inf, 0.2, 0.3])
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        stack = dcm_body_from_inertial([[np.inf, 0.2, 0.3]])
+    assert np.isnan(one).any() and one.tobytes() == stack[0].tobytes()
+
+
+def test_one_state_steps_call_no_numpy_sine_or_cosine(monkeypatch, world, noise, cert):
+    def refuse(*args, **kwargs):
+        raise AssertionError("one state's step called np.sin or np.cos")
+
+    x0 = EulerState.from_vector([0.1, -0.2, 0.3, 0.01, 0.0, -0.01])
+    sample = ImuSample(0.0, np.array([0.1, 0.2, -0.1]), world.g_inertial, world.h_inertial)
+    s1, s2 = EH2FilterState(x0, cert.L), EKFState(x0)
+    monkeypatch.setattr(np, "sin", refuse)
+    monkeypatch.setattr(np, "cos", refuse)
+    for _ in range(3):
+        s1 = eh2_step(s1, sample, world, 0.01)
+        s2 = ekf_step(s2, sample, world, noise, 0.01)
 
 
 _vectors = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)

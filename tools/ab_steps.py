@@ -65,8 +65,10 @@ The inputs of the step and synthesis layers are the ``stream`` workload's:
 a 20 deg three-axis sinusoid at 0.5 rad/s and 100 Hz, its sensor stream for
 seed ``SEED`` (11), and the synthesized gain, built by each side's own
 package.  The last four layers run on case I at seed ``SEED``.  Printed per
-layer: each side's min and median µs per call over the rounds and the
-median of the per-round ratios B/A, and each side's run peak; then the
+layer: each side's min and median µs per call over the rounds, the median
+of the per-round ratios B/A, and ``b_wins``, the number of rounds in which
+B was faster (a tie counts for neither side), so that a per-layer claim can
+be held to winning nine rounds in ten; then each side's run peak; then the
 same figures, with each layer's calls per round, as one JSON object on the
 last line (the run peaks under ``run_peak_mb``).
 A tree whose steps take one sample, from before steps read both ends of
@@ -274,15 +276,17 @@ def main(argv=None) -> None:
     result = {}
     for name, t in us.items():
         ratio = statistics.median(b / a for a, b in zip(t["a"], t["b"]))
+        b_wins = sum(b < a for a, b in zip(t["a"], t["b"]))
         result[name] = {
             "calls": sides["a"][name][0],
             "a_min": min(t["a"]), "a_median": statistics.median(t["a"]),
             "b_min": min(t["b"]), "b_median": statistics.median(t["b"]),
-            "ratio_b_over_a": ratio,
+            "ratio_b_over_a": ratio, "b_wins": b_wins,
         }
         print(
             f"{name:14s} A {min(t['a']):8.2f} / {statistics.median(t['a']):8.2f} us   "
-            f"B {min(t['b']):8.2f} / {statistics.median(t['b']):8.2f} us   B/A {ratio:.3f}"
+            f"B {min(t['b']):8.2f} / {statistics.median(t['b']):8.2f} us   B/A {ratio:.3f}   "
+            f"B wins {b_wins}/{args.rounds}"
         )
     print(f"{'run peak':14s} A {peaks['a']:8.3f} MB   B {peaks['b']:8.3f} MB")
     print(json.dumps(
