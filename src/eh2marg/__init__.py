@@ -37,7 +37,6 @@ from .linearization import (
 )
 from .synthesis import (
     GainCertificate,
-    LmiReport,
     load_gain_text,
     save_gain_text,
     solve_care,
@@ -88,7 +87,6 @@ __all__ = [
     "InnovationCovSingular",
     "LengthMismatch",
     "LinearModel",
-    "LmiReport",
     "NoiseParams",
     "NonConvergence",
     "NonFiniteState",

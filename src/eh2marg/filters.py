@@ -205,8 +205,8 @@ def eh2(
     L: NDArray[np.float64],
     gain_table: NDArray[np.float64],
     dt: float,
-    omega1: NDArray[np.float64] | None = None,
-    y1: NDArray[np.float64] | None = None,
+    omega1: NDArray[np.float64],
+    y1: NDArray[np.float64],
 ) -> NDArray[np.float64]:
     """One RK4 step of the extended-H2 filter on arrays, from the samples
     ``omega``, ``y`` at the step's start to ``omega1``, ``y1`` at its end.
@@ -216,9 +216,10 @@ def eh2(
     ``gain_table`` is L C_h, C_h the h rows of the world's rotation table,
     built once per gain and world by the caller, and m the trigonometric
     products of xhat.  L y is formed once per sample, and RK4 stages 2 and 3
-    read the midpoint of the two ends' gyro and L y.  ``omega1`` and ``y1``
-    default to ``omega`` and ``y``, held over the step; ends that are the
-    same arrays form no second L y and no midpoint.
+    read the midpoint of the two ends' gyro and L y.  A caller that holds
+    the samples over the step passes ``omega`` and ``y`` again as ``omega1``
+    and ``y1``; ends that are the same arrays form no second L y and no
+    midpoint.
     ``x``, ``omega`` and ``y`` are (6,), (3,), (6,) for one filter, or
     (6, N), (3, N), (6, N) for N filters that share L and dt.
 
@@ -229,9 +230,6 @@ def eh2(
     NonFiniteState
         If the new estimate is not finite.
     """
-
-    omega1 = omega if omega1 is None else omega1
-    y1 = y if y1 is None else y1
     held = omega1 is omega and y1 is y
     # Each L y stays in the (N, 6) rows np.matvec gives.
     Ly = np.matvec(L, _rows(y))
@@ -278,6 +276,8 @@ def _eh2_floats(
     return _rk4_floats(xdot, x, float(dt), xdot(*x, u0), u0, u1)
 
 
+# rk4_step's error state, set per call as there.
+@np.errstate(over="ignore", invalid="ignore")
 def ekf(
     x: NDArray[np.float64],
     P: NDArray[np.float64],
@@ -286,7 +286,7 @@ def ekf(
     q: NoiseParams,
     world: WorldConstants,
     dt: float,
-    omega1: NDArray[np.float64] | None = None,
+    omega1: NDArray[np.float64],
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """One EKF predict+update cycle on arrays; returns the new (x, P).
 
@@ -300,18 +300,21 @@ def ekf(
     block of A.
     Predict: RK4 mean propagation from the gyro sample ``omega`` at the
     step's start to ``omega1`` at its end (stages 2 and 3 read their
-    midpoint; ``omega1`` defaults to ``omega``, held, and the same array
-    forms no midpoint), covariance through F = I + A dt at ``omega`` and
-    Qd = Bw Bw^T dt.  Update: innovation y - h, with y the update's own
-    measurement and h taken at the prediction for the step's end; Kalman
-    gain from S = H P- H^T + R with H = Cy and R = Dw Dw^T of the design
-    model, the diagonal r of squared accelerometer and magnetometer standard
-    deviations, both built with ``q``, solved by LAPACK's gesv as in
-    ``np.linalg.solve``; then the Joseph form (I - K H) P- (I - K H)^T +
-    (K r) K^T, symmetrized.  ``x``/``P`` are (6,) and (6, 6) for one
-    filter, or (6, N) and (N, 6, 6) for N filters.  The body rates
-    u = omega - b are formed once per gyro sample: b stays constant over
-    the prediction, so RK4 integrates the attitude alone.
+    midpoint; a caller that holds the sample passes the same array as
+    both, which forms no midpoint), covariance through F = I + A dt at
+    ``omega`` and Qd = Bw Bw^T dt.  Update: innovation y - h, with y the
+    update's own measurement and h taken at the prediction for the step's
+    end; Kalman gain from S = H P- H^T + R with H = Cy and R = Dw Dw^T of
+    the design model, the diagonal r of squared accelerometer and
+    magnetometer standard deviations, both built with ``q``, solved by
+    LAPACK's gesv as in ``np.linalg.solve``; then the Joseph form
+    (I - K H) P- (I - K H)^T + (K r) K^T, symmetrized.  ``x``/``P`` are
+    (6,) and (6, 6) for one filter, or (6, N) and (N, 6, 6) for N filters.
+    The body rates u = omega - b are formed once per gyro sample: b stays
+    constant over the prediction, so RK4 integrates the attitude alone.
+    The whole step runs with numpy's overflow and invalid-value warnings
+    off: a sample that overflows the prediction or the update raises
+    NonFiniteState, with no warning first.
 
     Raises
     ------
@@ -322,32 +325,6 @@ def ekf(
     NonFiniteState
         If the new estimate is not finite.
     """
-    xp, Pp = _predict(x, P, omega, omega if omega1 is None else omega1, q, dt)
-    h, H = jacobians_measurement(np.asarray(xp[:3]), world)
-    r, R = q.measurement_variances()
-    try:
-        # K = P- H^T S^-1 with S = H P- H^T + R, neither kept past the solve.
-        K = _solve(H @ Pp @ H.mT + R, (Pp @ H.mT).mT).mT
-    except LinAlgError as exc:
-        raise InnovationCovSingular(f"innovation covariance solve failed: {exc}") from exc
-    dx = np.matvec(K, _rows(y - h))
-    if x.ndim == 1:
-        x_new = np.array(_checked_floats([a + d for a, d in zip(xp, dx.tolist())]))
-    else:
-        x_new = checked_state(xp + _columns(dx))
-    del dx, xp  # the covariance update, the step's memory peak, needs neither
-    I_KH = _EYE6 - K @ H
-    P_new = I_KH @ Pp @ I_KH.mT + (K * r) @ K.mT
-    return x_new, _HALF * (P_new + P_new.mT)
-
-
-# Under rk4_step's error state, set per call as there: a gyro sample huge
-# enough to overflow A or the stage k1 read off it ends in the NonFiniteState
-# that the RK4 raises, with no overflow warning first.
-@np.errstate(over="ignore", invalid="ignore")
-def _predict(x, P, omega, omega1, q, dt) -> tuple:
-    """The EKF's prediction (see :func:`ekf`): the RK4 mean, a list of six
-    floats for one state or a (6, N) stack, and P- = F P F^T + Qd."""
     u = omega - x[3:]
     A, Bw = jacobians_process(x[:3], u, q)
     F = _EYE6 + dt * A
@@ -368,7 +345,24 @@ def _predict(x, P, omega, omega1, q, dt) -> tuple:
         u0 = (u,)
         u1 = u0 if omega1 is omega else (omega1 - x[3:],)
         xp = np.concatenate((rk4_step(process_model, x[:3], dt, _columns(-k1), u0, u1), x[3:]))
-    return xp, F @ P @ F.mT + dt * (Bw @ Bw.mT)
+    Pp = F @ P @ F.mT + dt * (Bw @ Bw.mT)
+    del A, Bw, F, k1, u  # the update, the step's memory peak, needs none of them
+    h, H = jacobians_measurement(np.asarray(xp[:3]), world)
+    r, R = q.measurement_variances()
+    try:
+        # K = P- H^T S^-1 with S = H P- H^T + R, neither kept past the solve.
+        K = _solve(H @ Pp @ H.mT + R, (Pp @ H.mT).mT).mT
+    except LinAlgError as exc:
+        raise InnovationCovSingular(f"innovation covariance solve failed: {exc}") from exc
+    dx = np.matvec(K, _rows(y - h))
+    if x.ndim == 1:
+        x_new = np.array(_checked_floats([a + d for a, d in zip(xp, dx.tolist())]))
+    else:
+        x_new = checked_state(xp + _columns(dx))
+    del dx, xp  # the covariance update, the step's memory peak, needs neither
+    I_KH = _EYE6 - K @ H
+    P_new = I_KH @ Pp @ I_KH.mT + (K * r) @ K.mT
+    return x_new, _HALF * (P_new + P_new.mT)
 
 
 def eh2_step(

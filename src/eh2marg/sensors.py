@@ -49,7 +49,8 @@ class NoiseParams(_Container):
 
     Defaults are MPU-9250-like values; override via configuration.  Each
     accel/mag channel is paired with its standard deviation here, once, in
-    read-only arrays, for the design model's Dw and the EKF's update.
+    read-only arrays, for the design model's Dw and the EKF's update.  Both
+    square every field, so each must be >= 0 and at most about 1.34e154.
 
     The three consumers read the fields in different units; nothing
     converts between them (ROADMAP item 2 proposes one convention):
@@ -75,8 +76,8 @@ class NoiseParams(_Container):
         for name in ("n_w", "n_b", "n_a", "n_m"):
             value = float(getattr(self, name))
             object.__setattr__(self, name, value)
-            if not np.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+            if not (value >= 0.0 and math.isfinite(value * value)):
+                raise ValueError(f"{name} must be >= 0 with a finite square, got {value!r}")
         std = _frozen([self.n_a] * 3 + [self.n_m] * 3)
         r = _frozen(std**2)
         object.__setattr__(self, "_std", std)

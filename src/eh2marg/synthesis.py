@@ -30,7 +30,6 @@ from .kinematics import _Container, _frozen
 
 __all__ = [
     "GainCertificate",
-    "LmiReport",
     "load_gain_text",
     "save_gain_text",
     "solve_care",
@@ -64,7 +63,7 @@ class GainCertificate(_Container):
 
 @dataclass(frozen=True)
 class LmiReport:
-    """Outcome of an LMI feasibility check, with eigenvalue margins."""
+    """Outcome of :func:`_lmi_report`'s LMI feasibility check, with eigenvalue margins."""
 
     feasible: bool
     block1_max_eig: float

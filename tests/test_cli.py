@@ -153,6 +153,16 @@ class TestRun:
         )
         assert rc == 0
 
+    @pytest.mark.parametrize("field", ["n_a", "n_m"])
+    def test_noise_whose_square_overflows_exits_1(self, tmp_path, capsys, field):
+        # Such a noise would overflow Dw Dw^T and stop the gain synthesis
+        # with a LinAlgError; the config is rejected before either.
+        doc = {"case_id": "II", "num_trials": 1, "noise": {field: 1e300}}
+        cfg = _write_config(tmp_path, doc)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        _assert_config_error_only(capsys)
+        assert not (tmp_path / "out").exists()
+
     def test_missing_scenario_exits_1(self, capsys):
         rc = main(["run"])
         assert rc == 1

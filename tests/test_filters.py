@@ -430,8 +430,8 @@ class TestStepContainers:
         sample = ImuSample(t=0.0, omega_m=np.array(omega), a_m=y[:3], m_m=y[3:])
         x, P0 = x0.as_vector(), DEFAULT_P0 * p_scale
         try:
-            x_eh2 = eh2(x, sample.omega_m, y, L0, _table(L0, world), DT)
-            x_ekf, P = ekf(x, P0, sample.omega_m, y, noise, world, DT)
+            x_eh2 = eh2(x, sample.omega_m, y, L0, _table(L0, world), DT, sample.omega_m, y)
+            x_ekf, P = ekf(x, P0, sample.omega_m, y, noise, world, DT, sample.omega_m)
         except GimbalLockError:
             assume(False)
         want_eh2 = EH2FilterState(EulerState.from_vector(x_eh2), L0)
@@ -459,8 +459,8 @@ class TestStepContainers:
         s = EH2FilterState(x0, cert.L)
         for w in (world, world, other, other, twin, twin):
             x = s.xhat.as_vector()
-            want = eh2(x, sample.omega_m, y, cert.L, _table(cert.L, w), DT)
-            stale = eh2(x, sample.omega_m, y, cert.L, _table(cert.L, world), DT)
+            want = eh2(x, sample.omega_m, y, cert.L, _table(cert.L, w), DT, sample.omega_m, y)
+            stale = eh2(x, sample.omega_m, y, cert.L, _table(cert.L, world), DT, sample.omega_m, y)
             s = eh2_step(s, sample, w, DT)
             assert s.xhat.as_vector().tobytes() == want.tobytes()
             assert w == world or not np.array_equal(want, stale)
@@ -516,6 +516,14 @@ def test_huge_gyro_sample_raises_non_finite_state_without_a_warning(world, noise
             eh2_step(EH2FilterState(x0, cert.L), sample, world, DT)
         with pytest.raises(NonFiniteState):
             ekf_step(EKFState(x0), sample, world, noise, DT)
+    # A pitch rate of 1e200 at a tilted attitude leaves the EKF's RK4 finite
+    # but overflows P-, so H P- H^T in its update turns NaN.
+    x0 = EulerState.from_vector([0.1, 0.2, 0.3, 0.0, 0.0, 0.0])
+    sample = ImuSample(0.0, np.array([0.0, 1e200, 0.0]), world.g_inertial, world.h_inertial)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteState):
+            ekf_step(EKFState(x0), sample, world, noise, DT)
 
 
 def test_huge_gyro_sample_fails_a_stack_with_non_finite_state_without_a_warning(
@@ -532,9 +540,18 @@ def test_huge_gyro_sample_fails_a_stack_with_non_finite_state_without_a_warning(
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteState):
-            eh2(x.copy(), omega, y, cert.L, _table(cert.L, world), DT)
+            eh2(x.copy(), omega, y, cert.L, _table(cert.L, world), DT, omega, y)
         with pytest.raises(NonFiniteState):
-            ekf(x.copy(), P, omega, y, noise, world, DT)
+            ekf(x.copy(), P, omega, y, noise, world, DT, omega)
+    # A pitch rate of 1e200 in one column, at a tilted attitude, overflows
+    # that member's P-, which must not warn in the stack's update.
+    x[:3, 1] = 0.1, 0.2, 0.3
+    omega = np.zeros((3, 2))
+    omega[1, 1] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteState):
+            ekf(x.copy(), P, omega, y, noise, world, DT, omega)
 
 
 def test_pitched_huge_yaw_rate_raises_non_finite_state_without_a_warning(world, noise, cert):
@@ -548,6 +565,15 @@ def test_pitched_huge_yaw_rate_raises_non_finite_state_without_a_warning(world, 
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteState):
             eh2_step(EH2FilterState(x0, cert.L), sample, world, DT)
+        with pytest.raises(NonFiniteState):
+            ekf_step(EKFState(x0), sample, world, noise, DT)
+    # At the same attitude, a magnetometer entry of 1.7e308 overflows the
+    # EKF's correction K (y - h).
+    m = world.h_inertial.copy()
+    m[1] = 1.7e308
+    sample = ImuSample(0.0, np.zeros(3), world.g_inertial, m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(NonFiniteState):
             ekf_step(EKFState(x0), sample, world, noise, DT)
 
@@ -566,9 +592,17 @@ def test_pitched_huge_yaw_rate_fails_a_stack_with_non_finite_state_without_a_war
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteState):
-            eh2(x.copy(), omega, y, cert.L, _table(cert.L, world), DT)
+            eh2(x.copy(), omega, y, cert.L, _table(cert.L, world), DT, omega, y)
         with pytest.raises(NonFiniteState):
-            ekf(x.copy(), P, omega, y, noise, world, DT)
+            ekf(x.copy(), P, omega, y, noise, world, DT, omega)
+    # A magnetometer entry of 1.7e308 in one column overflows that member's
+    # correction K (y - h), which must not warn either.
+    omega = np.zeros((3, 2))
+    y[4, 1] = 1.7e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteState):
+            ekf(x.copy(), P, omega, y, noise, world, DT, omega)
 
 
 _spd = st.tuples(
@@ -633,7 +667,7 @@ class TestSolve:
         sample = _sample_at(x0, world, omega_m=[0.05, -0.02, 0.01])
         s = EKFState(x0)
         y = sample.stacked_measurement()
-        x, P = ekf(x0.as_vector(), s.P, sample.omega_m, y, noise, world, DT)
+        x, P = ekf(x0.as_vector(), s.P, sample.omega_m, y, noise, world, DT, sample.omega_m)
         got = ekf_step(s, sample, world, noise, DT)
         assert not got.P.flags.writeable
         assert got.P.tobytes() == P.tobytes()
@@ -710,19 +744,19 @@ class TestStackedSteps:
     def test_eh2_rows_match_single_steps(self, world, cert):
         x, omega, y, _ = self._inputs(world)
         table = _table(cert.L, world)
-        out = eh2(x, omega, y, cert.L, table, DT)
+        out = eh2(x, omega, y, cert.L, table, DT, omega, y)
         assert out.shape == x.shape
         for k in range(x.shape[1]):
-            assert np.array_equal(
-                out[:, k], eh2(x[:, k], omega[:, k], y[:, k], cert.L, table, DT)
-            )
+            om, yk = omega[:, k], y[:, k]
+            assert np.array_equal(out[:, k], eh2(x[:, k], om, yk, cert.L, table, DT, om, yk))
 
     def test_ekf_rows_match_single_steps(self, world, noise):
         x, omega, y, P = self._inputs(world)
-        x_new, P_new = ekf(x, P, omega, y, noise, world, DT)
+        x_new, P_new = ekf(x, P, omega, y, noise, world, DT, omega)
         assert P_new.shape == P.shape
         for k in range(x.shape[1]):
-            xk, Pk = ekf(x[:, k], P[k], omega[:, k], y[:, k], noise, world, DT)
+            om = omega[:, k]
+            xk, Pk = ekf(x[:, k], P[k], om, y[:, k], noise, world, DT, om)
             assert np.array_equal(x_new[:, k], xk)
             assert np.array_equal(P_new[k], Pk)
 
@@ -754,12 +788,13 @@ class TestStackedSteps:
         jac_all = jacobians_measurement(x[:3], world)
         y = jac_all[0] + rng.normal(0.0, 0.01, (n, 6)).T
         P = DEFAULT_P0 * rng.uniform(0.5, 2.0, size=(n, 1, 1))
-        ekf_all = ekf(x, P, omega, y, noise, world, DT)
+        ekf_all = ekf(x, P, omega, y, noise, world, DT, omega)
         for k in range(n):
             h_row, Cy_row = jacobians_measurement(x[:3, k], world)
             assert np.array_equal(jac_all[0][:, k], h_row)
             assert np.array_equal(jac_all[1][k], Cy_row)
-            x_row, P_row = ekf(x[:, k], P[k], omega[:, k], y[:, k], noise, world, DT)
+            om = omega[:, k]
+            x_row, P_row = ekf(x[:, k], P[k], om, y[:, k], noise, world, DT, om)
             assert np.array_equal(ekf_all[0][:, k], x_row)
             assert np.array_equal(ekf_all[1][k], P_row)
         # In this world and a second one, eh2 with L C_h must give the bits
@@ -768,7 +803,7 @@ class TestStackedSteps:
         L = cert.L
         for w in (world, WorldConstants(h, g)):
             table = _table(L, w)
-            got = eh2(x, omega, y, L, table, DT)
+            got = eh2(x, omega, y, L, table, DT, omega, y)
             xdot = lambda xs: process_model(xs, omega) + (
                 np.matvec(table, _monomials(*_sin_cos(xs[:3])))
                 - np.matvec(L, np.ascontiguousarray(y.T))
@@ -779,9 +814,8 @@ class TestStackedSteps:
             )
             assert_allclose(got, rk4_step(xdot, x, DT), rtol=0.0, atol=1e-12)
             for k in range(n):
-                assert np.array_equal(
-                    got[:, k], eh2(x[:, k], omega[:, k], y[:, k], L, table, DT)
-                )
+                om, yk = omega[:, k], y[:, k]
+                assert np.array_equal(got[:, k], eh2(x[:, k], om, yk, L, table, DT, om, yk))
 
     @staticmethod
     def _non_contiguous(a, layout):
@@ -825,16 +859,16 @@ class TestStackedSteps:
         f_all = process_model(xv, omv)
         h_all, Cy_all = jacobians_measurement(xv[:3], world)
         table = _table(cert.L, world)
-        eh2_all = eh2(xv, omv, yv, cert.L, table, DT)
-        x_all, P_all = ekf(xv, Pv, omv, yv, noise, world, DT)
+        eh2_all = eh2(xv, omv, yv, cert.L, table, DT, omv, yv)
+        x_all, P_all = ekf(xv, Pv, omv, yv, noise, world, DT, omv)
         for k in range(n):
             xk, omk, yk, Pk = x[:, k].copy(), omega[:, k].copy(), y[:, k].copy(), P[k].copy()
             assert np.array_equal(f_all[:, k], process_model(xk, omk))
             h, Cy = jacobians_measurement(xk[:3], world)
             assert np.array_equal(h_all[:, k], h)
             assert np.array_equal(Cy_all[k], Cy)
-            assert np.array_equal(eh2_all[:, k], eh2(xk, omk, yk, cert.L, table, DT))
-            x_new, P_new = ekf(xk, Pk, omk, yk, noise, world, DT)
+            assert np.array_equal(eh2_all[:, k], eh2(xk, omk, yk, cert.L, table, DT, omk, yk))
+            x_new, P_new = ekf(xk, Pk, omk, yk, noise, world, DT, omk)
             assert np.array_equal(x_all[:, k], x_new)
             assert np.array_equal(P_all[k], P_new)
 
@@ -842,7 +876,7 @@ class TestStackedSteps:
         x, omega, y, _ = self._inputs(world)
         x[1, 3] = np.pi / 2.0 - EPS_GIMBAL / 2.0
         with pytest.raises(GimbalLockError, match=r"rows \[3\]"):
-            eh2(x, omega, y, cert.L, _table(cert.L, world), DT)
+            eh2(x, omega, y, cert.L, _table(cert.L, world), DT, omega, y)
 
 
 class TestTwoEndedSteps:
@@ -864,8 +898,8 @@ class TestTwoEndedSteps:
         table = _table(cert.L, world)
         stack = eh2(x, omega, y, cert.L, table, DT, omega1, y1)
         x_ekf, P_ekf = ekf(x, P, omega, y1, noise, world, DT, omega1)
-        assert not np.array_equal(stack, eh2(x, omega, y, cert.L, table, DT))
-        assert not np.array_equal(x_ekf, ekf(x, P, omega, y1, noise, world, DT)[0])
+        assert not np.array_equal(stack, eh2(x, omega, y, cert.L, table, DT, omega, y))
+        assert not np.array_equal(x_ekf, ekf(x, P, omega, y1, noise, world, DT, omega)[0])
         for j in range(x.shape[1]):
             got = eh2(x[:, j], omega[:, j], y[:, j], cert.L, table, DT, omega1[:, j], y1[:, j])
             assert got.tobytes() == stack[:, j].tobytes(), j
@@ -880,10 +914,10 @@ class TestTwoEndedSteps:
         table = _table(cert.L, world)
         for j in (slice(None), 2):
             xs, Ps, om, yy = x[:, j], P[j], omega[:, j], y[:, j]
-            held = eh2(xs, om, yy, cert.L, table, DT)
+            held = eh2(xs, om, yy, cert.L, table, DT, om, yy)
             got = eh2(xs, om, yy, cert.L, table, DT, om.copy(), yy.copy())
             assert got.tobytes() == held.tobytes()
-            held = ekf(xs, Ps, om, yy, noise, world, DT)
+            held = ekf(xs, Ps, om, yy, noise, world, DT, om)
             got = ekf(xs, Ps, om, yy, noise, world, DT, om.copy())
             assert all(a.tobytes() == b.tobytes() for a, b in zip(got, held))
 
@@ -976,6 +1010,6 @@ def test_one_state_eh2_step_allocates_well_under_the_ekf(world, noise, cert):
     omega = np.array([0.05, -0.02, 0.01])
     y = _h(EulerState.from_vector(x), world) + 0.01
     table = _table(cert.L, world)
-    eh2_peak = _peak_bytes(lambda: eh2(x, omega, y, cert.L, table, DT))
-    ekf_peak = _peak_bytes(lambda: ekf(x, DEFAULT_P0, omega, y, noise, world, DT))
+    eh2_peak = _peak_bytes(lambda: eh2(x, omega, y, cert.L, table, DT, omega, y))
+    ekf_peak = _peak_bytes(lambda: ekf(x, DEFAULT_P0, omega, y, noise, world, DT, omega))
     assert eh2_peak <= 0.4 * ekf_peak, (eh2_peak, ekf_peak)

@@ -200,6 +200,11 @@ class TestScenarioConfig:
         assert a.to_dict() == b.to_dict()
         assert a.config_hash() == b.config_hash()
 
+    @pytest.mark.parametrize("field", ["n_a", "n_m"])
+    def test_from_dict_noise_whose_square_overflows_is_a_config_error(self, field):
+        with pytest.raises(ConfigError, match=f"^invalid noise parameters: {field} must be"):
+            ScenarioConfig.from_dict({"case_id": "II", "noise": {field: 1e300}})
+
     def test_from_dict_partial_nested_override(self):
         cfg = ScenarioConfig.from_dict({"case_id": "II", "noise": {"n_a": 0.5}})
         assert cfg.noise == NoiseParams(n_a=0.5)
@@ -808,7 +813,8 @@ class TestRunTrials:
         table = cert.L @ cfg.world.rotation_table()[:6]
         for k in range(50):
             smp = streams[1].sample(k)
-            x = eh2(x, smp.omega_m, smp.stacked_measurement(), cert.L, table, dt)
+            omega, y = smp.omega_m, smp.stacked_measurement()
+            x = eh2(x, omega, y, cert.L, table, dt, omega, y)
         assert record["last_state"] == failure.last_state == x.tolist()
         assert json.loads(json.dumps(record))["last_state"] == x.tolist()
         assert np.array_equal(batch.estimates[0, 50, 1], x[:3])

@@ -45,6 +45,21 @@ class TestNoiseParams:
         with pytest.raises(ValueError):
             NoiseParams(**{field: -0.1})
 
+    @pytest.mark.parametrize("field", ["n_w", "n_b", "n_a", "n_m"])
+    @pytest.mark.parametrize("value", [1.3407807929942597e154, 1e300, np.inf, np.nan])
+    def test_value_whose_square_overflows_rejected(self, field, value):
+        # The design model and the EKF square every field; the check must
+        # not square it in numpy, which would warn.
+        with pytest.raises(ValueError, match=f"^{field} must be >= 0 with a finite square"):
+            NoiseParams(**{field: value})
+
+    def test_largest_value_with_a_finite_square_accepted(self):
+        # sqrt(float max): its square, 1.7976931348623155e308, is finite.
+        big = 1.3407807929942596e154
+        r, R = NoiseParams(n_a=big, n_m=big).measurement_variances()
+        assert r.tolist() == [big * big] * 6
+        assert np.isfinite(R).all()
+
 
 class TestWorldConstants:
     def test_defaults(self):

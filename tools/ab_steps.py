@@ -71,9 +71,6 @@ B was faster (a tie counts for neither side), so that a per-layer claim can
 be held to winning nine rounds in ten; then each side's run peak; then the
 same figures, with each layer's calls per round, as one JSON object on the
 last line (the run peaks under ``run_peak_mb``).
-A tree whose steps take one sample, from before steps read both ends of
-their interval, runs every step layer on sample k alone, so the ``k,k+1``
-layers' B/A against such a tree reads the cost of interpolating.
 Run it on an otherwise idle host, one process.  Unless the caller sets
 them, ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` are 1 before numpy
 loads, so BLAS runs on one thread, as in ``benchmark/run.py``'s
@@ -82,7 +79,6 @@ loads, so BLAS runs on one thread, as in ``benchmark/run.py``'s
 
 import argparse
 import importlib.util
-import inspect
 import json
 import os
 import statistics
@@ -137,12 +133,11 @@ def layers(pkg, tmp: Path) -> dict:
     step_world = pkg.WorldConstants(world.g_inertial.copy(), world.h_inertial.copy())
     plans = pkg.filters._paper_plans(gain, q, step_world, dt)
     eh2_plan, ekf_plan = (p.step for p in plans)
-    two_ended = "omega1" in inspect.signature(pkg.filters.eh2).parameters
 
     def held(*args):
         """A plan step's arguments, the state then the sample, with the
-        sample passed again as the step's end where steps take both ends."""
-        return args + args[-2:] if two_ended else args
+        sample passed again as the step's end."""
+        return args + args[-2:]
 
     def eh2_step():
         s = pkg.EH2FilterState(x0, gain)
@@ -194,7 +189,6 @@ def layers(pkg, tmp: Path) -> dict:
 
     omegas1 = omegas + rng.normal(scale=0.01, size=(3, N_STACK))
     ys1 = ys + rng.normal(scale=0.01, size=(6, N_STACK))
-    ends = (omegas1, ys1) if two_ended else ()
     table = pkg.filters._folded_gain(gain, step_world)
 
     def trajectory():
@@ -216,10 +210,10 @@ def layers(pkg, tmp: Path) -> dict:
         f"eh2 N={N_STACK}": kernel(eh2_plan, *held(xs, omegas, ys)),
         f"ekf N={N_STACK}": kernel(ekf_plan, *held(xs, Ps, omegas, ys)),
         f"eh2 N={N_STACK} k,k+1": kernel(
-            pkg.filters.eh2, xs, omegas, ys, gain, table, dt, *ends
+            pkg.filters.eh2, xs, omegas, ys, gain, table, dt, omegas1, ys1
         ),
         f"ekf N={N_STACK} k,k+1": kernel(
-            pkg.filters.ekf, xs, Ps, omegas, ys1, q, step_world, dt, *ends[:1]
+            pkg.filters.ekf, xs, Ps, omegas, ys1, q, step_world, dt, omegas1
         ),
         "jac N=1": kernel(jac, x[:3], omega - x[3:], q),
         f"jac N={N_STACK}": kernel(jac, xs[:3], omegas - xs[3:], q),
