@@ -166,7 +166,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     res = run_timing_benchmark(steps=args.steps, seed=args.seed)
-    print(f"backend {res['backend']}: {res['steps']} interleaved steps")
+    print(f"{res['steps']} interleaved steps")
     for name in res["plans"]:
         s = res[name]
         print(
@@ -189,7 +189,7 @@ def _report_lines(doc: Any) -> list[str]:
     gain_keys = ("source", "sha256", "h2_norm", "gamma", "max_closedloop_real_eig", "lmi_feasible")
     lines = [
         f"scenario case {cfg['case_id']}  seed {cfg['seed']}  trials {len(doc['trials'])} "
-        f"(ok {agg['num_ok']}, failed {agg['num_failed']})  backend {doc['backend']}",
+        f"(ok {agg['num_ok']}, failed {agg['num_failed']})",
         "gain: " + ", ".join(f"{key} {json.dumps(gain[key])}" for key in gain_keys),
     ]
     if agg["num_ok"] == 0:

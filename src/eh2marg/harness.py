@@ -46,7 +46,8 @@ __all__ = [
     "run_timing_benchmark",
 ]
 
-#: Array backend that runs the filters, recorded in metrics.json and bench.json.
+#: Array backend that runs the filters.  benchmark/run.py records it and
+#: refuses to run unless it reads "numpy".
 BACKEND = "numpy"
 
 #: Minimum clearance (rad) a truth trajectory must keep from pitch +-pi/2.
@@ -739,7 +740,6 @@ def run_experiment(
     result: dict[str, Any] = {
         "config": cfg.to_dict(),
         "config_hash": cfg.config_hash(),
-        "backend": BACKEND,
         "exclude_initial": float(exclude_initial),
         "gain": gain_record,
         "plans": names,
@@ -834,7 +834,6 @@ def run_timing_benchmark(steps: int = 10_000, *, seed: int = 42) -> dict[str, An
         raise Eh2MargError(f"benchmark trial failed: {trial['error']}")
     timing = result["aggregate"]["timing"]
     return {
-        "backend": BACKEND,
         "steps": int(steps),
         "plans": result["plans"],
         **trial["timing"],

@@ -73,9 +73,6 @@ class LmiReport:
     max_closedloop_real_eig: float
     reason: str = ""
 
-    def __bool__(self) -> bool:
-        return self.feasible
-
 
 def solve_lyapunov(F: NDArray[np.float64], Q: NDArray[np.float64]) -> NDArray[np.float64]:
     """Solve the continuous Lyapunov equation F P + P F^T + Q = 0 as one dense

@@ -327,7 +327,7 @@ class TestReport:
         capsys.readouterr()
         assert main(["report", "--out", str(out)]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0].endswith("trials 1 (ok 0, failed 1)  backend numpy")
+        assert lines[0].endswith("trials 1 (ok 0, failed 1)")
         assert lines[1].startswith('gain: source "file"')
         assert lines[2:] == ["no successful trials to report"]
 
@@ -437,7 +437,7 @@ PAPER_RUN = [
     "ok 2/2, eh2 yaw wins 2/2",
 ]
 PAPER_REPORT = [
-    "scenario case II  seed 77  trials 2 (ok 2, failed 0)  backend numpy",
+    "scenario case II  seed 77  trials 2 (ok 2, failed 0)",
     'gain: source "synthesized", '
     'sha256 "d31f5a907631d32e790ffb90f30ade639e865ae1dfb2bb5ba3a9d58c4fb13147", '
     "h2_norm 0.008696613353238672, gamma 0.008696613361935286, "
@@ -453,7 +453,7 @@ PAPER_REPORT = [
     "  ratio per trial-step #",
 ]
 PAPER_BENCH = [
-    "backend numpy: 200 interleaved steps",
+    "200 interleaved steps",
     "  eh2: # ms/step (std #, p50 #, p95 #)",
     "  ekf: # ms/step (std #, p50 #, p95 #)",
     "  ratio eh2/ekf: #",

@@ -521,12 +521,6 @@ class TestRunExperiment:
         assert np.all(m1.rms < 0.05)
         assert np.all(m2.rms < 0.05)
 
-    def test_case_i_yaw_ordering(self):
-        res = run_experiment(ScenarioConfig.case_i())
-        agg = res["aggregate"]
-        assert agg["num_ok"] == 10
-        assert agg["yaw_wins_eh2"] >= 8
-
     def test_gain_record_synthesized(self, cert):
         res = run_experiment(ScenarioConfig.case_ii(num_trials=1))
         assert res["gain"] == {
@@ -558,7 +552,7 @@ class TestRunExperiment:
         res = run_experiment(cfg, gain=cert.L)
         assert res["config"] == cfg.to_dict()
         assert res["config_hash"] == cfg.config_hash()
-        assert res["backend"] == "numpy"
+        assert "backend" not in res
         assert res["exclude_initial"] == 5.0
         assert len(res["trials"]) == 3
         agg = res["aggregate"]
@@ -759,7 +753,7 @@ class TestRunTimingBenchmark:
     def test_small_benchmark(self):
         res = run_timing_benchmark(steps=300, seed=1)
         assert res["steps"] == 300
-        assert res["backend"] == "numpy"
+        assert "backend" not in res
         for name in ("eh2", "ekf"):
             assert res[name]["mean_ms"] > 0.0
             assert res[name]["std_ms"] >= 0.0

@@ -12,6 +12,7 @@ import inspect
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -77,6 +78,12 @@ def test_benchmark_names_include_its_entry_points():
         *(_names_read_off_package(BENCHMARK_DIR / s) for s in BENCHMARK_SCRIPTS)
     )
     assert {"cli.main", "nominal_model", "synthesize_gain", "eh2_step", "ekf_step"} <= names
+
+
+def test_backend_is_numpy():
+    # benchmark/run.py records eh2marg.BACKEND and exits 2 unless it reads "numpy"
+    # (benchmark/run.py:316).
+    assert eh2marg.BACKEND == "numpy"
 
 
 def test_nominal_model_accepts_noise_and_world():
@@ -172,3 +179,26 @@ def test_import_leaves_numpy_random_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_program_loads_no_scipy():
+    # A fresh interpreter, so modules the tests import do not count.
+    script = textwrap.dedent(
+        """
+        import sys
+        from eh2marg import nominal_model, synthesize_gain
+        from eh2marg.harness import ScenarioConfig, run_experiment
+
+        assert synthesize_gain(nominal_model()).lmi_feasible
+        cfg = ScenarioConfig.case_ii(num_trials=1, duration=1.0)
+        assert run_experiment(cfg, exclude_initial=0.0)["aggregate"]["num_ok"] == 1
+        print(sorted(m for m in sys.modules if m.startswith("scipy")))
+        """
+    )
+    src = str(Path(eh2marg.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

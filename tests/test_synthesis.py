@@ -270,7 +270,6 @@ class TestVerifyLmi:
 
     def test_feasible_above_achieved_norm(self, model, cert):
         report = _lmi_check(model, cert.L, cert.h2_norm * 1.01)
-        assert report
         assert report.feasible
         assert report.block1_max_eig < 0.0
         assert report.block2_max_eig < 0.0
@@ -278,7 +277,7 @@ class TestVerifyLmi:
 
     def test_infeasible_below_achieved_norm(self, model, cert):
         report = _lmi_check(model, cert.L, cert.h2_norm * 0.5)
-        assert not report
+        assert not report.feasible
         assert "trace" in report.reason
 
     def test_gamma_zero_infeasible(self, model, cert):

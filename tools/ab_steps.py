@@ -54,8 +54,9 @@ sensor stream, both filters' steps, metrics and CSV writing.
 
 Beside the layers, ``run peak`` is each side's memory figure: the
 tracemalloc peak (MB) of one case I ``run_experiment`` at seed ``SEED``
-with an output directory, taken after one untraced warm-up run, so that
-lazy set-up is not counted.  It is the run-level figure under the
+with an output directory, taken after each layer has run once on both
+sides (which writes a CSV, computes metrics and synthesizes the gain), so
+that lazy set-up is not counted.  It is the run-level figure under the
 benchmark's ``peak_rss_mb``, without the interpreter and libraries.
 
 Every layer steps with an equal copy of the world the side was set up
@@ -230,10 +231,10 @@ def layers(pkg, tmp: Path) -> dict:
 
 
 def run_peak_mb(pkg, out_dir: Path) -> float:
-    """Tracemalloc peak (MB) of one case I run writing into ``out_dir``,
-    after one warm-up run."""
+    """Tracemalloc peak (MB) of one case I run writing into ``out_dir``.  The
+    config is built before tracing starts, so that the peak counts the run
+    alone."""
     cfg = pkg.ScenarioConfig.case_i(seed=SEED)
-    pkg.run_experiment(cfg, out_dir=out_dir)
     tracemalloc.start()
     try:
         pkg.run_experiment(cfg, out_dir=out_dir)
@@ -253,13 +254,13 @@ def main(argv=None) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         pkgs = {"a": load(args.a_src, "eh2marg_a"), "b": load(args.b_src, "eh2marg_b")}
         sides = {side: layers(pkg, Path(tempfile.mkdtemp(dir=tmp))) for side, pkg in pkgs.items()}
+        for name, (_, run) in sides["a"].items():  # warm caches and lazy set-up on both sides
+            run()
+            sides["b"][name][1]()
         peaks = {
             side: run_peak_mb(pkg, Path(tempfile.mkdtemp(dir=tmp))) for side, pkg in pkgs.items()
         }
         us = {name: {"a": [], "b": []} for name in sides["a"]}
-        for name, (_, run) in sides["a"].items():  # warm caches and lazy set-up on both sides
-            run()
-            sides["b"][name][1]()
         for r in range(args.rounds):
             for name in us:
                 for side in ("ab" if r % 2 == 0 else "ba"):
