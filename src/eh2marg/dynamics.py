@@ -22,14 +22,16 @@ its own: it is the world's constant table
 trigonometric products of Phi, which
 :func:`~eh2marg.linearization.jacobians_measurement` evaluates with Cy and
 the extended-H2 filter with its gain folded in.  :func:`rk4_step` takes
-its first stage from a caller that already holds it, runs its stage and
-final sums with numpy's overflow and invalid-value warnings off, and ends
-in :func:`checked_state`, which rejects a non-finite result, with one
-``np.isfinite`` count over the array, before it wraps the attitude and
-checks the pitch: a stack whose sums overflow raises NonFiniteState, not a
-RuntimeWarning.  Both filters are built on these
-functions.  One state's filter steps run them on the six Python floats of
-the state instead: :func:`_rk4_floats` and :func:`_checked_floats` are
+its first stage from a caller that already holds it, runs under its
+caller's numpy error state, and ends in :func:`checked_state`, which
+rejects a non-finite result, with one ``np.isfinite`` count over the
+array, before it wraps the attitude and checks the pitch.  The filters
+step under one error state with numpy's overflow and invalid-value
+warnings off (:data:`~eh2marg.filters._STEP_ERRSTATE`), so a stack whose
+sums overflow raises NonFiniteState, not a RuntimeWarning.  Both filters
+are built on these functions.  One state's filter steps run them on the
+six Python floats of the state instead: :func:`_rk4_floats` and
+:func:`_checked_floats` are
 :func:`rk4_step` and :func:`checked_state` operation for operation, so bit
 for bit, and :func:`_process_floats` is the process model at a stage's
 body rates, with each stage's sines and cosines from ``math``
@@ -136,9 +138,6 @@ def process_model(x: NDArray[np.float64], omega: NDArray[np.float64]) -> NDArray
     return f
 
 
-# The decorator sets the error state per call: about 0.6 us against 1.4 us
-# for a ``with np.errstate`` block (numpy 2.4, x86-64).
-@np.errstate(over="ignore", invalid="ignore")
 def rk4_step(
     f: Callable[[NDArray[np.float64]], NDArray[np.float64]],
     x: NDArray[np.float64],
@@ -154,9 +153,9 @@ def rk4_step(
     after x, sampled at the step's start and end: stage 1 reads u0, stages
     2 and 3 their midpoint, and stage 4 u1.  When ``u1`` is ``u0``, the
     inputs are held and no midpoint is formed.  ``k1``, when given, is f(x, *u0), which a caller
-    may already hold.  The midpoint, the stages and the final sum run with
-    numpy's overflow and invalid-value warnings off: a result they make
-    infinite or NaN raises NonFiniteState from :func:`checked_state` instead.
+    may already hold.  The step runs under its caller's numpy error state;
+    a result that comes out infinite or NaN raises NonFiniteState from
+    :func:`checked_state`.
 
     Raises
     ------

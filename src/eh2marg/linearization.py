@@ -133,8 +133,9 @@ def jacobians_measurement(
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """h and Cy of the measurement model at the attitude ``angles``.
 
-    (3,) angles give h (6,) and Cy (6, 6); (3, N) angles give h (6, N), a
-    view, and Cy (N, 6, 6).  Both come from one product of the world's
+    (3,) angles give h (6,) and Cy (6, 6); (3, N) angles give h as a new
+    (6, N) array, C-contiguous, and Cy (N, 6, 6).  Both come from one
+    product of the world's
     :meth:`~eh2marg.sensors.WorldConstants.rotation_table` with the
     trigonometric products of the attitude: its first 6 rows are
     h = [R g; R h], the other 18 the angle columns of Cy, row by row.  The

@@ -554,6 +554,36 @@ def test_huge_gyro_sample_fails_a_stack_with_non_finite_state_without_a_warning(
             ekf(x.copy(), P, omega, y, noise, world, DT, omega)
 
 
+def test_huge_accel_mag_sample_raises_gimbal_lock_error_without_a_warning(world, cert):
+    # L y overflows for an accel/mag sample of +-1.7e308 with zero gyro; eh2
+    # forms it under the step's error state, so the step raises for the
+    # stage it drives past the gimbal band, with no overflow warning first,
+    # on one state and on a (6, 2) stack.
+    y = np.array([1.7e308, -1.7e308] * 3)
+    sample = ImuSample(0.0, np.zeros(3), y[:3], y[3:])
+    x = np.zeros((6, 2))
+    x[1] = 0.1
+    omega = np.zeros((3, 2))
+    ys = np.repeat(y[:, None], 2, axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GimbalLockError):
+            eh2_step(EH2FilterState(EulerState(), cert.L), sample, world, DT)
+        with pytest.raises(GimbalLockError):
+            eh2(x, omega, ys, cert.L, _table(cert.L, world), DT, omega, ys)
+
+
+def test_gain_whose_table_overflows_raises_non_finite_state_without_a_warning(world):
+    # L0 = 1e308 everywhere overflows the fold L0 C_h that the state's first
+    # step makes, and then the step itself; both run under the step's error
+    # state, so the step raises NonFiniteState with no warning first.
+    x0 = EulerState()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteState):
+            eh2_step(EH2FilterState(x0, np.full((6, 6), 1e308)), _sample_at(x0, world), world, DT)
+
+
 def test_pitched_huge_yaw_rate_raises_non_finite_state_without_a_warning(world, noise, cert):
     # At pitch 0.5, psi_dot = omega_z / cos 0.5 overflows for omega_z =
     # 1.7e308, so RK4 stage 2's yaw is infinite.  One state's sines and

@@ -1,5 +1,6 @@
 """Tests for scenario generation, the experiment runner, and metrics."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -658,6 +659,40 @@ class TestRunExperiment:
             assert f": step {rec['step']}: " in rec["error"]
             assert len(rec["last_state"]) == 6
             assert all(isinstance(v, float) and np.isfinite(v) for v in rec["last_state"])
+
+    def test_gain_whose_table_overflows_fails_every_trial_without_a_warning(self):
+        # The plans fold L0 C_h once per run, under the step's error state:
+        # a gain of 1e308 everywhere fails each trial at eh2's first step,
+        # with NonFiniteState and no overflow warning first.
+        cfg = ScenarioConfig.case_ii(num_trials=2, duration=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_experiment(cfg, gain=np.full((6, 6), 1e308), exclude_initial=0.0)
+        assert res["aggregate"]["num_failed"] == 2
+        for rec in res["trials"]:
+            assert (rec["filter"], rec["step"]) == ("eh2", 0)
+            assert rec["error"].startswith("NonFiniteState: step 0: ")
+
+    def test_paper_plans_are_first_order_in_dt_without_noise(self):
+        # With every noise scaled by 1e-6, case II's error is the
+        # discretization's alone, and the paper's plans hold sample k over
+        # the step, so it halves with dt: log2 of the RMS ratio between
+        # neighbouring rates is 1 on every axis (0.999-1.002 measured).  A
+        # stage or timing error in a step would show as a lost order.
+        base = NoiseParams()
+        quiet = NoiseParams(
+            **{f.name: getattr(base, f.name) * 1e-6 for f in dataclasses.fields(NoiseParams)}
+        )
+        rms = []
+        for rate in (100.0, 200.0, 400.0):
+            res = run_experiment(ScenarioConfig.case_ii(num_trials=2, noise=quiet, imu_rate=rate))
+            assert res["gain"]["lmi_feasible"] is True
+            assert res["aggregate"]["num_ok"] == 2
+            rms.append({name: np.array(res["aggregate"][name]["rms_deg"]) for name in res["plans"]})
+        for coarse, fine in zip(rms, rms[1:]):
+            for name in ("eh2", "ekf"):
+                order = np.log2(coarse[name] / fine[name])
+                assert np.all((0.9 <= order) & (order <= 1.1)), (name, order)
 
     def test_failed_initialization_has_no_last_state(self):
         record = harness._Failure(NonFiniteState("x")).record()
